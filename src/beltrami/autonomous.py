@@ -253,7 +253,7 @@ def solve_autonomous(
     hv = h.values
     Aeval = A.eval
 
-    def rhs(_f, psi):
+    def rhs(_field, psi):
         return Aeval(psi) + hv
 
     scale = max(1.0, lp_norm(h, 2))

@@ -99,7 +99,7 @@ def solve_cc_neumann(
     uv = u.values
     a, b = p.a, p.b
 
-    def rhs(_f, psi):
+    def rhs(_field, psi):
         return a * psi + b * np.conj(psi) + uv
 
     scale = max(1.0, lp_norm(u, 2))

@@ -2,8 +2,9 @@
 
 All solvers iterate on the conj(z)-derivative candidate r ~ f_zbar:
 
-    psi = c + S0(r - mean(r))          # f_z candidate; S0 = mean-zero beurling
-    f   = antiderivative of r (c prescribed, mean(r) -> affine d)
+    R   = fft2(r)
+    psi = c + ifft2(R * beurling)      # f_z candidate; S0 = mean-zero beurling
+    f   = c*z + d*conj(z) + P          # d = mean(r), P = ifft2(R / dzbar)
     r'  = rhs(f, psi)                  # the equation's right-hand side
 
 The measured residual ||r' - r||_2 is exactly the equation residual of the
@@ -11,10 +12,17 @@ candidate f built from r, because f_zbar = r and f_z = psi by construction.
 Since S0 is an l2 isometry on mean-zero fields and the mean projection is a
 contraction, a k-Lipschitz rhs makes successive residuals decay by a factor
 of at most k.
+
+One step costs two transforms (fft2 of r, ifft2 for psi).  The field f is
+handed to rhs as a zero-argument callable: only a right-hand side that reads
+f (the fully nonlinear H(z, f, f_z)) pays the third transform for P and the
+affine rebuild.  The returned field is built once, after the loop, from the
+spectrum of the best iterate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,8 +49,8 @@ class SolveReport:
     def __post_init__(self):
         if not self.residual_history:
             raise ValueError("residual history must be non-empty")
-        if self.residual_history[-1] != self.final_residual:
-            raise ValueError("final_residual must equal the last history entry")
+        if self.final_residual != min(self.residual_history):
+            raise ValueError("final_residual must equal the least history entry")
 
 
 def _contraction_ratio(history: list[float]) -> float:
@@ -57,7 +65,7 @@ def _contraction_ratio(history: list[float]) -> float:
 
 
 def picard_solve(
-    rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    rhs: Callable[[Callable[[], np.ndarray], np.ndarray], np.ndarray],
     spec: GridSpec,
     c_mean: complex,
     tol: float,
@@ -68,10 +76,19 @@ def picard_solve(
 ) -> tuple[GridField, SolveReport]:
     """Run the damped fixed-point iteration.
 
-    rhs(f_total_values, psi_values) must return the sampled right-hand side
-    of the equation f_zbar = rhs(f, f_z).  Stops when the equation residual
-    drops to tol * residual_scale; on exhaustion the best iterate is
-    returned with converged=False.
+    rhs(field, psi_values) must return the sampled right-hand side of the
+    equation f_zbar = rhs(f, f_z), where field() returns the samples of the
+    current candidate f.  Calling field() costs one inverse transform and
+    the affine rebuild, so a right-hand side that ignores f should not call
+    it; each step then runs two transforms instead of three.
+
+    Stops when the equation residual drops to tol * residual_scale.  On
+    exhaustion the best iterate (least residual) is returned with
+    converged=False, and final_residual is its residual.  A non-finite
+    residual stops the iteration at once: it is left out of the history,
+    the best finite iterate is returned with converged=False and the notes
+    name the iteration.  If the first residual is already non-finite there
+    is no finite iterate to return and ArithmeticError is raised.
     """
     if not (0.0 < damping <= 1.0):
         raise ValueError(f"damping must be in (0, 1], got {damping}")
@@ -84,25 +101,42 @@ def picard_solve(
     c_mean = complex(c_mean)
     affine_c = c_mean * Z
 
+    def periodic_and_d(R: np.ndarray) -> tuple[np.ndarray, complex]:
+        """Mean-zero periodic part P of f and its affine d = mean(r)."""
+        return np.fft.ifft2(R * inv_dzbar), complex(R[0, 0]) / (n * n)
+
     # Start from the affine candidate f = c*z (periodic part zero).
-    r_prev = rhs(affine_c.copy(), np.full((n, n), c_mean, dtype=complex))
+    r_prev = rhs(affine_c.copy, np.full((n, n), c_mean, dtype=complex))
 
     history: list[float] = []
     converged = False
-    f_vals = None
-    f_d = 0.0 + 0.0j
+    notes = ""
+    best_R, best_res = None, np.inf
+    R_beur = np.empty((n, n), dtype=complex)
     threshold = tol * residual_scale
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         R = np.fft.fft2(r_prev)
-        psi = np.fft.ifft2(R * beur) + c_mean
-        P = np.fft.ifft2(R * inv_dzbar)          # periodic part of f, mean zero
-        mean_r = complex(R[0, 0]) / (n * n)      # becomes f's affine d
-        f_total = affine_c + mean_r * np.conj(Z) + P
+        psi = np.fft.ifft2(np.multiply(R, beur, out=R_beur))
+        psi += c_mean
 
-        r = rhs(f_total, psi)
+        def field(R=R):
+            # conj(Z) stays a per-call temporary: numpy elides it into the
+            # product on large grids, and that operand order is part of the
+            # rounding the full-map results are pinned to.
+            P, d = periodic_and_d(R)
+            return affine_c + d * np.conj(Z) + P
+
+        r = rhs(field, psi)
         res = values_l2(r - r_prev)
+        if not math.isfinite(res):
+            if not history:
+                raise ArithmeticError(f"{method}: residual non-finite at iteration 1; "
+                                      "no finite iterate to return")
+            notes = f"residual non-finite at iteration {it}; stopped"
+            break
         history.append(res)
-        f_vals, f_d = P, mean_r
+        if res < best_res:
+            best_R, best_res = R, res
         if res <= threshold:
             converged = True
             break
@@ -111,13 +145,14 @@ def picard_solve(
         else:
             r_prev = (1.0 - damping) * r_prev + damping * r
 
-    f = GridField(spec, c_mean, f_d, f_vals)
+    P, d = periodic_and_d(best_R)
     report = SolveReport(
         iterations=len(history),
         residual_history=history,
         contraction_ratio=_contraction_ratio(history),
-        final_residual=history[-1],
+        final_residual=best_res,
         converged=converged,
         method=method,
+        notes=notes,
     )
-    return f, report
+    return GridField(spec, c_mean, d, P), report

@@ -202,7 +202,11 @@ def solve_full(
     transform and rebuilds f; a damping factor below one blends consecutive
     right-hand sides.  The dependence on f itself is not contractive in
     general, so non-convergence is possible and is reported honestly via
-    the converged flag (no exception).
+    the converged flag (no exception): the least-residual iterate is
+    returned, and a non-finite residual ends the run early with a note.
+    Only when the very first residual is non-finite is ArithmeticError
+    raised, since no finite iterate exists.  H is the one right-hand side
+    that reads f, so each step here costs three transforms, not two.
     """
     if spec is None:
         if H.structure is None:
@@ -211,8 +215,8 @@ def solve_full(
     Z = z_grid(spec)
     Heval = H.eval
 
-    def rhs(f_total, psi):
-        return Heval(Z, f_total, psi)
+    def rhs(field, psi):
+        return Heval(Z, field(), psi)
 
     return picard_solve(rhs, spec, c_mean, tol, max_iter, damping=damping,
                         residual_scale=1.0, method="full-picard")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beltrami import (
     CCParams,
@@ -214,3 +216,22 @@ class TestChangeVarSolver:
             solve_cc_changevar(p, u, 1.0)
         _, rep = solve_cc_neumann(p, u, 1.0, tol=1e-12, max_iter=2000)
         assert rep.converged
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(s=st.floats(0.0, 0.9), t=st.floats(0.0, 1.0),
+       phase_a=st.floats(0.0, 2 * math.pi), phase_b=st.floats(0.0, 2 * math.pi),
+       seed=st.integers(0, 2 ** 16))
+def test_neumann_matches_changevar_property(s, t, phase_a, phase_b, seed):
+    # |a| + |b| = s <= 0.9; the two solvers share no code past the forcing
+    spec = GridSpec(32)
+    p = CCParams(s * t * np.exp(1j * phase_a), s * (1 - t) * np.exp(1j * phase_b))
+    u = random_trig_field(spec, seed=seed)
+    scale = max(1.0, lp_norm(u, 2))
+    fa, ra = solve_cc_neumann(p, u, 1.0, tol=1e-10)
+    fb, rb = solve_cc_changevar(p, u, 1.0)
+    assert ra.converged and rb.converged
+    assert cc_residual(p, fa, u) <= 1e-10 * scale + 1e-14  # + recomputation roundoff
+    assert cc_residual(p, fb, u) <= 1e-8 * scale
+    assert rel_l2(fa.values, fb.values) <= 1e-7
+    assert abs(fa.d - fb.d) <= 1e-7 * max(1.0, abs(fb.d))
