@@ -192,6 +192,14 @@ def _outdir(args) -> Path:
     return out
 
 
+def _solve_fixed_point(args, mapping, h: GridField, spec: GridSpec):
+    if isinstance(mapping, AutonomousMap):
+        return solve_autonomous(mapping, h, args.mean, tol=args.tol,
+                                max_iter=args.max_iter)
+    return solve_full(mapping, args.mean, tol=args.tol, max_iter=args.max_iter,
+                      damping=args.damping, spec=spec)
+
+
 def cmd_solve(args) -> int:
     spec = GridSpec(args.grid, args.period)
     mapping = parse_map(args.map, spec.L)
@@ -204,13 +212,8 @@ def cmd_solve(args) -> int:
             raise _UsageError("--solver changevar requires a linear:* map")
         p = CCParams(mapping.linf.a, mapping.linf.b)
         f, report = solve_cc_changevar(p, h, args.mean)
-    elif isinstance(mapping, AutonomousMap):
-        f, report = solve_autonomous(mapping, h, args.mean, tol=args.tol,
-                                     max_iter=args.max_iter)
     else:
-        f, report = solve_full(mapping, args.mean, tol=args.tol,
-                               max_iter=args.max_iter, damping=args.damping,
-                               spec=spec)
+        f, report = _solve_fixed_point(args, mapping, h, spec)
 
     write_field(f, out / "solution.bfld")
     rows = [(i + 1, r) for i, r in enumerate(report.residual_history)]
@@ -240,18 +243,13 @@ def cmd_solve(args) -> int:
     return 0 if report.converged else 2
 
 
-def _solve_ladder(args, spec_str: str, n0: int, levels: int, period: float,
-                  mean: complex, tol: float, max_iter: int):
+def _solve_ladder(args):
     fields = []
-    for lev in range(levels):
-        spec = GridSpec(n0 * (2 ** lev), period)
-        mapping = parse_map(spec_str, spec.L)
+    for lev in range(args.levels):
+        spec = GridSpec(args.grid * (2 ** lev), args.period)
+        mapping = parse_map(args.map, spec.L)
         h = _parse_h(args.h, spec)
-        if isinstance(mapping, AutonomousMap):
-            f, rep = solve_autonomous(mapping, h, mean, tol=tol, max_iter=max_iter)
-        else:
-            f, rep = solve_full(mapping, mean, tol=tol, max_iter=max_iter,
-                                damping=args.damping, spec=spec)
+        f, rep = _solve_fixed_point(args, mapping, h, spec)
         if not rep.converged:
             raise _UsageError(f"ladder solve at n={spec.n} did not converge")
         fields.append(f)
@@ -272,8 +270,7 @@ def cmd_probe(args) -> int:
             fields.append(g)
             pairs.append((gz, gzb))
     elif args.map:
-        fields = _solve_ladder(args, args.map, args.grid, args.levels,
-                               args.period, args.mean, args.tol, args.max_iter)
+        fields = _solve_ladder(args)
     else:
         raise _UsageError("probe needs --fields, --map or --extremal")
     if len(fields) < 3:

@@ -31,6 +31,7 @@ import numpy as np
 from .fixedpoint import SolveReport, picard_solve
 from .grid import GridField, values_l2, lp_norm
 from .operators import _wavevectors, derivative_pair
+from .synth import random_waves
 
 __all__ = [
     "CCParams",
@@ -65,9 +66,9 @@ class CCParams:
 class ChangeOfVars:
     """Shear/conjugation coefficients of the reduction, with provenance.
 
-    ``path`` records how the pair was obtained: "printed-formula" when the
-    closed-form candidate passed validation, "numeric-root" when the pair
-    was recomputed as the small-modulus roots of the defining quadratics.
+    ``path`` records how the pair was obtained: "numeric-root" for the
+    small-modulus roots of the defining quadratics (compute_mu_nu),
+    "printed-formula" for the audited printed candidate.
     """
 
     mu: complex
@@ -112,9 +113,9 @@ def mu_nu_printed_formula(p: CCParams) -> ChangeOfVars:
 
     Its discriminants read (1+|a|-|b|^2)^2 - 4|a|^2 and
     (1+|b|-|a|^2)^2 - 4|a|^2; they do not solve the defining quadratics
-    except in degenerate cases, which is why compute_mu_nu validates before
-    accepting.  Square roots are taken in the complex plane so a negative
-    discriminant cannot crash the audit path.
+    except in degenerate cases, and verify_transform rejects it off them.
+    Square roots are taken in the complex plane so a negative discriminant
+    cannot crash the audit path.
     """
     a, b = p.a, p.b
     da = 1 + abs(a) ** 2 - abs(b) ** 2
@@ -131,44 +132,25 @@ def _defining_conditions_residual(p: CCParams, mu: complex, nu: complex) -> floa
     return float(max(abs(c1), abs(c2)))
 
 
-def _small_root(lead: complex, mid: float, const: complex) -> complex:
-    """Small-modulus root of lead*x^2 + mid*x + const = 0."""
-    roots = np.roots([lead, mid, const])
-    roots = roots[np.abs(roots) < 1.0]
-    if roots.size == 0:
-        raise ArithmeticError("no admissible root inside the unit disk")
-    return complex(roots[np.argmin(np.abs(roots))])
-
-
-def compute_mu_nu(p: CCParams, validation_tol: float = 1e-8) -> ChangeOfVars:
+def compute_mu_nu(p: CCParams) -> ChangeOfVars:
     """Shear/conjugation pair that reduces the equation to Cauchy-Riemann form.
 
-    Tries the printed closed-form candidate first and audits it with
-    verify_transform; on rejection (the usual case) the pair is recomputed
-    as the small-modulus roots of the defining quadratics, which satisfy
-    the annihilation conditions to machine precision.
+    mu = -2a/(D + sqrt(D^2 - 4|a|^2)), D = 1+|a|^2-|b|^2, is the small root of
+    the first defining quadratic and nu its a <-> b twin.  D^2 - 4|a|^2 =
+    ((1-|a|)^2-|b|^2)((1+|a|)^2-|b|^2) > 0 in the ellipticity ball, so the
+    root is real and cancellation-free; the annihilation conditions are checked.
     """
-    candidate = mu_nu_printed_formula(p)
-    if verify_transform(p, candidate, trials=3) <= validation_tol:
-        return candidate
-    mu = _small_root(np.conj(p.a), 1 + abs(p.a) ** 2 - abs(p.b) ** 2, p.a)
-    nu = _small_root(np.conj(p.b), 1 + abs(p.b) ** 2 - abs(p.a) ** 2, p.b)
-    cv = ChangeOfVars(mu, nu, path="numeric-root")
+    roots = []
+    for c, other in ((p.a, p.b), (p.b, p.a)):
+        ac, ao = abs(c), abs(other)
+        disc = ((1 - ac) ** 2 - ao ** 2) * ((1 + ac) ** 2 - ao ** 2)
+        roots.append(complex(-2 * c / (1 + ac ** 2 - ao ** 2 + math.sqrt(disc))))
+    mu, nu = roots
     cond = _defining_conditions_residual(p, mu, nu)
     if cond > 1e-10:
-        raise ArithmeticError(f"numeric roots fail the defining conditions: {cond:g}")
-    return cv
+        raise ArithmeticError(f"closed-form roots fail the defining conditions: {cond:g}")
+    return ChangeOfVars(mu, nu, path="numeric-root")
 
-
-def _random_trig_poly(rng: np.random.Generator, band: int = 3, modes: int = 6):
-    """Random band-limited wave list [(k1, k2, coeff), ...], nonzero modes."""
-    out = []
-    while len(out) < modes:
-        k1, k2 = (int(v) for v in rng.integers(-band, band + 1, size=2))
-        if k1 == 0 and k2 == 0:
-            continue
-        out.append((k1, k2, complex(rng.normal(), rng.normal())))
-    return out
 
 def _eval_waves(waves, L: float, zz: np.ndarray, deriv: str = "none") -> np.ndarray:
     """Evaluate a wave list (or its Wirtinger derivative) anywhere in the plane."""
@@ -207,7 +189,7 @@ def _transform_residual(
     zeta = Z + mu * np.conj(Z)
     worst = 0.0
     for _ in range(trials):
-        waves = _random_trig_poly(rng)
+        waves = random_waves(rng)
         ft_z = _eval_waves(waves, L, zeta, "dz")
         ft_zb = _eval_waves(waves, L, zeta, "dzbar")
         v = ft_zb - p.a * ft_z - p.b * np.conj(ft_z)  # u evaluated at zeta

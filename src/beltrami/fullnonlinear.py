@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .fixedpoint import SolveReport, picard_solve
 from .grid import GridField, GridSpec, z_grid
@@ -153,17 +152,45 @@ def _u_at_points(u: GridField, z: np.ndarray) -> np.ndarray:
     return np.abs(u.values[i, j])
 
 
+def _min_sum_cover(X: np.ndarray, Y: np.ndarray, r: np.ndarray) -> tuple[float, float]:
+    """Exact minimizer of x + y subject to x*X + y*Y >= r, x, y >= 0 (X, Y >= 0).
+
+    With x = s*t, y = s*(1-t), the least feasible s is 1/e(t) for the concave
+    envelope e(t) = min_{r_i > 0} (Y_i + t*(X_i - Y_i))/r_i, walked from t = 0
+    to its peak vertex; s is recomputed there from all rows, so all hold to rounding.
+    """
+    if not (np.isfinite(X).all() and np.isfinite(Y).all() and np.isfinite(r).all()):
+        raise ValueError("bound fit samples must not contain values inf or nan")
+    bind = r > 0
+    X, Y, r = X[bind], Y[bind], r[bind]
+    if r.size == 0:
+        return 0.0, 0.0
+    if np.any((X == 0) & (Y == 0)):
+        raise ArithmeticError("bound fit failed: a row with r > 0 has X = Y = 0")
+    a, b = Y / r, (X - Y) / r      # line values at t = 0 and slopes
+    t, i = 0.0, int(np.argmin(a))
+    while b[i] > 0 and t < 1.0:    # e rises at t: step to the next vertex
+        lower = np.flatnonzero(b < b[i])
+        cross = (a[lower] - a[i]) / (b[i] - b[lower])
+        t = float(cross.min(initial=1.0))   # no crossing before 1 ends at t = 1
+        if t < 1.0:
+            i = lower[np.argmin(cross)]
+    s = float(np.max(r / (t * X + (1.0 - t) * Y)))
+    return s * t, s * (1.0 - t)
+
+
 def fit_bound_constants(H: FullMap, alpha: float, samples: int = 512,
                         spec: GridSpec | None = None, seed: int = 0,
                         a: complex | None = None, b: complex | None = None,
                         u: GridField | None = None) -> tuple[float, float]:
     """Smallest (zeta_bound, w_bound) making the envelope hold on samples.
 
-    Solves the two-variable linear program: minimize zeta_bound + w_bound
-    subject to zeta_bound*|zeta_i|^alpha + w_bound*|w_i|^(2*alpha) >= r_i,
-    where r_i is the sampled |U| = |H - a*zeta - b*conj(zeta)| minus the
-    u(z) contribution.  The linear part defaults to the declared structure
-    (zero without one); pass a, b explicitly to fit around a known part.
+    Solves the two-variable linear program exactly: minimize zeta_bound +
+    w_bound subject to zeta_bound*|zeta_i|^alpha + w_bound*|w_i|^(2*alpha)
+    >= r_i, where r_i is the sampled |U| = |H - a*zeta - b*conj(zeta)| minus
+    the u(z) contribution.  Non-finite samples raise ValueError, a positive
+    r_i at zeta_i = w_i = 0 ArithmeticError.  The linear part defaults to the
+    declared structure (zero without one); pass a, b to fit around another.
     """
     if spec is None:
         spec = GridSpec(16)
@@ -178,13 +205,7 @@ def fit_bound_constants(H: FullMap, alpha: float, samples: int = 512,
         U = U - _u_at_points(u, z)
     elif st is not None:
         U = U - _u_at_points(st.u, z)
-    x = np.abs(zeta) ** alpha
-    y = np.abs(w) ** (2 * alpha)
-    res = linprog(c=[1.0, 1.0], A_ub=np.column_stack([-x, -y]), b_ub=-np.maximum(U, 0.0),
-                  bounds=[(0, None), (0, None)], method="highs")
-    if not res.success:
-        raise ArithmeticError(f"bound fit failed: {res.message}")
-    return float(res.x[0]), float(res.x[1])
+    return _min_sum_cover(np.abs(zeta) ** alpha, np.abs(w) ** (2 * alpha), U)
 
 
 def solve_full(

@@ -37,6 +37,7 @@ from beltrami import (
     linear_map,
     lp_norm,
     make_field,
+    mu_nu_printed_formula,
     radial_extremal_pair,
     random_trig_field,
     recover_coefficients,
@@ -105,8 +106,8 @@ def test_criterion_02_mu_nu_bounds_and_residual_as_stated():
     # coefficient mu*nu and the provable bounds |mu|(1-|b|) <= |a|,
     # |nu|(1-|a|) <= |b|.  The a*b form leaves the residual
     # (mu*nu - a*b)*conj(v), so verify_transform must equal |mu*nu - a*b| at
-    # every point; the squared-denominator bounds and the a*b-form residuals
-    # are printed
+    # every point; the squared-denominator bounds, the a*b-form residuals and
+    # the oracle's verdict on mu_nu_printed_formula are printed
     bad_bounds = bad_residual = bad_gap = 0
     worst_bound = worst_red = worst_gap_dev = -math.inf
     min_gap = math.inf
@@ -115,7 +116,7 @@ def test_criterion_02_mu_nu_bounds_and_residual_as_stated():
     printed_rejections = 0
     for p in sweep_ellipticity_ball(100, 0.95, seed=42):
         cv = compute_mu_nu(p)
-        if cv.path == "numeric-root":
+        if verify_transform(p, mu_nu_printed_formula(p), trials=3) > 1e-8:
             printed_rejections += 1
         ex_mu = abs(cv.mu) * (1 - abs(p.b)) - abs(p.a)
         ex_nu = abs(cv.nu) * (1 - abs(p.a)) - abs(p.b)
@@ -152,8 +153,7 @@ def test_criterion_02_mu_nu_bounds_and_residual_as_stated():
         f"squared-denominator bounds violated at {sq_violations}/100 points "
         f"(worst excess {worst_sq:.3g}); a*b-form residual above 1e-8 at "
         f"{ab_above}/100 points (worst {worst_ab:.3g}); printed formulas "
-        f"rejected by the oracle at {printed_rejections}/100 points "
-        f"(numeric-root path used and logged)")
+        f"rejected by the oracle at {printed_rejections}/100 points")
 
 
 def test_criterion_02_corrected_companion():

@@ -1,9 +1,13 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import beltrami
 from beltrami import GridSpec, lp_norm, read_field, trig_field, write_field
 from beltrami.cli import main, parse_map
 from beltrami.autonomous import AutonomousMap
@@ -249,3 +253,12 @@ class TestDeterminism:
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert (a / "regularity.csv").read_bytes() == (b / "regularity.csv").read_bytes()
+
+
+def test_cli_import_leaves_scipy_out():
+    # numpy is the only runtime dependency; a fresh interpreter proves it
+    src = str(Path(beltrami.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import beltrami.cli; "
+            "sys.exit(3 if 'scipy' in sys.modules else 0)")
+    proc = subprocess.run([sys.executable, "-c", code, src], timeout=120)
+    assert proc.returncode == 0

@@ -122,14 +122,23 @@ class TestComputeMuNu:
         assert verify_transform(p, cv, trials=5) <= 1e-12
 
     def test_defining_conditions_hold(self):
+        def small_root(lead, mid, const):
+            roots = np.roots([lead, mid, const])
+            return roots[np.argmin(np.abs(roots))]
+
         rng = np.random.default_rng(8)
-        for _ in range(25):
-            s = 0.9 * rng.uniform(0.1, 1.0)
+        for _ in range(200):
+            s = 0.999 * rng.uniform(0.1, 1.0)
             fa = rng.uniform(0.1, 0.9)
             a = s * fa * np.exp(2j * np.pi * rng.uniform())
             b = s * (1 - fa) * np.exp(2j * np.pi * rng.uniform())
             p = CCParams(a, b)
             cv = compute_mu_nu(p)
+            # reference: the small-modulus roots of the defining quadratics
+            mu_ref = small_root(np.conj(p.a), 1 + abs(p.a) ** 2 - abs(p.b) ** 2, p.a)
+            nu_ref = small_root(np.conj(p.b), 1 + abs(p.b) ** 2 - abs(p.a) ** 2, p.b)
+            assert abs(cv.mu - mu_ref) <= 1e-13
+            assert abs(cv.nu - nu_ref) <= 1e-13
             c1 = cv.mu + p.a + cv.nu * cv.mu * np.conj(p.b)
             c2 = p.b + cv.nu + cv.nu * cv.mu * np.conj(p.a)
             assert max(abs(c1), abs(c2)) < 1e-12

@@ -15,6 +15,7 @@ from beltrami import (
     solve_full,
     zero_field,
 )
+from beltrami.fullnonlinear import _min_sum_cover, _sample_points
 
 SPEC = GridSpec(64)
 
@@ -127,6 +128,86 @@ class TestSolveFull:
         assert not rep.converged
         assert rep.iterations == 2
         assert f is not None
+
+
+class TestFitBoundConstants:
+    """The exact envelope walk, with scipy's HiGHS linprog as reference."""
+
+    @staticmethod
+    def linprog_objective(X, Y, r):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        res = linprog(c=[1.0, 1.0], A_ub=np.column_stack([-X, -Y]),
+                      b_ub=-np.maximum(r, 0.0), bounds=[(0, None), (0, None)],
+                      method="highs")
+        assert res.success
+        return float(res.x[0] + res.x[1])
+
+    def check_cover(self, X, Y, r):
+        x, y = _min_sum_cover(X, Y, r)
+        assert x >= 0 and y >= 0
+        assert x + y == pytest.approx(self.linprog_objective(X, Y, r), rel=1e-9)
+        # every sampled constraint holds up to a few roundings of the rescale
+        assert np.all(x * X + y * Y >= r - 1e-14 * np.abs(r))
+
+    def test_matches_linprog_on_quadratic_w_maps(self):
+        for seed in range(4):
+            wq = 0.05 + 0.05 * seed
+            H = FullMap(eval=lambda z, w, zeta: 0.3 * zeta + wq * w ** 2, k=0.3)
+            for samples in (256, 1024, 4096):
+                zb, wb = fit_bound_constants(H, alpha=0.99, samples=samples,
+                                             a=0.3, b=0.0, seed=seed)
+                _, z, w, zeta = _sample_points(H, GridSpec(16), samples, seed)
+                X, Y = np.abs(zeta) ** 0.99, np.abs(w) ** 1.98
+                r = np.abs(H.eval(z, w, zeta) - 0.3 * zeta)
+                assert (zb, wb) == _min_sum_cover(X, Y, r)
+                self.check_cover(X, Y, r)
+                # the check the fit is meant for: the envelope on the same samples
+                Hs = FullMap(eval=H.eval, k=0.3,
+                             structure=structure(a=0.3, alpha=0.99, zeta_bound=zb,
+                                                 w_bound=wb))
+                assert check_conditions(Hs, samples=samples, seed=seed).bound_excess <= 1e-9
+
+    def test_matches_linprog_on_mixed_scale_inputs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            m = int(rng.integers(1, 2000))
+            X = 10.0 ** rng.uniform(-3, 4, m) * (rng.uniform(size=m) > 0.1)
+            Y = 10.0 ** rng.uniform(-3, 4, m) * (rng.uniform(size=m) > 0.1)
+            Y[(X == 0) & (Y == 0)] = 1.0
+            r = 10.0 ** rng.uniform(-3, 4, m) * np.sign(rng.normal(size=m) + 0.5)
+            self.check_cover(X, Y, r)
+
+    @pytest.mark.parametrize("X, Y, r, expected", [
+        # x + 3y >= 3 and 3x + y >= 3 meet at x = y = 3/4
+        ([1.0, 3.0], [3.0, 1.0], [3.0, 3.0], (0.75, 0.75)),
+        # the envelope still rises at t = 1 (its lines cross at t = 3): y = 0
+        ([1.0, 2.0], [0.0, 1.5], [1.0, 1.0], (1.0, 0.0)),
+        # and the mirror image, peaking at t = 0: x = 0
+        ([0.0, 1.5], [1.0, 2.0], [1.0, 1.0], (0.0, 1.0)),
+    ])
+    def test_exact_vertices(self, X, Y, r, expected):
+        X, Y, r = np.array(X), np.array(Y), np.array(r)
+        x, y = _min_sum_cover(X, Y, r)
+        assert (x, y) == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert np.all(x * X + y * Y >= r - 1e-14 * r)
+
+    def test_non_finite_samples_raise(self):
+        H = FullMap(eval=lambda z, w, zeta: np.nan * zeta, k=0.3)
+        with pytest.raises(ValueError, match="inf or nan"):
+            fit_bound_constants(H, alpha=0.5, samples=64)
+
+    def test_nothing_to_cover(self):
+        H = FullMap(eval=lambda z, w, zeta: 0.3 * zeta, k=0.3)
+        assert fit_bound_constants(H, alpha=0.99, samples=256, a=0.3) == (0.0, 0.0)
+        X = Y = np.ones(3)
+        assert _min_sum_cover(X, Y, np.array([-1.0, 0.0, -2.0])) == (0.0, 0.0)
+
+    def test_infeasible_row_raises(self):
+        X, Y, r = np.array([0.0, 1.0]), np.array([0.0, 2.0]), np.array([1.0, 1.0])
+        with pytest.raises(ArithmeticError, match="bound fit failed"):
+            _min_sum_cover(X, Y, r)
+        # a zero-weight row with nothing to cover does not bind
+        assert _min_sum_cover(X, Y, np.array([0.0, 1.0])) == (0.0, 0.5)
 
 
 class TestFullStructure:
