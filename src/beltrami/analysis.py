@@ -315,8 +315,9 @@ def gradient_equation_check(f: GridField, coeffs: CoefficientFields) -> Gradient
 
         (f_z)_zbar = [mu/(1-|nu|^2)] (f_z)_z + [conj(mu) nu/(1-|nu|^2)] conj((f_z)_z)
 
-    restricted to the well-conditioned samples.  Also reports
-    k' = max |mu|/(1-|nu|) there (0.0 when every sample is flagged).
+    restricted to the well-conditioned samples.  Also reports the derived
+    equation's ellipticity bound k' = max |mu|/(1-|nu|) there: inf once any
+    of those samples has |nu| >= 1, 0.0 when every sample is flagged.
     """
     if f.spec != coeffs.mu.spec:
         raise ValueError("field and coefficients live on different grids")
@@ -333,7 +334,8 @@ def gradient_equation_check(f: GridField, coeffs: CoefficientFields) -> Gradient
     num = float(np.sqrt(np.mean(np.abs(lhs - rhs) ** 2)))
     den = float(np.sqrt(np.mean(np.abs(lhs) ** 2)))
     residual = 0.0 if den < 1e-280 and num < 1e-280 else num / max(den, 1e-300)
-    k_prime = float(np.max(np.abs(mu) / np.maximum(1.0 - np.abs(nu), 1e-300)))
+    abs_nu = np.abs(nu)
+    k_prime = math.inf if np.any(abs_nu >= 1.0) else float(np.max(np.abs(mu) / (1.0 - abs_nu)))
     return GradientCheckResult(residual, k_prime, float(np.mean(good)))
 
 

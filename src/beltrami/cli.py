@@ -1,8 +1,10 @@
 """Command-line surface: reproducible seeded runs with file outputs.
 
 Commands: solve, probe, verify-transform, coefficients, hodograph, report.
-Every run writes a manifest.json echoing the fully resolved configuration,
-so identical configurations reproduce byte-identical CSV and PGM outputs.
+Every run that writes files also writes a manifest.json: the command, every
+parsed option except --out (defaults included), the list of outputs, a result
+summary and the package version.  Identical configurations reproduce
+byte-identical field, CSV and PGM outputs.
 
 Map grammar (flat tokens joined by '+'):
     linear:a_re,a_im,b_re,b_im      a*zeta + b*conj(zeta)
@@ -24,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -49,11 +50,9 @@ from .constant_coefficient import (
     verify_transform,
 )
 from .fullnonlinear import FullMap, solve_full
-from .grid import GridField, GridSpec, lp_norm, read_field, write_field
+from .grid import _FMT, GridField, GridSpec, lp_norm, read_field, write_field
 from .operators import derivative_pair, resample
 from .synth import trig_field
-
-_FMT = "%.17g"
 
 
 class _UsageError(Exception):
@@ -166,8 +165,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def _write_pgm(path: Path, data: np.ndarray) -> dict:
-    lo, hi = float(data.min()), float(data.max())
+def _write_pgm(path: Path, data: np.ndarray, lo: float, hi: float) -> None:
     if hi > lo:
         img = np.round(255.0 * (data - lo) / (hi - lo)).astype(np.uint8)
     else:
@@ -175,21 +173,43 @@ def _write_pgm(path: Path, data: np.ndarray) -> dict:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode())
         fh.write(img.tobytes())
-    return {"min": lo, "max": hi}
 
 
-def _write_manifest(outdir: Path, payload: dict) -> None:
-    payload = dict(payload)
-    payload["version"] = __version__
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _config(args) -> dict:
+    """The run's configuration: every parsed option except --out."""
+    config = {}
+    for key, value in vars(args).items():
+        if key in ("out", "command", "func"):
+            continue
+        if isinstance(value, complex):
+            value = [value.real, value.imag]
+        config[key] = value
+    if "h" in config:
+        config["h"] = config["h"] or "zero"
+    if "fields" in config:
+        config["fields"] = config["fields"] or None
+    return config
 
 
-def _outdir(args) -> Path:
+def _finish(args, files: dict, result: dict, **extra) -> None:
+    """Write a command's output files, then its manifest.json, into --out.
+
+    ``files`` maps each output name, in manifest order, to a CSV table
+    ``(header, rows)`` or to a callable that writes the file at a path.
+    """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for name, content in files.items():
+        if callable(content):
+            content(out / name)
+        else:
+            _write_csv(out / name, *content)
+    manifest = {"command": args.command, "config": _config(args),
+                "outputs": list(files), "result": result,
+                "version": __version__, **extra}
+    with open(out / "manifest.json", "w") as fh:
+        json.dump(manifest, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _solve_fixed_point(args, mapping, h: GridField, spec: GridSpec):
@@ -204,7 +224,6 @@ def cmd_solve(args) -> int:
     spec = GridSpec(args.grid, args.period)
     mapping = parse_map(args.map, spec.L)
     h = _parse_h(args.h, spec)
-    out = _outdir(args)
 
     if args.solver == "changevar":
         if not isinstance(mapping, AutonomousMap) or mapping.linf is None \
@@ -215,41 +234,30 @@ def cmd_solve(args) -> int:
     else:
         f, report = _solve_fixed_point(args, mapping, h, spec)
 
-    write_field(f, out / "solution.bfld")
-    rows = [(i + 1, r) for i, r in enumerate(report.residual_history)]
-    _write_csv(out / "report.csv", ["iteration", "residual"], rows)
-    _write_csv(out / "summary.csv",
-               ["iterations", "final_residual", "contraction_ratio", "converged"],
-               [(report.iterations, report.final_residual,
-                 report.contraction_ratio, report.converged)])
-    fz, _ = derivative_pair(f)
-    scale = _write_pgm(out / "fz_heatmap.pgm", np.abs(fz.values))
-    _write_manifest(out, {
-        "command": "solve",
-        "config": {
-            "map": args.map, "grid": args.grid, "period": args.period,
-            "mean": [args.mean.real, args.mean.imag], "h": args.h or "zero",
-            "tol": args.tol, "max_iter": args.max_iter, "damping": args.damping,
-            "solver": args.solver, "seed": args.seed,
-        },
-        "outputs": ["solution.bfld", "report.csv", "summary.csv", "fz_heatmap.pgm"],
-        "heatmap_scale": scale,
-        "result": {"converged": report.converged, "iterations": report.iterations,
-                   "final_residual": report.final_residual},
-    })
+    fz = np.abs(derivative_pair(f).dz.values)
+    lo, hi = float(fz.min()), float(fz.max())
+    _finish(args, {
+        "solution.bfld": lambda path: write_field(f, path),
+        "report.csv": (["iteration", "residual"],
+                       [(i + 1, r) for i, r in enumerate(report.residual_history)]),
+        "summary.csv": (["iterations", "final_residual", "contraction_ratio", "converged"],
+                        [(report.iterations, report.final_residual,
+                          report.contraction_ratio, report.converged)]),
+        "fz_heatmap.pgm": lambda path: _write_pgm(path, fz, lo, hi),
+    }, {"converged": report.converged, "iterations": report.iterations,
+        "final_residual": report.final_residual},
+        heatmap_scale={"min": lo, "max": hi})
     print(f"converged={report.converged} iterations={report.iterations} "
           f"final_residual={report.final_residual:.3e} "
           f"contraction_ratio={report.contraction_ratio:.4f}")
     return 0 if report.converged else 2
 
 
-def _solve_ladder(args):
+def _solve_ladder(args, specs: list[GridSpec]):
+    mapping = parse_map(args.map, args.period)
     fields = []
-    for lev in range(args.levels):
-        spec = GridSpec(args.grid * (2 ** lev), args.period)
-        mapping = parse_map(args.map, spec.L)
-        h = _parse_h(args.h, spec)
-        f, rep = _solve_fixed_point(args, mapping, h, spec)
+    for spec in specs:
+        f, rep = _solve_fixed_point(args, mapping, _parse_h(args.h, spec), spec)
         if not rep.converged:
             raise _UsageError(f"ladder solve at n={spec.n} did not converge")
         fields.append(f)
@@ -257,6 +265,9 @@ def _solve_ladder(args):
 
 
 def cmd_probe(args) -> int:
+    def ladder():
+        return [GridSpec(args.grid * (2 ** lev), args.period) for lev in range(args.levels)]
+
     pairs = None
     if args.fields:
         fields = [read_field(p) for p in args.fields]
@@ -264,13 +275,12 @@ def cmd_probe(args) -> int:
         from .synth import radial_extremal_pair
 
         fields, pairs = [], []
-        for lev in range(args.levels):
-            spec = GridSpec(args.grid * (2 ** lev), args.period)
+        for spec in ladder():
             g, gz, gzb = radial_extremal_pair(spec, args.extremal)
             fields.append(g)
             pairs.append((gz, gzb))
     elif args.map:
-        fields = _solve_ladder(args)
+        fields = _solve_ladder(args, ladder())
     else:
         raise _UsageError("probe needs --fields, --map or --extremal")
     if len(fields) < 3:
@@ -284,26 +294,11 @@ def cmd_probe(args) -> int:
     else:
         report = sobolev_probe(fields, p_grid, pairs=pairs)
 
-    out = _outdir(args)
     rows = list(report.norm_rows())
     rows.append(("summary", report.p_critical, report.fit_r2,
                  report.tail_exponent, report.distortion_max))
-    _write_csv(out / "regularity.csv",
-               ["p", "level", "norm", "power_mean", "stable"], rows)
-    _write_manifest(out, {
-        "command": "probe",
-        "config": {
-            "fields": list(args.fields) if args.fields else None,
-            "map": args.map, "extremal": args.extremal, "grid": args.grid,
-            "levels": args.levels, "period": args.period,
-            "mean": [args.mean.real, args.mean.imag], "h": args.h or "zero",
-            "p_min": args.p_min, "p_max": args.p_max, "p_step": args.p_step,
-            "second_order": args.second_order, "k": args.k, "seed": args.seed,
-            "tol": args.tol, "max_iter": args.max_iter, "damping": args.damping,
-        },
-        "outputs": ["regularity.csv"],
-        "result": {"p_critical": report.p_critical, "fit_r2": report.fit_r2},
-    })
+    _finish(args, {"regularity.csv": (["p", "level", "norm", "power_mean", "stable"], rows)},
+            {"p_critical": report.p_critical, "fit_r2": report.fit_r2})
     p_c = "inf" if math.isinf(report.p_critical) else _FMT % report.p_critical
     print(f"p_critical={p_c} fit_r2={_FMT % report.fit_r2}")
     return 0
@@ -325,20 +320,11 @@ def cmd_verify_transform(args) -> int:
           f"nu={bound_nu_printed:.3e}")
     print(f"bound_excess_provable: mu={bound_mu:.3e} nu={bound_nu:.3e}")
     if args.out:
-        out = _outdir(args)
-        _write_csv(out / "transform.csv",
-                   ["mu_re", "mu_im", "nu_re", "nu_im", "path",
-                    "residual_ab_form", "residual_reduction"],
-                   [(cv.mu.real, cv.mu.imag, cv.nu.real, cv.nu.imag, cv.path,
-                     res_ab, res_exact)])
-        _write_manifest(out, {
-            "command": "verify-transform",
-            "config": {"a": [args.a.real, args.a.imag],
-                       "b": [args.b.real, args.b.imag],
-                       "trials": args.trials, "seed": args.seed},
-            "outputs": ["transform.csv"],
-            "result": {"residual_ab_form": res_ab, "path": cv.path},
-        })
+        _finish(args, {"transform.csv": (
+            ["mu_re", "mu_im", "nu_re", "nu_im", "path",
+             "residual_ab_form", "residual_reduction"],
+            [(cv.mu.real, cv.mu.imag, cv.nu.real, cv.nu.imag, cv.path, res_ab, res_exact)],
+        )}, {"residual_ab_form": res_ab, "path": cv.path})
     return 0 if res_ab <= 1e-8 else 2
 
 
@@ -347,28 +333,23 @@ def cmd_coefficients(args) -> int:
     fx, fy = directional_derivative_fields(f)
     coeffs = recover_coefficients(fx, fy, args.k)
     check = gradient_equation_check(f, coeffs)
-    out = _outdir(args)
     mu, nu, flg = coeffs.mu.values, coeffs.nu.values, coeffs.flagged
     n = f.spec.n
     rows = [(i, j, mu[i, j].real, mu[i, j].imag, nu[i, j].real, nu[i, j].imag,
              bool(flg[i, j])) for i in range(n) for j in range(n)]
-    _write_csv(out / "coefficients.csv",
-               ["row", "col", "mu_re", "mu_im", "nu_re", "nu_im", "flagged"], rows)
     good = ~flg
     max_sum = float(np.max(np.abs(mu[good]) + np.abs(nu[good]))) if good.any() else 0.0
-    _write_csv(out / "coefficients_summary.csv",
-               ["flagged_fraction", "max_mu_plus_nu", "gradient_residual", "k_prime"],
-               [(coeffs.flagged_fraction, max_sum, check.residual, check.k_prime)])
-    _write_manifest(out, {
-        "command": "coefficients",
-        "config": {"field": str(args.field), "k": args.k, "seed": args.seed},
-        "outputs": ["coefficients.csv", "coefficients_summary.csv"],
-        "result": {"flagged_fraction": coeffs.flagged_fraction,
-                   "gradient_residual": check.residual, "k_prime": check.k_prime},
-    })
+    _finish(args, {
+        "coefficients.csv": (["row", "col", "mu_re", "mu_im", "nu_re", "nu_im", "flagged"],
+                             rows),
+        "coefficients_summary.csv": (
+            ["flagged_fraction", "max_mu_plus_nu", "gradient_residual", "k_prime"],
+            [(coeffs.flagged_fraction, max_sum, check.residual, check.k_prime)]),
+    }, {"flagged_fraction": coeffs.flagged_fraction,
+        "gradient_residual": check.residual, "k_prime": check.k_prime})
     print(f"flagged_fraction={coeffs.flagged_fraction:.4f} "
           f"max_mu_plus_nu={max_sum:.6f} gradient_residual={check.residual:.3e} "
-          f"k_prime={check.k_prime:.6f}")
+          f"k_prime={check.k_prime:.6g}")
     return 0
 
 
@@ -379,20 +360,12 @@ def cmd_hodograph(args) -> int:
         raise _UsageError("hodograph requires an autonomous (gradient-only) map")
     result = hodograph_check(f, mapping, args.points, seed=args.seed,
                              min_jacobian=args.min_jacobian)
-    out = _outdir(args)
-    _write_csv(out / "hodograph.csv",
-               ["max_identity_residual", "max_derivative_ratio", "accepted", "skipped"],
-               [(result.max_identity_residual, result.max_derivative_ratio,
-                 result.accepted, result.skipped)])
-    _write_manifest(out, {
-        "command": "hodograph",
-        "config": {"field": str(args.field), "map": args.map,
-                   "points": args.points, "seed": args.seed,
-                   "min_jacobian": args.min_jacobian},
-        "outputs": ["hodograph.csv"],
-        "result": {"max_identity_residual": result.max_identity_residual,
-                   "accepted": result.accepted, "skipped": result.skipped},
-    })
+    _finish(args, {"hodograph.csv": (
+        ["max_identity_residual", "max_derivative_ratio", "accepted", "skipped"],
+        [(result.max_identity_residual, result.max_derivative_ratio,
+          result.accepted, result.skipped)],
+    )}, {"max_identity_residual": result.max_identity_residual,
+         "accepted": result.accepted, "skipped": result.skipped})
     print(f"max_identity_residual={result.max_identity_residual:.3e} "
           f"max_derivative_ratio={result.max_derivative_ratio:.6f} "
           f"accepted={result.accepted} skipped={result.skipped}")
@@ -403,38 +376,14 @@ def cmd_report(args) -> int:
     f = read_field(args.field)
     st = distortion_stats(f)
     fz, fzb = derivative_pair(f)
-    out = _outdir(args)
-    rows = [(p, lp_norm(fz, p), lp_norm(fzb, p)) for p in (1.0, 2.0, 4.0, 8.0)]
-    _write_csv(out / "norms.csv", ["p", "fz_norm", "fzbar_norm"], rows)
-    _write_csv(out / "distortion.csv",
-               ["max", "q50", "q90", "q99", "degenerate_fraction"],
-               [(st.max, *st.quantiles, st.degenerate_fraction)])
-    _write_manifest(out, {
-        "command": "report",
-        "config": {"field": str(args.field), "seed": args.seed},
-        "outputs": ["norms.csv", "distortion.csv"],
-        "result": {"distortion_max": st.max,
-                   "degenerate_fraction": st.degenerate_fraction},
-    })
+    _finish(args, {
+        "norms.csv": (["p", "fz_norm", "fzbar_norm"],
+                      [(p, lp_norm(fz, p), lp_norm(fzb, p)) for p in (1.0, 2.0, 4.0, 8.0)]),
+        "distortion.csv": (["max", "q50", "q90", "q99", "degenerate_fraction"],
+                           [(st.max, *st.quantiles, st.degenerate_fraction)]),
+    }, {"distortion_max": st.max, "degenerate_fraction": st.degenerate_fraction})
     print(f"distortion_max={st.max:.6f} degenerate_fraction={st.degenerate_fraction:.5f}")
     return 0
-
-
-def _limit_threads() -> None:
-    cap = os.environ.get("BELTRAMI_THREADS")
-    if not cap:
-        return
-    try:
-        limit = int(cap)
-    except ValueError:
-        raise _UsageError(f"BELTRAMI_THREADS must be an integer, got {cap!r}") from None
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limit)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(limit))
 
 
 def build_parser() -> _Parser:
@@ -446,15 +395,18 @@ def build_parser() -> _Parser:
         sp.add_argument("--seed", type=int, default=0, help="seed for all sampling")
         sp.add_argument("--out", required=out_required, help="output directory")
 
+    def solver_options(sp):
+        sp.add_argument("--period", type=float, default=2.0 * math.pi)
+        sp.add_argument("--mean", type=_complex_arg, default=complex(1.0, 0.0))
+        sp.add_argument("--h", default=None)
+        sp.add_argument("--tol", type=float, default=1e-10)
+        sp.add_argument("--max-iter", type=int, default=2000)
+        sp.add_argument("--damping", type=float, default=1.0)
+
     sp = sub.add_parser("solve", help="solve one equation and write the field")
     sp.add_argument("--map", required=True)
     sp.add_argument("--grid", type=int, required=True)
-    sp.add_argument("--period", type=float, default=2.0 * math.pi)
-    sp.add_argument("--mean", type=_complex_arg, default=complex(1.0, 0.0))
-    sp.add_argument("--h", default=None)
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--max-iter", type=int, default=2000)
-    sp.add_argument("--damping", type=float, default=1.0)
+    solver_options(sp)
     sp.add_argument("--solver", choices=["fixed-point", "changevar"],
                     default="fixed-point")
     common(sp)
@@ -467,12 +419,7 @@ def build_parser() -> _Parser:
                     help="built-in radial test field with this distortion")
     sp.add_argument("--grid", type=int, default=64)
     sp.add_argument("--levels", type=int, default=3)
-    sp.add_argument("--period", type=float, default=2.0 * math.pi)
-    sp.add_argument("--mean", type=_complex_arg, default=complex(1.0, 0.0))
-    sp.add_argument("--h", default=None)
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--max-iter", type=int, default=2000)
-    sp.add_argument("--damping", type=float, default=1.0)
+    solver_options(sp)
     sp.add_argument("--p-min", type=float, default=2.0)
     sp.add_argument("--p-max", type=float, default=8.0)
     sp.add_argument("--p-step", type=float, default=0.2)
@@ -514,14 +461,9 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        _limit_threads()
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, ArithmeticError) as exc:
+    except (_UsageError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

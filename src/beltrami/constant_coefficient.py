@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fixedpoint import SolveReport, picard_solve
-from .grid import GridField, values_l2, lp_norm
+from .grid import GridField, GridSpec, lp_norm, values_l2, z_grid
 from .operators import _wavevectors, derivative_pair
 from .synth import random_waves
 
@@ -183,9 +183,7 @@ def _transform_residual(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    t = np.arange(n) * (L / n)
-    X, Y = np.meshgrid(t, t)
-    Z = X + 1j * Y
+    Z = z_grid(GridSpec(n, L))
     zeta = Z + mu * np.conj(Z)
     worst = 0.0
     for _ in range(trials):

@@ -14,6 +14,7 @@ has mean c, the conj(z)-derivative has mean d.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,11 +188,10 @@ def write_field(f: GridField, path) -> None:
         ["BFLD1", str(n), str(n)]
         + [_FMT % x for x in (f.spec.L, f.c.real, f.c.imag, f.d.real, f.d.imag)]
     )
-    flat = f.values.reshape(-1)
-    lines = [head]
-    lines.extend(_FMT % v.real + " " + _FMT % v.imag for v in flat)
+    samples = f.values.reshape(-1).view(float).tolist()
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(head + "\n")
+        fh.write((f"{_FMT} {_FMT}\n" * (n * n)) % tuple(samples))
 
 
 def read_field(path) -> GridField:
@@ -208,21 +208,16 @@ def read_field(path) -> GridField:
         if n1 != n2:
             raise ValueError(f"malformed header in {path!r}: grid must be square")
         spec = GridSpec(n1, L)
-        vals = np.empty(n1 * n1, dtype=complex)
-        count = 0
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if count >= n1 * n1:
-                raise ValueError(f"sample-count mismatch in {path!r}: too many rows")
-            re_s, im_s = line.split()
-            vals[count] = complex(float(re_s), float(im_s))
-            count += 1
-        if count != n1 * n1:
-            raise ValueError(
-                f"sample-count mismatch in {path!r}: expected {n1 * n1} rows, got {count}"
-            )
-        if not np.all(np.isfinite(vals.view(float))):
-            raise ValueError(f"non-finite values in {path!r}")
-        return GridField(spec, complex(cre, cim), complex(dre, dim), vals)
+        try:
+            with warnings.catch_warnings():  # a header-only file is a count mismatch
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                samples = np.loadtxt(fh, dtype=float, ndmin=2, comments=None)
+        except ValueError as exc:
+            raise ValueError(f"malformed samples in {path!r}: {exc}") from None
+    if samples.shape != (n1 * n1, 2):
+        raise ValueError(f"sample-count mismatch in {path!r}: expected {n1 * n1} rows "
+                         f"of 2 numbers, got shape {samples.shape}")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError(f"non-finite values in {path!r}")
+    return GridField(spec, complex(cre, cim), complex(dre, dim), samples.view(complex))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import beltrami
 from beltrami import GridSpec, lp_norm, read_field, trig_field, write_field
-from beltrami.cli import main, parse_map
+from beltrami.cli import build_parser, main, parse_map
 from beltrami.autonomous import AutonomousMap
 from beltrami.fullnonlinear import FullMap
 
@@ -231,6 +232,83 @@ class TestOtherCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "max_identity_residual=" in out
+
+
+    def test_coefficients_k_prime_inf_off_the_ellipticity_ball(self, tmp_path, capsys):
+        # the full map drives |nu| >= 1 on unflagged samples: k' is unbounded
+        sol = tmp_path / "sol"
+        assert run(["solve", "--map", "kabs:0.3+zterm:0.02,0,1,0+wterm:0.05,0",
+                    "--grid", "32", "--damping", "0.7", "--h", "trig:0.1,0,1,0",
+                    "--out", str(sol)]) == 0
+        out = tmp_path / "coef"
+        capsys.readouterr()
+        assert run(["coefficients", "--field", str(sol / "solution.bfld"),
+                    "--k", "0.31", "--out", str(out)]) == 0
+        assert "k_prime=inf" in capsys.readouterr().out
+        header, row = (out / "coefficients_summary.csv").read_text().splitlines()
+        assert float(row.split(",")[header.split(",").index("k_prime")]) == math.inf
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["result"]["k_prime"] == math.inf
+
+
+def _option_dests(command: str) -> set[str]:
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions} - {"help", "out"}
+
+
+@pytest.fixture(scope="module")
+def solved_field(tmp_path_factory):
+    out = tmp_path_factory.mktemp("field")
+    assert run(["solve", "--map", "kabs:0.3", "--grid", "16",
+                "--h", "trig:0.01,0,1,0", "--out", str(out)]) == 0
+    return str(out / "solution.bfld")
+
+
+class TestManifest:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--map", "kabs:0.3", "--grid", "16"],
+        ["probe", "--extremal", "2", "--grid", "16", "--levels", "3"],
+        ["verify-transform", "--a", "0.3,0", "--b", "0,0"],
+        ["coefficients", "--field", "FIELD", "--k", "0.3"],
+        ["hodograph", "--field", "FIELD", "--map", "kabs:0.3", "--points", "8"],
+        ["report", "--field", "FIELD"],
+    ], ids=lambda argv: argv[0])
+    def test_config_echoes_every_option_but_out(self, argv, solved_field, tmp_path):
+        out = tmp_path / "run"
+        argv = [solved_field if a == "FIELD" else a for a in argv]
+        assert run(argv + ["--out", str(out)]) in (0, 2)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == argv[0]
+        assert manifest["version"] == beltrami.__version__
+        assert set(manifest["config"]) == _option_dests(argv[0])
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            manifest["outputs"] + ["manifest.json"])
+
+    def test_empty_fields_recorded_as_null(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(["probe", "--fields", "--extremal", "2", "--grid", "16",
+                    "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["fields"] is None and config["h"] == "zero"
+
+    def test_solve_manifest_pinned(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(["solve", "--map", "kabs:0.3", "--grid", "16", "--out", str(out)]) == 0
+        text = (out / "manifest.json").read_text()
+        expected = {
+            "command": "solve",
+            "config": {"damping": 1.0, "grid": 16, "h": "zero", "map": "kabs:0.3",
+                       "max_iter": 2000, "mean": [1.0, 0.0],
+                       "period": 6.283185307179586, "seed": 0,
+                       "solver": "fixed-point", "tol": 1e-10},
+            "heatmap_scale": {"max": 1.0, "min": 1.0},
+            "outputs": ["solution.bfld", "report.csv", "summary.csv", "fz_heatmap.pgm"],
+            "result": {"converged": True, "final_residual": 0.0, "iterations": 1},
+            "version": beltrami.__version__,
+        }
+        assert json.loads(text) == expected
+        assert text == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 class TestDeterminism:

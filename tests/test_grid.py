@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -176,3 +177,58 @@ class TestFieldFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="non-finite"):
             read_field(path)
+
+    def test_write_format_pinned(self, tmp_path):
+        vals = np.zeros((16, 16), dtype=complex)
+        vals[0, 0] = complex(-0.0, 1e-308)
+        vals[0, 1] = 1e308 + 0.1j
+        path = tmp_path / "pin.bfld"
+        write_field(make_field(GridSpec(16, 1.0), 1.0, -0.5j, vals), path)
+        lines = path.read_text().split("\n")
+        assert lines[:4] == ["BFLD1 16 16 1 1 0 -0 -0.5", "-0 9.9999999999999991e-309",
+                             "1e+308 0.10000000000000001", "0 0"]
+        assert len(lines) == 256 + 2 and lines[-1] == ""
+
+    def test_matches_per_sample_reference(self, tmp_path):
+        # the per-sample loop BFLD1 was first written and read with
+        rng = np.random.default_rng(11)
+        vals = (rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))) \
+            * 10.0 ** rng.integers(-310, 308, size=(32, 32))
+        vals[1, 2] = complex(-0.0, 5e-324)
+        path = tmp_path / "ref.bfld"
+        write_field(make_field(GridSpec(32), 0.0, 0.0, vals), path)
+        rows = path.read_text().splitlines()[1:]
+        assert rows == ["%.17g %.17g" % (v.real, v.imag) for v in vals.reshape(-1)]
+        parsed = [complex(*(float(x) for x in row.split())) for row in rows]
+        assert np.array_equal(read_field(path).values.reshape(-1).view(float),
+                              np.array(parsed).view(float))
+
+    @staticmethod
+    def _write_rows(path, rows):
+        path.write_text("\n".join(["BFLD1 16 16 6.283185307179586 1 0 0 0"] + rows) + "\n")
+
+    def test_too_many_rows(self, tmp_path):
+        path = tmp_path / "long.bfld"
+        self._write_rows(path, ["0 0"] * 257)
+        with pytest.raises(ValueError, match="sample-count mismatch"):
+            read_field(path)
+
+    def test_one_number_row(self, tmp_path):
+        path = tmp_path / "ragged.bfld"
+        self._write_rows(path, ["0 0"] * 100 + ["0"] + ["0 0"] * 155)
+        with pytest.raises(ValueError, match="malformed samples"):
+            read_field(path)
+
+    def test_comment_row_is_an_error(self, tmp_path):
+        path = tmp_path / "comment.bfld"
+        self._write_rows(path, ["# a note"] + ["0 0"] * 256)
+        with pytest.raises(ValueError, match="malformed samples"):
+            read_field(path)
+
+    def test_header_only_is_a_count_mismatch_without_warning(self, tmp_path):
+        path = tmp_path / "empty.bfld"
+        self._write_rows(path, [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sample-count mismatch"):
+                read_field(path)
