@@ -24,6 +24,7 @@ Forcing grammar for --h:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -33,6 +34,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    CoefficientFields,
     distortion_stats,
     gradient_equation_check,
     hodograph_check,
@@ -72,6 +74,23 @@ def _complex_arg(s: str) -> complex:
         return complex(float(re_s), float(im_s))
     except ValueError:
         raise _UsageError(f"expected 're,im', got {s!r}") from None
+
+
+def _number(cast, ok, what: str):
+    """argparse type: parse with cast, then require ok(value)."""
+    def parse(s: str):
+        try:
+            value = cast(s)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {cast.__name__}, got {s!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {s}")
+        return value
+    return parse
+
+
+_positive = _number(float, lambda v: 0 < v < math.inf, "finite and > 0")
+_finite = _number(float, math.isfinite, "finite")
 
 
 def _floats(token: str, body: str, count: int) -> list[float]:
@@ -165,6 +184,20 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
+def _write_coefficients(path: Path, coeffs: CoefficientFields) -> None:
+    """coefficients.csv: one row per sample in row-major order, formatted
+    in one pass with the same spelling as _write_csv."""
+    n = coeffs.mu.spec.n
+    row, col = np.divmod(np.arange(n * n), n)
+    mu, nu = coeffs.mu.values.ravel(), coeffs.nu.values.ravel()
+    flagged = np.where(coeffs.flagged.ravel(), "true", "false")
+    columns = (row, col, mu.real, mu.imag, nu.real, nu.imag, flagged)
+    cells = itertools.chain.from_iterable(zip(*(c.tolist() for c in columns)))
+    with open(path, "w") as fh:
+        fh.write("row,col,mu_re,mu_im,nu_re,nu_im,flagged\n")
+        fh.write((f"%d,%d,{_FMT},{_FMT},{_FMT},{_FMT},%s\n" * (n * n)) % tuple(cells))
+
+
 def _write_pgm(path: Path, data: np.ndarray, lo: float, hi: float) -> None:
     if hi > lo:
         img = np.round(255.0 * (data - lo) / (hi - lo)).astype(np.uint8)
@@ -191,11 +224,24 @@ def _config(args) -> dict:
     return config
 
 
+def _strict_json(value):
+    """value with each non-finite float spelled as in the CSVs ("inf",
+    "-inf", "nan"): JSON has no token for them."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return _FMT % value
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
+
+
 def _finish(args, files: dict, result: dict, **extra) -> None:
     """Write a command's output files, then its manifest.json, into --out.
 
     ``files`` maps each output name, in manifest order, to a CSV table
     ``(header, rows)`` or to a callable that writes the file at a path.
+    The manifest is strict JSON: non-finite numbers are written as strings.
     """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -208,7 +254,7 @@ def _finish(args, files: dict, result: dict, **extra) -> None:
                 "outputs": list(files), "result": result,
                 "version": __version__, **extra}
     with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
+        json.dump(_strict_json(manifest), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -265,6 +311,9 @@ def _solve_ladder(args, specs: list[GridSpec]):
 
 
 def cmd_probe(args) -> int:
+    if args.p_min > args.p_max:
+        raise _UsageError(f"--p-min {args.p_min} is above --p-max {args.p_max}")
+
     def ladder():
         return [GridSpec(args.grid * (2 ** lev), args.period) for lev in range(args.levels)]
 
@@ -333,15 +382,10 @@ def cmd_coefficients(args) -> int:
     fx, fy = directional_derivative_fields(f)
     coeffs = recover_coefficients(fx, fy, args.k)
     check = gradient_equation_check(f, coeffs)
-    mu, nu, flg = coeffs.mu.values, coeffs.nu.values, coeffs.flagged
-    n = f.spec.n
-    rows = [(i, j, mu[i, j].real, mu[i, j].imag, nu[i, j].real, nu[i, j].imag,
-             bool(flg[i, j])) for i in range(n) for j in range(n)]
-    good = ~flg
+    mu, nu, good = coeffs.mu.values, coeffs.nu.values, ~coeffs.flagged
     max_sum = float(np.max(np.abs(mu[good]) + np.abs(nu[good]))) if good.any() else 0.0
     _finish(args, {
-        "coefficients.csv": (["row", "col", "mu_re", "mu_im", "nu_re", "nu_im", "flagged"],
-                             rows),
+        "coefficients.csv": lambda path: _write_coefficients(path, coeffs),
         "coefficients_summary.csv": (
             ["flagged_fraction", "max_mu_plus_nu", "gradient_residual", "k_prime"],
             [(coeffs.flagged_fraction, max_sum, check.residual, check.k_prime)]),
@@ -399,9 +443,11 @@ def build_parser() -> _Parser:
         sp.add_argument("--period", type=float, default=2.0 * math.pi)
         sp.add_argument("--mean", type=_complex_arg, default=complex(1.0, 0.0))
         sp.add_argument("--h", default=None)
-        sp.add_argument("--tol", type=float, default=1e-10)
-        sp.add_argument("--max-iter", type=int, default=2000)
-        sp.add_argument("--damping", type=float, default=1.0)
+        sp.add_argument("--tol", type=_positive, default=1e-10)
+        sp.add_argument("--max-iter", type=_number(int, lambda v: v >= 1, ">= 1"),
+                        default=2000)
+        sp.add_argument("--damping", type=_number(float, lambda v: 0 < v <= 1, "in (0, 1]"),
+                        default=1.0)
 
     sp = sub.add_parser("solve", help="solve one equation and write the field")
     sp.add_argument("--map", required=True)
@@ -420,9 +466,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--grid", type=int, default=64)
     sp.add_argument("--levels", type=int, default=3)
     solver_options(sp)
-    sp.add_argument("--p-min", type=float, default=2.0)
-    sp.add_argument("--p-max", type=float, default=8.0)
-    sp.add_argument("--p-step", type=float, default=0.2)
+    sp.add_argument("--p-min", type=_finite, default=2.0)
+    sp.add_argument("--p-max", type=_finite, default=8.0)
+    sp.add_argument("--p-step", type=_positive, default=0.2)
     sp.add_argument("--second-order", action="store_true")
     sp.add_argument("--k", type=float, default=None)
     common(sp)

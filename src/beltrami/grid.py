@@ -47,8 +47,8 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"grid size must be a power of two >= 16, got {self.n}")
-        if not (self.L > 0):
-            raise ValueError(f"period must be positive, got {self.L}")
+        if not (0 < self.L < math.inf):
+            raise ValueError(f"period must be positive and finite, got {self.L}")
 
     @property
     def h(self) -> float:
@@ -164,11 +164,12 @@ def lp_norm(f: GridField, p: float, periodic_only: bool = False) -> float:
 
     Computes (mean of |f|^p over the lattice)^(1/p), which approximates
     ( (1/L^2) * integral |f|^p )^(1/p).  With periodic_only the affine part
-    is excluded and only P enters.
+    is excluded and only P enters.  A field without an affine part is read
+    from its samples directly: |0*z + 0*conj(z) + P| = |P| exactly.
     """
     if not (p >= 1):
         raise ValueError(f"p must be >= 1, got {p}")
-    v = f.values if periodic_only else f.total_values()
+    v = f.values if periodic_only or f.is_periodic() else f.total_values()
     return float(np.mean(np.abs(v) ** p) ** (1.0 / p))
 
 

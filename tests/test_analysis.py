@@ -12,6 +12,7 @@ from beltrami import (
     distortion_field,
     distortion_stats,
     gradient_equation_check,
+    HodographResult,
     hodograph_check,
     linear_map,
     make_field,
@@ -26,6 +27,7 @@ from beltrami import (
     zero_field,
     z_grid,
 )
+from beltrami.analysis import _tail_fit
 from _helpers import rel_l2
 
 SPEC = GridSpec(64)
@@ -267,6 +269,162 @@ class TestHodograph:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError, match="sample"):
             hodograph_check(affine(1.0, 0.0), linear_map(0, 0), 0)
+
+    @staticmethod
+    def _forced_abs_solution():
+        h = trig_field(SPEC, [(1, 0, 0.005), (0, 1, 0.005j), (1, 1, 0.003)])
+        f, _ = solve_autonomous(abs_map(0.3), h, 1.0, tol=1e-12)
+        return f
+
+    @pytest.mark.parametrize("case", ["accept-all", "skip-low-jacobian", "failed-or-reversed"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scalar_reference(self, case, seed):
+        A = abs_map(0.3)
+        if case == "failed-or-reversed":
+            # a wavy field inverted everywhere: near folds the damped inversion
+            # misses 1e-9, and where f reverses orientation the inverse does too
+            f = random_trig_field(GridSpec(32), seed=5, amplitude=0.3, c=1.0)
+            kw = {"min_jacobian": -10.0, "fd_step": 0.05}
+        else:
+            f = self._forced_abs_solution()
+            fz, fzb = derivative_pair(f)
+            jac = np.abs(fz.values) ** 2 - np.abs(fzb.values) ** 2
+            # a fine difference step makes h_w sensitive to where each probe stops
+            kw = ({"min_jacobian": float(np.median(jac))} if case == "skip-low-jacobian"
+                  else {"fd_step": 1e-3})
+        ref, failed, reversed_ = _hodograph_reference(f, A, 64, seed=seed, **kw)
+        res = hodograph_check(f, A, 64, seed=seed, **kw)
+        assert (res.accepted, res.skipped) == (ref.accepted, ref.skipped)
+        assert res.accepted > 0
+        assert (res.skipped > 0) == (case != "accept-all")
+        assert (failed > 0 and reversed_ > 0) == (case == "failed-or-reversed")
+        assert type(res.max_identity_residual) is float
+        assert type(res.max_derivative_ratio) is float
+        assert math.isclose(res.max_identity_residual, ref.max_identity_residual, rel_tol=1e-12)
+        assert math.isclose(res.max_derivative_ratio, ref.max_derivative_ratio, rel_tol=1e-12)
+
+
+def _bilinear_reference(values, spec, x, y):
+    n, h = spec.n, spec.h
+    fx, fy = x / h, y / h
+    j0, i0 = int(np.floor(fx)), int(np.floor(fy))
+    tx, ty = fx - j0, fy - i0
+    j0 %= n
+    i0 %= n
+    j1, i1 = (j0 + 1) % n, (i0 + 1) % n
+    return ((1 - tx) * (1 - ty) * values[i0, j0] + tx * (1 - ty) * values[i0, j1]
+            + (1 - tx) * ty * values[i1, j0] + tx * ty * values[i1, j1])
+
+
+def _hodograph_reference(f, A, sample_points, seed=0, min_jacobian=0.1, fd_step=None):
+    """Point-by-point hodograph check; also returns how many points were
+    skipped for a failed inversion and for a reversed inverse Jacobian."""
+    spec = f.spec
+    rng = np.random.default_rng(seed)
+    Z = z_grid(spec)
+    fz, fzb = (g.values for g in derivative_pair(f))
+    J_f = np.abs(fz) ** 2 - np.abs(fzb) ** 2
+    W = f.total_values()
+    delta = fd_step if fd_step is not None else 0.5 * spec.h
+
+    def f_at(z):
+        return (f.c * z + f.d * np.conjugate(z)
+                + _bilinear_reference(f.values, spec, z.real, z.imag))
+
+    def invert(w, z0, dfz, dfzb, jac):
+        z = z0
+        for _ in range(50):
+            err = w - f_at(z)
+            if abs(err) <= 1e-12:
+                return z
+            step = (np.conjugate(dfz) * err - dfzb * np.conjugate(err)) / jac
+            z = z + 0.8 * step
+        return z if abs(w - f_at(z)) <= 1e-9 else None
+
+    worst_identity = worst_ratio = 0.0
+    accepted = skipped = failed = reversed_ = 0
+    for i, j in rng.integers(0, spec.n, size=(sample_points, 2)):
+        if J_f[i, j] <= min_jacobian:
+            skipped += 1
+            continue
+        z0, w0 = complex(Z[i, j]), complex(W[i, j])
+        dfz, dfzb, jac = complex(fz[i, j]), complex(fzb[i, j]), float(J_f[i, j])
+        probes = [invert(w0 + dw, z0, dfz, dfzb, jac)
+                  for dw in (delta, -delta, 1j * delta, -1j * delta)]
+        if any(p is None for p in probes):
+            skipped += 1
+            failed += 1
+            continue
+        hx = (probes[0] - probes[1]) / (2 * delta)
+        hy = (probes[2] - probes[3]) / (2 * delta)
+        h_w, h_wb = (hx - 1j * hy) / 2, (hx + 1j * hy) / 2
+        J_h = abs(h_w) ** 2 - abs(h_wb) ** 2
+        if J_h <= 0:
+            skipped += 1
+            reversed_ += 1
+            continue
+        rhs = -J_h * complex(A.eval(np.array([np.conjugate(h_w) / J_h]))[0])
+        worst_identity = max(worst_identity, abs(h_wb - rhs) / max(abs(h_w), 1e-300))
+        worst_ratio = max(worst_ratio, abs(h_wb) / max(abs(h_w), 1e-300))
+        accepted += 1
+    return HodographResult(worst_identity, worst_ratio, accepted, skipped), failed, reversed_
+
+
+def _tail_fit_reference(samples):
+    """The tail fit with one pass over all samples per level."""
+    s = samples[np.isfinite(samples)]
+    s = s[s > 0]
+    if s.size < 64:
+        return math.inf, 0.0
+    lo, hi = np.quantile(s, [0.995, 0.99995])
+    if not (hi > lo * 1.0001):
+        return math.inf, 0.0
+    lam = np.exp(np.linspace(np.log(lo), np.log(hi), 24))
+    frac = np.array([(s > l).mean() for l in lam])
+    keep = frac > 0
+    if keep.sum() < 4:
+        return math.inf, 0.0
+    x, y = np.log(lam[keep]), np.log(frac[keep])
+    slope, intercept = np.polyfit(x, y, 1)
+    fitted = slope * x + intercept
+    ss_res = float(np.sum((y - fitted) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
+    return float(-slope), r2
+
+
+def _levels(s):
+    """The 24 tail-fit levels for positive finite samples s."""
+    lo, hi = np.quantile(s, [0.995, 0.99995])
+    return np.exp(np.linspace(np.log(lo), np.log(hi), 24))
+
+
+class TestTailFit:
+    @pytest.mark.parametrize("K", [1.5, 2.0, 3.0])
+    def test_extremal_fields_match_reference(self, K):
+        _, gz, gzb = radial_extremal_pair(GridSpec(256), K)
+        mags = (np.abs(gz.values) + np.abs(gzb.values)).reshape(-1)
+        assert _tail_fit(mags) == _tail_fit_reference(mags)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_heavy_tail_with_ties_at_levels(self, seed):
+        # Pareto samples whose 99.5th percentile sits inside a block of equal
+        # values, so samples tie with the lowest level of the fit; samples
+        # near an interior level are then moved onto it
+        rng = np.random.default_rng(seed)
+        s = np.sort(rng.pareto(2.5, 40_000) + 1.0)
+        s[-260:-140] = next(v for v in s[-260:-140] if _levels(np.full(3, v))[0] == v)
+        lam = _levels(s)
+        s[(s > lam[7]) & (s < lam[9])] = lam[8]
+        s = rng.permutation(s)
+        assert np.array_equal(_levels(s), lam)
+        assert np.any(s == lam[0]) and np.sum(s == lam[8]) > 1
+        assert _tail_fit(s) == _tail_fit_reference(s)
+
+    def test_degenerate_inputs_match_reference(self):
+        for s in (np.ones(1000), np.array([np.inf, np.nan, 0.0, 1.0, 2.0]),
+                  np.r_[np.ones(10_000), 2.0]):
+            assert _tail_fit(s) == _tail_fit_reference(s)
 
 
 class TestRadialFixture:

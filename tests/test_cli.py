@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import beltrami
-from beltrami import GridSpec, lp_norm, read_field, trig_field, write_field
-from beltrami.cli import build_parser, main, parse_map
+from beltrami import GridField, GridSpec, lp_norm, read_field, trig_field, write_field
+from beltrami.analysis import CoefficientFields
+from beltrami.cli import _write_coefficients, _write_csv, build_parser, main, parse_map
 from beltrami.autonomous import AutonomousMap
 from beltrami.fullnonlinear import FullMap
 
@@ -96,6 +97,20 @@ class TestSolveCommand:
         assert code == 2
         assert (out / "solution.bfld").exists()  # best iterate still written
 
+    @pytest.mark.parametrize("bad, option", [
+        (["--tol", "nan"], "--tol"), (["--tol", "0"], "--tol"), (["--tol", "inf"], "--tol"),
+        (["--damping", "0"], "--damping"), (["--damping", "1.5"], "--damping"),
+        (["--damping", "nan"], "--damping"),
+        (["--max-iter", "0"], "--max-iter"), (["--max-iter", "-3"], "--max-iter"),
+        (["--period", "inf"], "period"),
+    ])
+    def test_bad_solver_options_exit_1(self, bad, option, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["solve", "--map", "kabs:0.3", "--grid", "16", *bad,
+                    "--out", str(out)]) == 1
+        assert option in capsys.readouterr().err
+        assert not out.exists()
+
     def test_changevar_solver(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         args = ["solve", "--grid", "64", "--h", "trig:0.1,0,1,0",
@@ -175,6 +190,20 @@ class TestProbeCommand:
         assert code == 0
         assert "p_critical=inf" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("grid_args, option", [
+        (["--p-step", "-1"], "--p-step"),
+        (["--p-step", "0"], "--p-step"),
+        (["--p-step", "nan"], "--p-step"),
+        (["--p-min", "5", "--p-max", "3"], "--p-min"),
+        (["--p-max", "inf"], "--p-max"),
+    ])
+    def test_bad_p_grid_rejected_before_work(self, grid_args, option, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["probe", "--extremal", "2", "--grid", "16", *grid_args,
+                    "--out", str(out)]) == 1
+        assert option in capsys.readouterr().err
+        assert not out.exists()
+
     def test_second_order_requires_k(self, tmp_path, capsys):
         code = run(["probe", "--map", "linear:0.5,0,0,0", "--grid", "32",
                     "--levels", "3", "--second-order",
@@ -248,7 +277,25 @@ class TestOtherCommands:
         header, row = (out / "coefficients_summary.csv").read_text().splitlines()
         assert float(row.split(",")[header.split(",").index("k_prime")]) == math.inf
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["result"]["k_prime"] == math.inf
+        assert manifest["result"]["k_prime"] == "inf"
+
+    def test_coefficients_csv_matches_per_sample_writer(self, tmp_path):
+        spec = GridSpec(16)
+        rng = np.random.default_rng(0)
+        mu = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        nu = 1e-3 * (rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+        mu[0, :3] = [-0.0, 5e-324, complex(1e300, -2.5e-310)]
+        nu[1, 1] = complex(-0.0, 1 / 3)
+        flagged = rng.random((16, 16)) < 0.3
+        assert flagged.any() and not flagged.all()
+        coeffs = CoefficientFields(GridField(spec, 0, 0, mu), GridField(spec, 0, 0, nu),
+                                   flagged, float(flagged.mean()))
+        rows = [(i, j, mu[i, j].real, mu[i, j].imag, nu[i, j].real, nu[i, j].imag,
+                 bool(flagged[i, j])) for i in range(16) for j in range(16)]
+        _write_csv(tmp_path / "ref.csv",
+                   ["row", "col", "mu_re", "mu_im", "nu_re", "nu_im", "flagged"], rows)
+        _write_coefficients(tmp_path / "new.csv", coeffs)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def _option_dests(command: str) -> set[str]:
@@ -309,6 +356,43 @@ class TestManifest:
         }
         assert json.loads(text) == expected
         assert text == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.fixture(scope="module")
+def constant_field(tmp_path_factory):
+    path = tmp_path_factory.mktemp("const") / "const.bfld"
+    write_field(trig_field(GridSpec(16), []), path)
+    return str(path)
+
+
+class TestStrictManifest:
+    # inputs whose results or options are non-finite wherever a command allows it
+    @pytest.mark.parametrize("argv, spelled", [
+        (["solve", "--map", "kabs:0.3", "--grid", "16"], {}),
+        (["probe", "--map", "kabs:0.3", "--grid", "16", "--levels", "3"],
+         {("result", "p_critical"): "inf"}),
+        (["probe", "--extremal", "2", "--grid", "16", "--mean", "nan,-inf"],
+         {("config", "mean"): ["nan", "-inf"]}),
+        (["verify-transform", "--a", "0.3,0", "--b", "0.2,0"], {}),
+        (["coefficients", "--field", "FIELD", "--k", "inf"], {("config", "k"): "inf"}),
+        (["hodograph", "--field", "FIELD", "--map", "kabs:0.3", "--points", "8"], {}),
+        (["report", "--field", "CONST"], {("result", "distortion_max"): "inf"}),
+    ], ids=["solve", "probe-smooth", "probe-mean", "verify-transform", "coefficients",
+            "hodograph", "report-constant"])
+    def test_manifest_is_strict_json(self, argv, spelled, solved_field, constant_field,
+                                     tmp_path):
+        out = tmp_path / "run"
+        files = {"FIELD": solved_field, "CONST": constant_field}
+        argv = [files.get(a, a) for a in argv]
+        assert run(argv + ["--out", str(out)]) in (0, 2)
+        manifest = json.loads((out / "manifest.json").read_text(),
+                              parse_constant=_reject_constant)
+        for (section, key), value in spelled.items():
+            assert manifest[section][key] == value
 
 
 class TestDeterminism:

@@ -27,7 +27,7 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="power of two"):
             GridSpec(n)
 
-    @pytest.mark.parametrize("L", [0.0, -1.0])
+    @pytest.mark.parametrize("L", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_period(self, L):
         with pytest.raises(ValueError, match="period"):
             GridSpec(16, L)
@@ -107,6 +107,17 @@ class TestLpNorm:
         f = make_field(GridSpec(16), 1.0, 0.0, np.zeros(256))
         assert lp_norm(f, 2, periodic_only=True) == 0.0
         assert lp_norm(f, 2) > 0.0
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 4.0, 8.0])
+    def test_matches_total_values_reference(self, p):
+        # periodic fields skip the affine rebuild; the norm is bit-identical
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=256) + 1j * rng.normal(size=256)
+        v[:4] = [-0.0, complex(-0.0, -0.0), 5e-324, 1e3]
+        for c, d in [(0.0, 0.0), (0.5, 0.0), (0.0, 0.2j)]:
+            f = make_field(GridSpec(16), c, d, v)
+            reference = float(np.mean(np.abs(f.total_values()) ** p) ** (1.0 / p))
+            assert lp_norm(f, p) == reference
 
     def test_parseval(self):
         # sample-space l2 equals coefficient-space l2
