@@ -13,7 +13,7 @@ import numpy as np
 
 from .autonomous import AutonomousMap
 from .grid import DerivedPair, GridField, z_grid
-from .operators import d_z, derivative_pair
+from .operators import _second_derivatives, derivative_pair
 
 __all__ = [
     "DEGENERACY_GAP",
@@ -62,7 +62,9 @@ class DistortionStats:
     degenerate_fraction: float
 
 
-def _stats_from_distortion(K: np.ndarray) -> DistortionStats:
+def _pair_stats(fz: np.ndarray, fzb: np.ndarray) -> DistortionStats:
+    """Distortion statistics of one derivative pair's samples."""
+    K = _distortion_values(fz, fzb)
     finite = K[np.isfinite(K)]
     frac = 1.0 - finite.size / K.size
     if finite.size == 0:
@@ -73,7 +75,7 @@ def _stats_from_distortion(K: np.ndarray) -> DistortionStats:
 
 def distortion_stats(f: GridField) -> DistortionStats:
     fz, fzb = derivative_pair(f)
-    return _stats_from_distortion(_distortion_values(fz.values, fzb.values))
+    return _pair_stats(fz.values, fzb.values)
 
 
 @dataclass
@@ -145,12 +147,7 @@ def _tail_fit(samples: np.ndarray):
 
 
 def _as_pair(f: GridField, pair) -> tuple[np.ndarray, np.ndarray]:
-    if pair is None:
-        fz, fzb = derivative_pair(f)
-        return fz.values, fzb.values
-    if isinstance(pair, DerivedPair):
-        return pair.dz.values, pair.dzbar.values
-    a, b = pair
+    a, b = derivative_pair(f) if pair is None else pair
     return a.values, b.values
 
 
@@ -158,8 +155,9 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
     """Estimate the critical integrability exponent of the gradient.
 
     fields: the same solution sampled at >= 3 doubling grid levels.
-    pairs: optional per-level derivative pairs; by default the pairs are
-    computed spectrally from each field.  For each p the probe tracks the
+    pairs: optional per-level derivative pairs (a DerivedPair or any
+    (dz, dzbar) pair of fields); by default each is computed spectrally,
+    with one forward transform per level.  For each p the probe tracks the
     Riemann sums mean(|Df|^p) across levels (|Df| = |f_z| + |f_zbar|, the
     maximal directional derivative) and applies a Cauchy test to their
     level-to-level increments: shrinking increments mean convergence,
@@ -213,8 +211,7 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
         p_critical = p_grid[first_bad - 1] if first_bad > 0 else p_grid[0]
 
     tail_exponent, fit_r2 = _tail_fit(mags[-1].reshape(-1))
-    K = _distortion_values(*_as_pair(fields[-1], pairs[-1]))
-    st = _stats_from_distortion(K)
+    st = _pair_stats(dz, dzb)  # the finest level's pair, left by the loop
     return RegularityReport(
         p_critical=p_critical,
         fit_r2=fit_r2,
@@ -233,13 +230,20 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
 def second_order_probe(fields, k: float, q_grid) -> RegularityReport:
     """Integrability probe for the second derivatives.
 
-    Applies the gradient probe to the z-derivative of each ladder member,
-    so the probed pair consists of second derivatives of the solution.
-    The interesting comparison level is q against 1 + 1/k.
+    Applies the gradient probe to (f_zz, f_zzbar), the derivative pair of
+    f_z, taken from one transform of each ladder member.  The interesting
+    comparison level is q against 1 + 1/k; k is only range-checked and
+    changes no output.
     """
     if not (0 < k < 1):
         raise ValueError("need a Lipschitz constant in (0, 1)")
-    return sobolev_probe([d_z(f) for f in fields], q_grid)
+    fields = list(fields)
+    pairs = []
+    for f in fields:
+        fzz, fzzb, _ = _second_derivatives(f)
+        pairs.append(DerivedPair(GridField(f.spec, 0.0, 0.0, fzz),
+                                 GridField(f.spec, 0.0, 0.0, fzzb)))
+    return sobolev_probe(fields, q_grid, pairs=pairs)
 
 
 @dataclass(frozen=True)
@@ -257,16 +261,15 @@ class CoefficientFields:
     flagged_fraction: float
 
 
-def recover_coefficients(fx: GridField, fy: GridField, k: float,
-                         rel_threshold: float = 1e-6) -> CoefficientFields:
+def recover_coefficients(fx: GridField, fy: GridField, k: float) -> CoefficientFields:
     """Samplewise solve of h_zbar = mu*h_z + nu*conj(h_z) for h in {fx, fy}.
 
     fx, fy must be the two directional derivative fields of one solution.
     The 2x2 complex system is solved where its smallest singular value is
-    at least rel_threshold times the largest (and the largest clears an
-    absolute floor, so roundoff-level gradients of constant fields cannot
+    at least 1e-6 times the largest (and the largest clears an absolute
+    floor, so roundoff-level gradients of constant fields cannot
     masquerade as data); elsewhere the sample is flagged and a least-norm
-    value is stored.
+    value is stored.  k is not read: no output depends on it.
     """
     if fx.spec != fy.spec:
         raise ValueError("directional derivative fields live on different grids")
@@ -281,7 +284,7 @@ def recover_coefficients(fx: GridField, fy: GridField, k: float,
     smin = np.where(smax > 0, np.abs(det) / np.maximum(smax, 1e-300), 0.0)
 
     floor = 1e-9 * max(float(smax.max()), 1e-300)
-    good = (smin >= rel_threshold * smax) & (smax > floor)
+    good = (smin >= 1e-6 * smax) & (smax > floor)
 
     mu = np.zeros(ax.shape, dtype=complex)
     nu = np.zeros(ax.shape, dtype=complex)
@@ -323,8 +326,7 @@ def gradient_equation_check(f: GridField, coeffs: CoefficientFields) -> Gradient
     """
     if f.spec != coeffs.mu.spec:
         raise ValueError("field and coefficients live on different grids")
-    fz = d_z(f)
-    fzz, fzzb = (g.values for g in derivative_pair(fz))
+    fzz, fzzb, _ = _second_derivatives(f)
     good = ~coeffs.flagged
     if not np.any(good):
         return GradientCheckResult(0.0, 0.0, 0.0)
@@ -356,15 +358,15 @@ def directional_family_max_distortion(f: GridField, n_directions: int = 16,
     Samples wherever the member's gradient magnitude exceeds the floor;
     returns 0.0 when every member is constant below the floor (the
     constant branch of the dichotomy).  Degenerate samples surface as inf.
+    The member cos(t)*fx + sin(t)*fy is e^{it} f_z + e^{-it} f_zbar, so its
+    derivative pair comes from f's second derivatives (one transform).
     """
-    fx, fy = directional_derivative_fields(f)
-    ax, bx = (g.values for g in derivative_pair(fx))
-    ay, by = (g.values for g in derivative_pair(fy))
+    fzz, fzzb, fzbzb = _second_derivatives(f)
     worst = 0.0
     for t in np.linspace(0.0, np.pi, n_directions, endpoint=False):
-        ca, sa = math.cos(t), math.sin(t)
-        vz = ca * ax + sa * ay
-        vzb = ca * bx + sa * by
+        e = complex(math.cos(t), math.sin(t))
+        vz = e * fzz + e.conjugate() * fzzb
+        vzb = e * fzzb + e.conjugate() * fzbzb
         mag = np.abs(vz) + np.abs(vzb)
         active = mag > gradient_floor
         if not np.any(active):

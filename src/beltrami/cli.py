@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     CoefficientFields,
-    distortion_stats,
+    _pair_stats,
     gradient_equation_check,
     hodograph_check,
     recover_coefficients,
@@ -53,8 +53,8 @@ from .constant_coefficient import (
 )
 from .fullnonlinear import FullMap, solve_full
 from .grid import _FMT, GridField, GridSpec, lp_norm, read_field, write_field
-from .operators import derivative_pair, resample
-from .synth import trig_field
+from .operators import d_z, derivative_pair, resample
+from .synth import radial_extremal_pair, trig_field
 
 
 class _UsageError(Exception):
@@ -73,7 +73,7 @@ def _complex_arg(s: str) -> complex:
         re_s, im_s = s.split(",")
         return complex(float(re_s), float(im_s))
     except ValueError:
-        raise _UsageError(f"expected 're,im', got {s!r}") from None
+        raise argparse.ArgumentTypeError(f"expected 're,im', got {s!r}") from None
 
 
 def _number(cast, ok, what: str):
@@ -280,7 +280,7 @@ def cmd_solve(args) -> int:
     else:
         f, report = _solve_fixed_point(args, mapping, h, spec)
 
-    fz = np.abs(derivative_pair(f).dz.values)
+    fz = np.abs(d_z(f).values)
     lo, hi = float(fz.min()), float(fz.max())
     _finish(args, {
         "solution.bfld": lambda path: write_field(f, path),
@@ -321,8 +321,6 @@ def cmd_probe(args) -> int:
     if args.fields:
         fields = [read_field(p) for p in args.fields]
     elif args.extremal is not None:
-        from .synth import radial_extremal_pair
-
         fields, pairs = [], []
         for spec in ladder():
             g, gz, gzb = radial_extremal_pair(spec, args.extremal)
@@ -348,8 +346,7 @@ def cmd_probe(args) -> int:
                  report.tail_exponent, report.distortion_max))
     _finish(args, {"regularity.csv": (["p", "level", "norm", "power_mean", "stable"], rows)},
             {"p_critical": report.p_critical, "fit_r2": report.fit_r2})
-    p_c = "inf" if math.isinf(report.p_critical) else _FMT % report.p_critical
-    print(f"p_critical={p_c} fit_r2={_FMT % report.fit_r2}")
+    print(f"p_critical={_FMT % report.p_critical} fit_r2={_FMT % report.fit_r2}")
     return 0
 
 
@@ -418,8 +415,8 @@ def cmd_hodograph(args) -> int:
 
 def cmd_report(args) -> int:
     f = read_field(args.field)
-    st = distortion_stats(f)
     fz, fzb = derivative_pair(f)
+    st = _pair_stats(fz.values, fzb.values)
     _finish(args, {
         "norms.csv": (["p", "fz_norm", "fzbar_norm"],
                       [(p, lp_norm(fz, p), lp_norm(fzb, p)) for p in (1.0, 2.0, 4.0, 8.0)]),
@@ -470,7 +467,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--p-max", type=_finite, default=8.0)
     sp.add_argument("--p-step", type=_positive, default=0.2)
     sp.add_argument("--second-order", action="store_true")
-    sp.add_argument("--k", type=float, default=None)
+    sp.add_argument("--k", type=float, default=None,
+                    help="Lipschitz constant for --second-order; only checked to "
+                         "lie in (0, 1), changes no output")
     common(sp)
     sp.set_defaults(func=cmd_probe)
 
@@ -485,7 +484,8 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("coefficients",
                         help="recover pointwise coefficients from a solution")
     sp.add_argument("--field", required=True)
-    sp.add_argument("--k", type=float, required=True)
+    sp.add_argument("--k", type=float, required=True,
+                    help="recorded in the manifest; changes no output")
     common(sp)
     sp.set_defaults(func=cmd_coefficients)
 
@@ -493,7 +493,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--field", required=True)
     sp.add_argument("--map", required=True)
     sp.add_argument("--points", type=int, default=64)
-    sp.add_argument("--min-jacobian", type=float, default=0.1)
+    sp.add_argument("--min-jacobian", type=_finite, default=0.1)
     common(sp)
     sp.set_defaults(func=cmd_hodograph)
 

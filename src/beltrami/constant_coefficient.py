@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixedpoint import SolveReport, picard_solve
+from .autonomous import linear_map, solve_autonomous
+from .fixedpoint import SolveReport
 from .grid import GridField, GridSpec, lp_norm, values_l2, z_grid
 from .operators import _wavevectors, derivative_pair
 from .synth import random_waves
@@ -76,11 +77,6 @@ class ChangeOfVars:
     path: str = "numeric-root"
 
 
-def _check_u(u: GridField) -> None:
-    if not u.is_periodic():
-        raise ValueError("forcing must have zero affine part")
-
-
 def solve_cc_neumann(
     p: CCParams,
     u: GridField,
@@ -90,22 +86,14 @@ def solve_cc_neumann(
 ) -> tuple[GridField, SolveReport]:
     """Contraction solver for f_zbar = a*f_z + b*conj(f_z) + u.
 
-    Iterates r <- a*psi + b*conj(psi) + u with psi = c_mean + S0(r - mean r);
+    The autonomous solver for the linear map a*zeta + b*conj(zeta): it
+    iterates r <- a*psi + b*conj(psi) + u with psi = c_mean + S0(r - mean r);
     the l2 isometry of the mean-zero beurling transform makes the map
     contract with ratio at most |a| + |b|.  The solution is normalized to
     z-derivative mean c_mean and periodic mean zero; the residual contract
     is ||f_zbar - a f_z - b conj(f_z) - u||_2 <= tol * max(1, ||u||_2).
     """
-    _check_u(u)
-    uv = u.values
-    a, b = p.a, p.b
-
-    def rhs(_field, psi):
-        return a * psi + b * np.conj(psi) + uv
-
-    scale = max(1.0, lp_norm(u, 2))
-    return picard_solve(rhs, u.spec, c_mean, tol, max_iter,
-                        residual_scale=scale, method="neumann")
+    return solve_autonomous(linear_map(p.a, p.b), u, c_mean, tol, max_iter)
 
 
 def mu_nu_printed_formula(p: CCParams) -> ChangeOfVars:
@@ -170,8 +158,6 @@ def _transform_residual(
     vbar_coeff: complex,
     trials: int,
     seed: int = 0,
-    n: int = 32,
-    L: float = 2.0 * math.pi,
 ) -> float:
     """Max relative l2 residual of g_zbar - v - vbar_coeff*conj(v).
 
@@ -183,13 +169,14 @@ def _transform_residual(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    Z = z_grid(GridSpec(n, L))
+    spec = GridSpec(32)
+    Z = z_grid(spec)
     zeta = Z + mu * np.conj(Z)
     worst = 0.0
     for _ in range(trials):
         waves = random_waves(rng)
-        ft_z = _eval_waves(waves, L, zeta, "dz")
-        ft_zb = _eval_waves(waves, L, zeta, "dzbar")
+        ft_z = _eval_waves(waves, spec.L, zeta, "dz")
+        ft_zb = _eval_waves(waves, spec.L, zeta, "dzbar")
         v = ft_zb - p.a * ft_z - p.b * np.conj(ft_z)  # u evaluated at zeta
         # chain rule for g(z) = ft(zeta) + nu*conj(ft(zeta)), zeta = z + mu*conj(z)
         g_zb = mu * ft_z + ft_zb + nu * (np.conj(ft_z) + mu * np.conj(ft_zb))
@@ -242,12 +229,13 @@ def solve_cc_changevar(
     a field that misses the residual contract.  Output normalization
     matches solve_cc_neumann: z-derivative mean c_mean, periodic mean zero.
     """
-    _check_u(u)
+    if not u.is_periodic():
+        raise ValueError("forcing must have zero affine part")
     cv = compute_mu_nu(p)
     mu, nu = cv.mu, cv.nu
     spec = u.spec
     n = spec.n
-    _, _, KC = _wavevectors(n, spec.L)
+    KC = _wavevectors(n, spec.L)
 
     U = np.fft.fft2(u.values) / (n * n)
     if mu != 0 or nu != 0:

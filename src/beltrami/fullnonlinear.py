@@ -97,15 +97,14 @@ class ConditionReport:
         return ok
 
 
-def _sample_points(H: FullMap, spec: GridSpec, samples: int, seed: int,
-                   zeta_max: float = 1e4):
+def _sample_points(spec: GridSpec, samples: int, seed: int):
     rng = np.random.default_rng(seed)
     Z = z_grid(spec).reshape(-1)
     z = rng.choice(Z, size=samples)
     w = rng.normal(size=samples) + 1j * rng.normal(size=samples)
     w *= 10.0 ** rng.uniform(-1, 2, samples)
     # log-uniform moduli stress the large-gradient regime, plus exact zeros
-    r = 10.0 ** rng.uniform(-3, np.log10(zeta_max), samples)
+    r = 10.0 ** rng.uniform(-3, 4, samples)
     zeta = r * np.exp(2j * np.pi * rng.uniform(0, 1, samples))
     return rng, z, w, zeta
 
@@ -121,7 +120,7 @@ def check_conditions(H: FullMap, samples: int, spec: GridSpec | None = None,
         raise ValueError("need at least one sample")
     if spec is None:
         spec = H.structure.u.spec if H.structure is not None else GridSpec(16)
-    rng, z, w, zeta = _sample_points(H, spec, samples, seed)
+    rng, z, w, zeta = _sample_points(spec, samples, seed)
 
     eta = zeta * rng.uniform(0, 1, samples) + (
         rng.normal(size=samples) + 1j * rng.normal(size=samples))
@@ -181,29 +180,27 @@ def _min_sum_cover(X: np.ndarray, Y: np.ndarray, r: np.ndarray) -> tuple[float, 
 
 def fit_bound_constants(H: FullMap, alpha: float, samples: int = 512,
                         spec: GridSpec | None = None, seed: int = 0,
-                        a: complex | None = None, b: complex | None = None,
-                        u: GridField | None = None) -> tuple[float, float]:
+                        a: complex | None = None,
+                        b: complex | None = None) -> tuple[float, float]:
     """Smallest (zeta_bound, w_bound) making the envelope hold on samples.
 
     Solves the two-variable linear program exactly: minimize zeta_bound +
     w_bound subject to zeta_bound*|zeta_i|^alpha + w_bound*|w_i|^(2*alpha)
     >= r_i, where r_i is the sampled |U| = |H - a*zeta - b*conj(zeta)| minus
-    the u(z) contribution.  Non-finite samples raise ValueError, a positive
+    the declared u(z) contribution.  Non-finite samples raise ValueError, a positive
     r_i at zeta_i = w_i = 0 ArithmeticError.  The linear part defaults to the
     declared structure (zero without one); pass a, b to fit around another.
     """
     if spec is None:
         spec = GridSpec(16)
-    _, z, w, zeta = _sample_points(H, spec, samples, seed)
+    _, z, w, zeta = _sample_points(spec, samples, seed)
     st = H.structure
     if a is None:
         a = st.a if st is not None else 0.0
     if b is None:
         b = st.b if st is not None else 0.0
     U = np.abs(H.eval(z, w, zeta) - a * zeta - b * np.conj(zeta))
-    if u is not None:
-        U = U - _u_at_points(u, z)
-    elif st is not None:
+    if st is not None:
         U = U - _u_at_points(st.u, z)
     return _min_sum_cover(np.abs(zeta) ** alpha, np.abs(w) ** (2 * alpha), U)
 

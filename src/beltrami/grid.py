@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,8 +94,8 @@ class GridField:
         z = z_grid(self.spec)
         return self.c * z + self.d * np.conj(z) + self.values
 
-    def is_periodic(self, tol: float = 0.0) -> bool:
-        return abs(self.c) <= tol and abs(self.d) <= tol
+    def is_periodic(self) -> bool:
+        return self.c == 0 and self.d == 0
 
     # Pointwise arithmetic; the affine coefficients combine linearly.
     def __add__(self, other: "GridField") -> "GridField":
@@ -120,24 +121,16 @@ class GridField:
             raise ValueError(f"grid spec mismatch: {self.spec} vs {other.spec}")
 
 
-@dataclass(frozen=True)
-class DerivedPair:
+class DerivedPair(NamedTuple):
     """The derivative pair (df/dz, df/dconj(z)) of one field.
 
-    Both members share the source field's GridSpec; mean(dz) equals the
-    source's c and mean(dzbar) equals the source's d.  Iterable, so
-    ``dz, dzbar = pair`` unpacks.
+    Built by operators.derivative_pair, so both members share the source
+    field's GridSpec; mean(dz) equals the source's c and mean(dzbar) equals
+    the source's d.  A tuple, so ``dz, dzbar = pair`` unpacks.
     """
 
     dz: GridField
     dzbar: GridField
-
-    def __post_init__(self):
-        if self.dz.spec != self.dzbar.spec:
-            raise ValueError("derivative pair members live on different grids")
-
-    def __iter__(self):
-        return iter((self.dz, self.dzbar))
 
 
 def make_field(spec: GridSpec, c: complex, d: complex,

@@ -31,28 +31,25 @@ __all__ = [
     "d_zbar",
     "derivative_pair",
     "beurling",
-    "beurling_values",
     "antiderivative_zbar",
     "resample",
 ]
 
 
 @lru_cache(maxsize=32)
-def _wavevectors(n: int, L: float):
-    """Integer index grids (K1, K2) and the complex wavevector grid KC."""
+def _wavevectors(n: int, L: float) -> np.ndarray:
+    """The complex wavevector grid KC = (2*pi/L) * (k1 + i*k2)."""
     k = np.fft.fftfreq(n, d=1.0 / n).astype(int)  # 0, 1, ..., n/2-1, -n/2, ..., -1
     K1, K2 = np.meshgrid(k, k)  # K1 varies along columns (x), K2 along rows (y)
     KC = (2.0 * np.pi / L) * (K1 + 1j * K2)
-    K1.setflags(write=False)
-    K2.setflags(write=False)
     KC.setflags(write=False)
-    return K1, K2, KC
+    return KC
 
 
 @lru_cache(maxsize=32)
 def _multipliers(n: int, L: float):
     """(d/dz symbol, d/dzbar symbol, beurling symbol, 1/dzbar symbol)."""
-    _, _, KC = _wavevectors(n, L)
+    KC = _wavevectors(n, L)
     sym_dz = 0.5j * np.conj(KC)
     sym_dzbar = 0.5j * KC
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -131,10 +128,18 @@ def derivative_pair(f: GridField) -> DerivedPair:
                        GridField(f.spec, 0.0, 0.0, dzb))
 
 
-def beurling_values(values: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """Beurling multiplier applied to raw samples; output has mean zero."""
-    _, _, beur, _ = _multipliers(spec.n, spec.L)
-    return np.fft.ifft2(np.fft.fft2(values) * beur)
+def _second_derivatives(f: GridField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Samples of (f_zz, f_zzbar, f_zbarzbar) from one forward transform of f.
+
+    Each is the product of two first-derivative symbols applied to the same
+    spectrum; the affine part is linear, so no second derivative sees it.
+    """
+    sym_dz, sym_dzbar, _, _ = _multipliers(f.spec.n, f.spec.L)
+    F = np.fft.fft2(f.values)
+    Fz = F * sym_dz
+    Fzb = F * sym_dzbar
+    return (np.fft.ifft2(Fz * sym_dz), np.fft.ifft2(Fz * sym_dzbar),
+            np.fft.ifft2(Fzb * sym_dzbar))
 
 
 def beurling(phi: GridField) -> GridField:
@@ -147,7 +152,8 @@ def beurling(phi: GridField) -> GridField:
     """
     if not phi.is_periodic():
         raise ValueError("beurling requires a field with zero affine part")
-    return GridField(phi.spec, 0.0, 0.0, beurling_values(phi.values, phi.spec))
+    _, _, beur, _ = _multipliers(phi.spec.n, phi.spec.L)
+    return GridField(phi.spec, 0.0, 0.0, np.fft.ifft2(np.fft.fft2(phi.values) * beur))
 
 
 def antiderivative_zbar(phi: GridField, c: complex = 0.0) -> GridField:

@@ -34,12 +34,13 @@ def trig_field(spec: GridSpec, waves, c: complex = 0.0, d: complex = 0.0) -> Gri
 
 
 def random_waves(rng: np.random.Generator, band: int = 3, modes: int = 6,
-                 amplitude: float = 1.0, zero_mean: bool = True):
-    """Random band-limited wave list; coefficients ~ amplitude in size."""
+                 amplitude: float = 1.0):
+    """Random band-limited wave list without the zero mode; coefficients
+    ~ amplitude in size."""
     out = []
     while len(out) < modes:
         k1, k2 = (int(v) for v in rng.integers(-band, band + 1, size=2))
-        if zero_mean and k1 == 0 and k2 == 0:
+        if k1 == 0 and k2 == 0:
             continue
         coeff = amplitude * (rng.normal() + 1j * rng.normal()) / math.sqrt(2)
         out.append((k1, k2, coeff))
@@ -47,13 +48,13 @@ def random_waves(rng: np.random.Generator, band: int = 3, modes: int = 6,
 
 
 def random_trig_field(spec: GridSpec, seed: int, band: int = 3, modes: int = 6,
-                      amplitude: float = 1.0, c: complex = 0.0, d: complex = 0.0,
-                      zero_mean: bool = True) -> GridField:
+                      amplitude: float = 1.0, c: complex = 0.0,
+                      d: complex = 0.0) -> GridField:
     rng = np.random.default_rng(seed)
-    return trig_field(spec, random_waves(rng, band, modes, amplitude, zero_mean), c, d)
+    return trig_field(spec, random_waves(rng, band, modes, amplitude), c, d)
 
 
-# Default off-lattice center for the radial fixture.  Thirds are invariant
+# Off-lattice center of the radial fixture.  Thirds are invariant
 # under dyadic refinement (doubling maps the fractional offset 1/3 <-> 2/3,
 # and the two offset patterns are mirror images), so for every power-of-two
 # n >= 16 the lattice samples the singular neighborhood self-similarly: the
@@ -82,11 +83,11 @@ def _window(r: np.ndarray, r0: float, r1: float):
     return w, dw
 
 
-def _radial_parts(spec: GridSpec, K: float, center_frac):
+def _radial_parts(spec: GridSpec, K: float):
     if K <= 1:
         raise ValueError("distortion parameter must exceed 1")
     L = spec.L
-    z0 = L * (center_frac[0] + 1j * center_frac[1])
+    z0 = L * (_CENTER_FRAC[0] + 1j * _CENTER_FRAC[1])
     Z = z_grid(spec) - z0
     r = np.abs(Z)
     beta = (1.0 - K) / (2.0 * K)          # f0 = Z * |Z|^(2*beta), exponent 1/K - 1
@@ -104,27 +105,25 @@ def _radial_parts(spec: GridSpec, K: float, center_frac):
     return g, g_z, g_zb
 
 
-def radial_extremal_field(spec: GridSpec, K: float,
-                          center_frac=_CENTER_FRAC) -> GridField:
+def radial_extremal_field(spec: GridSpec, K: float) -> GridField:
     """Windowed radial map z*|z|^(1/K-1) around an off-lattice center.
 
     Constant distortion K inside the window; its gradient lies in L^p
     exactly for p < 2K/(K-1), which calibrates the integrability probe.
     The window makes the samples exactly periodic.
     """
-    g, _, _ = _radial_parts(spec, K, center_frac)
+    g, _, _ = _radial_parts(spec, K)
     return GridField(spec, 0.0, 0.0, g)
 
 
-def radial_extremal_pair(spec: GridSpec, K: float,
-                         center_frac=_CENTER_FRAC) -> tuple[GridField, GridField, GridField]:
+def radial_extremal_pair(spec: GridSpec, K: float) -> tuple[GridField, GridField, GridField]:
     """The windowed radial map plus its analytically sampled derivative pair.
 
     Returns (field, dz, dzbar).  Analytic sampling avoids polluting the
     probe calibration with ringing from spectral differentiation of a
     point-singular field.
     """
-    g, g_z, g_zb = _radial_parts(spec, K, center_frac)
+    g, g_z, g_zb = _radial_parts(spec, K)
     return (GridField(spec, 0.0, 0.0, g),
             GridField(spec, 0.0, 0.0, g_z),
             GridField(spec, 0.0, 0.0, g_zb))

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from beltrami import (
+    DerivedPair,
     GridSpec,
     abs_map,
+    d_z,
     derivative_pair,
     directional_derivative_fields,
     directional_family_max_distortion,
@@ -27,10 +29,14 @@ from beltrami import (
     zero_field,
     z_grid,
 )
-from beltrami.analysis import _tail_fit
+from beltrami import analysis
+from beltrami.analysis import _distortion_values, _tail_fit
 from _helpers import rel_l2
 
 SPEC = GridSpec(64)
+# a smooth ladder, built outside the counted calls (trig_field calls ifft2)
+LADDER = [random_trig_field(GridSpec(n), seed=5, amplitude=0.05, c=1.0)
+          for n in (32, 64, 128)]
 
 
 def affine(c, d, spec=SPEC):
@@ -116,6 +122,20 @@ class TestSobolevProbe:
         assert rep.distortion_max == pytest.approx(2.2657, abs=2e-3)
         assert rep.degenerate_fraction == 0.0
 
+    def test_derived_pairs_read_like_tuples(self):
+        fields, tuples = [], []
+        for n in (64, 128, 256):
+            g, gz, gzb = radial_extremal_pair(GridSpec(n), 2.0)
+            fields.append(g)
+            tuples.append((gz, gzb))
+        p_grid = np.arange(2.0, 6.01, 0.5)
+        analytic = sobolev_probe(fields, p_grid, pairs=[DerivedPair(*t) for t in tuples])
+        assert analytic == sobolev_probe(fields, p_grid, pairs=tuples)
+        # the given pairs are the ones probed: spectral pairs read differently
+        spectral = sobolev_probe(fields, p_grid, pairs=[derivative_pair(g) for g in fields])
+        assert spectral == sobolev_probe(fields, p_grid)
+        assert spectral.power_means != analytic.power_means
+
     def test_needs_three_levels(self):
         fields = [affine(1.0, 0.0, GridSpec(n)) for n in (64, 128)]
         with pytest.raises(ValueError, match="three"):
@@ -156,6 +176,39 @@ class TestSecondOrderProbe:
         fields = [affine(1.0, 0.0, GridSpec(n)) for n in (64, 128, 256)]
         with pytest.raises(ValueError, match="Lipschitz"):
             second_order_probe(fields, 1.5, [2.0])
+
+    def test_probes_the_derivative_pair_of_fz(self):
+        # reference: the gradient probe on the z-derivative of each member
+        q_grid = np.arange(1.2, 3.01, 0.2)
+        rep = second_order_probe(LADDER, 0.5, q_grid)
+        ref = sobolev_probe([d_z(f) for f in LADDER], q_grid)
+        assert rep.stable == ref.stable and rep.p_critical == ref.p_critical
+        assert np.allclose(rep.power_means, ref.power_means, rtol=1e-13, atol=0)
+        assert rep.distortion_max == pytest.approx(ref.distortion_max, rel=1e-9)
+
+
+class TestTransformCount:
+    # A field is transformed forward once per call; each derivative it
+    # yields costs one inverse transform (second derivatives: three).
+
+    def test_sobolev_probe_one_pair_per_level(self, fft_counts):
+        sobolev_probe(LADDER, [2.0, 4.0])
+        assert fft_counts == {"fft2": 3, "ifft2": 6}
+
+    def test_second_order_probe_one_transform_per_level(self, fft_counts):
+        second_order_probe(LADDER, 0.5, [1.5, 2.0])
+        assert fft_counts == {"fft2": 3, "ifft2": 9}
+
+    def test_directional_family_one_transform(self, fft_counts):
+        directional_family_max_distortion(LADDER[0])
+        assert fft_counts == {"fft2": 1, "ifft2": 3}
+
+    def test_gradient_check_one_transform(self, fft_counts):
+        f = LADDER[0]
+        coeffs = recover_coefficients(*directional_derivative_fields(f), 0.3)
+        fft_counts.update(fft2=0, ifft2=0)
+        gradient_equation_check(f, coeffs)
+        assert fft_counts == {"fft2": 1, "ifft2": 3}
 
 
 class TestRecoverCoefficients:
@@ -228,6 +281,27 @@ class TestDirectionalFamily:
     def test_affine_family_all_constant(self):
         f, _ = solve_autonomous(abs_map(0.3), zero_field(SPEC), 1.0)
         assert directional_family_max_distortion(f) == 0.0
+
+    def test_members_are_the_directional_derivatives(self, monkeypatch):
+        # each member's pair is the derivative pair of cos(t)*fx + sin(t)*fy
+        f = random_trig_field(SPEC, seed=78, amplitude=0.05, c=1.0)
+        seen = []
+
+        def record(vz, vzb):
+            seen.append((vz, vzb))
+            return _distortion_values(vz, vzb)
+
+        monkeypatch.setattr(analysis, "_distortion_values", record)
+        directional_family_max_distortion(f, n_directions=8)
+        fx, fy = directional_derivative_fields(f)
+        ax, bx = (g.values for g in derivative_pair(fx))
+        ay, by = (g.values for g in derivative_pair(fy))
+        angles = np.linspace(0.0, np.pi, 8, endpoint=False)
+        assert len(seen) == len(angles)
+        for t, (vz, vzb) in zip(angles, seen):
+            for got, want in ((vz, np.cos(t) * ax + np.sin(t) * ay),
+                              (vzb, np.cos(t) * bx + np.sin(t) * by)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_smooth_family_has_finite_default_floor(self):
         f = random_trig_field(SPEC, seed=77, amplitude=0.05, c=1.0)

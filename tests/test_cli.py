@@ -228,6 +228,17 @@ class TestVerifyTransformCommand:
         assert run(["verify-transform", "--a", "0.6,0", "--b", "0.5,0"]) == 1
         assert "ellipticity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, option", [
+        (["solve", "--map", "kabs:0.3", "--grid", "16", "--mean", "1", "--out", "x"],
+         "--mean"),
+        (["verify-transform", "--a", "0.3", "--b", "0,0"], "--a"),
+        (["verify-transform", "--a", "0.3,0", "--b", "0,0,1"], "--b"),
+        (["verify-transform", "--a", "0.3,0", "--b", "x,0"], "--b"),
+    ])
+    def test_bad_complex_option_named(self, argv, option, capsys):
+        assert run(argv) == 1
+        assert f"argument {option}: expected 're,im'" in capsys.readouterr().err
+
     def test_generic_pair_fails_ab_form_with_exact_reduction(self, capsys):
         # both residuals are printed; the a*b-form one gates the exit code
         assert run(["verify-transform", "--a", "0.3,0", "--b", "0.2,0"]) == 2
@@ -250,6 +261,27 @@ class TestOtherCommands:
                     "--out", str(tmp_path / "rep")])
         assert code == 0
         assert "distortion_max=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_hodograph_min_jacobian_must_be_finite(self, value, solved_field, tmp_path,
+                                                   capsys):
+        # nan skips every point, which would read as a perfect identity
+        out = tmp_path / "h"
+        assert run(["hodograph", "--field", solved_field, "--map", "kabs:0.3",
+                    "--points", "8", "--min-jacobian", value, "--out", str(out)]) == 1
+        assert "argument --min-jacobian" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_and_coefficients_transform_counts(self, solved_field, tmp_path,
+                                                      fft_counts):
+        # report: one derivative pair feeds both CSVs; coefficients: the
+        # directional fields, their two pairs, and f's second derivatives
+        assert run(["report", "--field", solved_field, "--out", str(tmp_path / "r")]) == 0
+        assert fft_counts == {"fft2": 1, "ifft2": 2}
+        fft_counts.update(fft2=0, ifft2=0)
+        assert run(["coefficients", "--field", solved_field, "--k", "0.3",
+                    "--out", str(tmp_path / "c")]) == 0
+        assert fft_counts == {"fft2": 4, "ifft2": 9}
 
     def test_hodograph_command(self, tmp_path, capsys):
         sol = tmp_path / "sol"

@@ -30,20 +30,6 @@ def full_residual(H, f):
     return float(np.sqrt(np.mean(np.abs(r) ** 2)))
 
 
-@pytest.fixture
-def fft_counts(monkeypatch):
-    counts = {"fft2": 0, "ifft2": 0}
-    for name in counts:
-        inner = getattr(np.fft, name)
-
-        def counted(*args, _inner=inner, _name=name, **kwargs):
-            counts[_name] += 1
-            return _inner(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counted)
-    return counts
-
-
 class TestTransformCount:
     # Each step runs fft2(r) and ifft2(R * beurling) for psi; reading the
     # field f adds ifft2(R / dzbar).  After the loop one ifft2 builds the

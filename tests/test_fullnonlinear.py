@@ -4,6 +4,7 @@ import pytest
 from beltrami import (
     FullMap,
     FullStructure,
+    GridField,
     GridSpec,
     abs_map,
     check_conditions,
@@ -13,6 +14,7 @@ from beltrami import (
     linear_map,
     solve_autonomous,
     solve_full,
+    z_grid,
     zero_field,
 )
 from beltrami.fullnonlinear import _min_sum_cover, _sample_points
@@ -156,7 +158,7 @@ class TestFitBoundConstants:
             for samples in (256, 1024, 4096):
                 zb, wb = fit_bound_constants(H, alpha=0.99, samples=samples,
                                              a=0.3, b=0.0, seed=seed)
-                _, z, w, zeta = _sample_points(H, GridSpec(16), samples, seed)
+                _, z, w, zeta = _sample_points(GridSpec(16), samples, seed)
                 X, Y = np.abs(zeta) ** 0.99, np.abs(w) ** 1.98
                 r = np.abs(H.eval(z, w, zeta) - 0.3 * zeta)
                 assert (zb, wb) == _min_sum_cover(X, Y, r)
@@ -195,6 +197,26 @@ class TestFitBoundConstants:
         H = FullMap(eval=lambda z, w, zeta: np.nan * zeta, k=0.3)
         with pytest.raises(ValueError, match="inf or nan"):
             fit_bound_constants(H, alpha=0.5, samples=64)
+
+    def test_structured_map_subtracts_declared_u(self):
+        # |H - 0.3 zeta| = |0.1 w + u(z)| <= 0.1 |w| + u(z) with u declared
+        spec = GridSpec(16)
+        u = GridField(spec, 0.0, 0.0, 0.05 * (1.0 + np.cos(z_grid(spec).real)))
+
+        def H_eval(z, w, zeta):
+            return 0.3 * zeta + 0.1 * w + 0.05 * (1.0 + np.cos(np.real(z)))
+
+        H = FullMap(eval=H_eval, k=0.3,
+                    structure=FullStructure(0.3, 0.0, 0.5, 0.0, 0.0, u))
+        zb, wb = fit_bound_constants(H, alpha=0.5, samples=1024, seed=3)
+        _, z, w, zeta = _sample_points(spec, 1024, 3)
+        r = np.abs(H_eval(z, w, zeta) - 0.3 * zeta) - 0.05 * (1.0 + np.cos(z.real))
+        assert (zb, wb) == _min_sum_cover(np.abs(zeta) ** 0.5, np.abs(w), r)
+        assert zb + wb <= 0.1 * (1 + 1e-12)
+        # without the declared u the same samples need larger constants
+        zb0, wb0 = fit_bound_constants(FullMap(eval=H_eval, k=0.3), alpha=0.5,
+                                       samples=1024, seed=3, a=0.3)
+        assert zb0 + wb0 > 0.2
 
     def test_nothing_to_cover(self):
         H = FullMap(eval=lambda z, w, zeta: 0.3 * zeta, k=0.3)

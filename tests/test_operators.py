@@ -14,12 +14,17 @@ from beltrami import (
     from_coeffs,
     lp_norm,
     make_field,
+    abs_map,
     random_trig_field,
     resample,
+    smooth_saturating_map,
+    solve_autonomous,
     to_coeffs,
     trig_field,
+    z_grid,
     zero_field,
 )
+from beltrami.operators import _second_derivatives
 from _helpers import fd_dz, fd_dzbar, rel_l2
 
 SPEC = GridSpec(32)
@@ -85,6 +90,34 @@ class TestDerivatives:
         dz, dzb = derivative_pair(f)
         assert dz.periodic_mean == pytest.approx(f.c, abs=1e-13)
         assert dzb.periodic_mean == pytest.approx(f.d, abs=1e-13)
+
+
+class TestSecondDerivatives:
+    @pytest.mark.parametrize("A", [abs_map(0.3), smooth_saturating_map(0.3, 0.1j, 0.2)],
+                             ids=["kabs", "smoothsat"])
+    def test_matches_chained_first_derivatives(self, A):
+        spec = GridSpec(64)
+        h = trig_field(spec, [(1, 0, 0.1), (2, -1, 0.05j), (0, 3, 0.02)])
+        f, rep = solve_autonomous(A, h, 1.0 + 0.2j, tol=1e-12)
+        assert rep.converged
+        fz, fzb = derivative_pair(f)
+        chained = (d_z(fz).values, d_zbar(fz).values, d_zbar(fzb).values)
+        for got, want in zip(_second_derivatives(f), chained):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_exact_symbol_products_on_trig_field(self):
+        waves = [(1, 2, 0.3 + 0.1j), (-3, 1, 0.2j), (0, -5, 0.5), (4, 4, -0.1)]
+        f = trig_field(SPEC, waves, c=0.7, d=-0.2j)  # the affine part drops out
+        x, y = z_grid(SPEC).real, z_grid(SPEC).imag
+        exact = [np.zeros((SPEC.n, SPEC.n), dtype=complex) for _ in range(3)]
+        for k1, k2, coeff in waves:
+            kc = (TAU / SPEC.L) * (k1 + 1j * k2)
+            sz, szb = 0.5j * np.conj(kc), 0.5j * kc
+            w = coeff * np.exp(1j * (TAU / SPEC.L) * (k1 * x + k2 * y))
+            for out, sym in zip(exact, (sz * sz, sz * szb, szb * szb)):
+                out += sym * w
+        for got, want in zip(_second_derivatives(f), exact):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestBeurling:
