@@ -91,6 +91,7 @@ def _number(cast, ok, what: str):
 
 _positive = _number(float, lambda v: 0 < v < math.inf, "finite and > 0")
 _finite = _number(float, math.isfinite, "finite")
+_unit_open = _number(float, lambda v: 0 < v < 1, "in (0, 1)")
 
 
 def _floats(token: str, body: str, count: int) -> list[float]:
@@ -313,6 +314,8 @@ def _solve_ladder(args, specs: list[GridSpec]):
 def cmd_probe(args) -> int:
     if args.p_min > args.p_max:
         raise _UsageError(f"--p-min {args.p_min} is above --p-max {args.p_max}")
+    if args.second_order and args.k is None:
+        raise _UsageError("--second-order requires --k")
 
     def ladder():
         return [GridSpec(args.grid * (2 ** lev), args.period) for lev in range(args.levels)]
@@ -335,8 +338,6 @@ def cmd_probe(args) -> int:
 
     p_grid = np.arange(args.p_min, args.p_max + 1e-9, args.p_step)
     if args.second_order:
-        if args.k is None:
-            raise _UsageError("--second-order requires --k")
         report = second_order_probe(fields, args.k, p_grid)
     else:
         report = sobolev_probe(fields, p_grid, pairs=pairs)
@@ -467,7 +468,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--p-max", type=_finite, default=8.0)
     sp.add_argument("--p-step", type=_positive, default=0.2)
     sp.add_argument("--second-order", action="store_true")
-    sp.add_argument("--k", type=float, default=None,
+    sp.add_argument("--k", type=_unit_open, default=None,
                     help="Lipschitz constant for --second-order; only checked to "
                          "lie in (0, 1), changes no output")
     common(sp)

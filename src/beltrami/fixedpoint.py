@@ -18,6 +18,23 @@ handed to rhs as a zero-argument callable: only a right-hand side that reads
 f (the fully nonlinear H(z, f, f_z)) pays the third transform for P and the
 affine rebuild.  The returned field is built once, after the loop, from the
 spectrum of the best iterate.
+
+Apart from rhs's result, field() and the damped blend, a step allocates no
+n x n array: it writes into four work arrays that live for the whole solve.
+
+    spectra[0], spectra[1]  fft2(r) is written into whichever one does not
+                            hold the best iterate's spectrum, so a new best
+                            only re-points best_R and copies nothing
+    psi                     R * beurling, transformed back in place; once
+                            rhs has returned it takes the difference r - r'
+    work                    real: |r - r'|^2 for the residual norm
+
+Because psi is reused, a right-hand side may read or overwrite psi during
+its call but must not keep it.  If rhs returns psi or a view of it, the
+kernel copies the result before reusing the array.  The inverse transform
+is np.fft.ifftn, not ifft2: numpy 2.4's ifft2 accepts out= but ignores it
+(it passes out=None on), while ifftn writes into out and gives the same
+bits as ifft2 over both axes.
 """
 
 from __future__ import annotations
@@ -80,7 +97,10 @@ def picard_solve(
     equation f_zbar = rhs(f, f_z), where field() returns the samples of the
     current candidate f.  Calling field() costs one inverse transform and
     the affine rebuild, so a right-hand side that ignores f should not call
-    it; each step then runs two transforms instead of three.
+    it; each step then runs two transforms instead of three.  psi_values is
+    the kernel's work array: rhs may read or overwrite it during the call
+    but must not keep it, since the next step writes into it again.  A
+    result that is psi_values or a view of it is copied first.
 
     Stops when the equation residual drops to tol * residual_scale.  On
     exhaustion the best iterate (least residual) is returned with
@@ -112,11 +132,15 @@ def picard_solve(
     converged = False
     notes = ""
     best_R, best_res = None, np.inf
-    R_beur = np.empty((n, n), dtype=complex)
+    spectra = (np.empty((n, n), dtype=complex), np.empty((n, n), dtype=complex))
+    psi = np.empty((n, n), dtype=complex)
+    work = np.empty((n, n))
     threshold = tol * residual_scale
     for it in range(1, max_iter + 1):
-        R = np.fft.fft2(r_prev)
-        psi = np.fft.ifft2(np.multiply(R, beur, out=R_beur))
+        R = spectra[1] if best_R is spectra[0] else spectra[0]
+        np.fft.fft2(r_prev, out=R)
+        np.multiply(R, beur, out=psi)
+        np.fft.ifftn(psi, out=psi)  # not ifft2, which ignores out=
         psi += c_mean
 
         def field(R=R):
@@ -127,7 +151,9 @@ def picard_solve(
             return affine_c + d * np.conj(Z) + P
 
         r = rhs(field, psi)
-        res = values_l2(r - r_prev)
+        if np.may_share_memory(r, psi):
+            r = r.copy()
+        res = values_l2(np.subtract(r, r_prev, out=psi), _work=work)
         if not math.isfinite(res):
             if not history:
                 raise ArithmeticError(f"{method}: residual non-finite at iteration 1; "

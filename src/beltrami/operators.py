@@ -172,21 +172,41 @@ def antiderivative_zbar(phi: GridField, c: complex = 0.0) -> GridField:
     return GridField(phi.spec, c, mean, vals)
 
 
+def _resize_rows(A: np.ndarray, n: int) -> np.ndarray:
+    """Spectrum rows in fft2 layout moved to a grid of n rows.
+
+    Truncation sums the +-n/2 pair into the coarse Nyquist row, the mode both
+    alias to; padding splits the Nyquist row in halves between +-m/2, so a
+    real field stays real.  Halving and summing are exact in binary, so
+    padding then truncating gives the rows back bit for bit.
+    """
+    m = A.shape[0]
+    if n < m:
+        half = n // 2
+        B = A[np.r_[0:half, -half:0]]
+        B[half] += A[half]
+    else:
+        half = m // 2
+        B = np.zeros((n,) + A.shape[1:], dtype=complex)
+        B[np.r_[0:half, -half:0]] = A
+        B[-half] *= 0.5
+        B[half] = B[-half]
+    return B
+
+
 def resample(f: GridField, new_n: int) -> GridField:
     """Re-sample the periodic part on a finer or coarser power-of-two grid.
 
-    Exact for band-limited fields (spectral zero padding / truncation);
-    the affine part is carried over unchanged.
+    Exact for band-limited fields (spectral zero padding / truncation); the
+    Nyquist modes are split evenly between +-n/2 when padding and summed when
+    truncating, so real fields stay real either way.  The affine part is
+    carried over unchanged.
     """
     src = f.spec
     dst = GridSpec(new_n, src.L)
     if new_n == src.n:
         return GridField(dst, f.c, f.d, f.values)
     A = np.fft.fft2(f.values) / (src.n ** 2)
-    m = min(src.n, new_n)
-    half = m // 2
-    B = np.zeros((new_n, new_n), dtype=complex)
-    sl = np.r_[0:half, -half:0]
-    B[np.ix_(sl % new_n, sl % new_n)] = A[np.ix_(sl % src.n, sl % src.n)]
+    B = _resize_rows(_resize_rows(A, new_n).T, new_n).T
     vals = np.fft.ifft2(B * (new_n ** 2))
     return GridField(dst, f.c, f.d, vals)

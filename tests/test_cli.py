@@ -10,6 +10,7 @@ import pytest
 
 import beltrami
 from beltrami import GridField, GridSpec, lp_norm, read_field, trig_field, write_field
+from beltrami import cli
 from beltrami.analysis import CoefficientFields
 from beltrami.cli import _write_coefficients, _write_csv, build_parser, main, parse_map
 from beltrami.autonomous import AutonomousMap
@@ -210,6 +211,21 @@ class TestProbeCommand:
                     "--out", str(tmp_path / "x")])
         assert code == 1
         assert "--k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k_args", [[], ["--k", "1.5"], ["--k", "0"], ["--k", "nan"]],
+                             ids=["missing", "above-one", "zero", "nan"])
+    def test_second_order_k_checked_before_the_ladder(self, k_args, monkeypatch,
+                                                      tmp_path, capsys):
+        def no_solves(*_args):
+            raise AssertionError("ladder solved before --k was checked")
+
+        monkeypatch.setattr(cli, "_solve_ladder", no_solves)
+        out = tmp_path / "x"
+        code = run(["probe", "--map", "linear:0.5,0,0,0", "--grid", "32",
+                    "--second-order", *k_args, "--out", str(out)])
+        assert code == 1
+        assert "--k" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerifyTransformCommand:

@@ -245,3 +245,32 @@ class TestResample:
         up = resample(f, 128)
         expected = trig_field(GridSpec(128), [(3, -2, 1.0 - 0.5j)])
         assert np.allclose(up.values, expected.values, atol=1e-12)
+
+    @pytest.mark.parametrize("waves", [
+        lambda x, y: np.cos(8 * x),                       # Nyquist column
+        lambda x, y: np.cos(8 * y) + 0.5 * np.sin(3 * x),  # Nyquist row
+        lambda x, y: np.cos(8 * x) * np.cos(8 * y),       # the corner mode
+    ], ids=["column", "row", "corner"])
+    def test_real_field_stays_real_at_nyquist(self, waves):
+        coarse, fine = GridSpec(16), GridSpec(32)
+        zc, zf = z_grid(coarse), z_grid(fine)
+        f = make_field(coarse, 0.0, 0.0, waves(zc.real, zc.imag))
+        up = resample(f, 32)
+        assert np.max(np.abs(up.values.imag)) < 1e-14
+        assert np.allclose(up.values, waves(zf.real, zf.imag), atol=1e-14)
+
+    def test_round_trip_with_nyquist_content(self):
+        rng = np.random.default_rng(11)
+        vals = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        f = make_field(GridSpec(16), 0.0, 0.0, vals)
+        for n in (32, 64):
+            back = resample(resample(f, n), 16)
+            assert np.allclose(back.values, f.values, rtol=0, atol=1e-14)
+
+    def test_downsample_band_limited_is_subsampling(self):
+        # modes up to |k| = 8 sit on the 16-grid's Nyquist rows; exp(8ix) and
+        # exp(-8ix) both alias to that row, so truncation must add them
+        fine = trig_field(GridSpec(32), [(8, 3, 1.0), (-8, -8, 0.5j), (2, 8, -0.25),
+                                         (5, -1, 0.3 + 0.1j)])
+        down = resample(fine, 16)
+        assert np.allclose(down.values, fine.values[::2, ::2], rtol=0, atol=1e-14)
