@@ -11,25 +11,17 @@ from .grid import (
     DerivedPair,
     GridField,
     GridSpec,
-    constant_field,
     lp_norm,
-    make_field,
     read_field,
     write_field,
     z_grid,
     zero_field,
 )
 from .operators import (
-    SpectralCoeffs,
     antiderivative_zbar,
     beurling,
-    coeff_at,
-    d_z,
-    d_zbar,
     derivative_pair,
-    from_coeffs,
     resample,
-    to_coeffs,
 )
 from .fixedpoint import SolveReport
 from .constant_coefficient import (

@@ -351,11 +351,11 @@ def directional_derivative_fields(f: GridField) -> tuple[GridField, GridField]:
     return fx, fy
 
 
-def directional_family_max_distortion(f: GridField, n_directions: int = 16,
-                                      gradient_floor: float = 1e-8) -> float:
-    """Max samplewise distortion over cos(t)*fx + sin(t)*fy directions.
+def directional_family_max_distortion(f: GridField) -> float:
+    """Max samplewise distortion over cos(t)*fx + sin(t)*fy, 16 directions t.
 
-    Samples wherever the member's gradient magnitude exceeds the floor;
+    The angles t are spaced evenly over [0, pi).  Samples wherever the
+    member's gradient magnitude |v_z| + |v_zbar| exceeds the floor 1e-8;
     returns 0.0 when every member is constant below the floor (the
     constant branch of the dichotomy).  Degenerate samples surface as inf.
     The member cos(t)*fx + sin(t)*fy is e^{it} f_z + e^{-it} f_zbar, so its
@@ -363,12 +363,12 @@ def directional_family_max_distortion(f: GridField, n_directions: int = 16,
     """
     fzz, fzzb, fzbzb = _second_derivatives(f)
     worst = 0.0
-    for t in np.linspace(0.0, np.pi, n_directions, endpoint=False):
+    for t in np.linspace(0.0, np.pi, 16, endpoint=False):
         e = complex(math.cos(t), math.sin(t))
         vz = e * fzz + e.conjugate() * fzzb
         vzb = e * fzzb + e.conjugate() * fzbzb
         mag = np.abs(vz) + np.abs(vzb)
-        active = mag > gradient_floor
+        active = mag > 1e-8
         if not np.any(active):
             continue
         K = _distortion_values(vz, vzb)[active]

@@ -13,7 +13,8 @@ Map grammar (flat tokens joined by '+'):
     zterm:amp_re,amp_im,k1,k2       + amp*sin(2*pi*(k1*x + k2*y)/L)
     wterm:c_re,c_im                 + c*w/(1+|w|)
 A bare autonomous token selects the gradient-only solvers; any zterm/wterm
-upgrades the map to the full solver (use --damping to stabilize it).
+upgrades the map to the full solver (use --damping to stabilize it; a
+--damping below 1 anywhere else exits 1).
 
 Forcing grammar for --h:
     zero                            the zero field (default)
@@ -53,7 +54,7 @@ from .constant_coefficient import (
 )
 from .fullnonlinear import FullMap, solve_full
 from .grid import _FMT, GridField, GridSpec, lp_norm, read_field, write_field
-from .operators import d_z, derivative_pair, resample
+from .operators import derivative_pair, resample
 from .synth import radial_extremal_pair, trig_field
 
 
@@ -259,6 +260,13 @@ def _finish(args, files: dict, result: dict, **extra) -> None:
         fh.write("\n")
 
 
+def _reject_unused_damping(args, mapping) -> None:
+    """Exit 1 when --damping is below 1 but no full-map solve will read it."""
+    if args.damping < 1 and not isinstance(mapping, FullMap):
+        raise _UsageError(f"--damping {args.damping} is read only by a fixed-point solve "
+                          "of a full map (zterm/wterm tokens)")
+
+
 def _solve_fixed_point(args, mapping, h: GridField, spec: GridSpec):
     if isinstance(mapping, AutonomousMap):
         return solve_autonomous(mapping, h, args.mean, tol=args.tol,
@@ -270,6 +278,7 @@ def _solve_fixed_point(args, mapping, h: GridField, spec: GridSpec):
 def cmd_solve(args) -> int:
     spec = GridSpec(args.grid, args.period)
     mapping = parse_map(args.map, spec.L)
+    _reject_unused_damping(args, mapping if args.solver == "fixed-point" else None)
     h = _parse_h(args.h, spec)
 
     if args.solver == "changevar":
@@ -281,7 +290,7 @@ def cmd_solve(args) -> int:
     else:
         f, report = _solve_fixed_point(args, mapping, h, spec)
 
-    fz = np.abs(d_z(f).values)
+    fz = np.abs(derivative_pair(f).dz.values)
     lo, hi = float(fz.min()), float(fz.max())
     _finish(args, {
         "solution.bfld": lambda path: write_field(f, path),
@@ -300,8 +309,7 @@ def cmd_solve(args) -> int:
     return 0 if report.converged else 2
 
 
-def _solve_ladder(args, specs: list[GridSpec]):
-    mapping = parse_map(args.map, args.period)
+def _solve_ladder(args, mapping, specs: list[GridSpec]):
     fields = []
     for spec in specs:
         f, rep = _solve_fixed_point(args, mapping, _parse_h(args.h, spec), spec)
@@ -316,6 +324,10 @@ def cmd_probe(args) -> int:
         raise _UsageError(f"--p-min {args.p_min} is above --p-max {args.p_max}")
     if args.second_order and args.k is None:
         raise _UsageError("--second-order requires --k")
+    mapping = None
+    if not args.fields and args.extremal is None and args.map:
+        mapping = parse_map(args.map, args.period)
+    _reject_unused_damping(args, mapping)
 
     def ladder():
         return [GridSpec(args.grid * (2 ** lev), args.period) for lev in range(args.levels)]
@@ -329,8 +341,8 @@ def cmd_probe(args) -> int:
             g, gz, gzb = radial_extremal_pair(spec, args.extremal)
             fields.append(g)
             pairs.append((gz, gzb))
-    elif args.map:
-        fields = _solve_ladder(args, ladder())
+    elif mapping is not None:
+        fields = _solve_ladder(args, mapping, ladder())
     else:
         raise _UsageError("probe needs --fields, --map or --extremal")
     if len(fields) < 3:

@@ -140,15 +140,17 @@ def compute_mu_nu(p: CCParams) -> ChangeOfVars:
     return ChangeOfVars(mu, nu, path="numeric-root")
 
 
-def _eval_waves(waves, L: float, zz: np.ndarray, deriv: str = "none") -> np.ndarray:
-    """Evaluate a wave list (or its Wirtinger derivative) anywhere in the plane."""
+def _wave_derivatives(waves, L: float, zz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both Wirtinger derivatives of a wave list, evaluated anywhere in the plane."""
     x, y = zz.real, zz.imag
-    out = np.zeros(zz.shape, dtype=complex)
+    dz = np.zeros(zz.shape, dtype=complex)
+    dzb = np.zeros(zz.shape, dtype=complex)
     for k1, k2, cc in waves:
         kc = (2.0 * np.pi / L) * (k1 + 1j * k2)
-        factor = {"none": 1.0, "dz": 0.5j * np.conj(kc), "dzbar": 0.5j * kc}[deriv]
-        out += cc * factor * np.exp(1j * (2.0 * np.pi / L) * (k1 * x + k2 * y))
-    return out
+        e = np.exp(1j * (2.0 * np.pi / L) * (k1 * x + k2 * y))
+        dz += cc * (0.5j * np.conj(kc)) * e
+        dzb += cc * (0.5j * kc) * e
+    return dz, dzb
 
 
 def _transform_residual(
@@ -175,8 +177,7 @@ def _transform_residual(
     worst = 0.0
     for _ in range(trials):
         waves = random_waves(rng)
-        ft_z = _eval_waves(waves, spec.L, zeta, "dz")
-        ft_zb = _eval_waves(waves, spec.L, zeta, "dzbar")
+        ft_z, ft_zb = _wave_derivatives(waves, spec.L, zeta)
         v = ft_zb - p.a * ft_z - p.b * np.conj(ft_z)  # u evaluated at zeta
         # chain rule for g(z) = ft(zeta) + nu*conj(ft(zeta)), zeta = z + mu*conj(z)
         g_zb = mu * ft_z + ft_zb + nu * (np.conj(ft_z) + mu * np.conj(ft_zb))

@@ -24,9 +24,7 @@ __all__ = [
     "GridSpec",
     "GridField",
     "DerivedPair",
-    "make_field",
     "zero_field",
-    "constant_field",
     "lp_norm",
     "z_grid",
     "read_field",
@@ -133,36 +131,20 @@ class DerivedPair(NamedTuple):
     dzbar: GridField
 
 
-def make_field(spec: GridSpec, c: complex, d: complex,
-               periodic_samples: np.ndarray) -> GridField:
-    """Build a field from its affine coefficients and periodic samples.
-
-    The periodic mean is kept as given (it is not folded into the affine
-    part).  Raises on a sample-count mismatch or an invalid grid size.
-    """
-    return GridField(spec, c, d, np.asarray(periodic_samples, dtype=complex))
-
-
 def zero_field(spec: GridSpec) -> GridField:
     return GridField(spec, 0.0, 0.0, np.zeros((spec.n, spec.n), dtype=complex))
 
 
-def constant_field(spec: GridSpec, value: complex) -> GridField:
-    return GridField(spec, 0.0, 0.0,
-                     np.full((spec.n, spec.n), complex(value), dtype=complex))
-
-
-def lp_norm(f: GridField, p: float, periodic_only: bool = False) -> float:
+def lp_norm(f: GridField, p: float) -> float:
     """Riemann-sum L^p norm over one period, normalized by the cell area.
 
     Computes (mean of |f|^p over the lattice)^(1/p), which approximates
-    ( (1/L^2) * integral |f|^p )^(1/p).  With periodic_only the affine part
-    is excluded and only P enters.  A field without an affine part is read
-    from its samples directly: |0*z + 0*conj(z) + P| = |P| exactly.
+    ( (1/L^2) * integral |f|^p )^(1/p).  A field without an affine part is
+    read from its samples directly: |0*z + 0*conj(z) + P| = |P| exactly.
     """
     if not (p >= 1):
         raise ValueError(f"p must be >= 1, got {p}")
-    v = f.values if periodic_only or f.is_periodic() else f.total_values()
+    v = f.values if f.is_periodic() else f.total_values()
     return float(np.mean(np.abs(v) ** p) ** (1.0 / p))
 
 

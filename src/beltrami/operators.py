@@ -15,7 +15,6 @@ carried by the affine coefficients, never by the periodic part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,12 +22,6 @@ import numpy as np
 from .grid import DerivedPair, GridField, GridSpec
 
 __all__ = [
-    "SpectralCoeffs",
-    "to_coeffs",
-    "from_coeffs",
-    "coeff_at",
-    "d_z",
-    "d_zbar",
     "derivative_pair",
     "beurling",
     "antiderivative_zbar",
@@ -62,64 +55,11 @@ def _multipliers(n: int, L: float):
     return sym_dz, sym_dzbar, beur, inv_dzbar
 
 
-@dataclass(frozen=True)
-class SpectralCoeffs:
-    """Fourier coefficients of a field's periodic part, fft2 layout.
-
-    coeffs[k2_index, k1_index] multiplies exp(i*(k1*x + k2*y)*2*pi/L); the
-    (0, 0) entry is the periodic mean.
-    """
-
-    spec: GridSpec
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.coeffs, dtype=complex)
-        if a.shape != (self.spec.n, self.spec.n):
-            raise ValueError(f"coefficient shape {a.shape} does not match grid {self.spec.n}")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "coeffs", a)
-
-
-def to_coeffs(f: GridField) -> SpectralCoeffs:
-    """Coefficients of the periodic part (the affine part is not spectral)."""
-    return SpectralCoeffs(f.spec, np.fft.fft2(f.values) / (f.spec.n ** 2))
-
-
-def from_coeffs(sc: SpectralCoeffs, c: complex = 0.0, d: complex = 0.0) -> GridField:
-    vals = np.fft.ifft2(sc.coeffs * (sc.spec.n ** 2))
-    return GridField(sc.spec, c, d, vals)
-
-
-def coeff_at(sc: SpectralCoeffs, k1: int, k2: int) -> complex:
-    """Coefficient of the (k1, k2) mode; indices in [-n/2, n/2)."""
-    n = sc.spec.n
-    if not (-n // 2 <= k1 < n // 2 and -n // 2 <= k2 < n // 2):
-        raise ValueError(f"wavevector ({k1}, {k2}) outside the resolved band")
-    return complex(sc.coeffs[k2 % n, k1 % n])
-
-
-def d_zbar(f: GridField) -> GridField:
-    """df/dconj(z), computed spectrally.
-
-    The output is purely periodic: the input's affine d becomes the output's
-    mean (folded into the zero mode), and the output's affine part is zero.
-    """
-    _, sym, _, _ = _multipliers(f.spec.n, f.spec.L)
-    vals = np.fft.ifft2(np.fft.fft2(f.values) * sym)
-    return GridField(f.spec, 0.0, 0.0, vals + f.d)
-
-
-def d_z(f: GridField) -> GridField:
-    """df/dz, computed spectrally; mirror of d_zbar (mean = input's c)."""
-    sym, _, _, _ = _multipliers(f.spec.n, f.spec.L)
-    vals = np.fft.ifft2(np.fft.fft2(f.values) * sym)
-    return GridField(f.spec, 0.0, 0.0, vals + f.c)
-
-
 def derivative_pair(f: GridField) -> DerivedPair:
-    """Both Wirtinger derivatives of f with one forward transform."""
+    """Both Wirtinger derivatives (df/dz, df/dconj(z)) with one forward transform.
+
+    Both outputs are purely periodic; f's affine c and d become their means.
+    """
     sym_dz, sym_dzbar, _, _ = _multipliers(f.spec.n, f.spec.L)
     F = np.fft.fft2(f.values)
     dz = np.fft.ifft2(F * sym_dz) + f.c
@@ -146,9 +86,10 @@ def beurling(phi: GridField) -> GridField:
     """Beurling transform of a purely periodic field.
 
     Mode-wise multiplication by conj(kc)/kc; the zero mode maps to 0, so the
-    output has mean zero.  Intertwines the derivatives: beurling(d_zbar(f))
-    equals d_z(f) for purely periodic f.  Callers must strip the affine part
-    first (its image is not representable on the torus).
+    output has mean zero.  Intertwines the derivatives: for purely periodic
+    f, beurling(derivative_pair(f).dzbar) equals derivative_pair(f).dz.
+    Callers must strip the affine part first (its image is not representable
+    on the torus).
     """
     if not phi.is_periodic():
         raise ValueError("beurling requires a field with zero affine part")

@@ -11,6 +11,12 @@ def rel_l2(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(x - y) ** 2)) / max(denom, 1e-300))
 
 
+def spectrum(values: np.ndarray) -> np.ndarray:
+    """Fourier coefficients of periodic samples, fft2 layout: entry
+    [k2 % n, k1 % n] multiplies exp(i*(k1*x + k2*y)*2*pi/L)."""
+    return np.fft.fft2(values) / values.shape[0] ** 2
+
+
 def field_rel_l2(f: GridField, g: GridField) -> float:
     return rel_l2(f.total_values(), g.total_values())
 

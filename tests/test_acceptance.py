@@ -20,13 +20,12 @@ import pytest
 
 from beltrami import (
     CCParams,
+    GridField,
     GridSpec,
     abs_map,
     beurling,
     check_conditions,
     compute_mu_nu,
-    d_z,
-    d_zbar,
     derivative_pair,
     directional_family_max_distortion,
     distortion_stats,
@@ -36,7 +35,6 @@ from beltrami import (
     hodograph_check,
     linear_map,
     lp_norm,
-    make_field,
     mu_nu_printed_formula,
     radial_extremal_pair,
     random_trig_field,
@@ -49,7 +47,6 @@ from beltrami import (
     solve_cc_changevar,
     solve_cc_neumann,
     solve_full,
-    to_coeffs,
     trig_field,
     verify_transform,
     zero_field,
@@ -58,7 +55,7 @@ from beltrami import (
     FullStructure,
 )
 from beltrami.cli import main as cli_main
-from _helpers import pair_rel_l2, rel_l2
+from _helpers import pair_rel_l2, rel_l2, spectrum
 
 
 def report(num: int, ok: bool, detail: str) -> bool:
@@ -89,8 +86,9 @@ def test_criterion_01_spectral_identities():
         worst_iso = max(worst_iso,
                         abs(lp_norm(beurling(phi), 2) / lp_norm(phi, 2) - 1.0))
         f = random_trig_field(spec, seed=1000 + seed, band=12, modes=16)
-        lhs = to_coeffs(beurling(d_zbar(f))).coeffs
-        rhs = to_coeffs(d_z(f)).coeffs
+        dz, dzb = derivative_pair(f)
+        lhs = spectrum(beurling(dzb).values)
+        rhs = spectrum(dz.values)
         scale = np.abs(rhs).max()
         worst_intertwine = max(worst_intertwine,
                                float(np.abs(lhs - rhs).max() / scale))
@@ -248,7 +246,7 @@ def test_criterion_05_manufactured_recovery():
                                   amplitude=0.1, c=1.0)
         fz, fzb = derivative_pair(fstar)
         for A in maps:
-            h = make_field(spec, 0, 0, fzb.values - A.eval(fz.values))
+            h = GridField(spec, 0, 0, fzb.values - A.eval(fz.values))
             f, rep = solve_autonomous(A, h, 1.0, tol=1e-11, max_iter=2000)
             assert rep.converged
             worst = max(worst, pair_rel_l2(f, fstar))
@@ -370,7 +368,7 @@ def test_criterion_08_coefficient_chain():
 def test_criterion_09_hodograph():
     spec = GridSpec(128)
     # closed-form shear: exact inverse, residual at roundoff
-    f_shear = make_field(spec, 1.0, 0.3, np.zeros(spec.n ** 2))
+    f_shear = GridField(spec, 1.0, 0.3, np.zeros(spec.n ** 2))
     res1 = hodograph_check(f_shear, linear_map(0.3, 0), 64, seed=11)
     ok1 = (res1.accepted == 64 and res1.max_identity_residual <= 1e-8
            and res1.max_derivative_ratio <= 0.3 + 1e-9)

@@ -5,9 +5,9 @@ import pytest
 
 from beltrami import (
     DerivedPair,
+    GridField,
     GridSpec,
     abs_map,
-    d_z,
     derivative_pair,
     directional_derivative_fields,
     directional_family_max_distortion,
@@ -17,7 +17,6 @@ from beltrami import (
     HodographResult,
     hodograph_check,
     linear_map,
-    make_field,
     radial_extremal_field,
     radial_extremal_pair,
     random_trig_field,
@@ -40,7 +39,7 @@ LADDER = [random_trig_field(GridSpec(n), seed=5, amplitude=0.05, c=1.0)
 
 
 def affine(c, d, spec=SPEC):
-    return make_field(spec, c, d, np.zeros(spec.n ** 2))
+    return GridField(spec, c, d, np.zeros(spec.n ** 2))
 
 
 class TestDistortion:
@@ -181,7 +180,7 @@ class TestSecondOrderProbe:
         # reference: the gradient probe on the z-derivative of each member
         q_grid = np.arange(1.2, 3.01, 0.2)
         rep = second_order_probe(LADDER, 0.5, q_grid)
-        ref = sobolev_probe([d_z(f) for f in LADDER], q_grid)
+        ref = sobolev_probe([derivative_pair(f).dz for f in LADDER], q_grid)
         assert rep.stable == ref.stable and rep.p_critical == ref.p_critical
         assert np.allclose(rep.power_means, ref.power_means, rtol=1e-13, atol=0)
         assert rep.distortion_max == pytest.approx(ref.distortion_max, rel=1e-9)
@@ -292,11 +291,11 @@ class TestDirectionalFamily:
             return _distortion_values(vz, vzb)
 
         monkeypatch.setattr(analysis, "_distortion_values", record)
-        directional_family_max_distortion(f, n_directions=8)
+        directional_family_max_distortion(f)
         fx, fy = directional_derivative_fields(f)
         ax, bx = (g.values for g in derivative_pair(fx))
         ay, by = (g.values for g in derivative_pair(fy))
-        angles = np.linspace(0.0, np.pi, 8, endpoint=False)
+        angles = np.linspace(0.0, np.pi, 16, endpoint=False)
         assert len(seen) == len(angles)
         for t, (vz, vzb) in zip(angles, seen):
             for got, want in ((vz, np.cos(t) * ax + np.sin(t) * ay),
@@ -305,8 +304,7 @@ class TestDirectionalFamily:
 
     def test_smooth_family_has_finite_default_floor(self):
         f = random_trig_field(SPEC, seed=77, amplitude=0.05, c=1.0)
-        worst = directional_family_max_distortion(f, n_directions=4,
-                                                  gradient_floor=1e-8)
+        worst = directional_family_max_distortion(f)
         assert worst > 1.0
 
 

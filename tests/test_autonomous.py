@@ -3,6 +3,7 @@ import pytest
 
 from beltrami import (
     AutonomousMap,
+    GridField,
     GridSpec,
     abs_map,
     check_linear_at_infinity,
@@ -10,8 +11,6 @@ from beltrami import (
     estimate_lipschitz,
     fit_linear_part,
     linear_map,
-    lp_norm,
-    make_field,
     random_trig_field,
     residual,
     smooth_saturating_map,
@@ -104,7 +103,7 @@ class TestSolveAutonomous:
     def test_trivial(self):
         f, rep = solve_autonomous(linear_map(0, 0), zero_field(SPEC), 1.0)
         assert rep.iterations == 1 and rep.converged
-        assert f.c == 1.0 and lp_norm(f, 2, periodic_only=True) == 0.0
+        assert f.c == 1.0 and not f.values.any()
 
     def test_matches_neumann_bitwise(self):
         # the two solvers run the identical iteration for linear maps
@@ -145,7 +144,7 @@ class TestSolveAutonomous:
         fstar = random_trig_field(SPEC, seed=17, band=3, modes=6,
                                   amplitude=0.1, c=1.0)
         fz, fzb = derivative_pair(fstar)
-        h = make_field(SPEC, 0, 0, fzb.values - A.eval(fz.values))
+        h = GridField(SPEC, 0, 0, fzb.values - A.eval(fz.values))
         f, rep = solve_autonomous(A, h, 1.0, tol=1e-11)
         assert rep.converged
         assert pair_rel_l2(f, fstar) < 1e-7
@@ -158,14 +157,14 @@ class TestSolveAutonomous:
 
 class TestResidualOp:
     def test_trivial_zero(self):
-        f = make_field(SPEC, 1.0, 0.0, np.zeros(SPEC.n ** 2))
+        f = GridField(SPEC, 1.0, 0.0, np.zeros(SPEC.n ** 2))
         assert residual(linear_map(0, 0), f, zero_field(SPEC)) == 0.0
 
     def test_manufactured_pair(self):
         A = abs_map(0.3)
         fstar = random_trig_field(SPEC, seed=23, amplitude=0.2, c=1.0)
         fz, fzb = derivative_pair(fstar)
-        h = make_field(SPEC, 0, 0, fzb.values - A.eval(fz.values))
+        h = GridField(SPEC, 0, 0, fzb.values - A.eval(fz.values))
         assert residual(A, fstar, h) < 1e-10
 
     def test_perturbation_lower_bound(self):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import beltrami
-from beltrami import GridField, GridSpec, lp_norm, read_field, trig_field, write_field
+from beltrami import GridField, GridSpec, read_field, trig_field, write_field
 from beltrami import cli
 from beltrami.analysis import CoefficientFields
 from beltrami.cli import _write_coefficients, _write_csv, build_parser, main, parse_map
@@ -59,7 +59,7 @@ class TestSolveCommand:
         assert code == 0
         f = read_field(out / "solution.bfld")
         assert f.c == 1.0 and f.d == 0.0
-        assert lp_norm(f, 2, periodic_only=True) == 0.0
+        assert not f.values.any()
         for name in ("report.csv", "summary.csv", "fz_heatmap.pgm", "manifest.json"):
             assert (out / name).exists()
         assert "converged=True" in capsys.readouterr().out
@@ -111,6 +111,34 @@ class TestSolveCommand:
                     "--out", str(out)]) == 1
         assert option in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--map", "kabs:0.3", "--grid", "32"],
+        ["solve", "--map", "linear:0.3,0,0.2,0", "--solver", "changevar", "--grid", "32"],
+        ["probe", "--map", "kabs:0.3", "--grid", "16"],
+        ["probe", "--extremal", "2", "--grid", "16"],
+        ["probe", "--map", "kabs:0.3+zterm:0.02,0,1,0", "--extremal", "2", "--grid", "16"],
+    ], ids=["solve-autonomous", "solve-changevar", "probe-autonomous", "probe-extremal",
+            "probe-extremal-over-full-map"])
+    def test_damping_rejected_where_nothing_reads_it(self, argv, monkeypatch, tmp_path,
+                                                     capsys):
+        def no_solves(*_args):
+            raise AssertionError("ladder solved before --damping was checked")
+
+        monkeypatch.setattr(cli, "_solve_ladder", no_solves)
+        out = tmp_path / "o"
+        assert run(argv + ["--damping", "0.5", "--out", str(out)]) == 1
+        assert "--damping" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_damping_reaches_a_full_map_ladder(self, monkeypatch, tmp_path, capsys):
+        def ladder(args, mapping, specs):
+            raise cli._UsageError(f"ladder reached with a {type(mapping).__name__}")
+
+        monkeypatch.setattr(cli, "_solve_ladder", ladder)
+        assert run(["probe", "--map", "kabs:0.3+zterm:0.02,0,1,0", "--grid", "16",
+                    "--damping", "0.5", "--out", str(tmp_path / "o")]) == 1
+        assert "ladder reached with a FullMap" in capsys.readouterr().err
 
     def test_changevar_solver(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,19 +1,24 @@
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from beltrami import (
+    GridField,
     GridSpec,
     lp_norm,
-    make_field,
     read_field,
     trig_field,
     write_field,
     zero_field,
 )
-from beltrami.operators import to_coeffs
+from _helpers import spectrum
 
 
 class TestGridSpec:
@@ -35,12 +40,12 @@ class TestGridSpec:
 
 class TestMakeField:
     def test_identity_map(self):
-        f = make_field(GridSpec(16), 1.0, 0.0, np.zeros(256))
+        f = GridField(GridSpec(16), 1.0, 0.0, np.zeros(256))
         assert f.c == 1.0 and f.d == 0.0
         assert np.all(f.values == 0)
 
     def test_constant_field(self):
-        f = make_field(GridSpec(16), 0.0, 0.0, np.full(256, 5.0 + 0j))
+        f = GridField(GridSpec(16), 0.0, 0.0, np.full(256, 5.0 + 0j))
         assert f.periodic_mean == pytest.approx(5.0)
         assert np.all(f.values == 5.0)
 
@@ -49,17 +54,17 @@ class TestMakeField:
         spec = GridSpec(16)
         x = (np.arange(16) * spec.h)[None, :] * np.ones((16, 1))
         samples = 0.1 * np.exp(1j * (2 * np.pi / spec.L) * x)
-        f = make_field(spec, 1.0, 0.3, samples)
+        f = GridField(spec, 1.0, 0.3, samples)
         assert f.total_values()[0, 0] == pytest.approx(0.1)
 
     def test_sample_count_mismatch(self):
         with pytest.raises(ValueError, match="sample-count mismatch"):
-            make_field(GridSpec(16), 0.0, 0.0, np.zeros(255))
+            GridField(GridSpec(16), 0.0, 0.0, np.zeros(255))
 
     def test_inputs_reproduced_exactly(self):
         rng = np.random.default_rng(0)
         vals = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
-        f = make_field(GridSpec(32), 0.25 + 1j, -0.5j, vals)
+        f = GridField(GridSpec(32), 0.25 + 1j, -0.5j, vals)
         assert f.c == 0.25 + 1j and f.d == -0.5j
         assert np.array_equal(f.values, vals)
 
@@ -85,7 +90,7 @@ class TestMakeField:
 
 class TestLpNorm:
     def test_constant(self):
-        f = make_field(GridSpec(16), 0.0, 0.0, np.full(256, 2.0 + 0j))
+        f = GridField(GridSpec(16), 0.0, 0.0, np.full(256, 2.0 + 0j))
         assert lp_norm(f, 3) == pytest.approx(2.0)
 
     def test_unimodular_wave(self):
@@ -96,17 +101,12 @@ class TestLpNorm:
         # mean of sin^2 over a period is 1/2
         spec = GridSpec(32)
         x = (np.arange(32) * spec.h)[None, :] * np.ones((32, 1))
-        f = make_field(spec, 0.0, 0.0, np.sin(2 * np.pi * x / spec.L))
+        f = GridField(spec, 0.0, 0.0, np.sin(2 * np.pi * x / spec.L))
         assert lp_norm(f, 2) == pytest.approx(1 / math.sqrt(2), rel=1e-12)
 
     def test_rejects_small_p(self):
         with pytest.raises(ValueError, match="p must be"):
             lp_norm(zero_field(GridSpec(16)), 0.5)
-
-    def test_periodic_only_excludes_affine(self):
-        f = make_field(GridSpec(16), 1.0, 0.0, np.zeros(256))
-        assert lp_norm(f, 2, periodic_only=True) == 0.0
-        assert lp_norm(f, 2) > 0.0
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 4.0, 8.0])
     def test_matches_total_values_reference(self, p):
@@ -115,7 +115,7 @@ class TestLpNorm:
         v = rng.normal(size=256) + 1j * rng.normal(size=256)
         v[:4] = [-0.0, complex(-0.0, -0.0), 5e-324, 1e3]
         for c, d in [(0.0, 0.0), (0.5, 0.0), (0.0, 0.2j)]:
-            f = make_field(GridSpec(16), c, d, v)
+            f = GridField(GridSpec(16), c, d, v)
             reference = float(np.mean(np.abs(f.total_values()) ** p) ** (1.0 / p))
             assert lp_norm(f, p) == reference
 
@@ -124,23 +124,41 @@ class TestLpNorm:
         for seed in range(5):
             f = trig_field(GridSpec(64), [(1, 2, 0.5), (3, -1, 0.2j), (0, 0, 1.1)])
             rng = np.random.default_rng(seed)
-            f = make_field(f.spec, 0, 0, f.values + 0.1 * rng.normal(size=(64, 64)))
-            sc = to_coeffs(f)
-            spectral = math.sqrt(np.sum(np.abs(sc.coeffs) ** 2))
-            assert lp_norm(f, 2, periodic_only=True) == pytest.approx(spectral, rel=1e-10)
+            f = GridField(f.spec, 0, 0, f.values + 0.1 * rng.normal(size=(64, 64)))
+            spectral = math.sqrt(np.sum(np.abs(spectrum(f.values)) ** 2))
+            assert lp_norm(f, 2) == pytest.approx(spectral, rel=1e-10)
 
 
 class TestFieldFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
         vals = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        f = make_field(GridSpec(16, 3.5), 0.1 - 2j, 0.25j, vals)
+        f = GridField(GridSpec(16, 3.5), 0.1 - 2j, 0.25j, vals)
         path = tmp_path / "f.bfld"
         write_field(f, path)
         g = read_field(path)
         assert g.spec == f.spec
         assert g.c == f.c and g.d == f.d
         assert np.array_equal(g.values, f.values)
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(samples=arrays(np.float64, (256, 2),
+                          elements=st.floats(allow_nan=False, allow_infinity=False)),
+           affine=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=4, max_size=4),
+           L=st.floats(1e-300, 1e300))
+    def test_round_trip_is_bit_exact_property(self, samples, affine, L):
+        # any finite float64 survives the 17-digit text, signed zeros and
+        # subnormals included
+        f = GridField(GridSpec(16, L), complex(*affine[:2]), complex(*affine[2:]),
+                      samples.view(complex))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.bfld"
+            write_field(f, path)
+            g = read_field(path)
+        assert g.spec == f.spec
+        assert np.array([g.c, g.d]).tobytes() == np.array([f.c, f.d]).tobytes()
+        assert g.values.tobytes() == f.values.tobytes()
 
     def test_round_trip_bytes_stable(self, tmp_path):
         f = trig_field(GridSpec(16), [(1, 1, 0.3 + 0.7j)], c=1 / 3)
@@ -154,7 +172,7 @@ class TestFieldFiles:
         vals[0, 0] = 1e-308 + 1e308j
         vals[3, 5] = -2.2250738585072014e-308
         vals[7, 7] = 0.1 + 1 / 3 * 1j
-        f = make_field(GridSpec(16), 1e-300, 1e300j, vals)
+        f = GridField(GridSpec(16), 1e-300, 1e300j, vals)
         path = tmp_path / "x.bfld"
         write_field(f, path)
         g = read_field(path)
@@ -194,7 +212,7 @@ class TestFieldFiles:
         vals[0, 0] = complex(-0.0, 1e-308)
         vals[0, 1] = 1e308 + 0.1j
         path = tmp_path / "pin.bfld"
-        write_field(make_field(GridSpec(16, 1.0), 1.0, -0.5j, vals), path)
+        write_field(GridField(GridSpec(16, 1.0), 1.0, -0.5j, vals), path)
         lines = path.read_text().split("\n")
         assert lines[:4] == ["BFLD1 16 16 1 1 0 -0 -0.5", "-0 9.9999999999999991e-309",
                              "1e+308 0.10000000000000001", "0 0"]
@@ -207,7 +225,7 @@ class TestFieldFiles:
             * 10.0 ** rng.integers(-310, 308, size=(32, 32))
         vals[1, 2] = complex(-0.0, 5e-324)
         path = tmp_path / "ref.bfld"
-        write_field(make_field(GridSpec(32), 0.0, 0.0, vals), path)
+        write_field(GridField(GridSpec(32), 0.0, 0.0, vals), path)
         rows = path.read_text().splitlines()[1:]
         assert rows == ["%.17g %.17g" % (v.real, v.imag) for v in vals.reshape(-1)]
         parsed = [complex(*(float(x) for x in row.split())) for row in rows]

@@ -2,30 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beltrami import (
+    GridField,
     GridSpec,
     antiderivative_zbar,
     beurling,
-    coeff_at,
-    d_z,
-    d_zbar,
     derivative_pair,
-    from_coeffs,
     lp_norm,
-    make_field,
     abs_map,
     random_trig_field,
     resample,
     smooth_saturating_map,
     solve_autonomous,
-    to_coeffs,
     trig_field,
     z_grid,
     zero_field,
 )
-from beltrami.operators import _second_derivatives
-from _helpers import fd_dz, fd_dzbar, rel_l2
+from beltrami.operators import _resize_rows, _second_derivatives
+from _helpers import fd_dz, fd_dzbar, rel_l2, spectrum
 
 SPEC = GridSpec(32)
 TAU = 2 * math.pi
@@ -37,24 +34,24 @@ def wave(k1, k2, coeff=1.0, spec=SPEC):
 
 class TestDerivatives:
     def test_holomorphic_affine(self):
-        f = make_field(SPEC, 1.0, 0.0, np.zeros(SPEC.n ** 2))  # f(z) = z
-        assert lp_norm(d_zbar(f), 2) == 0.0
-        assert np.allclose(d_z(f).values, 1.0)
+        fz, fzb = derivative_pair(GridField(SPEC, 1.0, 0.0, np.zeros(SPEC.n ** 2)))  # f = z
+        assert lp_norm(fzb, 2) == 0.0
+        assert np.allclose(fz.values, 1.0)
 
     def test_antiholomorphic_affine(self):
-        f = make_field(SPEC, 0.0, 1.0, np.zeros(SPEC.n ** 2))  # f(z) = conj(z)
-        assert np.allclose(d_zbar(f).values, 1.0)
-        assert lp_norm(d_z(f), 2) == 0.0
+        fz, fzb = derivative_pair(GridField(SPEC, 0.0, 1.0, np.zeros(SPEC.n ** 2)))  # conj(z)
+        assert np.allclose(fzb.values, 1.0)
+        assert lp_norm(fz, 2) == 0.0
 
     def test_dzbar_symbol_diagonal_wave(self):
         # d/dzbar of exp(2i pi (x+y)/L) multiplies by (i/2)(2 pi/L)(1+i)
         f = wave(1, 1)
         expected = (1j * TAU / SPEC.L) * (1 + 1j) / 2 * f.values
-        assert np.allclose(d_zbar(f).values, expected, atol=1e-13)
+        assert np.allclose(derivative_pair(f).dzbar.values, expected, atol=1e-13)
 
     def test_dz_symbol_x_wave_vs_finite_differences(self):
         f = wave(1, 0)
-        out = d_z(f)
+        out = derivative_pair(f).dz
         assert np.allclose(out.values, (1j * math.pi / SPEC.L) * f.values, atol=1e-13)
         fd = fd_dz(f.values, SPEC.h)
         # centered differences converge at second order; at n=32 the symbol
@@ -65,8 +62,9 @@ class TestDerivatives:
     def test_fd_consistency_second_order(self, n):
         spec = GridSpec(n)
         f = random_trig_field(spec, seed=5, band=3, modes=8)
-        errs = (rel_l2(fd_dz(f.values, spec.h), d_z(f).values),
-                rel_l2(fd_dzbar(f.values, spec.h), d_zbar(f).values))
+        fz, fzb = derivative_pair(f)
+        errs = (rel_l2(fd_dz(f.values, spec.h), fz.values),
+                rel_l2(fd_dzbar(f.values, spec.h), fzb.values))
         bound = 8.0 * (TAU * 3 / n) ** 2  # O(h^2) with the largest mode
         assert max(errs) < bound
 
@@ -75,14 +73,14 @@ class TestDerivatives:
         for n in (32, 64, 128):
             spec = GridSpec(n)
             f = trig_field(spec, [(2, 1, 1.0), (1, -2, 0.5j)])
-            errs.append(rel_l2(fd_dz(f.values, spec.h), d_z(f).values))
+            errs.append(rel_l2(fd_dz(f.values, spec.h), derivative_pair(f).dz.values))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.1)
 
     def test_mixed_partials_commute(self):
         f = random_trig_field(SPEC, seed=9)
-        a = d_z(d_zbar(f))
-        b = d_zbar(d_z(f))
+        a = derivative_pair(derivative_pair(f).dzbar).dz
+        b = derivative_pair(derivative_pair(f).dz).dzbar
         assert np.allclose(a.values, b.values, atol=1e-12)
 
     def test_derivative_pair_means(self):
@@ -101,7 +99,8 @@ class TestSecondDerivatives:
         f, rep = solve_autonomous(A, h, 1.0 + 0.2j, tol=1e-12)
         assert rep.converged
         fz, fzb = derivative_pair(f)
-        chained = (d_z(fz).values, d_zbar(fz).values, d_zbar(fzb).values)
+        fzz, fzzb = derivative_pair(fz)
+        chained = (fzz.values, fzzb.values, derivative_pair(fzb).dzbar.values)
         for got, want in zip(_second_derivatives(f), chained):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -130,22 +129,23 @@ class TestBeurling:
         assert np.allclose(beurling(f).values, -f.values, atol=1e-13)
 
     def test_constant_maps_to_zero(self):
-        f = make_field(SPEC, 0.0, 0.0, np.full(SPEC.n ** 2, 3.0 + 1j))
+        f = GridField(SPEC, 0.0, 0.0, np.full(SPEC.n ** 2, 3.0 + 1j))
         assert np.all(beurling(f).values == 0)
 
     def test_rejects_affine_part(self):
-        f = make_field(SPEC, 1.0, 0.0, np.zeros(SPEC.n ** 2))
+        f = GridField(SPEC, 1.0, 0.0, np.zeros(SPEC.n ** 2))
         with pytest.raises(ValueError, match="affine"):
             beurling(f)
 
     def test_intertwines_derivatives(self):
-        # beurling(d_zbar(f)) = d_z(f), mode by mode
+        # beurling(f_zbar) = f_z, mode by mode
         for seed in range(5):
             f = random_trig_field(SPEC, seed=seed, band=8, modes=12)
-            lhs = to_coeffs(beurling(d_zbar(f)))
-            rhs = to_coeffs(d_z(f))
-            scale = np.abs(rhs.coeffs).max()
-            assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-13 * scale)
+            dz, dzb = derivative_pair(f)
+            lhs = spectrum(beurling(dzb).values)
+            rhs = spectrum(dz.values)
+            scale = np.abs(rhs).max()
+            assert np.allclose(lhs, rhs, atol=1e-13 * scale)
 
     def test_l2_isometry(self):
         for seed in range(20):
@@ -154,14 +154,14 @@ class TestBeurling:
 
     def test_twice_is_squared_multiplier(self):
         f = random_trig_field(SPEC, seed=2, band=5, modes=10)
-        twice = to_coeffs(beurling(beurling(f))).coeffs
+        twice = spectrum(beurling(beurling(f)).values)
         k = np.fft.fftfreq(SPEC.n, 1 / SPEC.n).astype(int)
         K1, K2 = np.meshgrid(k, k)
         kc = K1 + 1j * K2
         with np.errstate(divide="ignore", invalid="ignore"):
             mult = (np.conj(kc) / kc) ** 2
         mult[0, 0] = 0.0
-        expected = mult * to_coeffs(f).coeffs
+        expected = mult * spectrum(f.values)
         assert np.allclose(twice, expected, atol=1e-12)
 
     def test_nyquist_convention_deterministic(self):
@@ -175,10 +175,10 @@ class TestBeurling:
 
     def test_commutes_with_derivatives(self):
         f = random_trig_field(SPEC, seed=12)
-        a = beurling(d_zbar(f))
-        b_field = d_zbar(make_field(SPEC, 0, 0, beurling(f).values))
-        # d_zbar of a mean-zero periodic field keeps mean zero, so both are
-        # the same Fourier multiplier product in either order
+        a = beurling(derivative_pair(f).dzbar)
+        b_field = derivative_pair(GridField(SPEC, 0, 0, beurling(f).values)).dzbar
+        # the zbar-derivative of a mean-zero periodic field has mean zero, so
+        # both are the same Fourier multiplier product in either order
         assert np.allclose(a.values, b_field.values, atol=1e-12)
 
 
@@ -190,45 +190,40 @@ class TestAntiderivative:
 
     def test_constant_absorbed_into_affine(self):
         m = 0.3 - 0.2j
-        F = antiderivative_zbar(make_field(SPEC, 0, 0, np.full(SPEC.n ** 2, m)), c=0.0)
+        F = antiderivative_zbar(GridField(SPEC, 0, 0, np.full(SPEC.n ** 2, m)), c=0.0)
         assert F.d == pytest.approx(m)
         assert np.allclose(F.values, 0.0, atol=1e-14)
 
     def test_inverts_dzbar(self):
         phi = wave(1, 0)
         F = antiderivative_zbar(phi, c=0.0)
-        assert rel_l2(d_zbar(F).values, phi.values) < 1e-10
+        assert rel_l2(derivative_pair(F).dzbar.values, phi.values) < 1e-10
         assert abs(F.periodic_mean) < 1e-13
 
     def test_random_inversion(self):
         phi = random_trig_field(SPEC, seed=21, band=6, modes=10)
         F = antiderivative_zbar(phi, c=2.0)
-        dzb = d_zbar(F)
+        dzb = derivative_pair(F).dzbar
         assert rel_l2(dzb.values, phi.values) < 1e-12
         assert F.c == 2.0
 
     def test_rejects_affine_part(self):
-        f = make_field(SPEC, 0.5, 0.0, np.zeros(SPEC.n ** 2))
+        f = GridField(SPEC, 0.5, 0.0, np.zeros(SPEC.n ** 2))
         with pytest.raises(ValueError, match="affine"):
             antiderivative_zbar(f)
 
 
 class TestSpectralCoeffs:
-    def test_round_trip(self):
-        f = random_trig_field(SPEC, seed=4, c=0.3, d=0.1)
-        g = from_coeffs(to_coeffs(f), c=f.c, d=f.d)
-        assert rel_l2(g.values, f.values) < 1e-12
-
     def test_zero_mode_is_mean(self):
-        f = trig_field(SPEC, [(0, 0, 1.5 + 0.5j), (2, 1, 1.0)])
-        sc = to_coeffs(f)
-        assert coeff_at(sc, 0, 0) == pytest.approx(f.periodic_mean)
-        assert coeff_at(sc, 2, 1) == pytest.approx(1.0)
-
-    def test_out_of_band_lookup(self):
-        sc = to_coeffs(zero_field(SPEC))
-        with pytest.raises(ValueError, match="band"):
-            coeff_at(sc, SPEC.n, 0)
+        # trig_field puts the (k1, k2) wave at spectrum entry [k2 % n, k1 % n]
+        n = SPEC.n
+        f = trig_field(SPEC, [(0, 0, 1.5 + 0.5j), (2, 1, 1.0), (-3, 5, -0.5j)])
+        sc = spectrum(f.values)
+        assert sc[0, 0] == pytest.approx(f.periodic_mean)
+        assert sc[1, 2] == pytest.approx(1.0)
+        assert sc[5 % n, -3 % n] == pytest.approx(-0.5j)
+        sc[0, 0] = sc[1, 2] = sc[5 % n, -3 % n] = 0
+        assert np.abs(sc).max() < 1e-14
 
 
 class TestResample:
@@ -254,7 +249,7 @@ class TestResample:
     def test_real_field_stays_real_at_nyquist(self, waves):
         coarse, fine = GridSpec(16), GridSpec(32)
         zc, zf = z_grid(coarse), z_grid(fine)
-        f = make_field(coarse, 0.0, 0.0, waves(zc.real, zc.imag))
+        f = GridField(coarse, 0.0, 0.0, waves(zc.real, zc.imag))
         up = resample(f, 32)
         assert np.max(np.abs(up.values.imag)) < 1e-14
         assert np.allclose(up.values, waves(zf.real, zf.imag), atol=1e-14)
@@ -262,7 +257,7 @@ class TestResample:
     def test_round_trip_with_nyquist_content(self):
         rng = np.random.default_rng(11)
         vals = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        f = make_field(GridSpec(16), 0.0, 0.0, vals)
+        f = GridField(GridSpec(16), 0.0, 0.0, vals)
         for n in (32, 64):
             back = resample(resample(f, n), 16)
             assert np.allclose(back.values, f.values, rtol=0, atol=1e-14)
@@ -274,3 +269,63 @@ class TestResample:
                                          (5, -1, 0.3 + 0.1j)])
         down = resample(fine, 16)
         assert np.allclose(down.values, fine.values[::2, ::2], rtol=0, atol=1e-14)
+
+
+# Band-limited wave lists below the n = 16 Nyquist rows, with an affine part.
+_coeff = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+_waves = st.lists(st.tuples(st.integers(-7, 7), st.integers(-7, 7), _coeff),
+                  min_size=1, max_size=8)
+_affine = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+_period = st.floats(0.5, 20.0)
+
+
+def _symbol_spectra(waves, c, d, spec):
+    """The derivative pair's spectra from the multiplier table, wave by wave."""
+    n = spec.n
+    sz, szb = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
+    sz[0, 0], szb[0, 0] = c, d
+    for k1, k2, coeff in waves:
+        kc = (TAU / spec.L) * (k1 + 1j * k2)
+        sz[k2 % n, k1 % n] += coeff * 0.5j * np.conj(kc)
+        szb[k2 % n, k1 % n] += coeff * 0.5j * kc
+    return sz, szb
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(waves=_waves, c=_affine, d=_affine, L=_period)
+def test_derivative_pair_matches_multiplier_table(waves, c, d, L):
+    spec = GridSpec(16, L)
+    fz, fzb = derivative_pair(trig_field(spec, waves, c=c, d=d))
+    assert fz.is_periodic() and fzb.is_periodic()
+    for got, want in zip((fz, fzb), _symbol_spectra(waves, c, d, spec)):
+        scale = max(1.0, np.abs(want).max())
+        assert np.allclose(spectrum(got.values), want, rtol=0, atol=1e-12 * scale)
+        assert got.periodic_mean == pytest.approx(want[0, 0], rel=0, abs=1e-12 * scale)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(waves=_waves, c=_affine, d=_affine, L=_period)
+def test_beurling_takes_dzbar_to_dz(waves, c, d, L):
+    # beurling drops the zero mode, which carries d on the left and c on the right
+    fz, fzb = derivative_pair(trig_field(GridSpec(16, L), waves, c=c, d=d))
+    want = fz.values - c
+    scale = max(1.0, np.abs(want).max())
+    assert np.allclose(beurling(fzb).values, want, rtol=0, atol=1e-12 * scale)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(n=st.sampled_from([16, 32]), factor=st.sampled_from([2, 4]),
+       seed=st.integers(0, 2 ** 32 - 1), c=_affine, d=_affine)
+def test_resample_up_then_down_property(n, factor, seed, c, d):
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    # the spectrum makes the round trip bit for bit (halving and summing the
+    # Nyquist rows are exact); the samples also pass through two transform
+    # pairs, so they come back to roundoff
+    A = np.fft.fft2(vals)
+    up = _resize_rows(_resize_rows(A, factor * n).T, factor * n).T
+    assert np.array_equal(_resize_rows(_resize_rows(up, n).T, n).T, A)
+    f = GridField(GridSpec(n), c, d, vals)
+    back = resample(resample(f, factor * n), n)
+    assert back.spec == f.spec and back.c == f.c and back.d == f.d
+    assert np.allclose(back.values, f.values, rtol=0, atol=1e-14 * np.abs(vals).max())
