@@ -3,7 +3,8 @@
 An AutonomousMap is a pointwise map of the gradient variable with a
 declared Lipschitz constant k < 1; the solver's convergence rate is
 bounded by k.  Maps that look like a*zeta + b*conj(zeta) + O(|zeta|^alpha)
-for large |zeta| carry that structure in the ``linf`` slot, and
+for large |zeta| carry that structure in the ``linf`` slot, which the
+solver uses to solve the linear part exactly in every step, and
 fit_linear_part recovers it empirically from samples.
 """
 
@@ -239,8 +240,14 @@ def solve_autonomous(
 
     Iterates on the gradient candidate psi = f_z: each step applies the map
     pointwise, routes the mean of A(psi)+h to the affine coefficient d, and
-    pulls the mean-zero part back through the beurling transform.  Converges
-    geometrically with ratio at most k; the returned field satisfies
+    pulls the mean-zero part back through the beurling transform.  When A
+    declares a linear part at infinity (A.linf, A = a*z + b*conj(z) + U), each
+    step solves that part exactly in Fourier space and iterates only on U
+    (see fixedpoint).  Converges geometrically with ratio at most k, and at
+    most Lip(U)/(1 - |a| - |b|) when the declared linf is honest: an exactly
+    linear map converges in two iterations.  A step that contracts by less
+    than k switches the rest of the solve to plain steps and the report's
+    notes name it.  The returned field satisfies
     ||f_zbar - A(f_z) - h||_2 <= tol * max(1, ||h||_2).  The declared k is
     audited by sampling at solve time (error if clearly exceeded).
     """
@@ -254,8 +261,9 @@ def solve_autonomous(
         return Aeval(psi) + hv
 
     scale = max(1.0, lp_norm(h, 2))
+    linear = None if A.linf is None else (A.linf.a, A.linf.b, A.k)
     return picard_solve(rhs, h.spec, c_mean, tol, max_iter,
-                        residual_scale=scale, method="autonomous")
+                        residual_scale=scale, method="autonomous", linear=linear)
 
 
 def residual(A: AutonomousMap, f: GridField, h: GridField) -> float:

@@ -2,9 +2,10 @@
 
     f_zbar = a*f_z + b*conj(f_z) + u,      |a| + |b| < 1.
 
-Two independent routes cross-validate each other: a Neumann-series
-contraction solver (solve_cc_neumann) and a change-of-variables reduction
-to the inhomogeneous Cauchy-Riemann equation (solve_cc_changevar).
+Two independent routes cross-validate each other: the contraction solver
+(solve_cc_neumann), whose steps invert the equation's R-linear operator
+mode pair by mode pair, and a change-of-variables reduction to the
+inhomogeneous Cauchy-Riemann equation (solve_cc_changevar).
 
 The reduction substitutes zeta = z + mu*conj(z) and
 g(z) = ft(zeta) + nu*conj(ft(zeta)).  Requiring the transformed equation to
@@ -31,7 +32,7 @@ import numpy as np
 from .autonomous import linear_map, solve_autonomous
 from .fixedpoint import SolveReport
 from .grid import GridField, GridSpec, lp_norm, values_l2, z_grid
-from .operators import _wavevectors, derivative_pair
+from .operators import _conj_flip, _wavevectors, derivative_pair
 from .synth import random_waves
 
 __all__ = [
@@ -86,12 +87,16 @@ def solve_cc_neumann(
 ) -> tuple[GridField, SolveReport]:
     """Contraction solver for f_zbar = a*f_z + b*conj(f_z) + u.
 
-    The autonomous solver for the linear map a*zeta + b*conj(zeta): it
-    iterates r <- a*psi + b*conj(psi) + u with psi = c_mean + S0(r - mean r);
-    the l2 isometry of the mean-zero beurling transform makes the map
-    contract with ratio at most |a| + |b|.  The solution is normalized to
-    z-derivative mean c_mean and periodic mean zero; the residual contract
-    is ||f_zbar - a f_z - b conj(f_z) - u||_2 <= tol * max(1, ||u||_2).
+    The autonomous solver for the linear map a*zeta + b*conj(zeta), whose
+    linear part at infinity is the whole map: each step inverts
+    I - a*S0 - b*conj∘S0 exactly, one 2x2 solve per mode pair (k, -k), on
+    the residual of r = a*psi + b*conj(psi) + u with psi = c_mean + S0(r).
+    Lip(U) = 0, so the first update solves the discrete equation to
+    roundoff, Nyquist rows included, and the second iteration measures it:
+    two iterations, and a rate bound of k = |a| + |b| that is never reached.
+    The solution is normalized to z-derivative mean c_mean and periodic
+    mean zero; the residual contract is
+    ||f_zbar - a f_z - b conj(f_z) - u||_2 <= tol * max(1, ||u||_2).
     """
     return solve_autonomous(linear_map(p.a, p.b), u, c_mean, tol, max_iter)
 
@@ -206,13 +211,6 @@ def reduction_residual(p: CCParams, cv: ChangeOfVars, trials: int, seed: int = 0
     return _transform_residual(p, cv.mu, cv.nu, cv.mu * cv.nu, trials, seed=seed)
 
 
-def _flip_modes(A: np.ndarray) -> np.ndarray:
-    """Index map k -> -k in fft2 layout (Nyquist rows map to themselves)."""
-    n = A.shape[0]
-    idx = (-np.arange(n)) % n
-    return A[np.ix_(idx, idx)]
-
-
 def solve_cc_changevar(
     p: CCParams,
     u: GridField,
@@ -256,9 +254,9 @@ def solve_cc_changevar(
     inv_alpha[0, 0] = 0.0
 
     # g_zbar = v + (mu*nu)*conj(v) integrated mode-wise on sheared waves
-    G = (U + (mu * nu) * np.conj(_flip_modes(U))) * inv_alpha
+    G = (U + (mu * nu) * _conj_flip(U)) * inv_alpha
     # undo the conjugation mixing: ft = (g - nu*conj(g)) / (1 - |nu|^2)
-    FT = (G - nu * np.conj(_flip_modes(G))) / (1.0 - abs(nu) ** 2)
+    FT = (G - nu * _conj_flip(G)) / (1.0 - abs(nu) ** 2)
     FT[0, 0] = 0.0
 
     vals = np.fft.ifft2(FT * (n * n))

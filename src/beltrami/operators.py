@@ -55,6 +55,24 @@ def _multipliers(n: int, L: float):
     return sym_dz, sym_dzbar, beur, inv_dzbar
 
 
+def _conj_flip(A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """conj(A[-k]) at every mode k of an fft2-layout spectrum.
+
+    This is the spectrum of conj(ifft2(A)): conjugation pairs each mode with
+    its negative, and the Nyquist rows map to themselves.  The reversed
+    blocks are copied and then conjugated in place, so an out array takes
+    the result without a temporary (a ufunc reading reversed strides
+    allocates buffers; np.copyto does not).
+    """
+    if out is None:
+        out = np.empty_like(A)
+    blocks = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+    for dst_r, src_r in blocks:
+        for dst_c, src_c in blocks:
+            np.copyto(out[dst_r, dst_c], A[src_r, src_c])
+    return np.conjugate(out, out=out)
+
+
 def derivative_pair(f: GridField) -> DerivedPair:
     """Both Wirtinger derivatives (df/dz, df/dconj(z)) with one forward transform.
 

@@ -79,9 +79,11 @@ class TestNeumannSolver:
     def test_max_iter_flag(self):
         p = CCParams(0.45, 0.45)
         u = random_trig_field(SPEC, seed=3)
-        _, rep = solve_cc_neumann(p, u, 1.0, tol=1e-14, max_iter=3)
+        # the preconditioned step solves a linear map in one update, so only
+        # the first residual (of the affine start) is above tol
+        _, rep = solve_cc_neumann(p, u, 1.0, tol=1e-14, max_iter=1)
         assert not rep.converged
-        assert rep.iterations == 3
+        assert rep.iterations == 1
         assert rep.final_residual == rep.residual_history[-1]
 
     def test_complex_linear_distortion_bound(self):
@@ -228,11 +230,12 @@ class TestChangeVarSolver:
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
-@given(s=st.floats(0.0, 0.9), t=st.floats(0.0, 1.0),
+@given(s=st.floats(0.0, 0.95), t=st.floats(0.0, 1.0),
        phase_a=st.floats(0.0, 2 * math.pi), phase_b=st.floats(0.0, 2 * math.pi),
        seed=st.integers(0, 2 ** 16))
 def test_neumann_matches_changevar_property(s, t, phase_a, phase_b, seed):
-    # |a| + |b| = s <= 0.9; the two solvers share no code past the forcing
+    # |a| + |b| = s <= 0.95; the two solvers share no code past the forcing
+    # and its band-limited spectrum (random_trig_field stays below Nyquist)
     spec = GridSpec(32)
     p = CCParams(s * t * np.exp(1j * phase_a), s * (1 - t) * np.exp(1j * phase_b))
     u = random_trig_field(spec, seed=seed)
@@ -242,5 +245,5 @@ def test_neumann_matches_changevar_property(s, t, phase_a, phase_b, seed):
     assert ra.converged and rb.converged
     assert cc_residual(p, fa, u) <= 1e-10 * scale + 1e-14  # + recomputation roundoff
     assert cc_residual(p, fb, u) <= 1e-8 * scale
-    assert rel_l2(fa.values, fb.values) <= 1e-7
-    assert abs(fa.d - fb.d) <= 1e-7 * max(1.0, abs(fb.d))
+    assert rel_l2(fa.values, fb.values) <= 1e-9
+    assert abs(fa.d - fb.d) <= 1e-9 * max(1.0, abs(fb.d))

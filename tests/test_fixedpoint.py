@@ -1,22 +1,32 @@
 """The shared fixed-point kernel: transform count, best iterate, non-finite stops,
-bit-identity with the allocating loop, and the work-array contract of rhs."""
+bit-identity with the allocating loop, the work-array contract of rhs, and
+the preconditioned step for maps that declare a linear part at infinity."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from beltrami import (
+    AutonomousMap,
     CCParams,
     FullMap,
     GridField,
     GridSpec,
+    LinfData,
     SolveReport,
     abs_map,
+    cc_residual,
     derivative_pair,
+    linear_map,
+    lp_norm,
     random_trig_field,
+    residual,
     smooth_saturating_map,
     solve_autonomous,
+    solve_cc_changevar,
     solve_cc_neumann,
     solve_full,
     z_grid,
@@ -25,6 +35,8 @@ from beltrami import autonomous, fullnonlinear
 from beltrami.cli import parse_map
 from beltrami.fixedpoint import picard_solve
 from beltrami.operators import _multipliers
+
+from _helpers import rel_l2
 
 SPEC = GridSpec(16)
 # built outside the counted solves: trig_field itself calls ifft2
@@ -45,6 +57,9 @@ class TestTransformCount:
     # returned field's periodic part from the best iterate's spectrum:
     #   gradient-only:  fft2 = I, ifft2 = I + 1   (2 I + 1 in all)
     #   full map:       fft2 = I, ifft2 = 2 I + 1 (3 I + 1 in all)
+    # A preconditioned step transforms the right-hand side it just evaluated,
+    # so the start's spectrum is one more fft2 before the loop:
+    #   linear part:    fft2 = I + 1, ifft2 = I + 1 (2 I + 2 in all)
 
     def test_autonomous_two_per_step(self, fft_counts):
         _, rep = solve_autonomous(abs_map(0.5), FORCING, 1.0, tol=1e-10)
@@ -54,9 +69,15 @@ class TestTransformCount:
 
     def test_neumann_two_per_step(self, fft_counts):
         _, rep = solve_cc_neumann(CCParams(0.3, 0.2j), FORCING, 1.0, tol=1e-10)
+        assert rep.iterations == 2
+        assert fft_counts == {"fft2": 3, "ifft2": 3}
+
+    def test_smoothsat_two_per_step(self, fft_counts):
+        A = smooth_saturating_map(0.5, 0.2j, 0.2)
+        _, rep = solve_autonomous(A, FORCING, 1.0, tol=1e-13)
         it = rep.iterations
-        assert it > 10
-        assert fft_counts == {"fft2": it, "ifft2": it + 1}
+        assert it > 10 and rep.converged and not rep.notes
+        assert fft_counts == {"fft2": it + 1, "ifft2": it + 1}
 
     def test_full_map_reads_field_every_step(self, fft_counts):
         H = FullMap(eval=lambda z, w, zeta: 0.3 * zeta + 0.05 * w / (1 + np.abs(w)),
@@ -108,10 +129,11 @@ class TestNonFinite:
 
 
 def reference_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0,
-                    residual_scale=1.0, method="fixed-point"):
+                    residual_scale=1.0, method="fixed-point", linear=None):
     """The fixed-point loop as it was before the kernel reused its work
     arrays: every step allocates its spectrum, psi, the difference and the
-    norm's temporaries.  Returns (field, history, notes, converged)."""
+    norm's temporaries.  It takes plain steps whatever linear part the
+    solver declares.  Returns (field, history, notes, converged)."""
     n = spec.n
     _, _, beur, inv_dzbar = _multipliers(n, spec.L)
     Z = z_grid(spec)
@@ -193,15 +215,28 @@ class TestReferenceOracle:
         rep = self.check(recorded, lambda: solve_autonomous(abs_map(0.5), FORCING, 1.0))
         assert rep.converged
 
+    @staticmethod
+    def check_close(recorded, solve):
+        """A map with a linear part takes preconditioned steps: the same
+        solution as the plain loop to 1e-8, in fewer iterations."""
+        f, rep = solve()
+        (args, kwargs), = recorded
+        assert kwargs["linear"] is not None
+        g, history, notes, converged = reference_solve(*args, **kwargs)
+        assert rep.converged and converged and not rep.notes
+        assert rel_l2(f.values, g.values) <= 1e-8
+        assert f.c == g.c and abs(f.d - g.d) <= 1e-8 * max(1.0, abs(g.d))
+        assert rep.iterations < len(history)
+        return rep
+
     def test_neumann(self, recorded):
-        rep = self.check(recorded,
-                         lambda: solve_cc_neumann(CCParams(0.3, 0.2j), FORCING, 1.0))
-        assert rep.converged
+        rep = self.check_close(recorded,
+                               lambda: solve_cc_neumann(CCParams(0.3, 0.2j), FORCING, 1.0))
+        assert rep.iterations == 2
 
     def test_smoothsat(self, recorded):
         A = smooth_saturating_map(0.3, 0.1, 0.2)
-        rep = self.check(recorded, lambda: solve_autonomous(A, FORCING, 1.0 + 0.5j))
-        assert rep.converged
+        self.check_close(recorded, lambda: solve_autonomous(A, FORCING, 1.0 + 0.5j))
 
     def test_damped_full_map(self, recorded):
         H = parse_map("kabs:0.3+zterm:0.05,0,1,0+wterm:0.02,0", SPEC.L)
@@ -276,3 +311,110 @@ class TestNumpyFFTOut:
         out = np.empty_like(self.X)
         assert np.fft.fft2(self.X, out=out) is out
         assert out.tobytes() == np.fft.fft2(self.X).tobytes()
+
+
+class TestPreconditioned:
+    """Maps that declare a linear part at infinity: each step solves
+    (I - a*S - b*conj∘S) exactly, and only the sublinear rest is iterated."""
+
+    SPEC64 = GridSpec(64)
+
+    @staticmethod
+    def plain(A):
+        """The same map with no declared linear part: plain steps."""
+        return dataclasses.replace(A, linf=None)
+
+    @pytest.mark.parametrize("A, most", [
+        (linear_map(0.5, 0.3j), 2),
+        (smooth_saturating_map(0.5, 0.2j, 0.2), 20),
+    ], ids=["linear", "smoothsat"])
+    def test_agrees_with_plain(self, A, most):
+        h = random_trig_field(self.SPEC64, seed=4)
+        f, rep = solve_autonomous(A, h, 1.0 - 0.5j, tol=1e-12)
+        g, plain = solve_autonomous(self.plain(A), h, 1.0 - 0.5j, tol=1e-12)
+        assert rep.converged and plain.converged and not rep.notes
+        assert rep.iterations <= most < plain.iterations
+        # both first measure the affine start, by Parseval and in samples
+        assert rep.residual_history[0] == pytest.approx(plain.residual_history[0], rel=1e-12)
+        assert rel_l2(f.values, g.values) <= 1e-8
+        assert abs(f.d - g.d) <= 1e-8 * max(1.0, abs(g.d))
+
+    def test_linear_matches_changevar_in_two_iterations(self):
+        p = CCParams(0.55 * np.exp(0.4j), 0.35 * np.exp(2.1j))
+        u = random_trig_field(self.SPEC64, seed=8, band=12, modes=10)
+        fa, ra = solve_cc_neumann(p, u, 0.7 + 0.2j, tol=1e-12)
+        fb, rb = solve_cc_changevar(p, u, 0.7 + 0.2j)
+        assert ra.converged and rb.converged and ra.iterations <= 2
+        assert rel_l2(fa.values, fb.values) <= 1e-12
+        assert abs(fa.d - fb.d) <= 1e-12
+
+    def test_nyquist_forcing_in_two_iterations(self):
+        # the discrete 2x2 solve pairs the Nyquist rows with themselves, as
+        # conj does on the grid, so it is exact where changevar gives up
+        n = self.SPEC64.n
+        U = np.zeros((n, n), dtype=complex)
+        U[n // 2, 3], U[5, n // 2], U[n // 2, n // 2] = 1.0, 0.5j, 0.25
+        u = GridField(self.SPEC64, 0, 0, np.fft.ifft2(U) * n * n)
+        p = CCParams(0.6, 0.3j)
+        with pytest.raises(ValueError, match="shear-resampling failure"):
+            solve_cc_changevar(p, u, 1.0)
+        f, rep = solve_cc_neumann(p, u, 1.0, tol=1e-12)
+        assert rep.converged and rep.iterations <= 2
+        assert cc_residual(p, f, u) <= 1e-12 * max(1.0, lp_norm(u, 2))
+
+    @pytest.mark.parametrize("a, b, s", [(0.3, 0.1, 0.2), (0.5, 0.2j, 0.2),
+                                         (0.6, 0.3, 0.05)])
+    def test_rate_bound(self, a, b, s):
+        # plain steps contract at about |a|+|b|+s, above this bound
+        A = smooth_saturating_map(a, b, s)
+        h = random_trig_field(self.SPEC64, seed=3)
+        _, rep = solve_autonomous(A, h, 1.0, tol=1e-10)
+        assert rep.converged and not rep.notes
+        assert rep.contraction_ratio <= s / (1 - abs(a) - abs(b)) + 0.02
+
+    def test_misdeclared_linear_part_falls_back(self):
+        # the declared a = 0.95 is wrong for 0.3*zeta: the preconditioned step
+        # expands by about 13, and the first such step switches to plain steps
+        A = AutonomousMap(eval=lambda z: 0.3 * z, k=0.3, linf=LinfData(0.95, 0, 0, 1))
+        h = random_trig_field(self.SPEC64, seed=3)
+        f, rep = solve_autonomous(A, h, 1.0)
+        _, plain = solve_autonomous(self.plain(A), h, 1.0)
+        assert rep.converged
+        assert "less than k = 0.3 at iteration 2; plain steps" in rep.notes
+        assert rep.iterations <= plain.iterations + 5
+        assert residual(A, f, h) <= 1e-10 * max(1.0, lp_norm(h, 2)) + 1e-14
+
+    def test_rejects_bad_linear_part(self):
+        def rhs(_field, psi):
+            return 0.5 * psi
+
+        with pytest.raises(ValueError, match="no damping"):
+            picard_solve(rhs, SPEC, 1.0, 1e-10, 10, damping=0.5, linear=(0.5, 0, 0.5))
+        with pytest.raises(ValueError, match="linear part"):
+            picard_solve(rhs, SPEC, 1.0, 1e-10, 10, linear=(0.6, 0.4, 0.9))
+
+    @pytest.mark.parametrize("linear", [None, (0.3, 0.1, 0.6)], ids=["plain", "linear"])
+    def test_step_allocates_only_rhs_result(self, linear):
+        # between two rhs calls the kernel allocates no n x n array: the
+        # traced peak stays below one real n x n array above the memory in
+        # use when the previous call returned
+        n = self.SPEC64.n
+        A = smooth_saturating_map(0.3, 0.1, 0.2)
+        hv = random_trig_field(self.SPEC64, seed=3).values
+        extra, base = [], [0]
+
+        def rhs(_field, psi):
+            extra.append(tracemalloc.get_traced_memory()[1] - base[0])
+            out = A.eval(psi) + hv
+            tracemalloc.reset_peak()
+            base[0] = tracemalloc.get_traced_memory()[0]
+            return out
+
+        tracemalloc.start()
+        try:
+            _, rep = picard_solve(rhs, self.SPEC64, 1.0, 1e-12, 100, linear=linear)
+        finally:
+            tracemalloc.stop()
+        assert rep.converged and rep.iterations > 5
+        # the first windows hold the start: work arrays and multipliers
+        assert max(extra[2:]) < n * n * 8

@@ -21,7 +21,7 @@ from beltrami import (
     z_grid,
     zero_field,
 )
-from beltrami.operators import _resize_rows, _second_derivatives
+from beltrami.operators import _conj_flip, _resize_rows, _second_derivatives
 from _helpers import fd_dz, fd_dzbar, rel_l2, spectrum
 
 SPEC = GridSpec(32)
@@ -151,6 +151,15 @@ class TestBeurling:
         for seed in range(20):
             f = random_trig_field(SPEC, seed=100 + seed, band=10, modes=15)
             assert lp_norm(beurling(f), 2) == pytest.approx(lp_norm(f, 2), rel=1e-10)
+
+    def test_conj_flip_is_spectrum_of_conjugate(self):
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        idx = (-np.arange(16)) % 16
+        out = np.empty_like(A)
+        assert _conj_flip(A, out=out) is out
+        assert np.array_equal(out, np.conj(A[np.ix_(idx, idx)]))
+        assert np.allclose(out, np.fft.fft2(np.conj(np.fft.ifft2(A))), rtol=0, atol=1e-13)
 
     def test_twice_is_squared_multiplier(self):
         f = random_trig_field(SPEC, seed=2, band=5, modes=10)
@@ -329,3 +338,13 @@ def test_resample_up_then_down_property(n, factor, seed, c, d):
     back = resample(resample(f, factor * n), n)
     assert back.spec == f.spec and back.c == f.c and back.d == f.d
     assert np.allclose(back.values, f.values, rtol=0, atol=1e-14 * np.abs(vals).max())
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), L=_period)
+def test_beurling_is_l2_isometry_property(seed, L):
+    # every mode, the Nyquist rows included, has |conj(kc)/kc| = 1
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    f = GridField(GridSpec(32, L), 0.0, 0.0, vals - vals.mean())
+    assert lp_norm(beurling(f), 2) == pytest.approx(lp_norm(f, 2), rel=1e-13)
