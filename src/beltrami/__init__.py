@@ -37,12 +37,8 @@ from .constant_coefficient import (
 )
 from .autonomous import (
     AutonomousMap,
-    LinearFit,
-    LinfData,
     abs_map,
-    check_linear_at_infinity,
     estimate_lipschitz,
-    fit_linear_part,
     linear_map,
     residual,
     smooth_saturating_map,

@@ -92,7 +92,6 @@ class RegularityReport:
     fit_r2: float
     tail_exponent: float
     distortion_max: float
-    distortion_quantiles: tuple[float, ...]
     grid_levels: tuple[int, ...]
     p_grid: tuple[float, ...]
     power_means: tuple[tuple[float, ...], ...]   # [level][p]: mean |Df|^p
@@ -217,7 +216,6 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
         fit_r2=fit_r2,
         tail_exponent=tail_exponent,
         distortion_max=st.max,
-        distortion_quantiles=st.quantiles,
         grid_levels=tuple(ns),
         p_grid=tuple(p_grid),
         power_means=tuple(tuple(r) for r in power_means),

@@ -2,10 +2,10 @@
 
 An AutonomousMap is a pointwise map of the gradient variable with a
 declared Lipschitz constant k < 1; the solver's convergence rate is
-bounded by k.  Maps that look like a*zeta + b*conj(zeta) + O(|zeta|^alpha)
-for large |zeta| carry that structure in the ``linf`` slot, which the
-solver uses to solve the linear part exactly in every step, and
-fit_linear_part recovers it empirically from samples.
+bounded by k.  A map that is linear at infinity, A(zeta) = a*zeta +
+b*conj(zeta) + U(zeta) with U sublinear and |a| + |b| < 1, declares its
+linear part as ``linf = CCParams(a, b)``, the constant-coefficient
+operator; the solver then solves that part exactly in every step.
 """
 
 from __future__ import annotations
@@ -21,35 +21,30 @@ from .grid import GridField, lp_norm, values_l2
 from .operators import derivative_pair
 
 __all__ = [
-    "LinfData",
+    "CCParams",
     "AutonomousMap",
-    "LinearFit",
     "linear_map",
     "abs_map",
     "smooth_saturating_map",
     "estimate_lipschitz",
-    "fit_linear_part",
-    "check_linear_at_infinity",
     "solve_autonomous",
     "residual",
 ]
 
 
 @dataclass(frozen=True)
-class LinfData:
-    """Large-argument structure A(z) ~ a*z + b*conj(z) + O(|z|^alpha)."""
+class CCParams:
+    """Constant coefficients with the ellipticity bound |a| + |b| < 1."""
 
     a: complex
     b: complex
-    alpha: float
-    C: float
 
     def __post_init__(self):
+        object.__setattr__(self, "a", complex(self.a))
+        object.__setattr__(self, "b", complex(self.b))
         s = abs(self.a) + abs(self.b)
-        if s >= 1:
+        if not (s < 1.0):
             raise ValueError(f"ellipticity violated: |a|+|b| = {s:g} >= 1")
-        if not (0 <= self.alpha < 1):
-            raise ValueError("growth exponent must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -57,12 +52,13 @@ class AutonomousMap:
     """Pointwise gradient map with declared Lipschitz constant k < 1.
 
     eval must accept complex ndarrays (vectorized).  linf, when present,
-    declares the linear-at-large-arguments structure.
+    declares the linear part at infinity: A(z) - linf.a*z - linf.b*conj(z)
+    is sublinear.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
     k: float
-    linf: LinfData | None = None
+    linf: CCParams | None = None
     name: str = "custom"
 
     def __post_init__(self):
@@ -76,7 +72,7 @@ def linear_map(a: complex, b: complex) -> AutonomousMap:
     return AutonomousMap(
         eval=lambda z: a * z + b * np.conj(z),
         k=abs(a) + abs(b),
-        linf=LinfData(a, b, 0.0, 0.0),
+        linf=CCParams(a, b),
         name=f"linear({a}, {b})",
     )
 
@@ -92,13 +88,16 @@ def smooth_saturating_map(a: complex, b: complex, s: float) -> AutonomousMap:
     """A(z) = a*z + b*conj(z) + s*z/(1+|z|); smooth, bounded perturbation.
 
     The perturbation has modulus below s everywhere, so the map is linear
-    at large arguments with exponent 0 and constant s.
+    at infinity with linear part (a, b); s >= 0 makes |a|+|b|+s its
+    Lipschitz constant.
     """
     a, b, s = complex(a), complex(b), float(s)
+    if not s >= 0:
+        raise ValueError(f"smoothsat perturbation s must be >= 0, got {s:g}")
     return AutonomousMap(
         eval=lambda z: a * z + b * np.conj(z) + s * z / (1.0 + np.abs(z)),
         k=abs(a) + abs(b) + s,
-        linf=LinfData(a, b, 0.0, s),
+        linf=CCParams(a, b),
         name=f"smoothsat({a}, {b}, {s})",
     )
 
@@ -130,89 +129,6 @@ def estimate_lipschitz(A: AutonomousMap, samples: int, radius: float,
     z, e = _pair_samples(rng, samples, radius)
     ratios = np.abs(A.eval(z) - A.eval(e)) / np.abs(z - e)
     return float(ratios.max())
-
-
-@dataclass(frozen=True)
-class LinearFit:
-    """Result of fitting A(z) ~ a*z + b*conj(z) + O(|z|^alpha)."""
-
-    a: complex
-    b: complex
-    alpha: float
-    C: float
-    ok: bool
-    residual_per_radius: tuple[float, ...] = ()
-
-
-def fit_linear_part(A: AutonomousMap, radii) -> LinearFit:
-    """Least-squares linear part on the largest circle, growth fit across radii.
-
-    The (a, b) coefficients come from 16 uniform angular samples on the largest
-    radius (the angular average decouples the two coefficients exactly).
-    The leftover |A - a*z - b*conj(z)| is fit as C*r^alpha; ok=False when it
-    fails to decay relative to r (alpha reaching 1 within fitting accuracy),
-    as happens for modulus-type maps.
-
-    The largest ring interpolates its own sublinear remainder into (a, b),
-    which re-injects a spurious r^1 residual of relative size (r/r_max)^(1-alpha)
-    at radius r; the growth fit therefore uses only radii at least two
-    decades below the top whenever three such radii exist, and falls back to
-    all-but-largest otherwise.
-    """
-    radii = np.asarray(list(radii), dtype=float)
-    if radii.size < 3 or not np.all(np.diff(radii) > 0):
-        raise ValueError("need at least three increasing radii")
-    if radii[-1] / radii[0] < 100.0:
-        raise ValueError("radii must span at least two decades")
-
-    ring = np.exp(2j * np.pi * np.arange(16) / 16)
-
-    z_big = radii[-1] * ring
-    w = A.eval(z_big)
-    # uniform angles: sum z^2 = 0, so the normal equations decouple
-    a = complex(np.sum(w * np.conj(z_big)) / np.sum(np.abs(z_big) ** 2))
-    b = complex(np.sum(w * z_big) / np.sum(np.abs(z_big) ** 2))
-
-    resid = np.empty(radii.size)
-    for i, r in enumerate(radii):
-        z = r * ring
-        resid[i] = np.max(np.abs(A.eval(z) - a * z - b * np.conj(z)))
-
-    scale = np.abs(a) + np.abs(b) + resid[-1] / max(radii[-1], 1.0)
-    tiny = resid <= 1e-9 * (1.0 + radii) * max(scale, 1e-30)
-    if np.all(tiny):  # exactly linear up to roundoff
-        return LinearFit(a, b, 0.0, 0.0, True, tuple(resid))
-
-    use = radii <= radii[-1] / 100.0
-    if use.sum() < 3:
-        use = np.arange(radii.size) < radii.size - 1
-    r_fit = radii[use]
-    # log-log fit of the residual growth; clip zeros to keep logs finite
-    r_clip = np.maximum(resid[use], 1e-300)
-    slope, intercept = np.polyfit(np.log(r_fit), np.log(r_clip), 1)
-    alpha = float(slope)
-    C = float(np.exp(intercept))
-    ok = alpha < 0.99
-    return LinearFit(a, b, alpha, C, ok, tuple(resid))
-
-
-def check_linear_at_infinity(A: AutonomousMap, samples: int = 256,
-                             seed: int = 0) -> float:
-    """Max violation of |A(z) - a*z - b*conj(z)| <= C*(|z|^alpha + 1).
-
-    Uses the map's declared linf data on log-uniform moduli from 1e-3 to
-    1e6; returns the largest (violation) excess, <= 0 when the
-    declared envelope holds on all samples.
-    """
-    if A.linf is None:
-        raise ValueError("map declares no linear-at-large-arguments data")
-    rng = np.random.default_rng(seed)
-    r = 10.0 ** rng.uniform(-3, 6, samples)
-    z = r * np.exp(2j * np.pi * rng.uniform(0, 1, samples))
-    d = A.linf
-    lhs = np.abs(A.eval(z) - d.a * z - d.b * np.conj(z))
-    envelope = d.C * (np.abs(z) ** d.alpha + 1.0)
-    return float(np.max(lhs - envelope))
 
 
 def _audit_declared_k(A: AutonomousMap) -> None:

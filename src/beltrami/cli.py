@@ -282,11 +282,11 @@ def cmd_solve(args) -> int:
     h = _parse_h(args.h, spec)
 
     if args.solver == "changevar":
-        if not isinstance(mapping, AutonomousMap) or mapping.linf is None \
-                or mapping.linf.C != 0.0:
+        # only an exactly linear map, k == |a|+|b|, is the equation changevar solves
+        linf = mapping.linf if isinstance(mapping, AutonomousMap) else None
+        if linf is None or mapping.k != abs(linf.a) + abs(linf.b):
             raise _UsageError("--solver changevar requires a linear:* map")
-        p = CCParams(mapping.linf.a, mapping.linf.b)
-        f, report = solve_cc_changevar(p, h, args.mean)
+        f, report = solve_cc_changevar(linf, h, args.mean)
     else:
         f, report = _solve_fixed_point(args, mapping, h, spec)
 
@@ -328,6 +328,11 @@ def cmd_probe(args) -> int:
     if not args.fields and args.extremal is None and args.map:
         mapping = parse_map(args.map, args.period)
     _reject_unused_damping(args, mapping)
+    if args.fields or args.extremal is not None:
+        for name in ("map", "h"):
+            if getattr(args, name) is not None:
+                raise _UsageError(f"--{name} is read only by a probe that solves a map "
+                                  "ladder, not with --fields or --extremal")
 
     def ladder():
         return [GridSpec(args.grid * (2 ** lev), args.period) for lev in range(args.levels)]

@@ -2,6 +2,10 @@
 
     f_zbar = a*f_z + b*conj(f_z) + u,      |a| + |b| < 1.
 
+The coefficients are a CCParams (defined in autonomous and re-exported
+here), which is also the linear part at infinity that an AutonomousMap
+declares in its ``linf`` slot.
+
 Two independent routes cross-validate each other: the contraction solver
 (solve_cc_neumann), whose steps invert the equation's R-linear operator
 mode pair by mode pair, and a change-of-variables reduction to the
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autonomous import linear_map, solve_autonomous
+from .autonomous import CCParams, linear_map, solve_autonomous
 from .fixedpoint import SolveReport
 from .grid import GridField, GridSpec, lp_norm, values_l2, z_grid
 from .operators import _conj_flip, _wavevectors, derivative_pair
@@ -47,21 +51,6 @@ __all__ = [
     "solve_cc_changevar",
     "cc_residual",
 ]
-
-
-@dataclass(frozen=True)
-class CCParams:
-    """Constant coefficients with the ellipticity bound |a| + |b| < 1."""
-
-    a: complex
-    b: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "b", complex(self.b))
-        s = abs(self.a) + abs(self.b)
-        if not (s < 1.0):
-            raise ValueError(f"ellipticity violated: |a|+|b| = {s:g} >= 1")
 
 
 @dataclass(frozen=True)

@@ -80,15 +80,13 @@ class ConditionReport:
     zero_slot_max: largest |H(z, w, 0)|.
     bound_excess: largest |U| minus the declared envelope (None without
         structure); <= 0 means the declared constants hold on all samples.
-    measurability is an analytic hypothesis with no numeric test; it is
-    recorded as assumed.
+    Measurability is an analytic hypothesis with no numeric test.
     """
 
     lipschitz_max: float
     zero_slot_max: float
     bound_excess: float | None
     samples: int
-    measurability_assumed: bool = True
 
     def passes(self, k: float, tol: float = 1e-9) -> bool:
         ok = self.lipschitz_max <= k + tol and self.zero_slot_max <= tol

@@ -111,9 +111,6 @@ class GridField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "GridField":
-        return self * (-1.0)
-
     def _check_same_spec(self, other: "GridField") -> None:
         if self.spec != other.spec:
             raise ValueError(f"grid spec mismatch: {self.spec} vs {other.spec}")

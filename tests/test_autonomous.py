@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beltrami import (
     AutonomousMap,
     GridField,
     GridSpec,
     abs_map,
-    check_linear_at_infinity,
     derivative_pair,
     estimate_lipschitz,
-    fit_linear_part,
     linear_map,
+    lp_norm,
     random_trig_field,
     residual,
     smooth_saturating_map,
@@ -24,7 +25,6 @@ from beltrami.analysis import distortion_stats
 from _helpers import pair_rel_l2
 
 SPEC = GridSpec(64)
-RADII = np.logspace(0, 6, 13)
 
 
 class TestBuiltinMaps:
@@ -37,12 +37,28 @@ class TestBuiltinMaps:
             abs_map(1.0)
 
     def test_declared_linf_envelopes_hold(self):
-        # excess is pure roundoff: ~eps * |z| at moduli up to 1e6
-        for m in (linear_map(0.3, 0.2), smooth_saturating_map(0.3, 0, 0.2)):
-            assert check_linear_at_infinity(m, samples=512) <= 1e-8
+        # A - linf stays within s at every modulus, up to roundoff ~eps*|z|
+        rng = np.random.default_rng(0)
+        r = 10.0 ** rng.uniform(-3, 6, 512)
+        z = r * np.exp(2j * np.pi * rng.uniform(0, 1, 512))
+        for A, s in ((linear_map(0.3, 0.2), 0.0),
+                     (linear_map(0.2 + 0.1j, -0.4j), 0.0),
+                     (smooth_saturating_map(0.3, 0, 0.2), 0.2),
+                     (smooth_saturating_map(0.1j, 0.25 - 0.2j, 0.05), 0.05)):
+            assert isinstance(A.linf, CCParams)
+            assert A.k == pytest.approx(abs(A.linf.a) + abs(A.linf.b) + s, abs=1e-15)
+            rest = np.abs(A.eval(z) - A.linf.a * z - A.linf.b * np.conj(z))
+            assert np.all(rest <= s + 1e-14 * r)
+            assert rest.max() >= 0.99 * s  # the bound is reached at large |z|
 
     def test_abs_map_declares_no_linf(self):
         assert abs_map(0.3).linf is None
+
+    @pytest.mark.parametrize("s", [-0.1, float("nan")])
+    def test_smoothsat_rejects_negative_s(self, s):
+        # s < 0 would declare k below the map's Lipschitz constant
+        with pytest.raises(ValueError, match="smoothsat perturbation s must be >= 0"):
+            smooth_saturating_map(0.3, 0, s)
 
 
 class TestEstimateLipschitz:
@@ -63,40 +79,6 @@ class TestEstimateLipschitz:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             estimate_lipschitz(abs_map(0.3), samples=1, radius=1.0)
-
-
-class TestFitLinearPart:
-    def test_exactly_linear(self):
-        fit = fit_linear_part(linear_map(0.3, 0.2), RADII)
-        assert fit.ok
-        assert fit.a == pytest.approx(0.3, abs=1e-12)
-        assert fit.b == pytest.approx(0.2, abs=1e-12)
-        assert fit.alpha == 0.0 and fit.C == 0.0
-
-    def test_saturating_perturbation(self):
-        fit = fit_linear_part(smooth_saturating_map(0.3, 0.2, 0.1), RADII)
-        assert fit.ok
-        assert fit.a == pytest.approx(0.3, abs=1e-3)
-        assert fit.b == pytest.approx(0.2, abs=1e-3)
-        assert abs(fit.alpha) < 0.1
-
-    def test_abs_map_rejected(self):
-        fit = fit_linear_part(abs_map(0.3), RADII)
-        assert not fit.ok
-        assert fit.alpha == pytest.approx(1.0, abs=1e-6)
-        # best linear fit leaves the full k*|z| residual, growing linearly
-        assert fit.residual_per_radius[-1] == pytest.approx(0.3 * RADII[-1], rel=1e-6)
-
-    def test_detection_separates_regimes(self):
-        assert fit_linear_part(linear_map(0.4, 0.1), RADII).ok
-        assert fit_linear_part(smooth_saturating_map(0.2, 0.1, 0.3), RADII).ok
-        assert not fit_linear_part(abs_map(0.6), RADII).ok
-
-    def test_radii_validation(self):
-        with pytest.raises(ValueError, match="three increasing"):
-            fit_linear_part(abs_map(0.3), [1.0, 2.0])
-        with pytest.raises(ValueError, match="decades"):
-            fit_linear_part(abs_map(0.3), [1.0, 2.0, 4.0])
 
 
 class TestSolveAutonomous:
@@ -153,6 +135,27 @@ class TestSolveAutonomous:
         lying = AutonomousMap(eval=lambda z: 0.5 * z, k=0.3)
         with pytest.raises(ValueError, match="Lipschitz"):
             solve_autonomous(lying, zero_field(SPEC), 1.0)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["linear", "smoothsat", "kabs"]),
+       k=st.floats(0.0, 0.9), t=st.floats(0.0, 1.0), u=st.floats(0.0, 1.0),
+       phase_a=st.floats(0.0, 2 * np.pi), phase_b=st.floats(0.0, 2 * np.pi),
+       seed=st.integers(0, 2 ** 16))
+def test_solve_meets_residual_contract_property(kind, k, t, u, phase_a, phase_b, seed):
+    # k is the map's Lipschitz constant, split as |a| + |b| + s
+    spec = GridSpec(32)
+    if kind == "kabs":
+        A = abs_map(k)
+    else:
+        lin = k * (u if kind == "smoothsat" else 1.0)
+        a, b = lin * t * np.exp(1j * phase_a), lin * (1 - t) * np.exp(1j * phase_b)
+        A = linear_map(a, b) if kind == "linear" else smooth_saturating_map(a, b, k - lin)
+    h = random_trig_field(spec, seed=seed)
+    f, rep = solve_autonomous(A, h, 1.0 - 0.5j, tol=1e-10)
+    assert rep.converged
+    # + recomputation roundoff, as in the Neumann/changevar property
+    assert residual(A, f, h) <= 1e-10 * max(1.0, lp_norm(h, 2)) + 1e-14
 
 
 class TestResidualOp:

@@ -152,6 +152,29 @@ class TestSolveCommand:
         diff = np.sqrt(np.mean(np.abs(fa.values - fb.values) ** 2))
         assert diff < 1e-7
 
+    @pytest.mark.parametrize("token", ["smoothsat:0.3,0,0.2,0,0.1",
+                                       "smoothsat:0.3,0,0.2,0,0"], ids=["s>0", "s=0"])
+    def test_changevar_takes_exactly_linear_maps(self, token, tmp_path, capsys):
+        # smoothsat with s = 0 is the linear map and solves to the same bytes
+        args = ["solve", "--grid", "32", "--h", "trig:0.1,0,1,0", "--solver", "changevar"]
+        lin, out = tmp_path / "lin", tmp_path / "o"
+        assert run(args + ["--map", "linear:0.3,0,0.2,0", "--out", str(lin)]) == 0
+        code = run(args + ["--map", token, "--out", str(out)])
+        if token.endswith(",0.1"):
+            assert code == 1
+            assert "--solver changevar requires a linear:* map" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert code == 0
+            assert (out / "solution.bfld").read_bytes() == (lin / "solution.bfld").read_bytes()
+
+    def test_negative_smoothsat_s_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["solve", "--map", "smoothsat:0.3,0,0,0,-0.1", "--grid", "16",
+                    "--out", str(out)]) == 1
+        assert "smoothsat perturbation s must be >= 0, got -0.1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_changevar_requires_linear(self, tmp_path, capsys):
         code = run(["solve", "--map", "kabs:0.3", "--grid", "32",
                     "--mean", "1,0", "--solver", "changevar",
@@ -231,6 +254,23 @@ class TestProbeCommand:
         assert run(["probe", "--extremal", "2", "--grid", "16", *grid_args,
                     "--out", str(out)]) == 1
         assert option in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source, unused", [
+        (["--extremal", "2"], ["--map", "nonsense:1"]),
+        (["--extremal", "2"], ["--h", "trig:9,9,1,1"]),
+        (["--fields", "F"], ["--map", "kabs:0.3"]),
+        (["--fields", "F"], ["--h", "zero"]),
+    ], ids=["extremal-map", "extremal-h", "fields-map", "fields-h"])
+    def test_solver_inputs_rejected_without_a_ladder_solve(self, source, unused,
+                                                           tmp_path, capsys):
+        # --fields and --extremal bring their own fields: --map and --h go unread
+        f = tmp_path / "f.bfld"
+        write_field(trig_field(GridSpec(16), [], c=1.0), f)
+        source = [str(f) if a == "F" else a for a in source]
+        out = tmp_path / "o"
+        assert run(["probe", *source, "--grid", "16", *unused, "--out", str(out)]) == 1
+        assert f"{unused[0]} is read only by a probe that solves" in capsys.readouterr().err
         assert not out.exists()
 
     def test_second_order_requires_k(self, tmp_path, capsys):

@@ -15,7 +15,6 @@ from beltrami import (
     FullMap,
     GridField,
     GridSpec,
-    LinfData,
     SolveReport,
     abs_map,
     cc_residual,
@@ -375,7 +374,7 @@ class TestPreconditioned:
     def test_misdeclared_linear_part_falls_back(self):
         # the declared a = 0.95 is wrong for 0.3*zeta: the preconditioned step
         # expands by about 13, and the first such step switches to plain steps
-        A = AutonomousMap(eval=lambda z: 0.3 * z, k=0.3, linf=LinfData(0.95, 0, 0, 1))
+        A = AutonomousMap(eval=lambda z: 0.3 * z, k=0.3, linf=CCParams(0.95, 0))
         h = random_trig_field(self.SPEC64, seed=3)
         f, rep = solve_autonomous(A, h, 1.0)
         _, plain = solve_autonomous(self.plain(A), h, 1.0)

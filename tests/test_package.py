@@ -28,3 +28,9 @@ def test_package_imports_are_exported():
         exported = importlib.import_module(f"beltrami.{node.module}").__all__
         stray = [a.name for a in node.names if a.name not in exported]
         assert not stray, f"beltrami imports {stray} from {node.module} outside its __all__"
+
+
+def test_one_linear_part_type():
+    # the constant-coefficient solvers and AutonomousMap.linf share one type
+    assert beltrami.CCParams is beltrami.autonomous.CCParams
+    assert beltrami.constant_coefficient.CCParams is beltrami.autonomous.CCParams
