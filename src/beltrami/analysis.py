@@ -85,26 +85,39 @@ class RegularityReport:
     p_critical is the largest probed exponent whose mean |Df|^p stays
     stable under grid doubling (math.inf when every exponent is stable);
     tail_exponent and fit_r2 come from the independent distribution-tail
-    fit, used as a cross-check on p_critical.
+    fit, used as a cross-check on p_critical.  p_critical and norms are
+    read from stable, p_grid and power_means.
     """
 
-    p_critical: float
     fit_r2: float
     tail_exponent: float
     distortion_max: float
     grid_levels: tuple[int, ...]
     p_grid: tuple[float, ...]
     power_means: tuple[tuple[float, ...], ...]   # [level][p]: mean |Df|^p
-    norms: tuple[tuple[float, ...], ...]         # [level][p]: (mean |Df|^p)^(1/p)
     stable: tuple[bool, ...]
     degenerate_fraction: float = 0.0
 
+    @property
+    def norms(self) -> tuple[tuple[float, ...], ...]:
+        """[level][p]: (mean |Df|^p)^(1/p)."""
+        norms = np.array(self.power_means) ** (1.0 / np.array(self.p_grid))[None, :]
+        return tuple(tuple(r) for r in norms)
+
+    @property
+    def p_critical(self) -> float:
+        if all(self.stable):
+            return math.inf
+        first_bad = self.stable.index(False)
+        return self.p_grid[first_bad - 1] if first_bad > 0 else self.p_grid[0]
+
     def norm_rows(self):
         """(p, level, norm, power_mean, stable) rows for CSV emission."""
+        norms = self.norms
         rows = []
         for j, p in enumerate(self.p_grid):
             for i, n in enumerate(self.grid_levels):
-                rows.append((p, n, self.norms[i][j], self.power_means[i][j],
+                rows.append((p, n, norms[i][j], self.power_means[i][j],
                              self.stable[j]))
         return rows
 
@@ -186,7 +199,6 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
         mags.append(np.abs(dz) + np.abs(dzb))
 
     power_means = np.array([[float(np.mean(m ** p)) for p in p_grid] for m in mags])
-    norms = power_means ** (1.0 / np.array(p_grid))[None, :]
 
     stable = []
     for j in range(len(p_grid)):
@@ -203,23 +215,15 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
         growth = float(np.exp(np.mean(np.log(ratios))))
         stable.append(growth <= GROWTH_TOLERANCE)
 
-    if all(stable):
-        p_critical = math.inf
-    else:
-        first_bad = stable.index(False)
-        p_critical = p_grid[first_bad - 1] if first_bad > 0 else p_grid[0]
-
     tail_exponent, fit_r2 = _tail_fit(mags[-1].reshape(-1))
     st = _pair_stats(dz, dzb)  # the finest level's pair, left by the loop
     return RegularityReport(
-        p_critical=p_critical,
         fit_r2=fit_r2,
         tail_exponent=tail_exponent,
         distortion_max=st.max,
         grid_levels=tuple(ns),
         p_grid=tuple(p_grid),
         power_means=tuple(tuple(r) for r in power_means),
-        norms=tuple(tuple(r) for r in norms),
         stable=tuple(stable),
         degenerate_fraction=st.degenerate_fraction,
     )
@@ -256,7 +260,10 @@ class CoefficientFields:
     mu: GridField
     nu: GridField
     flagged: np.ndarray
-    flagged_fraction: float
+
+    @property
+    def flagged_fraction(self) -> float:
+        return float(np.mean(self.flagged))
 
 
 def recover_coefficients(fx: GridField, fy: GridField, k: float) -> CoefficientFields:
@@ -284,24 +291,19 @@ def recover_coefficients(fx: GridField, fy: GridField, k: float) -> CoefficientF
     floor = 1e-9 * max(float(smax.max()), 1e-300)
     good = (smin >= 1e-6 * smax) & (smax > floor)
 
-    mu = np.zeros(ax.shape, dtype=complex)
-    nu = np.zeros(ax.shape, dtype=complex)
-    safe_det = np.where(good, det, 1.0)
-    mu = np.where(good, (bx * np.conj(ay) - np.conj(ax) * by) / safe_det, 0.0)
-    nu = np.where(good, (ax * by - bx * ay) / safe_det, 0.0)
     # least-norm values on the flagged set (rank <= 1 pseudo-inverse)
     s2 = np.maximum(smax ** 2, 1e-300)
     mu_ln = (np.conj(ax) * bx + np.conj(ay) * by) / s2
     nu_ln = (ax * bx + ay * by) / s2
-    mu = np.where(good, mu, mu_ln)
-    nu = np.where(good, nu, nu_ln)
+    safe_det = np.where(good, det, 1.0)
+    mu = np.where(good, (bx * np.conj(ay) - np.conj(ax) * by) / safe_det, mu_ln)
+    nu = np.where(good, (ax * by - bx * ay) / safe_det, nu_ln)
 
     spec = fx.spec
     return CoefficientFields(
         mu=GridField(spec, 0.0, 0.0, mu),
         nu=GridField(spec, 0.0, 0.0, nu),
         flagged=~good,
-        flagged_fraction=float(np.mean(~good)),
     )
 
 
@@ -309,7 +311,6 @@ def recover_coefficients(fx: GridField, fy: GridField, k: float) -> CoefficientF
 class GradientCheckResult:
     residual: float        # relative l2 residual on the well-conditioned set
     k_prime: float         # max |mu| / (1 - |nu|) on that set
-    used_fraction: float
 
 
 def gradient_equation_check(f: GridField, coeffs: CoefficientFields) -> GradientCheckResult:
@@ -327,7 +328,7 @@ def gradient_equation_check(f: GridField, coeffs: CoefficientFields) -> Gradient
     fzz, fzzb, _ = _second_derivatives(f)
     good = ~coeffs.flagged
     if not np.any(good):
-        return GradientCheckResult(0.0, 0.0, 0.0)
+        return GradientCheckResult(0.0, 0.0)
     mu = coeffs.mu.values[good]
     nu = coeffs.nu.values[good]
     denom = 1.0 - np.abs(nu) ** 2
@@ -338,7 +339,7 @@ def gradient_equation_check(f: GridField, coeffs: CoefficientFields) -> Gradient
     residual = 0.0 if den < 1e-280 and num < 1e-280 else num / max(den, 1e-300)
     abs_nu = np.abs(nu)
     k_prime = math.inf if np.any(abs_nu >= 1.0) else float(np.max(np.abs(mu) / (1.0 - abs_nu)))
-    return GradientCheckResult(residual, k_prime, float(np.mean(good)))
+    return GradientCheckResult(residual, k_prime)
 
 
 def directional_derivative_fields(f: GridField) -> tuple[GridField, GridField]:

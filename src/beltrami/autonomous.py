@@ -178,8 +178,7 @@ def solve_autonomous(
 
     scale = max(1.0, lp_norm(h, 2))
     linear = None if A.linf is None else (A.linf.a, A.linf.b, A.k)
-    return picard_solve(rhs, h.spec, c_mean, tol, max_iter,
-                        residual_scale=scale, method="autonomous", linear=linear)
+    return picard_solve(rhs, h.spec, c_mean, tol * scale, max_iter, linear=linear)
 
 
 def residual(A: AutonomousMap, f: GridField, h: GridField) -> float:

@@ -93,6 +93,7 @@ def _number(cast, ok, what: str):
 _positive = _number(float, lambda v: 0 < v < math.inf, "finite and > 0")
 _finite = _number(float, math.isfinite, "finite")
 _unit_open = _number(float, lambda v: 0 < v < 1, "in (0, 1)")
+_TOL, _MAX_ITER = 1e-10, 2000   # defaults of --tol and --max-iter
 
 
 def _floats(token: str, body: str, count: int) -> list[float]:
@@ -103,6 +104,12 @@ def _floats(token: str, body: str, count: int) -> list[float]:
         return [float(p) for p in parts]
     except ValueError:
         raise _UsageError(f"bad map token {token!r}: non-numeric field") from None
+
+
+def _wavenumbers(token: str, k1: float, k2: float) -> tuple[int, int]:
+    if not (k1.is_integer() and k2.is_integer()):  # also refuses nan and inf
+        raise _UsageError(f"bad token {token!r}: wavenumbers must be integers")
+    return int(k1), int(k2)
 
 
 def parse_map(spec_str: str, L: float):
@@ -123,7 +130,7 @@ def parse_map(spec_str: str, L: float):
             m = smooth_saturating_map(complex(ar, ai), complex(br, bi), s)
         elif head == "zterm":
             ar, ai, k1, k2 = _floats(token, body, 4)
-            zterms.append((complex(ar, ai), int(k1), int(k2)))
+            zterms.append((complex(ar, ai), *_wavenumbers(token, k1, k2)))
             continue
         elif head == "wterm":
             cr, ci = _floats(token, body, 2)
@@ -160,7 +167,7 @@ def _parse_h(h_arg: str | None, spec: GridSpec) -> GridField:
         waves = []
         for part in h_arg[len("trig:"):].split("+"):
             re_s, im_s, k1, k2 = _floats(h_arg, part, 4)
-            waves.append((int(k1), int(k2), complex(re_s, im_s)))
+            waves.append((*_wavenumbers(part, k1, k2), complex(re_s, im_s)))
         return trig_field(spec, waves)
     f = read_field(h_arg)
     if f.spec.n != spec.n:
@@ -279,6 +286,10 @@ def cmd_solve(args) -> int:
     spec = GridSpec(args.grid, args.period)
     mapping = parse_map(args.map, spec.L)
     _reject_unused_damping(args, mapping if args.solver == "fixed-point" else None)
+    if args.solver == "changevar" and (args.tol, args.max_iter) != (_TOL, _MAX_ITER):
+        flag = "--tol" if args.tol != _TOL else "--max-iter"
+        raise _UsageError(f"{flag} is read only by the fixed-point solver; changevar "
+                          "solves in one pass")
     h = _parse_h(args.h, spec)
 
     if args.solver == "changevar":
@@ -458,9 +469,9 @@ def build_parser() -> _Parser:
         sp.add_argument("--period", type=float, default=2.0 * math.pi)
         sp.add_argument("--mean", type=_complex_arg, default=complex(1.0, 0.0))
         sp.add_argument("--h", default=None)
-        sp.add_argument("--tol", type=_positive, default=1e-10)
+        sp.add_argument("--tol", type=_positive, default=_TOL)
         sp.add_argument("--max-iter", type=_number(int, lambda v: v >= 1, ">= 1"),
-                        default=2000)
+                        default=_MAX_ITER)
         sp.add_argument("--damping", type=_number(float, lambda v: 0 < v <= 1, "in (0, 1]"),
                         default=1.0)
 

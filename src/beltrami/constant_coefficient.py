@@ -253,16 +253,9 @@ def solve_cc_changevar(
     f = GridField(spec, c_mean, d, vals)
 
     res = cc_residual(p, f, u)
-    report = SolveReport(
-        iterations=1,
-        residual_history=[res],
-        contraction_ratio=0.0,
-        final_residual=res,
-        converged=res <= 1e-8 * max(1.0, lp_norm(u, 2)),
-        method="changevar",
-        notes=f"mu={mu!r}, nu={nu!r}, path={cv.path}",
-    )
-    return f, report
+    return f, SolveReport(residual_history=[res],
+                          converged=res <= 1e-8 * max(1.0, lp_norm(u, 2)),
+                          notes=f"mu={mu!r}, nu={nu!r}, path={cv.path}")
 
 
 def cc_residual(p: CCParams, f: GridField, u: GridField) -> float:

@@ -11,7 +11,8 @@ The measured residual ||r' - r||_2 is exactly the equation residual of the
 candidate f built from r, because f_zbar = r and f_z = psi by construction.
 Since S0 is an l2 isometry on mean-zero fields and the mean projection is a
 contraction, a k-Lipschitz rhs makes successive residuals decay by a factor
-of at most k.
+of at most k.  The loop stops at the first residual <= tol: tol is an
+absolute threshold, and a solver that wants a relative one scales it first.
 
 One step costs two transforms (fft2 of r, ifft2 for psi).  The field f is
 handed to rhs as a zero-argument callable: only a right-hand side that reads
@@ -84,32 +85,38 @@ __all__ = ["SolveReport", "picard_solve"]
 
 @dataclass
 class SolveReport:
-    """Iteration diagnostics of one solve."""
+    """Iteration diagnostics of one solve: the residual of each iterate in
+    order, whether the last met the stopping threshold, and notes.
+    iterations, final_residual (the least entry: solvers return their best
+    iterate) and contraction_ratio are read from the history."""
 
-    iterations: int
     residual_history: list[float]
-    contraction_ratio: float
-    final_residual: float
     converged: bool
-    method: str = "fixed-point"
     notes: str = ""
 
     def __post_init__(self):
         if not self.residual_history:
             raise ValueError("residual history must be non-empty")
-        if self.final_residual != min(self.residual_history):
-            raise ValueError("final_residual must equal the least history entry")
 
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history)
 
-def _contraction_ratio(history: list[float]) -> float:
-    """Geometric mean of successive residual ratios (0.0 if under two points)."""
-    pairs = [(a, b) for a, b in zip(history, history[1:]) if a > 0.0]
-    if not pairs:
-        return 0.0
-    logs = [np.log(b / a) for a, b in pairs if b > 0.0]
-    if len(logs) < len(pairs):  # a residual hit exactly zero: perfect contraction
-        return 0.0
-    return float(np.exp(np.mean(logs)))
+    @property
+    def final_residual(self) -> float:
+        return min(self.residual_history)
+
+    @property
+    def contraction_ratio(self) -> float:
+        """Geometric mean of successive residual ratios (0.0 if under two points)."""
+        history = self.residual_history
+        pairs = [(a, b) for a, b in zip(history, history[1:]) if a > 0.0]
+        if not pairs:
+            return 0.0
+        logs = [np.log(b / a) for a, b in pairs if b > 0.0]
+        if len(logs) < len(pairs):  # a residual hit exactly zero: perfect contraction
+            return 0.0
+        return float(np.exp(np.mean(logs)))
 
 
 def _linear_inverse(beur: np.ndarray, a: complex, b: complex):
@@ -136,8 +143,6 @@ def picard_solve(
     tol: float,
     max_iter: int,
     damping: float = 1.0,
-    residual_scale: float = 1.0,
-    method: str = "fixed-point",
     linear: tuple[complex, complex, float] | None = None,
 ) -> tuple[GridField, SolveReport]:
     """Run the damped fixed-point iteration.
@@ -151,10 +156,10 @@ def picard_solve(
     but must not keep it, since the next step writes into it again.  A
     result that is psi_values or a view of it is copied first.
 
-    Stops when the equation residual drops to tol * residual_scale.  On
-    exhaustion the best iterate (least residual) is returned with
-    converged=False, and final_residual is its residual.  A non-finite
-    residual stops the iteration at once: it is left out of the history,
+    tol is the absolute stopping threshold: the solve stops at the first
+    equation residual <= tol.  On exhaustion the best iterate (least
+    residual) is returned with converged=False.  A non-finite residual
+    stops the iteration at once: it is left out of the history,
     the best finite iterate is returned with converged=False and the notes
     name the iteration.  If the first residual is already non-finite there
     is no finite iterate to return and ArithmeticError is raised.
@@ -198,7 +203,6 @@ def picard_solve(
     spectra = (np.empty((n, n), dtype=complex), np.empty((n, n), dtype=complex))
     psi = np.empty((n, n), dtype=complex)
     work = np.empty((n, n))
-    threshold = tol * residual_scale
     if precondition:
         R = np.fft.fft2(r_prev, out=spectra[0])
     for it in range(1, max_iter + 1):
@@ -226,14 +230,14 @@ def picard_solve(
             res = values_l2(np.subtract(r, r_prev, out=psi), _work=work)
         if not math.isfinite(res):
             if not history:
-                raise ArithmeticError(f"{method}: residual non-finite at iteration 1; "
+                raise ArithmeticError("residual non-finite at iteration 1; "
                                       "no finite iterate to return")
             notes.append(f"residual non-finite at iteration {it}; stopped")
             break
         history.append(res)
         if res < best_res:
             best_R, best_res = R, res
-        if res <= threshold:
+        if res <= tol:
             converged = True
             break
         if precondition and len(history) > 1 and res > k * history[-2]:
@@ -253,13 +257,4 @@ def picard_solve(
             r_prev = (1.0 - damping) * r_prev + damping * r
 
     P, d = periodic_and_d(best_R)
-    report = SolveReport(
-        iterations=len(history),
-        residual_history=history,
-        contraction_ratio=_contraction_ratio(history),
-        final_residual=best_res,
-        converged=converged,
-        method=method,
-        notes="; ".join(notes),
-    )
-    return GridField(spec, c_mean, d, P), report
+    return GridField(spec, c_mean, d, P), SolveReport(history, converged, "; ".join(notes))

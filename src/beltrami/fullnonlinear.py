@@ -86,7 +86,6 @@ class ConditionReport:
     lipschitz_max: float
     zero_slot_max: float
     bound_excess: float | None
-    samples: int
 
     def passes(self, k: float, tol: float = 1e-9) -> bool:
         ok = self.lipschitz_max <= k + tol and self.zero_slot_max <= tol
@@ -138,7 +137,7 @@ def check_conditions(H: FullMap, samples: int, spec: GridSpec | None = None,
                     + st.w_bound * np.abs(w) ** (2 * st.alpha) + u_at)
         bound_excess = float(np.max(np.abs(U) - envelope))
 
-    return ConditionReport(lipschitz_max, zero_slot, bound_excess, samples)
+    return ConditionReport(lipschitz_max, zero_slot, bound_excess)
 
 
 def _u_at_points(u: GridField, z: np.ndarray) -> np.ndarray:
@@ -218,7 +217,8 @@ def solve_full(
     transform and rebuilds f; a damping factor below one blends consecutive
     right-hand sides.  The dependence on f itself is not contractive in
     general, so non-convergence is possible and is reported honestly via
-    the converged flag (no exception): the least-residual iterate is
+    the converged flag (no exception); converged means an equation residual
+    <= tol, an absolute threshold.  The least-residual iterate is
     returned, and a non-finite residual ends the run early with a note.
     Only when the very first residual is non-finite is ArithmeticError
     raised, since no finite iterate exists.  H is the one right-hand side
@@ -234,5 +234,4 @@ def solve_full(
     def rhs(field, psi):
         return Heval(Z, field(), psi)
 
-    return picard_solve(rhs, spec, c_mean, tol, max_iter, damping=damping,
-                        residual_scale=1.0, method="full-picard")
+    return picard_solve(rhs, spec, c_mean, tol, max_iter, damping=damping)

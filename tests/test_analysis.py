@@ -260,7 +260,7 @@ class TestGradientEquationCheck:
         co = recover_coefficients(fx, fy, 0.3)
         res = gradient_equation_check(f, co)
         assert res.residual == 0.0 and res.k_prime == 0.0
-        assert res.used_fraction == 0.0
+        assert co.flagged_fraction == 1.0
 
     def test_implied_identity_near_machine(self):
         # wherever the 2x2 recovery solves exactly, the second-derivative
@@ -272,7 +272,7 @@ class TestGradientEquationCheck:
         fx, fy = directional_derivative_fields(f)
         co = recover_coefficients(fx, fy, 0.3)
         res = gradient_equation_check(f, co)
-        assert res.used_fraction > 0.5
+        assert co.flagged_fraction < 0.5
         assert res.residual < 1e-6
 
 

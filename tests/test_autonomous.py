@@ -131,6 +131,20 @@ class TestSolveAutonomous:
         assert rep.converged
         assert pair_rel_l2(f, fstar) < 1e-7
 
+    def test_threshold_scales_with_the_forcing(self):
+        # tol is relative to max(1, ||h||_2): with ||h||_2 near 10 the solve
+        # stops at the first residual <= 10*tol, not at tol itself
+        tol = 1e-8
+        h = random_trig_field(SPEC, seed=3)
+        h = h * (10.0 / lp_norm(h, 2))
+        scale = max(1.0, lp_norm(h, 2))
+        assert 9.9 < scale < 10.1
+        _, rep = solve_autonomous(abs_map(0.5), h, 1.0, tol=tol)
+        assert rep.converged
+        history = rep.residual_history
+        assert history[-1] <= scale * tol < history[-2]
+        assert history[-1] > tol
+
     def test_declared_k_audited(self):
         lying = AutonomousMap(eval=lambda z: 0.5 * z, k=0.3)
         with pytest.raises(ValueError, match="Lipschitz"):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import beltrami
-from beltrami import GridField, GridSpec, read_field, trig_field, write_field
+from beltrami import GridField, GridSpec, read_field, trig_field, write_field, z_grid
 from beltrami import cli
 from beltrami.analysis import CoefficientFields
 from beltrami.cli import _write_coefficients, _write_csv, build_parser, main, parse_map
@@ -43,6 +43,30 @@ class TestMapGrammar:
         expected = (0.3 * np.abs(zeta) + 0.02 * np.sin(z.real)
                     + 0.05 * w / (1 + np.abs(w)))
         assert np.allclose(m.eval(z, w, zeta), expected)
+
+    @pytest.mark.parametrize("argv, token", [
+        (["--h", "trig:0.1,0,1.5,0"], "0.1,0,1.5,0"),
+        (["--h", "trig:0.1,0,1,0+0.2,0,0,nan"], "0.2,0,0,nan"),
+        (["--map", "kabs:0.3+zterm:0.1,0,2.9,0"], "zterm:0.1,0,2.9,0"),
+        (["--map", "kabs:0.3+zterm:0.1,0,1,inf"], "zterm:0.1,0,1,inf"),
+    ], ids=["trig-fraction", "trig-nan", "zterm-fraction", "zterm-inf"])
+    def test_non_integer_wavenumber_exits_1(self, argv, token, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["solve", "--map", "kabs:0.3", "--grid", "16", "--out", str(out)]
+        assert run(args + argv) == 1
+        err = capsys.readouterr().err
+        assert "wavenumbers must be integers" in err and repr(token) in err
+        assert not out.exists()
+
+    def test_integer_valued_wavenumbers_accepted(self):
+        z = z_grid(GridSpec(16)).reshape(-1)
+        w, zeta = np.full(z.shape, 0.5 + 0j), np.full(z.shape, 1.0 + 0j)
+        maps = [parse_map(f"kabs:0.3+zterm:0.1,0,{k1},{k2}", 2 * math.pi)
+                for k1, k2 in (("2.0", "-1.0"), ("2", "-1"))]
+        assert np.array_equal(maps[0].eval(z, w, zeta), maps[1].eval(z, w, zeta))
+        spec = GridSpec(16)
+        assert np.array_equal(cli._parse_h("trig:0.1,0,1.0,-2.0", spec).values,
+                              cli._parse_h("trig:0.1,0,1,-2", spec).values)
 
     def test_unknown_token_named_in_error(self, capsys):
         code = run(["solve", "--map", "bogus:1", "--grid", "16",
@@ -174,6 +198,25 @@ class TestSolveCommand:
                     "--out", str(out)]) == 1
         assert "smoothsat perturbation s must be >= 0, got -0.1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("limit, option", [
+        (["--tol", "1e-3"], "--tol"), (["--max-iter", "1"], "--max-iter"),
+        (["--tol", "1e-10", "--max-iter", "2000"], None),
+    ], ids=["tol", "max-iter", "defaults"])
+    def test_changevar_refuses_iteration_limits(self, limit, option, tmp_path, capsys):
+        args = ["solve", "--map", "linear:0.3,0,0.2,0", "--grid", "16",
+                "--h", "trig:0.1,0,1,0", "--solver", "changevar"]
+        plain, out = tmp_path / "plain", tmp_path / "o"
+        assert run(args + ["--out", str(plain)]) == 0
+        code = run(args + limit + ["--out", str(out)])
+        if option is None:  # the defaults, spelled out, change nothing
+            assert code == 0
+            assert (out / "solution.bfld").read_bytes() == (plain / "solution.bfld").read_bytes()
+        else:
+            assert code == 1
+            err = capsys.readouterr().err
+            assert f"{option} is read only by the fixed-point solver" in err
+            assert not out.exists()
 
     def test_changevar_requires_linear(self, tmp_path, capsys):
         code = run(["solve", "--map", "kabs:0.3", "--grid", "32",
@@ -405,7 +448,7 @@ class TestOtherCommands:
         flagged = rng.random((16, 16)) < 0.3
         assert flagged.any() and not flagged.all()
         coeffs = CoefficientFields(GridField(spec, 0, 0, mu), GridField(spec, 0, 0, nu),
-                                   flagged, float(flagged.mean()))
+                                   flagged)
         rows = [(i, j, mu[i, j].real, mu[i, j].imag, nu[i, j].real, nu[i, j].imag,
                  bool(flagged[i, j])) for i in range(16) for j in range(16)]
         _write_csv(tmp_path / "ref.csv",

@@ -101,10 +101,17 @@ class TestBestIterate:
         assert rep.final_residual == best
         assert full_residual(H, f) == pytest.approx(best, rel=1e-8)
 
-    def test_report_invariant(self):
-        with pytest.raises(ValueError, match="least history entry"):
-            SolveReport(iterations=2, residual_history=[1.0, 2.0],
-                        contraction_ratio=2.0, final_residual=2.0, converged=False)
+    def test_report_derives_from_its_history(self):
+        # the best iterate need not be the last: final_residual is the least entry
+        rep = SolveReport([1.0, 0.125, 0.25], converged=False)
+        assert [f.name for f in dataclasses.fields(rep)] == [
+            "residual_history", "converged", "notes"]
+        assert (rep.iterations, rep.final_residual) == (3, 0.125)
+        assert rep.contraction_ratio == pytest.approx(0.5)  # sqrt(0.125 * 2)
+        with pytest.raises(AttributeError):
+            rep.final_residual = 1.0
+        with pytest.raises(ValueError, match="non-empty"):
+            SolveReport([], converged=False)
 
 
 class TestNonFinite:
@@ -127,8 +134,7 @@ class TestNonFinite:
             solve_full(H, 1.0, spec=SPEC)
 
 
-def reference_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0,
-                    residual_scale=1.0, method="fixed-point", linear=None):
+def reference_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None):
     """The fixed-point loop as it was before the kernel reused its work
     arrays: every step allocates its spectrum, psi, the difference and the
     norm's temporaries.  It takes plain steps whatever linear part the
@@ -146,7 +152,6 @@ def reference_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0,
     history, converged, notes = [], False, ""
     best_R, best_res = None, np.inf
     R_beur = np.empty((n, n), dtype=complex)
-    threshold = tol * residual_scale
     for it in range(1, max_iter + 1):
         R = np.fft.fft2(r_prev)
         psi = np.fft.ifft2(np.multiply(R, beur, out=R_beur))
@@ -160,13 +165,13 @@ def reference_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0,
         res = float(np.sqrt(np.mean(np.abs(r - r_prev) ** 2)))
         if not math.isfinite(res):
             if not history:
-                raise ArithmeticError(f"{method}: residual non-finite at iteration 1")
+                raise ArithmeticError("residual non-finite at iteration 1")
             notes = f"residual non-finite at iteration {it}; stopped"
             break
         history.append(res)
         if res < best_res:
             best_R, best_res = R, res
-        if res <= threshold:
+        if res <= tol:
             converged = True
             break
         if damping == 1.0:
