@@ -96,7 +96,6 @@ class RegularityReport:
     p_grid: tuple[float, ...]
     power_means: tuple[tuple[float, ...], ...]   # [level][p]: mean |Df|^p
     stable: tuple[bool, ...]
-    degenerate_fraction: float = 0.0
 
     @property
     def norms(self) -> tuple[tuple[float, ...], ...]:
@@ -225,7 +224,6 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
         p_grid=tuple(p_grid),
         power_means=tuple(tuple(r) for r in power_means),
         stable=tuple(stable),
-        degenerate_fraction=st.degenerate_fraction,
     )
 
 

@@ -13,8 +13,8 @@ Map grammar (flat tokens joined by '+'):
     zterm:amp_re,amp_im,k1,k2       + amp*sin(2*pi*(k1*x + k2*y)/L)
     wterm:c_re,c_im                 + c*w/(1+|w|)
 A bare autonomous token selects the gradient-only solvers; any zterm/wterm
-upgrades the map to the full solver (use --damping to stabilize it; a
---damping below 1 anywhere else exits 1).
+upgrades the map to the full solver (use --damping to stabilize it).  An
+option that the chosen run does not read exits 1 unless it keeps its default.
 
 Forcing grammar for --h:
     zero                            the zero field (default)
@@ -25,6 +25,7 @@ Forcing grammar for --h:
 from __future__ import annotations
 
 import argparse
+import cmath
 import itertools
 import json
 import math
@@ -72,9 +73,12 @@ class _Parser(argparse.ArgumentParser):
 def _complex_arg(s: str) -> complex:
     try:
         re_s, im_s = s.split(",")
-        return complex(float(re_s), float(im_s))
+        value = complex(float(re_s), float(im_s))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected 're,im', got {s!r}") from None
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {s}")
+    return value
 
 
 def _number(cast, ok, what: str):
@@ -93,7 +97,6 @@ def _number(cast, ok, what: str):
 _positive = _number(float, lambda v: 0 < v < math.inf, "finite and > 0")
 _finite = _number(float, math.isfinite, "finite")
 _unit_open = _number(float, lambda v: 0 < v < 1, "in (0, 1)")
-_TOL, _MAX_ITER = 1e-10, 2000   # defaults of --tol and --max-iter
 
 
 def _floats(token: str, body: str, count: int) -> list[float]:
@@ -221,7 +224,7 @@ def _config(args) -> dict:
     """The run's configuration: every parsed option except --out."""
     config = {}
     for key, value in vars(args).items():
-        if key in ("out", "command", "func"):
+        if key in ("out", "command", "func", "parser"):
             continue
         if isinstance(value, complex):
             value = [value.real, value.imag]
@@ -267,11 +270,12 @@ def _finish(args, files: dict, result: dict, **extra) -> None:
         fh.write("\n")
 
 
-def _reject_unused_damping(args, mapping) -> None:
-    """Exit 1 when --damping is below 1 but no full-map solve will read it."""
-    if args.damping < 1 and not isinstance(mapping, FullMap):
-        raise _UsageError(f"--damping {args.damping} is read only by a fixed-point solve "
-                          "of a full map (zterm/wterm tokens)")
+def _refuse_unread(args, reader: str, names: str) -> None:
+    """Exit 1 when an option this run does not read differs from its parser
+    default; names lists those options in the order they are checked."""
+    for name in names.split():
+        if getattr(args, name) != args.parser.get_default(name):
+            raise _UsageError(f"--{name.replace('_', '-')} is read only by {reader}")
 
 
 def _solve_fixed_point(args, mapping, h: GridField, spec: GridSpec):
@@ -285,11 +289,10 @@ def _solve_fixed_point(args, mapping, h: GridField, spec: GridSpec):
 def cmd_solve(args) -> int:
     spec = GridSpec(args.grid, args.period)
     mapping = parse_map(args.map, spec.L)
-    _reject_unused_damping(args, mapping if args.solver == "fixed-point" else None)
-    if args.solver == "changevar" and (args.tol, args.max_iter) != (_TOL, _MAX_ITER):
-        flag = "--tol" if args.tol != _TOL else "--max-iter"
-        raise _UsageError(f"{flag} is read only by the fixed-point solver; changevar "
-                          "solves in one pass")
+    if args.solver == "changevar":
+        _refuse_unread(args, "the fixed-point solver", "damping tol max_iter")
+    elif isinstance(mapping, AutonomousMap):
+        _refuse_unread(args, "a solve of a full map (zterm/wterm tokens)", "damping")
     h = _parse_h(args.h, spec)
 
     if args.solver == "changevar":
@@ -333,36 +336,34 @@ def _solve_ladder(args, mapping, specs: list[GridSpec]):
 def cmd_probe(args) -> int:
     if args.p_min > args.p_max:
         raise _UsageError(f"--p-min {args.p_min} is above --p-max {args.p_max}")
-    if args.second_order and args.k is None:
+    if not args.second_order:
+        _refuse_unread(args, "a probe with --second-order", "k")
+    elif args.k is None:
         raise _UsageError("--second-order requires --k")
-    mapping = None
-    if not args.fields and args.extremal is None and args.map:
-        mapping = parse_map(args.map, args.period)
-    _reject_unused_damping(args, mapping)
-    if args.fields or args.extremal is not None:
-        for name in ("map", "h"):
-            if getattr(args, name) is not None:
-                raise _UsageError(f"--{name} is read only by a probe that solves a map "
-                                  "ladder, not with --fields or --extremal")
 
     def ladder():
         return [GridSpec(args.grid * (2 ** lev), args.period) for lev in range(args.levels)]
 
     pairs = None
     if args.fields:
+        _refuse_unread(args, "a probe that solves or builds its ladder, not with --fields",
+                       "damping map h mean tol max_iter extremal grid levels period")
         fields = [read_field(p) for p in args.fields]
     elif args.extremal is not None:
+        _refuse_unread(args, "a probe that solves a map ladder, not with --extremal",
+                       "damping map h mean tol max_iter")
         fields, pairs = [], []
         for spec in ladder():
             g, gz, gzb = radial_extremal_pair(spec, args.extremal)
             fields.append(g)
             pairs.append((gz, gzb))
-    elif mapping is not None:
+    elif args.map:
+        mapping = parse_map(args.map, args.period)
+        if isinstance(mapping, AutonomousMap):
+            _refuse_unread(args, "a solve of a full map (zterm/wterm tokens)", "damping")
         fields = _solve_ladder(args, mapping, ladder())
     else:
         raise _UsageError("probe needs --fields, --map or --extremal")
-    if len(fields) < 3:
-        raise _UsageError(f"need at least 3 ladder levels, got {len(fields)}")
 
     p_grid = np.arange(args.p_min, args.p_max + 1e-9, args.p_step)
     if args.second_order:
@@ -469,9 +470,9 @@ def build_parser() -> _Parser:
         sp.add_argument("--period", type=float, default=2.0 * math.pi)
         sp.add_argument("--mean", type=_complex_arg, default=complex(1.0, 0.0))
         sp.add_argument("--h", default=None)
-        sp.add_argument("--tol", type=_positive, default=_TOL)
+        sp.add_argument("--tol", type=_positive, default=1e-10)
         sp.add_argument("--max-iter", type=_number(int, lambda v: v >= 1, ">= 1"),
-                        default=_MAX_ITER)
+                        default=2000)
         sp.add_argument("--damping", type=_number(float, lambda v: 0 < v <= 1, "in (0, 1]"),
                         default=1.0)
 
@@ -482,25 +483,26 @@ def build_parser() -> _Parser:
     sp.add_argument("--solver", choices=["fixed-point", "changevar"],
                     default="fixed-point")
     common(sp)
-    sp.set_defaults(func=cmd_solve)
+    sp.set_defaults(func=cmd_solve, parser=sp)
 
     sp = sub.add_parser("probe", help="integrability probe over a refinement ladder")
     sp.add_argument("--fields", nargs="*", default=None)
     sp.add_argument("--map", default=None)
-    sp.add_argument("--extremal", type=float, default=None,
+    sp.add_argument("--extremal", type=_number(float, lambda v: 1 < v < math.inf,
+                                               "finite and > 1"), default=None,
                     help="built-in radial test field with this distortion")
     sp.add_argument("--grid", type=int, default=64)
-    sp.add_argument("--levels", type=int, default=3)
+    sp.add_argument("--levels", type=_number(int, lambda v: v >= 3, ">= 3"), default=3)
     solver_options(sp)
     sp.add_argument("--p-min", type=_finite, default=2.0)
     sp.add_argument("--p-max", type=_finite, default=8.0)
     sp.add_argument("--p-step", type=_positive, default=0.2)
     sp.add_argument("--second-order", action="store_true")
     sp.add_argument("--k", type=_unit_open, default=None,
-                    help="Lipschitz constant for --second-order; only checked to "
-                         "lie in (0, 1), changes no output")
+                    help="Lipschitz constant, required with --second-order and refused "
+                         "without it; only checked to lie in (0, 1), changes no output")
     common(sp)
-    sp.set_defaults(func=cmd_probe)
+    sp.set_defaults(func=cmd_probe, parser=sp)
 
     sp = sub.add_parser("verify-transform",
                         help="audit the change-of-variables reduction")

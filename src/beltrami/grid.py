@@ -195,6 +195,6 @@ def read_field(path) -> GridField:
     if samples.shape != (n1 * n1, 2):
         raise ValueError(f"sample-count mismatch in {path!r}: expected {n1 * n1} rows "
                          f"of 2 numbers, got shape {samples.shape}")
-    if not np.all(np.isfinite(samples)):
+    if not (np.all(np.isfinite(samples)) and np.all(np.isfinite([cre, cim, dre, dim]))):
         raise ValueError(f"non-finite values in {path!r}")
     return GridField(spec, complex(cre, cim), complex(dre, dim), samples.view(complex))

@@ -84,8 +84,8 @@ def _window(r: np.ndarray, r0: float, r1: float):
 
 
 def _radial_parts(spec: GridSpec, K: float):
-    if K <= 1:
-        raise ValueError("distortion parameter must exceed 1")
+    if not 1 < K < math.inf:
+        raise ValueError(f"distortion parameter must be finite and exceed 1, got {K}")
     L = spec.L
     z0 = L * (_CENTER_FRAC[0] + 1j * _CENTER_FRAC[1])
     Z = z_grid(spec) - z0

@@ -119,7 +119,7 @@ class TestSobolevProbe:
         rep = sobolev_probe(fields, np.arange(2.0, 10.01, 0.5))
         assert math.isinf(rep.p_critical)
         assert rep.distortion_max == pytest.approx(2.2657, abs=2e-3)
-        assert rep.degenerate_fraction == 0.0
+        assert distortion_stats(fields[-1]).degenerate_fraction == 0.0
 
     def test_derived_pairs_read_like_tuples(self):
         fields, tuples = [], []
@@ -536,3 +536,9 @@ class TestRadialFixture:
     def test_rejects_unit_distortion(self):
         with pytest.raises(ValueError, match="exceed"):
             radial_extremal_field(SPEC, 1.0)
+
+    @pytest.mark.parametrize("K", [math.inf, math.nan])
+    def test_rejects_non_finite_distortion(self, K):
+        # K = inf has no critical exponent and nan gives nan samples
+        with pytest.raises(ValueError, match="finite and exceed 1"):
+            radial_extremal_field(SPEC, K)

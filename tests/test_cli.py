@@ -316,6 +316,60 @@ class TestProbeCommand:
         assert f"{unused[0]} is read only by a probe that solves" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source, unused", [
+        (["--extremal", "2"], ["--tol", "1e-3"]),
+        (["--extremal", "2"], ["--mean", "2,0"]),
+        (["--extremal", "2"], ["--max-iter", "3"]),
+        (["--fields", "F"], ["--extremal", "2"]),
+        (["--fields", "F"], ["--grid", "16"]),
+        (["--fields", "F"], ["--levels", "4"]),
+        (["--fields", "F"], ["--period", "1"]),
+        (["--map", "kabs:0.3"], ["--k", "0.5"]),
+    ], ids=["extremal-tol", "extremal-mean", "extremal-max-iter", "fields-extremal",
+            "fields-grid", "fields-levels", "fields-period", "k-without-second-order"])
+    def test_unread_options_refused_before_work(self, source, unused, monkeypatch,
+                                                tmp_path, capsys):
+        def no_work(*_args):
+            raise AssertionError(f"work started before {unused[0]} was checked")
+
+        for name in ("read_field", "radial_extremal_pair", "_solve_ladder"):
+            monkeypatch.setattr(cli, name, no_work)
+        source = [str(tmp_path / "f.bfld") if a == "F" else a for a in source]
+        out = tmp_path / "o"
+        assert run(["probe", *source, *unused, "--out", str(out)]) == 1
+        assert f"{unused[0]} is read only by" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source, defaults", [
+        (["--extremal", "2", "--grid", "16"],
+         ["--damping", "1", "--mean", "1,0", "--tol", "1e-10", "--max-iter", "2000"]),
+        (["--fields", "F16", "F32", "F64"],
+         ["--grid", "64", "--levels", "3", "--period", "6.283185307179586"]),
+    ], ids=["extremal", "fields"])
+    def test_unread_options_at_their_defaults_accepted(self, source, defaults, tmp_path,
+                                                       capsys):
+        for n in (16, 32, 64):
+            write_field(trig_field(GridSpec(n), [(1, 0, 0.1)], c=1.0), tmp_path / f"F{n}")
+        source = [str(tmp_path / a) if a.startswith("F") else a for a in source]
+        runs = []
+        for name, extra in (("plain", []), ("spelled", defaults)):
+            out = tmp_path / name
+            assert run(["probe", *source, *extra, "--out", str(out)]) == 0
+            runs.append([capsys.readouterr().out] + [(out / f).read_bytes() for f in
+                                                     ("regularity.csv", "manifest.json")])
+        assert runs[0] == runs[1]
+
+    def test_levels_checked_before_the_ladder(self, monkeypatch, tmp_path, capsys):
+        def no_solves(*_args):
+            raise AssertionError("ladder solved before --levels was checked")
+
+        monkeypatch.setattr(cli, "_solve_ladder", no_solves)
+        out = tmp_path / "o"
+        assert run(["probe", "--map", "kabs:0.3", "--grid", "16", "--levels", "2",
+                    "--out", str(out)]) == 1
+        assert "argument --levels: must be >= 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_second_order_requires_k(self, tmp_path, capsys):
         code = run(["probe", "--map", "linear:0.5,0,0,0", "--grid", "32",
                     "--levels", "3", "--second-order",
@@ -365,6 +419,22 @@ class TestVerifyTransformCommand:
     def test_bad_complex_option_named(self, argv, option, capsys):
         assert run(argv) == 1
         assert f"argument {option}: expected 're,im'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, option", [
+        (["solve", "--map", "linear:0.3,0,0.1,0", "--solver", "changevar", "--grid", "16",
+          "--mean", "nan,0"], "--mean"),
+        (["solve", "--map", "kabs:0.3", "--grid", "16", "--mean", "0,inf"], "--mean"),
+        (["probe", "--extremal", "nan", "--grid", "16"], "--extremal"),
+        (["probe", "--extremal", "inf", "--grid", "16"], "--extremal"),
+        (["probe", "--extremal", "1", "--grid", "16"], "--extremal"),
+        (["verify-transform", "--a", "inf,0", "--b", "0,0"], "--a"),
+    ], ids=["changevar-mean-nan", "solve-mean-inf", "extremal-nan", "extremal-inf",
+            "extremal-one", "verify-a-inf"])
+    def test_non_finite_value_named(self, argv, option, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(argv + ["--out", str(out)]) == 1
+        assert f"argument {option}: must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_generic_pair_fails_ab_form_with_exact_reduction(self, capsys):
         # both residuals are printed; the a*b-form one gates the exit code
@@ -534,13 +604,11 @@ class TestStrictManifest:
         (["solve", "--map", "kabs:0.3", "--grid", "16"], {}),
         (["probe", "--map", "kabs:0.3", "--grid", "16", "--levels", "3"],
          {("result", "p_critical"): "inf"}),
-        (["probe", "--extremal", "2", "--grid", "16", "--mean", "nan,-inf"],
-         {("config", "mean"): ["nan", "-inf"]}),
         (["verify-transform", "--a", "0.3,0", "--b", "0.2,0"], {}),
         (["coefficients", "--field", "FIELD", "--k", "inf"], {("config", "k"): "inf"}),
         (["hodograph", "--field", "FIELD", "--map", "kabs:0.3", "--points", "8"], {}),
         (["report", "--field", "CONST"], {("result", "distortion_max"): "inf"}),
-    ], ids=["solve", "probe-smooth", "probe-mean", "verify-transform", "coefficients",
+    ], ids=["solve", "probe-smooth", "verify-transform", "coefficients",
             "hodograph", "report-constant"])
     def test_manifest_is_strict_json(self, argv, spelled, solved_field, constant_field,
                                      tmp_path):
@@ -552,6 +620,11 @@ class TestStrictManifest:
                               parse_constant=_reject_constant)
         for (section, key), value in spelled.items():
             assert manifest[section][key] == value
+
+    def test_nested_non_finite_spelled(self):
+        # no option takes a non-finite pair any more; the list branch still spells it
+        value = {"mean": [math.nan, -math.inf], "nested": ([1.5, math.inf],)}
+        assert cli._strict_json(value) == {"mean": ["nan", "-inf"], "nested": [[1.5, "inf"]]}
 
 
 class TestDeterminism:

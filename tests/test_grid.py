@@ -207,6 +207,14 @@ class TestFieldFiles:
         with pytest.raises(ValueError, match="non-finite"):
             read_field(path)
 
+    @pytest.mark.parametrize("affine", ["nan 0 0 0", "0 0 0 -inf"])
+    def test_non_finite_header(self, affine, tmp_path):
+        path = tmp_path / "nan.bfld"
+        lines = [f"BFLD1 16 16 6.283185307179586 {affine}"] + ["0 0"] * 256
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="non-finite values in"):
+            read_field(path)
+
     def test_write_format_pinned(self, tmp_path):
         vals = np.zeros((16, 16), dtype=complex)
         vals[0, 0] = complex(-0.0, 1e-308)
