@@ -96,6 +96,7 @@ def _number(cast, ok, what: str):
 
 _positive = _number(float, lambda v: 0 < v < math.inf, "finite and > 0")
 _finite = _number(float, math.isfinite, "finite")
+_at_least_one = _number(float, lambda v: 1 <= v < math.inf, "finite and >= 1")
 _unit_open = _number(float, lambda v: 0 < v < 1, "in (0, 1)")
 
 
@@ -494,7 +495,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--grid", type=int, default=64)
     sp.add_argument("--levels", type=_number(int, lambda v: v >= 3, ">= 3"), default=3)
     solver_options(sp)
-    sp.add_argument("--p-min", type=_finite, default=2.0)
+    sp.add_argument("--p-min", type=_at_least_one, default=2.0)
     sp.add_argument("--p-max", type=_finite, default=8.0)
     sp.add_argument("--p-step", type=_positive, default=0.2)
     sp.add_argument("--second-order", action="store_true")

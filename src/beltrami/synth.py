@@ -66,20 +66,20 @@ _CENTER_FRAC = (0.5 + 1.0 / 48.0, 0.5 + 1.0 / 24.0)
 
 
 def _window(r: np.ndarray, r0: float, r1: float):
-    """C-infinity radial bump: 1 on [0, r0], 0 beyond r1, and its r-derivative."""
-    t = np.clip((r - r0) / (r1 - r0), 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        sa = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        sb = np.where(t < 1, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-        w = sb / (sa + sb)
-        # d/dt of sb/(sa+sb); sa' = sa/t^2, sb' = -sb/(1-t)^2
-        da = np.where(t > 0, sa / np.maximum(t, 1e-300) ** 2, 0.0)
-        db = np.where(t < 1, -sb / np.maximum(1.0 - t, 1e-300) ** 2, 0.0)
-        dw = (db * (sa + sb) - sb * (da + db)) / (sa + sb) ** 2
-    inside = t <= 0
-    outside = t >= 1
-    w = np.where(inside, 1.0, np.where(outside, 0.0, w))
-    dw = np.where(inside | outside, 0.0, dw) / (r1 - r0)
+    """C-infinity radial bump: 1 on [0, r0], 0 beyond r1, and its r-derivative;
+    the exponentials are evaluated on the transition band r0 < r < r1 only."""
+    t = (r - r0) / (r1 - r0)
+    w = (t <= 0).astype(float)
+    dw = np.zeros_like(r)
+    band = (t > 0) & (t < 1)
+    t = t[band]
+    sa = np.exp(-1.0 / t)
+    sb = np.exp(-1.0 / (1.0 - t))
+    w[band] = sb / (sa + sb)
+    # d/dt of sb/(sa+sb); sa' = sa/t^2, sb' = -sb/(1-t)^2
+    da = sa / t ** 2
+    db = -sb / (1.0 - t) ** 2
+    dw[band] = (db * (sa + sb) - sb * (da + db)) / (sa + sb) ** 2 / (r1 - r0)
     return w, dw
 
 
@@ -88,21 +88,32 @@ def _radial_parts(spec: GridSpec, K: float):
         raise ValueError(f"distortion parameter must be finite and exceed 1, got {K}")
     L = spec.L
     z0 = L * (_CENTER_FRAC[0] + 1j * _CENTER_FRAC[1])
-    Z = z_grid(spec) - z0
+    Z = z_grid(spec)
+    Z -= z0
     r = np.abs(Z)
     beta = (1.0 - K) / (2.0 * K)          # f0 = Z * |Z|^(2*beta), exponent 1/K - 1
     rb = r ** (2.0 * beta)                # diverges at the (off-lattice) center
     f0 = Z * rb
-    f0_z = (1.0 + beta) * rb + 0j
-    f0_zb = beta * np.divide(Z, np.conj(Z), out=np.zeros_like(Z), where=r > 0) * rb
+    g_z = (1.0 + beta) * rb + 0j          # f0_z, windowed in place below
+    g_zb = np.divide(Z, np.conj(Z), out=np.zeros_like(Z), where=r > 0)
+    g_zb *= beta
+    g_zb *= rb                            # f0_zb, windowed in place below
     # wide transition band keeps the window's own gradient small, so the
     # distribution tail stays a clean power law from the center alone
     w, dw = _window(r, 0.15 * L, 0.45 * L)
-    safe_r = np.maximum(r, 1e-300)
-    g = w * f0
-    g_z = w * f0_z + dw * np.conj(Z) / (2.0 * safe_r) * f0
-    g_zb = w * f0_zb + dw * Z / (2.0 * safe_r) * f0
-    return g, g_z, g_zb
+    two_r = np.maximum(r, 1e-300)
+    two_r *= 2.0
+    # g_z = w*f0_z + dw*conj(Z)/(2r)*f0 and g_zb = w*f0_zb + dw*Z/(2r)*f0,
+    # built in place in that operation order, so the samples keep their
+    # bytes; one scratch buffer holds each pass's term, then g = w*f0
+    term = np.empty_like(Z)
+    for g_d, z_part in ((g_z, np.conj(Z, out=term)), (g_zb, Z)):
+        np.multiply(z_part, dw, out=term)
+        term /= two_r
+        term *= f0
+        g_d *= w
+        g_d += term
+    return np.multiply(w, f0, out=term), g_z, g_zb
 
 
 def radial_extremal_field(spec: GridSpec, K: float) -> GridField:

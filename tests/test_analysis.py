@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beltrami import (
     DerivedPair,
@@ -30,6 +32,7 @@ from beltrami import (
 )
 from beltrami import analysis
 from beltrami.analysis import _distortion_values, _tail_fit
+from beltrami.synth import _CENTER_FRAC
 from _helpers import rel_l2
 
 SPEC = GridSpec(64)
@@ -150,6 +153,36 @@ class TestSobolevProbe:
         rep = sobolev_probe(fields, [2.0, 3.0])
         rows = rep.norm_rows()
         assert len(rows) == 6  # 2 exponents x 3 levels
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), zero_frac=st.floats(0.0, 0.5),
+           p_grid=st.lists(st.floats(1.0, 1000.0), min_size=1, max_size=6,
+                           unique=True).map(sorted),
+           reach=st.floats(1.0, 700.0))
+    def test_power_means_match_mean_of_powers(self, seed, zero_frac, p_grid, reach):
+        # one logarithm per level and one exponential per exponent give
+        # mean(|Df| ** p) to about eps * (1 + p * |log|Df||) relative; exact
+        # zeros map to 0 ** p = 0.  The largest p reaches p * |log|Df|| =
+        # reach, up to the overflow edge
+        rng = np.random.default_rng(seed)
+        fields, pairs, mags = [], [], []
+        for n in (16, 32, 64):
+            spec = GridSpec(n)
+            m = np.exp(rng.uniform(-reach, reach, (n, n)) / p_grid[-1])
+            m[rng.random((n, n)) < zero_frac] = 0.0
+            fields.append(zero_field(spec))
+            pairs.append((GridField(spec, 0.0, 0.0, m + 0j),
+                          GridField(spec, 0.0, 0.0, np.zeros((n, n), complex))))
+            mags.append(m)
+        rep = sobolev_probe(fields, p_grid, pairs=pairs)
+        eps = np.finfo(float).eps
+        for row, m in zip(rep.power_means, mags):
+            ref = np.array([np.mean(m ** p) for p in p_grid])
+            log_max = float(np.max(np.abs(np.log(m[m > 0]))))
+            bound = eps * (16.0 + np.array(p_grid) * log_max) * ref
+            assert np.all(np.abs(np.array(row) - ref) <= bound)
+        # the tail fit reads the finest level before its logarithm replaces it
+        assert (rep.tail_exponent, rep.fit_r2) == _tail_fit(mags[-1].reshape(-1))
 
 
 class TestSecondOrderProbe:
@@ -499,7 +532,53 @@ class TestTailFit:
             assert _tail_fit(s) == _tail_fit_reference(s)
 
 
+def _window_reference(r, r0, r1):
+    """The window as first written: both exponentials on every sample."""
+    t = np.clip((r - r0) / (r1 - r0), 0.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sa = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
+        sb = np.where(t < 1, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
+        w = sb / (sa + sb)
+        da = np.where(t > 0, sa / np.maximum(t, 1e-300) ** 2, 0.0)
+        db = np.where(t < 1, -sb / np.maximum(1.0 - t, 1e-300) ** 2, 0.0)
+        dw = (db * (sa + sb) - sb * (da + db)) / (sa + sb) ** 2
+    inside = t <= 0
+    outside = t >= 1
+    w = np.where(inside, 1.0, np.where(outside, 0.0, w))
+    dw = np.where(inside | outside, 0.0, dw) / (r1 - r0)
+    return w, dw
+
+
+def _radial_parts_reference(spec, K):
+    """The radial fixture as first written, one fresh array per operation."""
+    L = spec.L
+    z0 = L * (_CENTER_FRAC[0] + 1j * _CENTER_FRAC[1])
+    Z = z_grid(spec) - z0
+    r = np.abs(Z)
+    beta = (1.0 - K) / (2.0 * K)
+    rb = r ** (2.0 * beta)
+    f0 = Z * rb
+    f0_z = (1.0 + beta) * rb + 0j
+    f0_zb = beta * np.divide(Z, np.conj(Z), out=np.zeros_like(Z), where=r > 0) * rb
+    w, dw = _window_reference(r, 0.15 * L, 0.45 * L)
+    safe_r = np.maximum(r, 1e-300)
+    g = w * f0
+    g_z = w * f0_z + dw * np.conj(Z) / (2.0 * safe_r) * f0
+    g_zb = w * f0_zb + dw * Z / (2.0 * safe_r) * f0
+    return g, g_z, g_zb
+
+
 class TestRadialFixture:
+    @pytest.mark.parametrize("n", [16, 128, 512])
+    @pytest.mark.parametrize("K", [1.5, 2.0, 3.0])
+    def test_pair_keeps_the_reference_bytes(self, n, K):
+        # the tail fit moves by up to 1% when its input moves by 1e-15, so
+        # the fixture is pinned to the bit
+        spec = GridSpec(n)
+        got = radial_extremal_pair(spec, K)
+        for g, ref in zip(got, _radial_parts_reference(spec, K)):
+            assert g.values.dtype == ref.dtype and g.values.tobytes() == ref.tobytes()
+
     def test_window_makes_field_periodic(self):
         g = radial_extremal_field(SPEC, 2.0)
         # the support ends before the cell boundary, so edge samples vanish
@@ -509,8 +588,6 @@ class TestRadialFixture:
     def test_constant_distortion_in_core(self):
         spec = GridSpec(256)
         g, gz, gzb = radial_extremal_pair(spec, 2.0)
-        from beltrami.synth import _CENTER_FRAC
-
         z0 = spec.L * (_CENTER_FRAC[0] + 1j * _CENTER_FRAC[1])
         r = np.abs(z_grid(spec) - z0)
         core = (r > 0.02 * spec.L) & (r < 0.12 * spec.L)
@@ -523,8 +600,6 @@ class TestRadialFixture:
         spec = GridSpec(256)
         g, gz, gzb = radial_extremal_pair(spec, 2.0)
         from _helpers import fd_dz, fd_dzbar
-        from beltrami.synth import _CENTER_FRAC
-
         z0 = spec.L * (_CENTER_FRAC[0] + 1j * _CENTER_FRAC[1])
         r = np.abs(z_grid(spec) - z0)
         smooth = (r > 0.05 * spec.L) & (r < 0.12 * spec.L)

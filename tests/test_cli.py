@@ -359,6 +359,22 @@ class TestProbeCommand:
                                                      ("regularity.csv", "manifest.json")])
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("source", [["--map", "kabs:0.3", "--h", "trig:0.1,0,1,0"],
+                                        ["--extremal", "2"]], ids=["map", "extremal"])
+    @pytest.mark.parametrize("p_min", ["0.5", "0", "-inf", "inf"])
+    def test_p_min_checked_before_the_ladder(self, source, p_min, monkeypatch, tmp_path,
+                                             capsys):
+        def no_work(*_args):
+            raise AssertionError("ladder built before --p-min was checked")
+
+        for name in ("radial_extremal_pair", "_solve_ladder"):
+            monkeypatch.setattr(cli, name, no_work)
+        out = tmp_path / "o"
+        assert run(["probe", *source, "--grid", "16", f"--p-min={p_min}",
+                    "--out", str(out)]) == 1
+        assert "argument --p-min: must be finite and >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_levels_checked_before_the_ladder(self, monkeypatch, tmp_path, capsys):
         def no_solves(*_args):
             raise AssertionError("ladder solved before --levels was checked")
