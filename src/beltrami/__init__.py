@@ -61,7 +61,6 @@ from .analysis import (
     RegularityReport,
     directional_derivative_fields,
     directional_family_max_distortion,
-    distortion_field,
     distortion_stats,
     gradient_equation_check,
     hodograph_check,

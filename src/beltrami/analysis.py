@@ -17,7 +17,6 @@ from .operators import _second_derivatives, derivative_pair
 
 __all__ = [
     "DEGENERACY_GAP",
-    "distortion_field",
     "distortion_stats",
     "DistortionStats",
     "RegularityReport",
@@ -46,13 +45,6 @@ def _distortion_values(fz: np.ndarray, fzb: np.ndarray) -> np.ndarray:
     good = lo > DEGENERACY_GAP
     out[good] = hi[good] / lo[good]
     return out
-
-
-def distortion_field(f: GridField) -> GridField:
-    """Pointwise distortion of f as a real-valued field (inf sentinel at
-    degenerate samples)."""
-    fz, fzb = derivative_pair(f)
-    return GridField(f.spec, 0.0, 0.0, _distortion_values(fz.values, fzb.values))
 
 
 @dataclass(frozen=True)

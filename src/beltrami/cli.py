@@ -12,9 +12,10 @@ Map grammar (flat tokens joined by '+'):
     smoothsat:a_re,a_im,b_re,b_im,s a*zeta + b*conj(zeta) + s*zeta/(1+|zeta|)
     zterm:amp_re,amp_im,k1,k2       + amp*sin(2*pi*(k1*x + k2*y)/L)
     wterm:c_re,c_im                 + c*w/(1+|w|)
-A bare autonomous token selects the gradient-only solvers; any zterm/wterm
-upgrades the map to the full solver (use --damping to stabilize it).  An
-option that the chosen run does not read exits 1 unless it keeps its default.
+A bare autonomous token selects the gradient-only solvers, which read
+--h; any zterm/wterm upgrades the map to the full solver, which reads
+--damping and not --h (a zterm is its forcing).  An option that the chosen
+run does not read exits 1 unless it keeps its default.
 
 Forcing grammar for --h:
     zero                            the zero field (default)
@@ -279,6 +280,15 @@ def _refuse_unread(args, reader: str, names: str) -> None:
             raise _UsageError(f"--{name.replace('_', '-')} is read only by {reader}")
 
 
+def _refuse_unread_by_map(args, mapping) -> None:
+    """A fixed-point solve of an autonomous map reads --h, not --damping;
+    one of a full map reads --damping, not --h."""
+    if isinstance(mapping, AutonomousMap):
+        _refuse_unread(args, "a solve of a full map (zterm/wterm tokens)", "damping")
+    else:
+        _refuse_unread(args, "a solve of an autonomous map (no zterm/wterm tokens)", "h")
+
+
 def _solve_fixed_point(args, mapping, h: GridField, spec: GridSpec):
     if isinstance(mapping, AutonomousMap):
         return solve_autonomous(mapping, h, args.mean, tol=args.tol,
@@ -292,8 +302,8 @@ def cmd_solve(args) -> int:
     mapping = parse_map(args.map, spec.L)
     if args.solver == "changevar":
         _refuse_unread(args, "the fixed-point solver", "damping tol max_iter")
-    elif isinstance(mapping, AutonomousMap):
-        _refuse_unread(args, "a solve of a full map (zterm/wterm tokens)", "damping")
+    else:
+        _refuse_unread_by_map(args, mapping)
     h = _parse_h(args.h, spec)
 
     if args.solver == "changevar":
@@ -360,8 +370,7 @@ def cmd_probe(args) -> int:
             pairs.append((gz, gzb))
     elif args.map:
         mapping = parse_map(args.map, args.period)
-        if isinstance(mapping, AutonomousMap):
-            _refuse_unread(args, "a solve of a full map (zterm/wterm tokens)", "damping")
+        _refuse_unread_by_map(args, mapping)
         fields = _solve_ladder(args, mapping, ladder())
     else:
         raise _UsageError("probe needs --fields, --map or --extremal")

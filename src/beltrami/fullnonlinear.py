@@ -34,7 +34,8 @@ class FullStructure:
 
         |U(z, w, zeta)| <= zeta_bound*|zeta|^alpha + w_bound*|w|^(2*alpha) + u(z).
 
-    u is sampled on the solver grid.
+    u is sampled on the grid that check_conditions and fit_bound_constants
+    draw z from; solve_full does not read the structure.
     """
 
     a: complex
@@ -87,11 +88,17 @@ class ConditionReport:
     zero_slot_max: float
     bound_excess: float | None
 
-    def passes(self, k: float, tol: float = 1e-9) -> bool:
-        ok = self.lipschitz_max <= k + tol and self.zero_slot_max <= tol
+    def passes(self, k: float) -> bool:
+        """Every sampled condition holds to 1e-9."""
+        ok = self.lipschitz_max <= k + 1e-9 and self.zero_slot_max <= 1e-9
         if self.bound_excess is not None:
-            ok = ok and self.bound_excess <= tol
+            ok = ok and self.bound_excess <= 1e-9
         return ok
+
+
+def _sample_grid(H: FullMap) -> GridSpec:
+    """The grid z is sampled on: the structure's, else 16 points a side."""
+    return H.structure.u.spec if H.structure is not None else GridSpec(16)
 
 
 def _sample_points(spec: GridSpec, samples: int, seed: int):
@@ -106,18 +113,16 @@ def _sample_points(spec: GridSpec, samples: int, seed: int):
     return rng, z, w, zeta
 
 
-def check_conditions(H: FullMap, samples: int, spec: GridSpec | None = None,
-                     seed: int = 0) -> ConditionReport:
+def check_conditions(H: FullMap, samples: int, seed: int = 0) -> ConditionReport:
     """Sample the Lipschitz, zero-slot and envelope conditions.
 
-    z ranges over grid points (of the structure's grid when declared), w
-    over a broad disk, zeta over log-uniform moduli up to 1e4.
+    z ranges over the points of the structure's grid (a 16-point grid
+    without structure), w over a broad disk, zeta over log-uniform moduli
+    up to 1e4.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    if spec is None:
-        spec = H.structure.u.spec if H.structure is not None else GridSpec(16)
-    rng, z, w, zeta = _sample_points(spec, samples, seed)
+    rng, z, w, zeta = _sample_points(_sample_grid(H), samples, seed)
 
     eta = zeta * rng.uniform(0, 1, samples) + (
         rng.normal(size=samples) + 1j * rng.normal(size=samples))
@@ -176,8 +181,7 @@ def _min_sum_cover(X: np.ndarray, Y: np.ndarray, r: np.ndarray) -> tuple[float, 
 
 
 def fit_bound_constants(H: FullMap, alpha: float, samples: int = 512,
-                        spec: GridSpec | None = None, seed: int = 0,
-                        a: complex | None = None,
+                        seed: int = 0, a: complex | None = None,
                         b: complex | None = None) -> tuple[float, float]:
     """Smallest (zeta_bound, w_bound) making the envelope hold on samples.
 
@@ -187,10 +191,10 @@ def fit_bound_constants(H: FullMap, alpha: float, samples: int = 512,
     the declared u(z) contribution.  Non-finite samples raise ValueError, a positive
     r_i at zeta_i = w_i = 0 ArithmeticError.  The linear part defaults to the
     declared structure (zero without one); pass a, b to fit around another.
+    z is drawn as in check_conditions: from the structure's grid, or from a
+    16-point grid without structure.
     """
-    if spec is None:
-        spec = GridSpec(16)
-    _, z, w, zeta = _sample_points(spec, samples, seed)
+    _, z, w, zeta = _sample_points(_sample_grid(H), samples, seed)
     st = H.structure
     if a is None:
         a = st.a if st is not None else 0.0
@@ -208,10 +212,12 @@ def solve_full(
     tol: float = 1e-10,
     max_iter: int = 200,
     damping: float = 1.0,
-    spec: GridSpec | None = None,
+    *,
+    spec: GridSpec,
 ) -> tuple[GridField, SolveReport]:
-    """Damped Picard iteration for f_zbar = H(z, f, f_z).
+    """Damped Picard iteration for f_zbar = H(z, f, f_z) on the grid spec.
 
+    The grid is always passed: a declared structure's grid is not read.
     Each step evaluates H pointwise at the current iterate, routes the mean
     to the affine part, pulls the gradient candidate through the beurling
     transform and rebuilds f; a damping factor below one blends consecutive
@@ -224,10 +230,6 @@ def solve_full(
     raised, since no finite iterate exists.  H is the one right-hand side
     that reads f, so each step here costs three transforms, not two.
     """
-    if spec is None:
-        if H.structure is None:
-            raise ValueError("pass a grid spec (or declare structure with a grid)")
-        spec = H.structure.u.spec
     Z = z_grid(spec)
     Heval = H.eval
 

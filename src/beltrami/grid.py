@@ -83,10 +83,6 @@ class GridField:
         object.__setattr__(self, "c", complex(self.c))
         object.__setattr__(self, "d", complex(self.d))
 
-    @property
-    def periodic_mean(self) -> complex:
-        return complex(self.values.mean())
-
     def total_values(self) -> np.ndarray:
         """Samples of the full field (affine part included) on one cell."""
         z = z_grid(self.spec)

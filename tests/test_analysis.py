@@ -13,7 +13,6 @@ from beltrami import (
     derivative_pair,
     directional_derivative_fields,
     directional_family_max_distortion,
-    distortion_field,
     distortion_stats,
     gradient_equation_check,
     HodographResult,
@@ -60,8 +59,8 @@ class TestDistortion:
         assert math.isinf(st.max)
 
     def test_field_carries_sentinels(self):
-        K = distortion_field(affine(0.0, 1.0))
-        assert np.all(np.isinf(K.values.real))
+        K = _distortion_values(*(g.values for g in derivative_pair(affine(0.0, 1.0))))
+        assert np.all(np.isinf(K))
 
     def test_matches_directional_ratio(self):
         # (|fz|+|fzb|)/(|fz|-|fzb|) equals max/min of |d_alpha f| over
@@ -70,7 +69,7 @@ class TestDistortion:
         # sampling is O(step^2) away from the true extremes)
         f = random_trig_field(SPEC, seed=4, amplitude=0.15, c=1.0)
         fz, fzb = (g.values for g in derivative_pair(f))
-        K = distortion_field(f).values.real
+        K = _distortion_values(fz, fzb)
 
         def directional(i, j, alphas):
             return np.abs(fz[i, j] * np.exp(1j * alphas)
@@ -250,6 +249,15 @@ class TestRecoverCoefficients:
         fx, fy = directional_derivative_fields(f)
         co = recover_coefficients(fx, fy, 0.3)
         assert co.flagged_fraction == 1.0
+
+    @pytest.mark.parametrize("theta, flagged", [(4e-6, 0.0), (1e-6, 1.0)],
+                             ids=["ratio-2e-6-solved", "ratio-0.5e-6-flagged"])
+    def test_singular_value_ratio_bound_is_1e_6(self, theta, flagged):
+        # constant derivative pairs h_z = 1 and e^{i theta}: the system's
+        # singular values are about theta and 2, a ratio of about theta/2
+        fx = GridField(SPEC, 1.0, 0.1, np.zeros(SPEC.n ** 2))
+        fy = GridField(SPEC, np.exp(1j * theta), 0.2, np.zeros(SPEC.n ** 2))
+        assert recover_coefficients(fx, fy, 0.3).flagged_fraction == flagged
 
     def test_matches_per_sample_lstsq_oracle(self):
         # feed generic smooth fields and compare the vectorized solve with

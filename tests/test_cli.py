@@ -317,26 +317,32 @@ class TestProbeCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("source, unused", [
-        (["--extremal", "2"], ["--tol", "1e-3"]),
-        (["--extremal", "2"], ["--mean", "2,0"]),
-        (["--extremal", "2"], ["--max-iter", "3"]),
-        (["--fields", "F"], ["--extremal", "2"]),
-        (["--fields", "F"], ["--grid", "16"]),
-        (["--fields", "F"], ["--levels", "4"]),
-        (["--fields", "F"], ["--period", "1"]),
-        (["--map", "kabs:0.3"], ["--k", "0.5"]),
+        (["probe", "--extremal", "2"], ["--tol", "1e-3"]),
+        (["probe", "--extremal", "2"], ["--mean", "2,0"]),
+        (["probe", "--extremal", "2"], ["--max-iter", "3"]),
+        (["probe", "--fields", "F"], ["--extremal", "2"]),
+        (["probe", "--fields", "F"], ["--grid", "16"]),
+        (["probe", "--fields", "F"], ["--levels", "4"]),
+        (["probe", "--fields", "F"], ["--period", "1"]),
+        (["probe", "--map", "kabs:0.3"], ["--k", "0.5"]),
+        # a full map takes no forcing: its zterm tokens are the forcing
+        (["probe", "--map", "kabs:0.3+zterm:0.02,0,1,0"], ["--h", "trig:5,0,1,0"]),
+        (["solve", "--map", "kabs:0.3+zterm:0.02,0,1,0", "--grid", "32"],
+         ["--h", "trig:5,0,1,0"]),
     ], ids=["extremal-tol", "extremal-mean", "extremal-max-iter", "fields-extremal",
-            "fields-grid", "fields-levels", "fields-period", "k-without-second-order"])
+            "fields-grid", "fields-levels", "fields-period", "k-without-second-order",
+            "full-map-h", "solve-full-map-h"])
     def test_unread_options_refused_before_work(self, source, unused, monkeypatch,
                                                 tmp_path, capsys):
         def no_work(*_args):
             raise AssertionError(f"work started before {unused[0]} was checked")
 
-        for name in ("read_field", "radial_extremal_pair", "_solve_ladder"):
+        for name in ("read_field", "radial_extremal_pair", "_solve_ladder",
+                     "_solve_fixed_point"):
             monkeypatch.setattr(cli, name, no_work)
         source = [str(tmp_path / "f.bfld") if a == "F" else a for a in source]
         out = tmp_path / "o"
-        assert run(["probe", *source, *unused, "--out", str(out)]) == 1
+        assert run([*source, *unused, "--out", str(out)]) == 1
         assert f"{unused[0]} is read only by" in capsys.readouterr().err
         assert not out.exists()
 
@@ -452,6 +458,16 @@ class TestVerifyTransformCommand:
         assert f"argument {option}: must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("a, b, code", [
+        ("0.02,0", "0.01,0", 2),    # a*b-form residual 1.0e-7
+        ("0.01,0", "0.005,0", 0),   # a*b-form residual 6.3e-9
+    ], ids=["above", "below"])
+    def test_exit_code_bound_is_1e_8(self, a, b, code, capsys):
+        # the README: exit 0 iff the a*b-coefficient residual is <= 1e-8
+        assert run(["verify-transform", "--a", a, "--b", b]) == code
+        residual = float(capsys.readouterr().out.split("residual_ab_form=")[1].split()[0])
+        assert (residual <= 1e-8) == (code == 0)
+
     def test_generic_pair_fails_ab_form_with_exact_reduction(self, capsys):
         # both residuals are printed; the a*b-form one gates the exit code
         assert run(["verify-transform", "--a", "0.3,0", "--b", "0.2,0"]) == 2
@@ -512,8 +528,7 @@ class TestOtherCommands:
         # the full map drives |nu| >= 1 on unflagged samples: k' is unbounded
         sol = tmp_path / "sol"
         assert run(["solve", "--map", "kabs:0.3+zterm:0.02,0,1,0+wterm:0.05,0",
-                    "--grid", "32", "--damping", "0.7", "--h", "trig:0.1,0,1,0",
-                    "--out", str(sol)]) == 0
+                    "--grid", "32", "--damping", "0.7", "--out", str(sol)]) == 0
         out = tmp_path / "coef"
         capsys.readouterr()
         assert run(["coefficients", "--field", str(sol / "solution.bfld"),

@@ -28,6 +28,7 @@ from beltrami import (
     solve_cc_changevar,
     solve_cc_neumann,
     solve_full,
+    trig_field,
     z_grid,
 )
 from beltrami import autonomous, fullnonlinear
@@ -387,6 +388,18 @@ class TestPreconditioned:
         assert "less than k = 0.3 at iteration 2; plain steps" in rep.notes
         assert rep.iterations <= plain.iterations + 5
         assert residual(A, f, h) <= 1e-10 * max(1.0, lp_norm(h, 2)) + 1e-14
+
+    def test_step_contracting_by_more_than_k_falls_back(self):
+        # the declared a = 0.5 is wrong for 0.3*zeta, but only mildly: the
+        # second step contracts by about 0.36, between k and 1, and the
+        # switch to plain steps is promised at k, not at 1
+        A = AutonomousMap(eval=lambda z: 0.3 * z, k=0.3, linf=CCParams(0.5, 0))
+        h = trig_field(GridSpec(32), [(1, 0, 0.2), (0, 1, 0.1j)])
+        f, rep = solve_autonomous(A, h, 1.0)
+        first, second = rep.residual_history[:2]
+        assert 0.3 < second / first < 1.0
+        assert "less than k = 0.3 at iteration 2; plain steps" in rep.notes
+        assert rep.converged
 
     def test_rejects_bad_linear_part(self):
         def rhs(_field, psi):

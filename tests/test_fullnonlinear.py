@@ -109,11 +109,6 @@ class TestSolveFull:
         # damping 0.5 slows the linear rate to about (1+k)/2
         assert rep.contraction_ratio <= 0.5 * (1 + 0.3) + 0.02
 
-    def test_needs_grid(self):
-        H = FullMap(eval=lambda z, w, zeta: 0.2 * zeta, k=0.2)
-        with pytest.raises(ValueError, match="grid"):
-            solve_full(H, 1.0)
-
     def test_k_range_enforced(self):
         with pytest.raises(ValueError, match="Lipschitz"):
             FullMap(eval=lambda z, w, zeta: zeta, k=1.0)

@@ -46,7 +46,7 @@ class TestMakeField:
 
     def test_constant_field(self):
         f = GridField(GridSpec(16), 0.0, 0.0, np.full(256, 5.0 + 0j))
-        assert f.periodic_mean == pytest.approx(5.0)
+        assert f.values.mean() == pytest.approx(5.0)
         assert np.all(f.values == 5.0)
 
     def test_composite_field_value_at_origin(self):

@@ -1,4 +1,5 @@
-"""The package's public surface: every exported name resolves."""
+"""The package's public surface: every exported name resolves, and the
+README's library quick start runs as written."""
 
 import ast
 import importlib
@@ -8,6 +9,7 @@ import pytest
 
 import beltrami
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 LIBRARY_MODULES = ["grid", "operators", "fixedpoint", "constant_coefficient",
                    "autonomous", "fullnonlinear", "analysis", "synth"]
 
@@ -34,3 +36,11 @@ def test_one_linear_part_type():
     # the constant-coefficient solvers and AutonomousMap.linf share one type
     assert beltrami.CCParams is beltrami.autonomous.CCParams
     assert beltrami.constant_coefficient.CCParams is beltrami.autonomous.CCParams
+
+
+def test_readme_quick_start_runs(capsys):
+    section = README.read_text().split("## Library quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(README), "exec"), {})
+    iterations, ratio = capsys.readouterr().out.split()
+    assert int(iterations) >= 1 and float(ratio) <= 0.3
