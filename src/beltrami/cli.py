@@ -12,9 +12,10 @@ Map grammar (flat tokens joined by '+'):
     smoothsat:a_re,a_im,b_re,b_im,s a*zeta + b*conj(zeta) + s*zeta/(1+|zeta|)
     zterm:amp_re,amp_im,k1,k2       + amp*sin(2*pi*(k1*x + k2*y)/L)
     wterm:c_re,c_im                 + c*w/(1+|w|)
-A bare autonomous token selects the gradient-only solvers, which read
---h; any zterm/wterm upgrades the map to the full solver, which reads
---damping and not --h (a zterm is its forcing).  An option that the chosen
+A bare autonomous token selects the gradient-only solvers; any zterm/wterm
+upgrades the map to the full solver, the only one that reads --damping.
+Every fixed-point solve reads --h and stops at
+||f_zbar - H - h||_2 <= tol * max(1, ||h||_2).  An option that the chosen
 run does not read exits 1 unless it keeps its default.
 
 Forcing grammar for --h:
@@ -165,8 +166,8 @@ def parse_map(spec_str: str, L: float):
     return FullMap(eval=full_eval, k=base.k, name=spec_str)
 
 
-def _parse_h(h_arg: str | None, spec: GridSpec) -> GridField:
-    if h_arg is None or h_arg == "zero":
+def _parse_h(h_arg: str, spec: GridSpec) -> GridField:
+    if h_arg == "zero":
         return trig_field(spec, [])
     if h_arg.startswith("trig:"):
         waves = []
@@ -178,7 +179,7 @@ def _parse_h(h_arg: str | None, spec: GridSpec) -> GridField:
     if f.spec.n != spec.n:
         f = resample(f, spec.n)
     if f.spec != spec:
-        raise _UsageError(f"forcing file grid {f.spec} does not match requested {spec}")
+        raise _UsageError(f"--h file grid {f.spec} does not match requested {spec}")
     return f
 
 
@@ -231,8 +232,6 @@ def _config(args) -> dict:
         if isinstance(value, complex):
             value = [value.real, value.imag]
         config[key] = value
-    if "h" in config:
-        config["h"] = config["h"] or "zero"
     if "fields" in config:
         config["fields"] = config["fields"] or None
     return config
@@ -281,12 +280,9 @@ def _refuse_unread(args, reader: str, names: str) -> None:
 
 
 def _refuse_unread_by_map(args, mapping) -> None:
-    """A fixed-point solve of an autonomous map reads --h, not --damping;
-    one of a full map reads --damping, not --h."""
+    """A fixed-point solve of an autonomous map does not read --damping."""
     if isinstance(mapping, AutonomousMap):
         _refuse_unread(args, "a solve of a full map (zterm/wterm tokens)", "damping")
-    else:
-        _refuse_unread(args, "a solve of an autonomous map (no zterm/wterm tokens)", "h")
 
 
 def _solve_fixed_point(args, mapping, h: GridField, spec: GridSpec):
@@ -294,7 +290,7 @@ def _solve_fixed_point(args, mapping, h: GridField, spec: GridSpec):
         return solve_autonomous(mapping, h, args.mean, tol=args.tol,
                                 max_iter=args.max_iter)
     return solve_full(mapping, args.mean, tol=args.tol, max_iter=args.max_iter,
-                      damping=args.damping, spec=spec)
+                      damping=args.damping, spec=spec, h=h)
 
 
 def cmd_solve(args) -> int:
@@ -339,7 +335,8 @@ def _solve_ladder(args, mapping, specs: list[GridSpec]):
     for spec in specs:
         f, rep = _solve_fixed_point(args, mapping, _parse_h(args.h, spec), spec)
         if not rep.converged:
-            raise _UsageError(f"ladder solve at n={spec.n} did not converge")
+            raise _UsageError(f"ladder solve at n={spec.n} did not converge "
+                              f"within --max-iter {args.max_iter}")
         fields.append(f)
     return fields
 
@@ -438,7 +435,7 @@ def cmd_hodograph(args) -> int:
     f = read_field(args.field)
     mapping = parse_map(args.map, f.spec.L)
     if not isinstance(mapping, AutonomousMap):
-        raise _UsageError("hodograph requires an autonomous (gradient-only) map")
+        raise _UsageError(f"hodograph --map must be autonomous (no zterm/wterm), got {args.map!r}")
     result = hodograph_check(f, mapping, args.points, seed=args.seed,
                              min_jacobian=args.min_jacobian)
     _finish(args, {"hodograph.csv": (
@@ -479,7 +476,7 @@ def build_parser() -> _Parser:
     def solver_options(sp):
         sp.add_argument("--period", type=float, default=2.0 * math.pi)
         sp.add_argument("--mean", type=_complex_arg, default=complex(1.0, 0.0))
-        sp.add_argument("--h", default=None)
+        sp.add_argument("--h", default="zero")
         sp.add_argument("--tol", type=_positive, default=1e-10)
         sp.add_argument("--max-iter", type=_number(int, lambda v: v >= 1, ">= 1"),
                         default=2000)

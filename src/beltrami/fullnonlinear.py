@@ -1,5 +1,5 @@
-"""The fully nonlinear system f_zbar = H(z, f, f_z): structural checks and
-a damped Picard solver.
+"""The fully nonlinear system f_zbar = H(z, f, f_z) + h: structural checks
+and a damped Picard solver.
 
 H depends on position, the unknown and its gradient.  Contraction holds in
 the gradient slot only, so convergence of the outer iteration is reported,
@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .fixedpoint import SolveReport, picard_solve
-from .grid import GridField, GridSpec, z_grid
+from .grid import GridField, GridSpec, lp_norm, z_grid
 from .autonomous import AutonomousMap
 
 __all__ = [
@@ -55,7 +55,8 @@ class FullMap:
     """Gradient map with position and unknown dependence.
 
     eval(z, w, zeta) must be vectorized over same-shape complex arrays; k
-    bounds the Lipschitz constant in the zeta slot; H(z, w, 0) must vanish.
+    bounds the Lipschitz constant in the zeta slot; H(z, w, 0) must vanish
+    (check_conditions samples it), and a forcing goes to solve_full as h.
     """
 
     eval: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -214,26 +215,35 @@ def solve_full(
     damping: float = 1.0,
     *,
     spec: GridSpec,
+    h: GridField | None = None,
 ) -> tuple[GridField, SolveReport]:
-    """Damped Picard iteration for f_zbar = H(z, f, f_z) on the grid spec.
+    """Damped Picard iteration for f_zbar = H(z, f, f_z) + h on the grid spec.
 
     The grid is always passed: a declared structure's grid is not read.
+    The forcing h, when given, must be periodic (zero affine part) on spec,
+    else ValueError; h=None solves f_zbar = H(z, f, f_z) with nothing added.
     Each step evaluates H pointwise at the current iterate, routes the mean
     to the affine part, pulls the gradient candidate through the beurling
     transform and rebuilds f; a damping factor below one blends consecutive
     right-hand sides.  The dependence on f itself is not contractive in
     general, so non-convergence is possible and is reported honestly via
-    the converged flag (no exception); converged means an equation residual
-    <= tol, an absolute threshold.  The least-residual iterate is
-    returned, and a non-finite residual ends the run early with a note.
-    Only when the very first residual is non-finite is ArithmeticError
-    raised, since no finite iterate exists.  H is the one right-hand side
-    that reads f, so each step here costs three transforms, not two.
+    the converged flag (no exception); converged means, as in
+    solve_autonomous, ||f_zbar - H - h||_2 <= tol * max(1, ||h||_2).  The
+    least-residual iterate is returned, and a non-finite residual ends the
+    run early with a note.  Only when the very first residual is non-finite
+    is ArithmeticError raised, since no finite iterate exists.  H is the one
+    right-hand side that reads f, so each step here costs three transforms,
+    not two.
     """
+    if h is not None and (h.spec != spec or not h.is_periodic()):
+        raise ValueError(f"forcing must be periodic on the solve grid {spec}")
     Z = z_grid(spec)
     Heval = H.eval
+    hv = None if h is None else h.values
 
     def rhs(field, psi):
-        return Heval(Z, field(), psi)
+        out = Heval(Z, field(), psi)
+        return out if hv is None else out + hv
 
-    return picard_solve(rhs, spec, c_mean, tol, max_iter, damping=damping)
+    scale = 1.0 if h is None else max(1.0, lp_norm(h, 2))
+    return picard_solve(rhs, spec, c_mean, tol * scale, max_iter, damping=damping)

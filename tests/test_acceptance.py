@@ -401,6 +401,22 @@ def test_criterion_10_degeneration_and_conditions():
         bit_identical = bit_identical and np.array_equal(fa.values, ff.values) \
             and fa.d == ff.d and ra.residual_history == rf.residual_history
 
+    # forced kabs, which declares no linear part: both solvers step alike and
+    # stop at tol * max(1, ||h||_2), below and above ||h||_2 = 1 (at 9 the
+    # scaled threshold is more than 1/k above tol: some iterate lies between)
+    K = abs_map(0.3)
+    forced_identical, swept = True, True
+    for norm in (0.3, 1.5, 9.0):
+        h = random_trig_field(spec, seed=10)
+        h = h * (norm / lp_norm(h, 2))
+        for it in (1, 2, 3, 10, 50):
+            fa, ra = solve_autonomous(K, h, 1.0 + 0.5j, tol=1e-13, max_iter=it)
+            ff, rf = solve_full(from_autonomous(K), 1.0 + 0.5j, tol=1e-13, max_iter=it,
+                                damping=1.0, spec=spec, h=h)
+            forced_identical = forced_identical and np.array_equal(fa.values, ff.values) \
+                and fa.d == ff.d and ra.residual_history == rf.residual_history
+            swept = swept and rf.converged == (it == 50) and (rf.converged or rf.iterations == it)
+
     # the three worked structural checks
     zs = zero_field(spec)
     H1 = FullMap(eval=lambda z, w, zeta: 0.3 * zeta, k=0.3,
@@ -417,9 +433,10 @@ def test_criterion_10_degeneration_and_conditions():
     H3s = FullMap(eval=H3.eval, k=0.3,
                   structure=FullStructure(0.3, 0, 0.99, zb, wb, zs))
     c3 = check_conditions(H3s, samples=1024).bound_excess <= 1e-9
-    ok = bit_identical and c1 and c2 and c3
+    ok = bit_identical and forced_identical and swept and c1 and c2 and c3
     assert report(10, ok,
                   f"degeneration bit-identical over max_iter sweep: {bit_identical}; "
+                  f"forced, ||h||_2 = 0.3, 1.5 and 9: {forced_identical} (sweep {swept}); "
                   f"structural checks: linear {c1}, saturating-z {c2}, "
                   f"quadratic-w fitted (zeta_bound={zb:.3g}, w_bound={wb:.3g}) {c3}")
 

@@ -150,6 +150,20 @@ class TestSolveAutonomous:
         with pytest.raises(ValueError, match="Lipschitz"):
             solve_autonomous(lying, zero_field(SPEC), 1.0)
 
+    @pytest.mark.parametrize("excess", [1e-7, 1e-5], ids=["warns", "raises"])
+    def test_audit_boundaries(self, excess):
+        # a sampled constant above the declared k by 1e-9 to 1e-6 warns;
+        # beyond 1e-6 it raises.  A linear map's every sampled ratio is its
+        # constant, so the excess is known to roundoff.
+        close = AutonomousMap(eval=lambda z: (0.5 + excess) * z, k=0.5)
+        if excess < 1e-6:
+            with pytest.warns(UserWarning, match="slightly exceeds declared 0.5"):
+                _, rep = solve_autonomous(close, zero_field(SPEC), 1.0)
+            assert rep.converged
+        else:
+            with pytest.raises(ValueError, match="declared Lipschitz constant 0.5 exceeded"):
+                solve_autonomous(close, zero_field(SPEC), 1.0)
+
 
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(kind=st.sampled_from(["linear", "smoothsat", "kabs"]),

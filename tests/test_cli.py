@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import beltrami
-from beltrami import GridField, GridSpec, read_field, trig_field, write_field, z_grid
+from beltrami import (GridField, GridSpec, derivative_pair, lp_norm, read_field, trig_field,
+                      write_field, z_grid)
 from beltrami import cli
 from beltrami.analysis import CoefficientFields
 from beltrami.cli import _write_coefficients, _write_csv, build_parser, main, parse_map
@@ -113,6 +114,50 @@ class TestSolveCommand:
         code = run(["solve", "--map", "linear:0.4,0,0,0", "--grid", "64",
                     "--h", str(hpath), "--mean", "1,0", "--out", str(out)])
         assert code == 0
+
+    @pytest.mark.parametrize("map_spec", ["kabs:0.3", "kabs:0.3+zterm:0.02,0,1,0+wterm:0.05,0"],
+                             ids=["autonomous", "full"])
+    def test_forcing_file_resampled_to_the_grid(self, map_spec, tmp_path):
+        # a band-limited forcing written at n = 32 drives an n = 64 solve as
+        # the same waves sampled at n = 64 do
+        waves = "trig:0.1,0,1,0+0.05,-0.02,2,-1"
+        write_field(cli._parse_h(waves, GridSpec(32)), tmp_path / "h32.bfld")
+        fields = []
+        for name, h in (("file", str(tmp_path / "h32.bfld")), ("trig", waves)):
+            out = tmp_path / name
+            assert run(["solve", "--map", map_spec, "--grid", "64", "--h", h,
+                        "--out", str(out)]) == 0
+            fields.append(read_field(out / "solution.bfld"))
+        a, b = fields
+        assert abs(a.d - b.d) <= 1e-14 and np.max(np.abs(a.values - b.values)) <= 1e-14
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--map", "kabs:0.3,0.1"], "bad map token 'kabs:0.3,0.1': expected 1 numbers"),
+        (["solve", "--map", "linear:0.3,x,0,0"],
+         "bad map token 'linear:0.3,x,0,0': non-numeric field"),
+        (["solve", "--map", "kabs:0.3+kabs:0.2"], "duplicate base map token 'kabs:0.2'"),
+        (["solve", "--map", "zterm:0.1,0,1,0"], "map 'zterm:0.1,0,1,0' lacks a base token"),
+        (["solve", "--map", "kabs:0.3", "--h", "H_OTHER_PERIOD"], "--h file grid"),
+        (["solve", "--map", "kabs:0.3", "--max-iter", "ten"],
+         "argument --max-iter: expected int, got 'ten'"),
+        (["probe"], "probe needs --fields, --map or --extremal"),
+        (["probe", "--map", "kabs:0.3", "--h", "trig:0.1,0,1,0", "--max-iter", "1"],
+         "ladder solve at n=16 did not converge within --max-iter 1"),
+        (["hodograph", "--field", "H_OTHER_PERIOD", "--map", "kabs:0.3+wterm:0.1,0"],
+         "hodograph --map must be autonomous (no zterm/wterm), got 'kabs:0.3+wterm:0.1,0'"),
+    ], ids=["token-count", "token-non-numeric", "duplicate-base", "no-base",
+            "forcing-file-period", "option-non-numeric", "probe-no-source",
+            "ladder-not-converged",
+            "hodograph-full-map"])
+    def test_usage_errors_exit_1(self, argv, message, tmp_path, capsys):
+        other = tmp_path / "h.bfld"  # the right n on a period of 1
+        write_field(trig_field(GridSpec(16, 1.0), [(1, 0, 0.1)]), other)
+        argv = [str(other) if a == "H_OTHER_PERIOD" else a for a in argv]
+        grid = ["--grid", "16"] if argv[0] in ("solve", "probe") else []
+        out = tmp_path / "o"
+        assert run([*argv, *grid, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nonconvergence_exits_2_with_output(self, tmp_path):
         out = tmp_path / "run"
@@ -303,7 +348,7 @@ class TestProbeCommand:
         (["--extremal", "2"], ["--map", "nonsense:1"]),
         (["--extremal", "2"], ["--h", "trig:9,9,1,1"]),
         (["--fields", "F"], ["--map", "kabs:0.3"]),
-        (["--fields", "F"], ["--h", "zero"]),
+        (["--fields", "F"], ["--h", "trig:0.1,0,1,0"]),
     ], ids=["extremal-map", "extremal-h", "fields-map", "fields-h"])
     def test_solver_inputs_rejected_without_a_ladder_solve(self, source, unused,
                                                            tmp_path, capsys):
@@ -325,13 +370,8 @@ class TestProbeCommand:
         (["probe", "--fields", "F"], ["--levels", "4"]),
         (["probe", "--fields", "F"], ["--period", "1"]),
         (["probe", "--map", "kabs:0.3"], ["--k", "0.5"]),
-        # a full map takes no forcing: its zterm tokens are the forcing
-        (["probe", "--map", "kabs:0.3+zterm:0.02,0,1,0"], ["--h", "trig:5,0,1,0"]),
-        (["solve", "--map", "kabs:0.3+zterm:0.02,0,1,0", "--grid", "32"],
-         ["--h", "trig:5,0,1,0"]),
     ], ids=["extremal-tol", "extremal-mean", "extremal-max-iter", "fields-extremal",
-            "fields-grid", "fields-levels", "fields-period", "k-without-second-order",
-            "full-map-h", "solve-full-map-h"])
+            "fields-grid", "fields-levels", "fields-period", "k-without-second-order"])
     def test_unread_options_refused_before_work(self, source, unused, monkeypatch,
                                                 tmp_path, capsys):
         def no_work(*_args):
@@ -346,11 +386,42 @@ class TestProbeCommand:
         assert f"{unused[0]} is read only by" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", [
+        ["probe", "--map", "kabs:0.3+zterm:0.02,0,1,0", "--grid", "16"],
+        ["solve", "--map", "kabs:0.3+zterm:0.02,0,1,0", "--grid", "32"],
+    ], ids=["full-map-h", "solve-full-map-h"])
+    def test_full_map_reads_h(self, source, monkeypatch, tmp_path):
+        # every fixed-point solve reads --h and meets tol * max(1, ||h||_2)
+        solved = []
+        solve = cli._solve_fixed_point
+
+        def recording(args, mapping, h, spec):
+            f, rep = solve(args, mapping, h, spec)
+            solved.append((mapping, h, f))
+            return f, rep
+
+        monkeypatch.setattr(cli, "_solve_fixed_point", recording)
+        for name, forcing in (("plain", []), ("forced", ["--h", "trig:5,0,1,0"])):
+            assert run([*source, *forcing, "--out", str(tmp_path / name)]) == 0
+        half = len(solved) // 2
+        assert half == (3 if source[0] == "probe" else 1)
+        if source[0] == "solve":  # the residual is read from the written field
+            f = read_field(tmp_path / "forced" / "solution.bfld")
+            assert f.values.tobytes() == solved[-1][2].values.tobytes()
+        for (_, h0, f0), (H, h, f) in zip(solved[:half], solved[half:]):
+            assert isinstance(H, FullMap) and not h0.values.any()
+            assert np.max(np.abs(f.values - f0.values)) > 0.1
+            fz, fzb = derivative_pair(f)
+            r = fzb.values - H.eval(z_grid(f.spec), f.total_values(), fz.values) - h.values
+            assert lp_norm(h, 2) == pytest.approx(5.0)
+            assert np.sqrt(np.mean(np.abs(r) ** 2)) <= 1e-10 * 5.0
+
     @pytest.mark.parametrize("source, defaults", [
         (["--extremal", "2", "--grid", "16"],
-         ["--damping", "1", "--mean", "1,0", "--tol", "1e-10", "--max-iter", "2000"]),
+         ["--damping", "1", "--mean", "1,0", "--tol", "1e-10", "--max-iter", "2000",
+          "--h", "zero"]),
         (["--fields", "F16", "F32", "F64"],
-         ["--grid", "64", "--levels", "3", "--period", "6.283185307179586"]),
+         ["--grid", "64", "--levels", "3", "--period", "6.283185307179586", "--h", "zero"]),
     ], ids=["extremal", "fields"])
     def test_unread_options_at_their_defaults_accepted(self, source, defaults, tmp_path,
                                                        capsys):

@@ -79,10 +79,11 @@ class TestTransformCount:
         assert it > 10 and rep.converged and not rep.notes
         assert fft_counts == {"fft2": it + 1, "ifft2": it + 1}
 
-    def test_full_map_reads_field_every_step(self, fft_counts):
+    @pytest.mark.parametrize("h", [None, FORCING], ids=["unforced", "forced"])
+    def test_full_map_reads_field_every_step(self, h, fft_counts):
         H = FullMap(eval=lambda z, w, zeta: 0.3 * zeta + 0.05 * w / (1 + np.abs(w)),
                     k=0.3)
-        _, rep = solve_full(H, 1.0, tol=1e-10, spec=SPEC)
+        _, rep = solve_full(H, 1.0, tol=1e-10, spec=SPEC, h=h)
         it = rep.iterations
         assert it > 10
         assert fft_counts == {"fft2": it, "ifft2": 2 * it + 1}

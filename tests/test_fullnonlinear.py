@@ -12,6 +12,8 @@ from beltrami import (
     fit_bound_constants,
     from_autonomous,
     linear_map,
+    lp_norm,
+    random_trig_field,
     solve_autonomous,
     solve_full,
     z_grid,
@@ -108,6 +110,29 @@ class TestSolveFull:
         assert rep.final_residual <= 1e-11
         # damping 0.5 slows the linear rate to about (1+k)/2
         assert rep.contraction_ratio <= 0.5 * (1 + 0.3) + 0.02
+
+    def test_threshold_scales_with_the_forcing(self):
+        # as for solve_autonomous: the solve stops at tol * max(1, ||h||_2)
+        tol = 1e-8
+        h = random_trig_field(SPEC, seed=3)
+        h = h * (10.0 / lp_norm(h, 2))
+        H = FullMap(eval=lambda z, w, zeta: 0.5 * np.abs(zeta) + 0.05 * w / (1 + np.abs(w)),
+                    k=0.5)
+        _, rep = solve_full(H, 1.0, tol=tol, spec=SPEC, h=h)
+        history = rep.residual_history
+        assert rep.converged and history[-1] <= 10 * tol < history[-2]
+        assert history[-1] > tol
+
+    @pytest.mark.parametrize("h", [
+        GridField(SPEC, 1.0, 0, np.zeros((64, 64), complex)),
+        GridField(SPEC, 0, 0.5j, np.zeros((64, 64), complex)),
+        zero_field(GridSpec(32)),
+        zero_field(GridSpec(64, 1.0)),
+    ], ids=["affine-c", "affine-d", "other-n", "other-period"])
+    def test_forcing_must_be_periodic_on_the_grid(self, h):
+        H = FullMap(eval=lambda z, w, zeta: 0.2 * zeta, k=0.2)
+        with pytest.raises(ValueError, match="forcing must be periodic on the solve grid"):
+            solve_full(H, 1.0, spec=SPEC, h=h)
 
     def test_k_range_enforced(self):
         with pytest.raises(ValueError, match="Lipschitz"):

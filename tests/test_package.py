@@ -1,13 +1,15 @@
-"""The package's public surface: every exported name resolves, and the
-README's library quick start runs as written."""
+"""The package's public surface: every exported name resolves, the
+README's library quick start runs as written, and perfbench's calls bind."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 import beltrami
+from beltrami.cli import parse_map
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 LIBRARY_MODULES = ["grid", "operators", "fixedpoint", "constant_coefficient",
@@ -44,3 +46,35 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(block, str(README), "exec"), {})
     iterations, ratio = capsys.readouterr().out.split()
     assert int(iterations) >= 1 and float(ratio) <= 0.3
+
+
+def test_perfbench_calls_bind():
+    # perfbench calls the package by position and keyword; every call must
+    # still bind to the signature it reaches (the files are read, not run)
+    perfbench = README.parent / "perfbench"
+    reached = {"parse_map": inspect.signature(parse_map)}
+    bound = []
+    for name in ("workloads.py", "baseline.py"):
+        for node in ast.walk(ast.parse((perfbench / name).read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+                    and func.value.id == "bt":
+                target = func.attr
+                if target not in reached:
+                    reached[target] = inspect.signature(getattr(beltrami, target))
+            elif isinstance(func, ast.Name) and func.id == "parse_map":
+                target = "parse_map"
+            else:
+                continue
+            assert not any(isinstance(a, ast.Starred) for a in node.args)
+            assert all(k.arg is not None for k in node.keywords)
+            where = f"{name}:{node.lineno} {target}"
+            try:
+                reached[target].bind(*node.args, **{k.arg: k.value for k in node.keywords})
+            except TypeError as exc:
+                raise AssertionError(f"{where}: {exc}") from None
+            bound.append(target)
+    assert {"solve_full", "FullStructure", "recover_coefficients", "second_order_probe",
+            "parse_map"} <= set(bound)
