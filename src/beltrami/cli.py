@@ -119,7 +119,12 @@ def _wavenumbers(token: str, k1: float, k2: float) -> tuple[int, int]:
 
 
 def parse_map(spec_str: str, L: float):
-    """Parse the map mini-language into an AutonomousMap or FullMap."""
+    """Parse the map mini-language into an AutonomousMap or FullMap.
+
+    zterm and wterm are added inside H, so such a map breaks FullMap's
+    H(z, w, 0) = 0 (check_conditions reports it as zero_slot_max): a zterm
+    is a position-only forcing inside H; --h is the one that keeps it.
+    """
     base: AutonomousMap | None = None
     zterms: list[tuple[complex, int, int]] = []
     wterms: list[complex] = []

@@ -18,7 +18,7 @@ One step costs two transforms (fft2 of r, ifft2 for psi).  The field f is
 handed to rhs as a zero-argument callable: only a right-hand side that reads
 f (the fully nonlinear H(z, f, f_z)) pays the third transform for P and the
 affine rebuild.  The returned field is built once, after the loop, from the
-spectrum of the best iterate.
+spectrum of the best iterate, in psi, once every other work array is freed.
 
 Apart from rhs's result, field() and the damped blend, a step allocates no
 n x n array: it writes into four work arrays that live for the whole solve.
@@ -29,6 +29,10 @@ n x n array: it writes into four work arrays that live for the whole solve.
     psi                     R * beurling, transformed back in place; once
                             rhs has returned it takes the difference r - r'
     work                    real: |r - r'|^2 for the residual norm
+
+Besides these a solve holds r_prev (read by plain steps only) and T^-1's
+multipliers; the first field() call builds Z and c*Z, so only a full map's
+solve allocates them.
 
 Because psi is reused, a right-hand side may read or overwrite psi during
 its call but must not keep it.  If rhs returns psi or a view of it, the
@@ -47,7 +51,7 @@ space:
 
     psi = c + ifft2(R * beurling)
     Q   = fft2(rhs(f, psi))
-    res = sqrt(vdot(E, E)) / n^2       # E = Q - R; Parseval: ||rhs - r||_2
+    res = sqrt(sum |E|^2) / n^2        # E = Q - R; Parseval: ||rhs - r||_2
     R  <- R + T^-1 (Q - R)
 
 conj couples mode k with -k, so T^-1 is one closed-form 2x2 solve per
@@ -64,15 +68,19 @@ step contracts the residual by less than k, the rest of the solve takes
 plain steps, starting from that step's right-hand side, and the notes name
 the iteration.  Until then every step makes a new best iterate, so the
 update can write into the spectrum buffer that does not hold it.  E = Q - R
-lives in psi and np.vdot reads the residual from it without a temporary,
-so the preconditioned step uses the same work arrays (work waits for a
-fallback) and allocates no n x n array apart from rhs's result.
+lives in psi and its residual is the sum of squares of its float view
+(np.einsum: numpy's own single-threaded loop, no temporary), so the step
+uses the same work arrays (work waits for a fallback) and allocates no
+n x n array apart from rhs's result.  The kernel calls no BLAS: np.vdot
+woke a multithreaded OpenBLAS at 4-8 ms per call on 2 shared x86 CPUs
+(einsum: 0.06 ms at n = 256) and slowed the fft2 calls after it twofold.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -185,16 +193,24 @@ def picard_solve(
         if damping != 1.0:
             raise ValueError("a preconditioned solve takes no damping")
         m1, m2 = _linear_inverse(beur, a, b)
-    Z = z_grid(spec)
     c_mean = complex(c_mean)
-    affine_c = c_mean * Z
+    Z = affine_c = None
 
-    def periodic_and_d(R: np.ndarray) -> tuple[np.ndarray, complex]:
-        """Mean-zero periodic part P of f and its affine d = mean(r)."""
-        return np.fft.ifft2(R * inv_dzbar), complex(R[0, 0]) / (n * n)
+    def field(R: np.ndarray | None = None) -> np.ndarray:
+        """Samples of the candidate with spectrum R; None is the start f = c*z."""
+        nonlocal Z, affine_c
+        if Z is None:  # built on first use: only a full map reads f
+            Z = z_grid(spec)
+            affine_c = c_mean * Z
+        if R is None:
+            return affine_c.copy()
+        # conj(Z) stays a per-call temporary: numpy elides it into the
+        # product on large grids, and that operand order is part of the
+        # rounding the full-map results are pinned to.
+        P, d = np.fft.ifft2(R * inv_dzbar), complex(R[0, 0]) / (n * n)
+        return affine_c + d * np.conj(Z) + P
 
-    # Start from the affine candidate f = c*z (periodic part zero).
-    r_prev = rhs(affine_c.copy, np.full((n, n), c_mean, dtype=complex))
+    r_prev = rhs(field, np.full((n, n), c_mean, dtype=complex))
 
     history: list[float] = []
     converged = False
@@ -203,8 +219,9 @@ def picard_solve(
     spectra = (np.empty((n, n), dtype=complex), np.empty((n, n), dtype=complex))
     psi = np.empty((n, n), dtype=complex)
     work = np.empty((n, n))
-    if precondition:
+    if precondition:  # a step reads only R; a fallback sets r_prev again
         R = np.fft.fft2(r_prev, out=spectra[0])
+        r_prev = None
     for it in range(1, max_iter + 1):
         if not precondition:
             R = spectra[1] if best_R is spectra[0] else spectra[0]
@@ -212,20 +229,13 @@ def picard_solve(
         np.multiply(R, beur, out=psi)
         np.fft.ifftn(psi, out=psi)  # not ifft2, which ignores out=
         psi += c_mean
-
-        def field(R=R):
-            # conj(Z) stays a per-call temporary: numpy elides it into the
-            # product on large grids, and that operand order is part of the
-            # rounding the full-map results are pinned to.
-            P, d = periodic_and_d(R)
-            return affine_c + d * np.conj(Z) + P
-
-        r = rhs(field, psi)
+        r = rhs(partial(field, R), psi)
         if np.may_share_memory(r, psi):
             r = r.copy()
-        if precondition:  # psi takes E = Q - R; vdot reads it once, writes nothing
+        if precondition:  # psi takes E = Q - R; its float view's sum of squares, no BLAS
             E = np.subtract(np.fft.fft2(r, out=psi), R, out=psi)
-            res = math.sqrt(np.vdot(E, E).real) / (n * n)
+            x = E.reshape(-1).view(float)
+            res = math.sqrt(np.einsum("i,i->", x, x)) / (n * n)
         else:
             res = values_l2(np.subtract(r, r_prev, out=psi), _work=work)
         if not math.isfinite(res):
@@ -256,5 +266,8 @@ def picard_solve(
         else:
             r_prev = (1.0 - damping) * r_prev + damping * r
 
-    P, d = periodic_and_d(best_R)
+    # free all but best_R and psi: the answer is built in psi, below the loop's peak
+    r_prev = r = work = spectra = R = R_next = m1 = m2 = Z = affine_c = None
+    d = complex(best_R[0, 0]) / (n * n)
+    P = np.fft.ifftn(np.multiply(best_R, inv_dzbar, out=psi), out=psi)
     return GridField(spec, c_mean, d, P), SolveReport(history, converged, "; ".join(notes))

@@ -57,6 +57,8 @@ class FullMap:
     eval(z, w, zeta) must be vectorized over same-shape complex arrays; k
     bounds the Lipschitz constant in the zeta slot; H(z, w, 0) must vanish
     (check_conditions samples it), and a forcing goes to solve_full as h.
+    The CLI's zterm and wterm tokens break that normalisation: they add a
+    position-only forcing or a w-term inside H (see cli.parse_map).
     """
 
     eval: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]

@@ -77,13 +77,16 @@ def derivative_pair(f: GridField) -> DerivedPair:
     """Both Wirtinger derivatives (df/dz, df/dconj(z)) with one forward transform.
 
     Both outputs are purely periodic; f's affine c and d become their means.
+    dz is built in one buffer and dzbar in the spectrum's own array (ifftn,
+    since ifft2 ignores out=), so at most three n x n arrays are live.
     """
     sym_dz, sym_dzbar, _, _ = _multipliers(f.spec.n, f.spec.L)
     F = np.fft.fft2(f.values)
-    dz = np.fft.ifft2(F * sym_dz) + f.c
-    dzb = np.fft.ifft2(F * sym_dzbar) + f.d
-    return DerivedPair(GridField(f.spec, 0.0, 0.0, dz),
-                       GridField(f.spec, 0.0, 0.0, dzb))
+    dz = F * sym_dz  # rebound to the GridField, which copies it
+    dz = GridField(f.spec, 0.0, 0.0, np.add(np.fft.ifftn(dz, out=dz), f.c, out=dz))
+    F *= sym_dzbar
+    dzb = np.add(np.fft.ifftn(F, out=F), f.d, out=F)
+    return DerivedPair(dz, GridField(f.spec, 0.0, 0.0, dzb))
 
 
 def _second_derivatives(f: GridField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -22,3 +22,17 @@ def fft_counts(monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counted)
     return counts
+
+
+@pytest.fixture
+def no_blas(monkeypatch):
+    """Makes numpy's BLAS-backed reductions raise while the test runs.
+
+    np.vdot, np.dot, np.inner and np.linalg.norm hand their sums to a
+    multithreaded BLAS; a code path that must not wake it fails loudly.
+    """
+    for owner, name in ((np, "vdot"), (np, "dot"), (np, "inner"), (np.linalg, "norm")):
+        def refused(*args, _name=f"{owner.__name__}.{name}", **kwargs):
+            raise AssertionError(f"{_name} called: it runs in BLAS")
+
+        monkeypatch.setattr(owner, name, refused)

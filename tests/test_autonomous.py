@@ -150,6 +150,14 @@ class TestSolveAutonomous:
         with pytest.raises(ValueError, match="Lipschitz"):
             solve_autonomous(lying, zero_field(SPEC), 1.0)
 
+    def test_audit_samples_beyond_radius_two(self):
+        # the map is 0.3-Lipschitz for |zeta| <= 2 and 0.8 along rays beyond,
+        # so only an audit whose samples reach past |zeta| = 2 refuses it
+        A = AutonomousMap(eval=lambda z: 0.3 * z + 0.5 * np.maximum(np.abs(z) - 2, 0),
+                          k=0.3)
+        with pytest.raises(ValueError, match="declared Lipschitz constant 0.3 exceeded"):
+            solve_autonomous(A, zero_field(SPEC), 1.0)
+
     @pytest.mark.parametrize("excess", [1e-7, 1e-5], ids=["warns", "raises"])
     def test_audit_boundaries(self, excess):
         # a sampled constant above the declared k by 1e-9 to 1e-6 warns;

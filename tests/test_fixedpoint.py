@@ -31,7 +31,7 @@ from beltrami import (
     trig_field,
     z_grid,
 )
-from beltrami import autonomous, fullnonlinear
+from beltrami import autonomous, fixedpoint, fullnonlinear
 from beltrami.cli import parse_map
 from beltrami.fixedpoint import picard_solve
 from beltrami.operators import _multipliers
@@ -436,3 +436,68 @@ class TestPreconditioned:
         assert rep.converged and rep.iterations > 5
         # the first windows hold the start: work arrays and multipliers
         assert max(extra[2:]) < n * n * 8
+
+
+class TestSolveHoldsOnlyWhatItsStepReads:
+    """A solve calls no BLAS, builds z only when its right-hand side reads f,
+    and frees its work arrays before it builds the answer."""
+
+    SPEC64 = GridSpec(64)
+    SOLVES = {
+        "neumann": lambda h: solve_cc_neumann(CCParams(0.5, 0.2j), h, 1.0),
+        "smoothsat": lambda h: solve_autonomous(smooth_saturating_map(0.5, 0.2j, 0.2), h, 1.0),
+        "kabs": lambda h: solve_autonomous(abs_map(0.3), h, 1.0),
+        "full": lambda h: solve_full(parse_map("kabs:0.3+wterm:0.05,0", h.spec.L), 1.0,
+                                     spec=h.spec, h=h),
+    }
+
+    @pytest.mark.parametrize("kind", SOLVES)
+    def test_no_blas(self, kind, no_blas):
+        _, rep = self.SOLVES[kind](FORCING)
+        assert rep.converged
+
+    def test_only_a_full_map_builds_z(self, monkeypatch):
+        def refused(spec):
+            raise RuntimeError("z_grid built")
+
+        monkeypatch.setattr(fixedpoint, "z_grid", refused)
+        for kind in ("neumann", "smoothsat", "kabs"):
+            _, rep = self.SOLVES[kind](FORCING)
+            assert rep.converged
+        with pytest.raises(RuntimeError, match="z_grid built"):
+            self.SOLVES["full"](FORCING)
+
+    # Traced peak above entry, in n x n complex arrays, at n = 64 with the
+    # multipliers warm.  Before the work arrays were freed for the answer
+    # and z was built lazily: kabs 10.6, smoothsat 14.1, neumann 12.6, and
+    # derivative_pair 5.0 before it reused its buffers.
+    @pytest.mark.parametrize("kind, bound", [
+        ("kabs", 8.0), ("smoothsat", 12.0), ("neumann", 10.5), ("derivative_pair", 3.5)])
+    def test_traced_peak(self, kind, bound):
+        h = random_trig_field(self.SPEC64, seed=3)
+        if kind == "derivative_pair":
+            call, arg = derivative_pair, self.SOLVES["kabs"](h)[0]
+        else:
+            call, arg = self.SOLVES[kind], h
+        call(arg)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            call(arg)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak / (self.SPEC64.n ** 2 * 16) < bound
+
+    def test_preconditioned_residual_is_the_equation_residual(self):
+        # stopped early, the reported residual is the recomputed equation
+        # residual of the returned field: the Parseval sum's 1/n^2 and root
+        h = random_trig_field(self.SPEC64, seed=3)
+        A = smooth_saturating_map(0.5, 0.2j, 0.2)
+        f, rep = solve_autonomous(A, h, 1.0, max_iter=3)
+        assert not rep.converged and rep.iterations == 3
+        assert rep.final_residual == pytest.approx(residual(A, f, h), rel=1e-10)
+        p = CCParams(0.5, 0.2j)
+        f, rep = solve_cc_neumann(p, h, 1.0, max_iter=1)
+        assert not rep.converged and rep.iterations == 1
+        assert rep.final_residual == pytest.approx(cc_residual(p, f, h), rel=1e-10)

@@ -19,6 +19,7 @@ from beltrami import (
     z_grid,
     zero_field,
 )
+from beltrami.cli import parse_map
 from beltrami.fullnonlinear import _min_sum_cover, _sample_points
 
 SPEC = GridSpec(64)
@@ -69,6 +70,15 @@ class TestCheckConditions:
         rep = check_conditions(H, samples=200)
         assert rep.zero_slot_max == pytest.approx(0.01)
         assert not rep.passes(k=0.3)
+
+    @pytest.mark.parametrize("spec_str, zero_slot", [
+        ("kabs:0.3+zterm:0.02,0,1,0", 0.02), ("kabs:0.3+wterm:0.05,0", 0.0498)])
+    def test_cli_full_maps_break_the_zero_slot(self, spec_str, zero_slot):
+        # parse_map adds zterm and wterm inside H, so H(z, w, 0) != 0 there:
+        # a zterm is a forcing inside H, as parse_map and FullMap document
+        rep = check_conditions(parse_map(spec_str, 2 * np.pi), samples=200)
+        assert rep.zero_slot_max == pytest.approx(zero_slot, rel=1e-4)
+        assert not rep.passes(0.3)
 
     def test_reproduces_declared_constants_of_builtins(self):
         for A, k in ((linear_map(0.25, 0.15), 0.4), (abs_map(0.5), 0.5)):
