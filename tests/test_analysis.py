@@ -85,6 +85,13 @@ class TestDistortion:
             ratio = d_hi.max() / d_lo.min()
             assert ratio == pytest.approx(K[i, j], rel=1e-6)
 
+    def test_degeneracy_gap_is_1e_12(self):
+        # |f_z| - |f_zbar| = 1e-10 is orientation-preserving, 1e-13 is not
+        e = np.exp(0.3j)
+        K = _distortion_values(np.array([3e-10, 3e-13]) * e, np.array([2e-10, 2e-13]) / e)
+        assert K[0] == pytest.approx(5.0, rel=1e-5)
+        assert math.isinf(K[1])
+
 
 class TestSobolevProbe:
     def test_smooth_field_all_stable(self):
@@ -182,6 +189,80 @@ class TestSobolevProbe:
             assert np.all(np.abs(np.array(row) - ref) <= bound)
         # the tail fit reads the finest level before its logarithm replaces it
         assert (rep.tail_exponent, rep.fit_r2) == _tail_fit(mags[-1].reshape(-1))
+
+    @pytest.mark.parametrize("step, stable", [(1e-11, False), (1e-13, True)])
+    def test_increment_guard_is_1e_12(self, step, stable):
+        # constant magnitudes 1, 1 + step, 1 + 3 * step: the increments grow
+        # x2 per doubling, which the Cauchy test reads as divergence once
+        # they pass the 1e-12 roundoff guard
+        fields, pairs = [], []
+        for n, level in ((16, 1.0), (32, 1.0 + step), (64, 1.0 + 3 * step)):
+            spec = GridSpec(n)
+            fields.append(zero_field(spec))
+            pairs.append((GridField(spec, 0.0, 0.0, np.full((n, n), level + 0j)),
+                           zero_field(spec)))
+        rep = sobolev_probe(fields, [1.0], pairs=pairs)
+        assert np.diff(np.ravel(rep.power_means)) == pytest.approx([step, 2 * step], rel=1e-3)
+        assert rep.stable == (stable,)
+
+    def test_power_means_over_several_blocks(self):
+        # the finest level's positive samples fill two blocks and part of a
+        # third; every block adds each exponent's terms once
+        rng = np.random.default_rng(19)
+        p_grid = [1.0, 2.5, 7.0, 40.0]
+        fields, pairs, mags = [], [], []
+        for n in (32, 64, 128):
+            spec = GridSpec(n)
+            m = np.exp(rng.uniform(-3.0, 3.0, (n, n)))
+            m[rng.random((n, n)) < 0.3] = 0.0
+            fields.append(zero_field(spec))
+            pairs.append((GridField(spec, 0.0, 0.0, m + 0j), zero_field(spec)))
+            mags.append(m)
+        positive = int(np.count_nonzero(mags[-1]))
+        assert positive > 2 * analysis._BLOCK and positive % analysis._BLOCK
+        rep = sobolev_probe(fields, p_grid, pairs=pairs)
+        # the documented bound: eps * (1 + p * |log|Df||) per term and about
+        # eps per block from adding up the blocks
+        eps = np.finfo(float).eps
+        for row, m in zip(rep.power_means, mags):
+            ref = np.array([np.mean(m ** p) for p in p_grid])
+            log_max = float(np.max(np.abs(np.log(m[m > 0]))))
+            blocks = m.size / analysis._BLOCK
+            bound = eps * (16.0 + blocks + np.array(p_grid) * log_max) * ref
+            assert np.all(np.abs(np.array(row) - ref) <= bound)
+
+    def test_zero_gradient_reads_zero_and_stable(self):
+        # no positive sample: every power mean is 0 and no log of 0 is taken
+        fields = [zero_field(GridSpec(n)) for n in (16, 32, 64)]
+        rep = sobolev_probe(fields, [1.0, 2.0, 4.0])
+        assert rep.power_means == ((0.0,) * 3,) * 3
+        assert rep.stable == (True,) * 3 and math.isinf(rep.p_critical)
+
+    def test_nan_sample_reaches_the_power_means(self):
+        # skipping the zeros must not skip a NaN: it reads as unstable
+        fields, pairs = [], []
+        for n in (16, 32, 64):
+            spec = GridSpec(n)
+            dz = np.ones((n, n), complex)
+            if n == 32:
+                dz[3, 5] = np.nan
+            fields.append(zero_field(spec))
+            pairs.append((GridField(spec, 0.0, 0.0, dz), zero_field(spec)))
+        rep = sobolev_probe(fields, [1.0, 2.0], pairs=pairs)
+        assert np.isnan(rep.power_means[1]).all() and not np.isnan(rep.power_means[0]).any()
+        assert rep.stable == (False, False)
+
+    @pytest.mark.parametrize("K, p_critical", [(1.5, 6.4), (2.0, 4.2), (3.0, 3.2)])
+    def test_extremal_verdicts_at_128(self, K, p_critical):
+        # the fixture's documented verdicts on the 128, 256, 512 ladder
+        # over p = 2, 2.2, ..., 8 (closed forms 6, 4 and 3)
+        fields, pairs = [], []
+        for n in (128, 256, 512):
+            g, gz, gzb = radial_extremal_pair(GridSpec(n), K)
+            fields.append(g)
+            pairs.append((gz, gzb))
+        rep = sobolev_probe(fields, np.arange(2.0, 8.0 + 1e-9, 0.2), pairs=pairs)
+        assert rep.p_critical == pytest.approx(p_critical, abs=1e-9)
 
 
 class TestSecondOrderProbe:
@@ -533,6 +614,16 @@ class TestTailFit:
         assert np.array_equal(_levels(s), lam)
         assert np.any(s == lam[0]) and np.sum(s == lam[8]) > 1
         assert _tail_fit(s) == _tail_fit_reference(s)
+
+    @pytest.mark.parametrize("count", [63, 64])
+    def test_needs_64_positive_samples(self, count):
+        # zeros and non-finite samples do not count towards the minimum
+        s = np.r_[1.1 ** np.arange(count), np.zeros(500), np.inf]
+        tail_exponent, r2 = _tail_fit(s)
+        if count < 64:
+            assert (tail_exponent, r2) == (math.inf, 0.0)
+        else:
+            assert math.isfinite(tail_exponent)
 
     def test_degenerate_inputs_match_reference(self):
         for s in (np.ones(1000), np.array([np.inf, np.nan, 0.0, 1.0, 2.0]),
