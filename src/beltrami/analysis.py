@@ -39,9 +39,13 @@ DEGENERACY_GAP = 1e-12
 def _distortion_values(fz: np.ndarray, fzb: np.ndarray) -> np.ndarray:
     """Samplewise distortion (|f_z|+|f_zbar|)/(|f_z|-|f_zbar|), inf where
     the orientation degenerates."""
-    a, b = np.abs(fz), np.abs(fzb)
+    return _moduli_distortion(np.abs(fz), np.abs(fzb))
+
+
+def _moduli_distortion(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_distortion_values from the moduli a = |f_z| and b = |f_zbar|."""
     lo = a - b
-    return np.divide(a + b, lo, out=np.full(fz.shape, np.inf), where=lo > DEGENERACY_GAP)
+    return np.divide(a + b, lo, out=np.full(a.shape, np.inf), where=lo > DEGENERACY_GAP)
 
 
 @dataclass(frozen=True)
@@ -51,9 +55,10 @@ class DistortionStats:
     degenerate_fraction: float
 
 
-def _pair_stats(fz: np.ndarray, fzb: np.ndarray) -> DistortionStats:
-    """Distortion statistics of one derivative pair's samples."""
-    K = _distortion_values(fz, fzb)
+def _pair_stats(a: np.ndarray, b: np.ndarray) -> DistortionStats:
+    """Distortion statistics of one derivative pair, from its moduli
+    a = |f_z| and b = |f_zbar|."""
+    K = _moduli_distortion(a, b)
     finite = K[np.isfinite(K)]
     frac = 1.0 - finite.size / K.size
     if finite.size == 0:
@@ -64,7 +69,7 @@ def _pair_stats(fz: np.ndarray, fzb: np.ndarray) -> DistortionStats:
 
 def distortion_stats(f: GridField) -> DistortionStats:
     fz, fzb = derivative_pair(f)
-    return _pair_stats(fz.values, fzb.values)
+    return _pair_stats(np.abs(fz.values), np.abs(fzb.values))
 
 
 @dataclass
@@ -170,6 +175,8 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
     2^((p - p_critical)/2) on both sides of the critical exponent, so the
     crossing locates it sharply.  p_critical is the largest stable exponent
     below the first unstable one (inf when every probed p is stable).
+    |f_z| and |f_zbar| are taken once per level; the finest level's
+    distortion statistics and tail fit read those moduli and their sum.
     Each power mean sums exp(p log|Df|) over the samples with |Df| != 0
     (a zero adds 0^p = 0) and divides by all n^2 samples; one logarithm
     per level, every exponent evaluated together over blocks of 4096
@@ -197,17 +204,17 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
     power_means = np.zeros((len(fields), len(p_grid)))
     p_col, blk = np.array(p_grid)[:, None], np.empty((len(p_grid), _BLOCK))
     for i, (f, pair) in enumerate(zip(fields, pairs)):
-        dz, dzb = _as_pair(f, pair)
-        m = np.abs(dz) + np.abs(dzb)
+        a, b = (np.abs(v) for v in _as_pair(f, pair))
         if i == len(fields) - 1:  # the finest level
-            tail_exponent, fit_r2 = _tail_fit(m.reshape(-1))
-            st = _pair_stats(dz, dzb)
+            st = _pair_stats(a, b)
+        m = a + b
         logm = np.log(m[m != 0])  # a zero adds 0^p = 0; a NaN still reaches the sum
         for s in range(0, logm.size, _BLOCK):
             part = blk[:, :logm.size - s]
             power_means[i] += np.exp(np.multiply(p_col, logm[s:s + _BLOCK], out=part),
                                      out=part).sum(axis=1)
         power_means[i] /= m.size
+    tail_exponent, fit_r2 = _tail_fit(m.reshape(-1))  # the finest level's |Df|
 
     stable = []
     for j in range(len(p_grid)):
@@ -249,6 +256,8 @@ def second_order_probe(fields, k: float, q_grid) -> RegularityReport:
     pairs = []
     for f in fields:
         fzz, fzzb, _ = _second_derivatives(f)
+        for a in (fzz, fzzb):
+            a.setflags(write=False)  # fresh arrays: the fields adopt them
         pairs.append(DerivedPair(GridField(f.spec, 0.0, 0.0, fzz),
                                  GridField(f.spec, 0.0, 0.0, fzzb)))
     return sobolev_probe(fields, q_grid, pairs=pairs)

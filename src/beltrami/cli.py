@@ -458,7 +458,7 @@ def cmd_hodograph(args) -> int:
 def cmd_report(args) -> int:
     f = read_field(args.field)
     fz, fzb = derivative_pair(f)
-    st = _pair_stats(fz.values, fzb.values)
+    st = _pair_stats(np.abs(fz.values), np.abs(fzb.values))
     _finish(args, {
         "norms.csv": (["p", "fz_norm", "fzbar_norm"],
                       [(p, lp_norm(fz, p), lp_norm(fzb, p)) for p in (1.0, 2.0, 4.0, 8.0)]),

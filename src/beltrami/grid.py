@@ -64,7 +64,14 @@ def z_grid(spec: GridSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridField:
-    """Immutable field c*z + d*conj(z) + P on a GridSpec lattice."""
+    """Immutable field c*z + d*conj(z) + P on a GridSpec lattice.
+
+    values is stored as a read-only complex (n, n) array.  An array that is
+    already one (complex, C-contiguous, of the grid's shape, owning its
+    memory and read-only) is adopted as it is; any other input, a writeable
+    array or a view included, is copied.  A caller that hands over a fresh
+    array locks it first and keeps no writeable reference to it.
+    """
 
     spec: GridSpec
     c: complex
@@ -72,13 +79,15 @@ class GridField:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.size != self.spec.n * self.spec.n:
-            raise ValueError(
-                f"sample-count mismatch: expected {self.spec.n ** 2}, got {v.size}"
-            )
-        v = v.reshape(self.spec.n, self.spec.n).copy()
-        v.setflags(write=False)
+        n = self.spec.n
+        v = self.values
+        if not (isinstance(v, np.ndarray) and v.dtype == complex and v.shape == (n, n)
+                and v.flags.c_contiguous and v.flags.owndata and not v.flags.writeable):
+            v = np.asarray(v, dtype=complex)
+            if v.size != n * n:
+                raise ValueError(f"sample-count mismatch: expected {n ** 2}, got {v.size}")
+            v = v.reshape(n, n).copy()
+            v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "c", complex(self.c))
         object.__setattr__(self, "d", complex(self.d))

@@ -78,15 +78,18 @@ def derivative_pair(f: GridField) -> DerivedPair:
 
     Both outputs are purely periodic; f's affine c and d become their means.
     dz is built in one buffer and dzbar in the spectrum's own array (ifftn,
-    since ifft2 ignores out=), so at most three n x n arrays are live.
+    since ifft2 ignores out=); both are locked and adopted by their fields,
+    so two n x n arrays are allocated and none is copied.
     """
     sym_dz, sym_dzbar, _, _ = _multipliers(f.spec.n, f.spec.L)
     F = np.fft.fft2(f.values)
-    dz = F * sym_dz  # rebound to the GridField, which copies it
-    dz = GridField(f.spec, 0.0, 0.0, np.add(np.fft.ifftn(dz, out=dz), f.c, out=dz))
+    dz = F * sym_dz
+    np.add(np.fft.ifftn(dz, out=dz), f.c, out=dz)
     F *= sym_dzbar
     dzb = np.add(np.fft.ifftn(F, out=F), f.d, out=F)
-    return DerivedPair(dz, GridField(f.spec, 0.0, 0.0, dzb))
+    for a in (dz, dzb):
+        a.setflags(write=False)
+    return DerivedPair(GridField(f.spec, 0.0, 0.0, dz), GridField(f.spec, 0.0, 0.0, dzb))
 
 
 def _second_derivatives(f: GridField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

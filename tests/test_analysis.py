@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beltrami import (
+    CoefficientFields,
     DerivedPair,
     GridField,
     GridSpec,
@@ -29,7 +30,7 @@ from beltrami import (
     zero_field,
     z_grid,
 )
-from beltrami import analysis
+from beltrami import analysis, synth
 from beltrami.analysis import _distortion_values, _tail_fit
 from beltrami.synth import _CENTER_FRAC
 from _helpers import rel_l2
@@ -187,7 +188,7 @@ class TestSobolevProbe:
             log_max = float(np.max(np.abs(np.log(m[m > 0]))))
             bound = eps * (16.0 + np.array(p_grid) * log_max) * ref
             assert np.all(np.abs(np.array(row) - ref) <= bound)
-        # the tail fit reads the finest level before its logarithm replaces it
+        # the tail fit reads the finest level's magnitudes, not their logarithms
         assert (rep.tail_exponent, rep.fit_r2) == _tail_fit(mags[-1].reshape(-1))
 
     @pytest.mark.parametrize("step, stable", [(1e-11, False), (1e-13, True)])
@@ -397,6 +398,19 @@ class TestGradientEquationCheck:
         assert co.flagged_fraction < 0.5
         assert res.residual < 1e-6
 
+    def test_k_prime_is_inf_at_unit_nu(self):
+        # one well-conditioned sample with |nu| = 1 exactly and mu = 0: k' is
+        # inf, where max |mu| / (1 - |nu|) would read 0/0 = nan.  The
+        # residual's 1 / (1 - |nu|^2) divides by zero at that sample too
+        f = random_trig_field(SPEC, seed=6, amplitude=0.05, c=1.0)
+        mu = np.full((SPEC.n, SPEC.n), 0.1 + 0j)
+        nu = np.full((SPEC.n, SPEC.n), 0.2j)
+        mu[5, 9], nu[5, 9] = 0.0, 1j
+        co = CoefficientFields(GridField(SPEC, 0, 0, mu), GridField(SPEC, 0, 0, nu),
+                               np.zeros((SPEC.n, SPEC.n), dtype=bool))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert gradient_equation_check(f, co).k_prime == math.inf
+
 
 class TestDirectionalFamily:
     def test_affine_family_all_constant(self):
@@ -423,6 +437,17 @@ class TestDirectionalFamily:
             for got, want in ((vz, np.cos(t) * ax + np.sin(t) * ay),
                               (vzb, np.cos(t) * bx + np.sin(t) * by)):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("size, worst", [(1e-6, 1.0), (1e-10, 0.0)])
+    def test_gradient_floor_is_1e_8(self, monkeypatch, size, worst):
+        # members with |v_z| = size and v_zbar = 0 (distortion 1) count above
+        # the 1e-8 floor and are skipped below it.  The second derivatives are
+        # patched in: a periodic member has sum |v_z|^2 = sum |v_zbar|^2 over
+        # the grid, so some active sample of a real field is degenerate (inf)
+        n = SPEC.n
+        fzz, zero = np.full((n, n), size + 0j), np.zeros((n, n), complex)
+        monkeypatch.setattr(analysis, "_second_derivatives", lambda f: (fzz, zero, zero))
+        assert directional_family_max_distortion(zero_field(SPEC)) == worst
 
     def test_smooth_family_has_finite_default_floor(self):
         f = random_trig_field(SPEC, seed=77, amplitude=0.05, c=1.0)
@@ -677,6 +702,24 @@ class TestRadialFixture:
         got = radial_extremal_pair(spec, K)
         for g, ref in zip(got, _radial_parts_reference(spec, K)):
             assert g.values.dtype == ref.dtype and g.values.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [128, 1024])
+    def test_ragged_row_blocks_keep_the_reference_bytes(self, monkeypatch, n):
+        # 7 rows per block: the last block of 128 and 1024 rows holds 2
+        monkeypatch.setattr(synth, "_BLOCK", 7 * n)
+        spec = GridSpec(n)
+        got = radial_extremal_pair(spec, 2.0)
+        for g, ref in zip(got, _radial_parts_reference(spec, 2.0)):
+            assert g.values.tobytes() == ref.tobytes()
+
+    def test_centre_stays_off_the_lattice(self):
+        # the centre sits a third of a spacing off the lattice in x and y, so
+        # the fixture divides by r and 2r with no guard against r = 0
+        for n in 2 ** np.arange(4, 12):
+            spec = GridSpec(int(n))
+            Z = z_grid(spec)
+            Z -= spec.L * (_CENTER_FRAC[0] + 1j * _CENTER_FRAC[1])
+            assert np.abs(Z).min() >= spec.h / 3
 
     def test_window_makes_field_periodic(self):
         g = radial_extremal_field(SPEC, 2.0)

@@ -73,6 +73,42 @@ class TestMakeField:
         with pytest.raises(ValueError):
             f.values[0, 0] = 1.0
 
+    def test_writeable_input_is_copied(self):
+        v = np.zeros((16, 16), dtype=complex)
+        f = GridField(GridSpec(16), 0.0, 0.0, v)
+        v[0, 0] = 1.0
+        assert f.values[0, 0] == 0.0 and not np.shares_memory(f.values, v)
+
+    def test_locked_owner_is_adopted(self):
+        # a read-only complex (n, n) array that owns its memory is taken over
+        # without a copy, and stays read-only
+        v = np.arange(256, dtype=complex).reshape(16, 16).copy()
+        v.setflags(write=False)
+        f = GridField(GridSpec(16), 0.0, 0.0, v)
+        assert np.shares_memory(f.values, v)
+        with pytest.raises(ValueError):
+            f.values[0, 0] = 1.0
+
+    @pytest.mark.parametrize("kind", ["row-view", "broadcast", "flat-view", "transposed",
+                                      "fortran", "real", "flat"])
+    def test_other_locked_arrays_are_copied(self, kind):
+        # a view may be written through its base; an owner of another dtype,
+        # shape or order is converted
+        base = np.arange(512, dtype=complex).reshape(32, 16)
+        v = {"row-view": base[:16],
+             "broadcast": np.broadcast_to(base[0], (16, 16)),
+             "flat-view": base[:16].reshape(-1),
+             "transposed": base[:16].T,
+             "fortran": np.array(base[:16], order="F"),
+             "real": base[:16].real.copy(),
+             "flat": base[:16].reshape(-1).copy()}[kind]
+        v.setflags(write=False)
+        f = GridField(GridSpec(16), 0.0, 0.0, v)
+        assert not np.shares_memory(f.values, v)
+        assert np.array_equal(f.values, np.reshape(v, (16, 16)))
+        assert f.values.dtype == complex and f.values.flags.c_contiguous
+        assert f.values.flags.owndata and not f.values.flags.writeable
+
     def test_arithmetic(self):
         spec = GridSpec(16)
         f = trig_field(spec, [(1, 0, 1.0)], c=1.0)
