@@ -80,7 +80,7 @@ def linear_map(a: complex, b: complex) -> AutonomousMap:
 def abs_map(k: float) -> AutonomousMap:
     """A(z) = k*|z|; k-Lipschitz but not linear at large arguments."""
     k = float(k)
-    return AutonomousMap(eval=lambda z: k * np.abs(z) + 0j, k=k, linf=None,
+    return AutonomousMap(eval=lambda z: k * np.abs(z), k=k, linf=None,
                          name=f"kabs({k})")
 
 
@@ -160,10 +160,11 @@ def solve_autonomous(
     declares a linear part at infinity (A.linf, A = a*z + b*conj(z) + U), each
     step solves that part exactly in Fourier space and iterates only on U
     (see fixedpoint).  Converges geometrically with ratio at most k, and at
-    most Lip(U)/(1 - |a| - |b|) when the declared linf is honest: an exactly
-    linear map converges in two iterations.  A step that contracts by less
-    than k switches the rest of the solve to plain steps and the report's
-    notes name it.  The returned field satisfies
+    most Lip(U)/(1 - |a| - |b|) when the declared linf is honest.  The
+    solve starts from c*z with that part solved, so an exactly linear map
+    converges in one iteration.  A step that contracts by less than k
+    switches the rest of the solve to plain steps and the report's notes
+    name it.  The returned field satisfies
     ||f_zbar - A(f_z) - h||_2 <= tol * max(1, ||h||_2).  The declared k is
     audited by sampling at solve time (error if clearly exceeded).
     """

@@ -35,7 +35,7 @@ import numpy as np
 
 from .autonomous import CCParams, linear_map, solve_autonomous
 from .fixedpoint import SolveReport
-from .grid import GridField, GridSpec, lp_norm, values_l2, z_grid
+from .grid import GridField, GridSpec, _sum_squares, lp_norm, values_l2, z_grid
 from .operators import _conj_flip, _wavevectors, derivative_pair
 from .synth import random_waves
 
@@ -80,9 +80,10 @@ def solve_cc_neumann(
     linear part at infinity is the whole map: each step inverts
     I - a*S0 - b*conj∘S0 exactly, one 2x2 solve per mode pair (k, -k), on
     the residual of r = a*psi + b*conj(psi) + u with psi = c_mean + S0(r).
-    Lip(U) = 0, so the first update solves the discrete equation to
-    roundoff, Nyquist rows included, and the second iteration measures it:
-    two iterations, and a rate bound of k = |a| + |b| that is never reached.
+    Lip(U) = 0, so the start, c*z with the linear part solved, solves the
+    discrete equation to roundoff, Nyquist rows included, and the first
+    iteration measures it: one iteration and four transforms, and a rate
+    bound of k = |a| + |b| that is never reached.
     The solution is normalized to z-derivative mean c_mean and periodic
     mean zero; the residual contract is
     ||f_zbar - a f_z - b conj(f_z) - u||_2 <= tol * max(1, ||u||_2).
@@ -225,11 +226,15 @@ def solve_cc_changevar(
     n = spec.n
     KC = _wavevectors(n, spec.L)
 
-    U = np.fft.fft2(u.values) / (n * n)
+    # The passes run in place.  A complex scalar times a fresh array stays an
+    # expression: from 256 KiB numpy elides it into the array, and its operand
+    # order (which rounds differently) is the one the results are pinned to.
+    U = np.fft.fft2(u.values)
+    U /= n * n
     if mu != 0 or nu != 0:
         nyq = np.sqrt(np.sum(np.abs(U[n // 2, :]) ** 2)
                       + np.sum(np.abs(U[:, n // 2]) ** 2))
-        total = np.sqrt(np.sum(np.abs(U) ** 2))
+        total = math.sqrt(_sum_squares(U))
         if nyq > 1e-12 * max(total, 1e-300):
             raise ValueError(
                 "shear-resampling failure: forcing has energy at the Nyquist "
@@ -237,18 +242,28 @@ def solve_cc_changevar(
                 "solve_cc_neumann or resample the forcing to a finer grid")
     mean_u = complex(U[0, 0])
 
-    kappa = KC + mu * np.conj(KC)           # sheared wavevector
+    W = mu * np.conj(KC)
+    W += KC                                 # kappa, the sheared wavevector
+    np.multiply(0.5j, W, out=W)             # 0.5j*kappa, in that operand order
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv_alpha = 1.0 / (0.5j * kappa)    # inverse of the sheared dzbar symbol
-    inv_alpha[0, 0] = 0.0
+        np.divide(1.0, W, out=W)            # inverse of the sheared dzbar symbol
+    W[0, 0] = 0.0
 
     # g_zbar = v + (mu*nu)*conj(v) integrated mode-wise on sheared waves
-    G = (U + (mu * nu) * _conj_flip(U)) * inv_alpha
+    G = (mu * nu) * _conj_flip(U)
+    G += U
+    G *= W
+    U = W = None
     # undo the conjugation mixing: ft = (g - nu*conj(g)) / (1 - |nu|^2)
-    FT = (G - nu * _conj_flip(G)) / (1.0 - abs(nu) ** 2)
+    FT = nu * _conj_flip(G)
+    np.subtract(G, FT, out=FT)
+    G = None
+    FT /= 1.0 - abs(nu) ** 2
     FT[0, 0] = 0.0
 
-    vals = np.fft.ifft2(FT * (n * n))
+    FT *= n * n
+    vals = np.fft.ifftn(FT, out=FT)         # ifftn, since ifft2 ignores out=
+    vals.setflags(write=False)              # adopted by the field, not copied
     d = p.a * c_mean + p.b * complex(c_mean).conjugate() + mean_u
     f = GridField(spec, c_mean, d, vals)
 
@@ -263,5 +278,9 @@ def cc_residual(p: CCParams, f: GridField, u: GridField) -> float:
     if f.spec != u.spec:
         raise ValueError("field and forcing live on different grids")
     fz, fzb = derivative_pair(f)
-    r = (fzb.values - p.a * fz.values - p.b * np.conj(fz.values) - u.values)
+    r = np.multiply(p.a, fz.values)        # fzb - a*fz - b*conj(fz) - u, in that order
+    np.subtract(fzb.values, r, out=r)
+    fzb = None
+    r -= p.b * np.conj(fz.values)          # an expression, as in solve_cc_changevar
+    r -= u.values
     return values_l2(r)

@@ -18,21 +18,23 @@ One step costs two transforms (fft2 of r, ifft2 for psi).  The field f is
 handed to rhs as a zero-argument callable: only a right-hand side that reads
 f (the fully nonlinear H(z, f, f_z)) pays the third transform for P and the
 affine rebuild.  The returned field is built once, after the loop, from the
-spectrum of the best iterate, in psi, once every other work array is freed.
+spectrum of the best iterate, once every other work array is freed.
 
 Apart from rhs's result, field() and the damped blend, a step allocates no
-n x n array: it writes into four work arrays that live for the whole solve.
+n x n array: it writes into three work arrays that live for the whole solve.
 
     spectra[0], spectra[1]  fft2(r) is written into whichever one does not
                             hold the best iterate's spectrum, so a new best
                             only re-points best_R and copies nothing
     psi                     R * beurling, transformed back in place; once
-                            rhs has returned it takes the difference r - r'
-    work                    real: |r - r'|^2 for the residual norm
+                            rhs has returned it takes the difference r - r',
+                            whose residual norm is the sum of squares of its
+                            float view (np.einsum: no temporary)
 
 Besides these a solve holds r_prev (read by plain steps only) and T^-1's
-multipliers; the first field() call builds Z and c*Z, so only a full map's
-solve allocates them.
+multipliers; the first field() call builds Z, c*Z and a buffer that P is
+transformed into, so only a full map's solve allocates them.  The
+answer's samples are locked and adopted by its GridField without a copy.
 
 Because psi is reused, a right-hand side may read or overwrite psi during
 its call but must not keep it.  If rhs returns psi or a view of it, the
@@ -58,22 +60,24 @@ conj couples mode k with -k, so T^-1 is one closed-form 2x2 solve per
 mode pair, applied as m1*E + m2*conj(E[-k]) with two multipliers built
 once per solve; the determinant is bounded below by (1-|a|)^2 - |b|^2 > 0.
 One step still costs two transforms, the ifft2 for psi and the fft2 of
-the right-hand side; the spectrum is transformed once before the loop.
-Since ||T^-1|| <= 1/(1-|a|-|b|), successive residuals decay by at most
-l/(1-|a|-|b|), which is at most k = |a|+|b|+l: an exactly linear map is
-solved in one step, and the second measures a residual at roundoff.
+the right-hand side.  The solve starts from the affine f = c*z with U
+frozen at U(c) and the linear part solved, R = T^-1 fft2(rhs(c)), built in
+the spare spectrum buffer.  Since ||T^-1|| <= 1/(1-|a|-|b|), successive
+residuals decay by at most l/(1-|a|-|b|), which is at most k = |a|+|b|+l:
+an exactly linear map is solved by the start, and the first iteration
+measures a residual at roundoff, in four transforms all told.
 
 The declared linear part is not checked.  The first time a preconditioned
 step contracts the residual by less than k, the rest of the solve takes
 plain steps, starting from that step's right-hand side, and the notes name
 the iteration.  Until then every step makes a new best iterate, so the
 update can write into the spectrum buffer that does not hold it.  E = Q - R
-lives in psi and its residual is the sum of squares of its float view
-(np.einsum: numpy's own single-threaded loop, no temporary), so the step
-uses the same work arrays (work waits for a fallback) and allocates no
-n x n array apart from rhs's result.  The kernel calls no BLAS: np.vdot
-woke a multithreaded OpenBLAS at 4-8 ms per call on 2 shared x86 CPUs
-(einsum: 0.06 ms at n = 256) and slowed the fft2 calls after it twofold.
+lives in psi and its residual is taken as a plain step's is (np.einsum:
+numpy's own single-threaded loop), so the step uses the same work arrays
+and allocates no n x n array apart from rhs's result.  The kernel calls no
+BLAS: np.vdot woke a multithreaded OpenBLAS at 4-8 ms per call on 2 shared
+x86 CPUs (einsum: 0.06 ms at n = 256) and slowed the fft2 calls after it
+twofold.
 """
 
 from __future__ import annotations
@@ -85,7 +89,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import GridField, GridSpec, values_l2, z_grid
+from .grid import GridField, GridSpec, _sum_squares, z_grid
 from .operators import _conj_flip, _multipliers
 
 __all__ = ["SolveReport", "picard_solve"]
@@ -127,6 +131,13 @@ class SolveReport:
         return float(np.exp(np.mean(logs)))
 
 
+def _pair_inverse(B: np.ndarray, F: np.ndarray, a: complex, b: complex):
+    """The closed-form 2x2 inverse (m1, m2) at symbols B and F = conj(B[-k])."""
+    m1 = 1.0 - np.conj(a) * F
+    det = (1.0 - a * B) * m1 - abs(b) ** 2 * (B * F)
+    return m1 / det, b * F / det
+
+
 def _linear_inverse(beur: np.ndarray, a: complex, b: complex):
     """Multipliers (m1, m2) with T^-1 E = m1*E + m2*conj(E[-k]).
 
@@ -134,14 +145,37 @@ def _linear_inverse(beur: np.ndarray, a: complex, b: complex):
     (1 - a*B)*R - b*F*conj(R[-k]), where B is the beurling symbol and
     F = conj(B[-k]).  For each pair (R_k, conj(R_-k)) that is the 2x2 matrix
     [[1 - a*B, -b*F], [-conj(b)*B, 1 - conj(a)*F]], inverted in closed form.
+    B is even and of modulus 1 off the zero mode, so off the Nyquist row and
+    column F = conj(B) and the determinant |1 - a*B|^2 - |b|^2 is real: the
+    bulk takes one real reciprocal and no complex division.  On the Nyquist
+    lines -k is not the lattice twin of k, and the 2x2 solve runs as written.
     """
-    F = _conj_flip(beur)
-    m1 = 1.0 - np.conj(a) * F
-    det = (1.0 - a * beur) * m1 - abs(b) ** 2 * (beur * F)
-    m1 /= det
-    F *= b
-    F /= det
-    return m1, F
+    n = beur.shape[0]
+    m1 = np.multiply(beur, a)
+    np.subtract(1.0, m1, out=m1)
+    det = np.abs(m1)
+    np.square(det, out=det)
+    det -= abs(b) ** 2
+    det[0, 0] = 1.0                     # B = 0 at the zero mode: T is the identity
+    np.reciprocal(det, out=det)
+    np.conjugate(m1, out=m1)
+    m1 *= det
+    m2 = np.conjugate(beur)
+    m2 *= det
+    m2 *= b
+    h, flip = n // 2, -np.arange(n) % n
+    for line, twin in (((h, slice(None)), (h, flip)), ((slice(None), h), (flip, h))):
+        m1[line], m2[line] = _pair_inverse(beur[line], np.conj(beur[twin]), a, b)
+    return m1, m2
+
+
+def _apply_inverse(E: np.ndarray, out: np.ndarray, m1: np.ndarray, m2: np.ndarray):
+    """T^-1 E = m1*E + m2*conj(E[-k]), written into out; E is overwritten."""
+    _conj_flip(E, out=out)
+    out *= m2
+    E *= m1
+    out += E
+    return out
 
 
 def picard_solve(
@@ -174,9 +208,9 @@ def picard_solve(
 
     linear = (a, b, k) declares rhs(psi) = a*psi + b*conj(psi) + U(psi) + h
     with |a| + |b| < 1 and the whole map k-Lipschitz, k < 1.  With (a, b)
-    not both zero each step solves the linear part exactly (see the module
-    docstring) and damping must be 1; the first step that contracts by less
-    than k switches the rest of the solve to plain steps.
+    not both zero the start and each step solve the linear part exactly
+    (see the module docstring) and damping must be 1; the first step that
+    contracts by less than k switches the rest of the solve to plain steps.
     """
     if not (0.0 < damping <= 1.0):
         raise ValueError(f"damping must be in (0, 1], got {damping}")
@@ -194,21 +228,23 @@ def picard_solve(
             raise ValueError("a preconditioned solve takes no damping")
         m1, m2 = _linear_inverse(beur, a, b)
     c_mean = complex(c_mean)
-    Z = affine_c = None
+    Z = affine_c = periodic = None
 
     def field(R: np.ndarray | None = None) -> np.ndarray:
         """Samples of the candidate with spectrum R; None is the start f = c*z."""
-        nonlocal Z, affine_c
+        nonlocal Z, affine_c, periodic
         if Z is None:  # built on first use: only a full map reads f
             Z = z_grid(spec)
             affine_c = c_mean * Z
+            periodic = np.empty((n, n), dtype=complex)
         if R is None:
             return affine_c.copy()
-        # conj(Z) stays a per-call temporary: numpy elides it into the
-        # product on large grids, and that operand order is part of the
-        # rounding the full-map results are pinned to.
-        P, d = np.fft.ifft2(R * inv_dzbar), complex(R[0, 0]) / (n * n)
-        return affine_c + d * np.conj(Z) + P
+        # P goes into the solve's own buffer.  conj(Z) stays a per-call
+        # temporary: from 256 KiB numpy elides it into the product, which then
+        # runs as conj(Z)*d, below that as d*conj(Z); the two round apart, and
+        # the full-map results are pinned to both.
+        P = np.fft.ifftn(np.multiply(R, inv_dzbar, out=periodic), out=periodic)
+        return affine_c + complex(R[0, 0]) / (n * n) * np.conj(Z) + P
 
     r_prev = rhs(field, np.full((n, n), c_mean, dtype=complex))
 
@@ -218,9 +254,9 @@ def picard_solve(
     best_R, best_res = None, np.inf
     spectra = (np.empty((n, n), dtype=complex), np.empty((n, n), dtype=complex))
     psi = np.empty((n, n), dtype=complex)
-    work = np.empty((n, n))
     if precondition:  # a step reads only R; a fallback sets r_prev again
-        R = np.fft.fft2(r_prev, out=spectra[0])
+        # the start f = c*z with U frozen at U(c) and the linear part solved
+        R = _apply_inverse(np.fft.fft2(r_prev, out=spectra[1]), spectra[0], m1, m2)
         r_prev = None
     for it in range(1, max_iter + 1):
         if not precondition:
@@ -232,12 +268,13 @@ def picard_solve(
         r = rhs(partial(field, R), psi)
         if np.may_share_memory(r, psi):
             r = r.copy()
-        if precondition:  # psi takes E = Q - R; its float view's sum of squares, no BLAS
+        if precondition:  # psi takes E = Q - R; by Parseval ||rhs - r||_2 = ||E||_2 / n^2
             E = np.subtract(np.fft.fft2(r, out=psi), R, out=psi)
-            x = E.reshape(-1).view(float)
-            res = math.sqrt(np.einsum("i,i->", x, x)) / (n * n)
+            scale = n * n
         else:
-            res = values_l2(np.subtract(r, r_prev, out=psi), _work=work)
+            np.subtract(r, r_prev, out=psi)
+            scale = n
+        res = math.sqrt(_sum_squares(psi)) / scale
         if not math.isfinite(res):
             if not history:
                 raise ArithmeticError("residual non-finite at iteration 1; "
@@ -255,10 +292,7 @@ def picard_solve(
             notes.append(f"preconditioned step contracted by less than k = {k:g} "
                          f"at iteration {it}; plain steps from there")
         if precondition:  # R is the best iterate: write R + T^-1 E beside it
-            R_next = _conj_flip(E, out=spectra[1] if R is spectra[0] else spectra[0])
-            R_next *= m2
-            E *= m1
-            R_next += E
+            R_next = _apply_inverse(E, spectra[1] if R is spectra[0] else spectra[0], m1, m2)
             R_next += R
             R = R_next
         elif damping == 1.0:
@@ -266,8 +300,14 @@ def picard_solve(
         else:
             r_prev = (1.0 - damping) * r_prev + damping * r
 
-    # free all but best_R and psi: the answer is built in psi, below the loop's peak
-    r_prev = r = work = spectra = R = R_next = m1 = m2 = Z = affine_c = None
+    # free all but best_R and psi, so the answer is built below the loop's
+    # peak.  Its samples go into an array allocated last, not into psi: a
+    # kept psi, allocated before the loop, stops glibc's heap from shrinking
+    # (probe workload: 4 MB more peak resident memory).
+    r_prev = r = spectra = R = R_next = E = m1 = m2 = None
+    Z = affine_c = periodic = None
     d = complex(best_R[0, 0]) / (n * n)
-    P = np.fft.ifftn(np.multiply(best_R, inv_dzbar, out=psi), out=psi)
+    P = np.empty((n, n), dtype=complex)
+    np.fft.ifftn(np.multiply(best_R, inv_dzbar, out=psi), out=P)
+    P.setflags(write=False)  # adopted by the field, not copied
     return GridField(spec, c_mean, d, P), SolveReport(history, converged, "; ".join(notes))

@@ -150,13 +150,17 @@ def lp_norm(f: GridField, p: float) -> float:
     return float(np.mean(np.abs(v) ** p) ** (1.0 / p))
 
 
-def values_l2(values: np.ndarray, _work: np.ndarray | None = None) -> float:
-    """Cell-averaged l2 norm of raw samples: sqrt(mean |v|^2).
+def _sum_squares(values: np.ndarray) -> float:
+    """sum |v|^2 of a C-contiguous complex array: einsum over its float view
+    runs numpy's own loop, with no temporary and no BLAS."""
+    x = values.reshape(-1).view(float)
+    return float(np.einsum("i,i->", x, x))
 
-    _work, a real array of the samples' shape, takes |v| and |v|^2 in place
-    of a fresh array; the result is the same to the bit.
-    """
-    return float(np.sqrt(np.mean(np.square(np.abs(values, out=_work), out=_work))))
+
+def values_l2(values: np.ndarray) -> float:
+    """Cell-averaged l2 norm of raw samples: sqrt(mean |v|^2)."""
+    sq = np.abs(values)
+    return float(np.sqrt(np.mean(np.square(sq, out=sq))))
 
 
 def write_field(f: GridField, path) -> None:

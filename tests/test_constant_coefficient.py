@@ -18,12 +18,15 @@ from beltrami import (
     mu_nu_printed_formula,
     random_trig_field,
     reduction_residual,
+    smooth_saturating_map,
+    solve_autonomous,
     solve_cc_changevar,
     solve_cc_neumann,
     trig_field,
     verify_transform,
     zero_field,
 )
+from beltrami import constant_coefficient
 from _helpers import pair_rel_l2, rel_l2
 
 SPEC = GridSpec(64)
@@ -77,13 +80,14 @@ class TestNeumannSolver:
             solve_cc_neumann(CCParams(0.1, 0), u, 1.0)
 
     def test_max_iter_flag(self):
-        p = CCParams(0.45, 0.45)
         u = random_trig_field(SPEC, seed=3)
-        # the preconditioned step solves a linear map in one update, so only
-        # the first residual (of the affine start) is above tol
-        _, rep = solve_cc_neumann(p, u, 1.0, tol=1e-14, max_iter=1)
+        # the preconditioned start solves a linear map, whose first iteration
+        # already converges; a small saturating term on the same linear part
+        # still needs more steps than max_iter allows
+        A = smooth_saturating_map(0.45, 0.45, 0.05)
+        _, rep = solve_autonomous(A, u, 1.0, tol=1e-14, max_iter=3)
         assert not rep.converged
-        assert rep.iterations == 1
+        assert rep.iterations == 3
         assert rep.final_residual == rep.residual_history[-1]
 
     def test_complex_linear_distortion_bound(self):
@@ -227,6 +231,49 @@ class TestChangeVarSolver:
             solve_cc_changevar(p, u, 1.0)
         _, rep = solve_cc_neumann(p, u, 1.0, tol=1e-12, max_iter=2000)
         assert rep.converged
+
+
+class TestChangeVarBoundaries:
+    """solve_cc_changevar's documented constants, each tested on both sides."""
+
+    P = CCParams(0.3, 0.2)
+
+    @pytest.mark.parametrize("eps, raises", [(4e-12, True), (2.5e-13, False)])
+    def test_nyquist_energy_threshold_is_1e_12(self, eps, raises):
+        # Nyquist energy eps against a total of 1: refused above 1e-12 of it
+        n = SPEC.n
+        U = np.zeros((n, n), dtype=complex)
+        U[1, 2], U[n // 2, 3] = 1.0, eps
+        u = GridField(SPEC, 0, 0, np.fft.ifft2(U) * n * n)
+        if raises:
+            with pytest.raises(ValueError, match="shear-resampling failure"):
+                solve_cc_changevar(self.P, u, 1.0)
+        else:
+            _, rep = solve_cc_changevar(self.P, u, 1.0)
+            assert rep.converged
+
+    @pytest.mark.parametrize("cond, raises", [(2e-10, True), (5e-11, False)])
+    def test_defining_conditions_threshold_is_1e_10(self, monkeypatch, cond, raises):
+        monkeypatch.setattr(constant_coefficient, "_defining_conditions_residual",
+                            lambda p, mu, nu: cond)
+        u = random_trig_field(SPEC, seed=6)
+        if raises:
+            with pytest.raises(ArithmeticError, match="defining conditions"):
+                solve_cc_changevar(self.P, u, 1.0)
+        else:
+            assert solve_cc_changevar(self.P, u, 1.0)[1].converged
+
+    @pytest.mark.parametrize("factor, converged", [(2.0, False), (0.5, True)])
+    def test_converged_threshold_is_1e_8(self, monkeypatch, factor, converged):
+        # the threshold is 1e-8 * ||u||_2 for a forcing with ||u||_2 > 1
+        u = random_trig_field(SPEC, seed=7, amplitude=2.0)
+        scale = lp_norm(u, 2)
+        assert scale > 1.5
+        monkeypatch.setattr(constant_coefficient, "cc_residual",
+                            lambda p, f, u: factor * 1e-8 * scale)
+        _, rep = solve_cc_changevar(self.P, u, 1.0)
+        assert rep.converged == converged
+        assert rep.final_residual == factor * 1e-8 * scale
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
