@@ -63,8 +63,9 @@ def _pair_stats(a: np.ndarray, b: np.ndarray) -> DistortionStats:
     frac = 1.0 - finite.size / K.size
     if finite.size == 0:
         return DistortionStats(math.inf, (math.inf,) * 3, 1.0)
-    q = tuple(float(v) for v in np.quantile(finite, [0.5, 0.9, 0.99]))
-    return DistortionStats(float(finite.max()), q, frac)
+    top = float(finite.max())  # before quantile partitions the fresh array
+    q = tuple(float(v) for v in np.quantile(finite, [0.5, 0.9, 0.99], overwrite_input=True))
+    return DistortionStats(top, q, frac)
 
 
 def distortion_stats(f: GridField) -> DistortionStats:
@@ -136,7 +137,7 @@ def _tail_fit(samples: np.ndarray):
     s = s[s > 0]
     if s.size < 64:
         return math.inf, 0.0
-    lo, hi = np.quantile(s, [0.995, 0.99995])
+    lo, hi = np.quantile(s, [0.995, 0.99995], overwrite_input=True)  # s is fresh
     if not (hi > lo * 1.0001):
         return math.inf, 0.0  # no tail to fit (nearly constant field)
     lam = np.exp(np.linspace(np.log(lo), np.log(hi), 24))
@@ -208,7 +209,8 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
         if i == len(fields) - 1:  # the finest level
             st = _pair_stats(a, b)
         m = a + b
-        logm = np.log(m[m != 0])  # a zero adds 0^p = 0; a NaN still reaches the sum
+        logm = m[m != 0]  # a zero adds 0^p = 0; a NaN still reaches the sum
+        np.log(logm, out=logm)
         for s in range(0, logm.size, _BLOCK):
             part = blk[:, :logm.size - s]
             power_means[i] += np.exp(np.multiply(p_col, logm[s:s + _BLOCK], out=part),
@@ -246,16 +248,16 @@ def second_order_probe(fields, k: float, q_grid) -> RegularityReport:
     """Integrability probe for the second derivatives.
 
     Applies the gradient probe to (f_zz, f_zzbar), the derivative pair of
-    f_z, taken from one transform of each ladder member.  The interesting
-    comparison level is q against 1 + 1/k; k is only range-checked and
-    changes no output.
+    f_z, taken from one forward and two inverse transforms of each ladder
+    member.  The interesting comparison level is q against 1 + 1/k; k is
+    only range-checked and changes no output.
     """
     if not (0 < k < 1):
         raise ValueError("need a Lipschitz constant in (0, 1)")
     fields = list(fields)
     pairs = []
     for f in fields:
-        fzz, fzzb, _ = _second_derivatives(f)
+        fzz, fzzb = _second_derivatives(f)
         for a in (fzz, fzzb):
             a.setflags(write=False)  # fresh arrays: the fields adopt them
         pairs.append(DerivedPair(GridField(f.spec, 0.0, 0.0, fzz),
@@ -289,7 +291,8 @@ def recover_coefficients(fx: GridField, fy: GridField, k: float) -> CoefficientF
     at least 1e-6 times the largest (and the largest clears an absolute
     floor, so roundoff-level gradients of constant fields cannot
     masquerade as data); elsewhere the sample is flagged and a least-norm
-    value is stored.  k is not read: no output depends on it.
+    value, computed on the flagged samples only, is stored.  k is not read:
+    no output depends on it.
     """
     if fx.spec != fy.spec:
         raise ValueError("directional derivative fields live on different grids")
@@ -306,19 +309,23 @@ def recover_coefficients(fx: GridField, fy: GridField, k: float) -> CoefficientF
     floor = 1e-9 * max(float(smax.max()), 1e-300)
     good = (smin >= 1e-6 * smax) & (smax > floor)
 
-    # least-norm values on the flagged set (rank <= 1 pseudo-inverse)
-    s2 = np.maximum(smax ** 2, 1e-300)
-    mu_ln = (np.conj(ax) * bx + np.conj(ay) * by) / s2
-    nu_ln = (ax * bx + ay * by) / s2
     safe_det = np.where(good, det, 1.0)
-    mu = np.where(good, (bx * np.conj(ay) - np.conj(ax) * by) / safe_det, mu_ln)
-    nu = np.where(good, (ax * by - bx * ay) / safe_det, nu_ln)
+    mu = (bx * np.conj(ay) - np.conj(ax) * by) / safe_det
+    nu = (ax * by - bx * ay) / safe_det
+    flagged = ~good
+    if flagged.any():  # least-norm values there (rank <= 1 pseudo-inverse)
+        ax, bx, ay, by = (a[flagged] for a in (ax, bx, ay, by))
+        s2 = np.maximum(smax[flagged] ** 2, 1e-300)
+        mu[flagged] = (np.conj(ax) * bx + np.conj(ay) * by) / s2
+        nu[flagged] = (ax * bx + ay * by) / s2
+    for a in (mu, nu):
+        a.setflags(write=False)  # fresh arrays: the fields adopt them
 
     spec = fx.spec
     return CoefficientFields(
         mu=GridField(spec, 0.0, 0.0, mu),
         nu=GridField(spec, 0.0, 0.0, nu),
-        flagged=~good,
+        flagged=flagged,
     )
 
 
@@ -336,19 +343,21 @@ def gradient_equation_check(f: GridField, coeffs: CoefficientFields) -> Gradient
 
     restricted to the well-conditioned samples.  Also reports the derived
     equation's ellipticity bound k' = max |mu|/(1-|nu|) there: inf once any
-    of those samples has |nu| >= 1, 0.0 when every sample is flagged.
+    of those samples has |nu| >= 1, 0.0 when every sample is flagged (f is
+    then not transformed).
     """
     if f.spec != coeffs.mu.spec:
         raise ValueError("field and coefficients live on different grids")
-    fzz, fzzb, _ = _second_derivatives(f)
     good = ~coeffs.flagged
     if not np.any(good):
         return GradientCheckResult(0.0, 0.0)
-    mu = coeffs.mu.values[good]
-    nu = coeffs.nu.values[good]
+    fzz, fzzb = _second_derivatives(f)
+    # flat views when every sample is good, else gathers of the good ones
+    take = slice(None) if good.all() else good.reshape(-1)
+    mu, nu, fzz, lhs = (a.reshape(-1)[take] for a in
+                        (coeffs.mu.values, coeffs.nu.values, fzz, fzzb))
     denom = 1.0 - np.abs(nu) ** 2
-    lhs = fzzb[good]
-    rhs = mu / denom * fzz[good] + np.conj(mu) * nu / denom * np.conj(fzz[good])
+    rhs = mu / denom * fzz + np.conj(mu) * nu / denom * np.conj(fzz)
     num = float(np.sqrt(np.mean(np.abs(lhs - rhs) ** 2)))
     den = float(np.sqrt(np.mean(np.abs(lhs) ** 2)))
     residual = 0.0 if den < 1e-280 and num < 1e-280 else num / max(den, 1e-300)
@@ -359,10 +368,11 @@ def gradient_equation_check(f: GridField, coeffs: CoefficientFields) -> Gradient
 
 def directional_derivative_fields(f: GridField) -> tuple[GridField, GridField]:
     """The x- and y-directional derivatives of f as purely periodic fields."""
-    fz, fzb = derivative_pair(f)
-    fx = GridField(f.spec, 0.0, 0.0, fz.values + fzb.values)
-    fy = GridField(f.spec, 0.0, 0.0, 1j * (fz.values - fzb.values))
-    return fx, fy
+    fz, fzb = (g.values for g in derivative_pair(f))
+    vx, vy = fz + fzb, 1j * (fz - fzb)
+    for a in (vx, vy):
+        a.setflags(write=False)  # fresh arrays: the fields adopt them
+    return GridField(f.spec, 0.0, 0.0, vx), GridField(f.spec, 0.0, 0.0, vy)
 
 
 def directional_family_max_distortion(f: GridField) -> float:
@@ -373,9 +383,10 @@ def directional_family_max_distortion(f: GridField) -> float:
     returns 0.0 when every member is constant below the floor (the
     constant branch of the dichotomy).  Degenerate samples surface as inf.
     The member cos(t)*fx + sin(t)*fy is e^{it} f_z + e^{-it} f_zbar, so its
-    derivative pair comes from f's second derivatives (one transform).
+    derivative pair comes from f's second derivatives (one transform).  The
+    loop stops once the running max is inf, which no later member exceeds.
     """
-    fzz, fzzb, fzbzb = _second_derivatives(f)
+    fzz, fzzb, fzbzb = _second_derivatives(f, zbarzbar=True)
     worst = 0.0
     for t in np.linspace(0.0, np.pi, 16, endpoint=False):
         e = complex(math.cos(t), math.sin(t))
@@ -387,6 +398,8 @@ def directional_family_max_distortion(f: GridField) -> float:
             continue
         K = _distortion_values(vz, vzb)[active]
         worst = max(worst, float(K.max()))
+        if worst == math.inf:
+            break
     return worst
 
 

@@ -92,18 +92,24 @@ def derivative_pair(f: GridField) -> DerivedPair:
     return DerivedPair(GridField(f.spec, 0.0, 0.0, dz), GridField(f.spec, 0.0, 0.0, dzb))
 
 
-def _second_derivatives(f: GridField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Samples of (f_zz, f_zzbar, f_zbarzbar) from one forward transform of f.
+def _second_derivatives(f: GridField, zbarzbar: bool = False) -> tuple[np.ndarray, ...]:
+    """Samples of (f_zz, f_zzbar) from one forward transform of f, and
+    f_zbarzbar after them when zbarzbar is set.
 
     Each is the product of two first-derivative symbols applied to the same
     spectrum; the affine part is linear, so no second derivative sees it.
+    Every output costs one inverse transform, taken in place in a fresh
+    array that the caller owns.
     """
     sym_dz, sym_dzbar, _, _ = _multipliers(f.spec.n, f.spec.L)
     F = np.fft.fft2(f.values)
-    Fz = F * sym_dz
-    Fzb = F * sym_dzbar
-    return (np.fft.ifft2(Fz * sym_dz), np.fft.ifft2(Fz * sym_dzbar),
-            np.fft.ifft2(Fzb * sym_dzbar))
+    Fzb = F * sym_dzbar if zbarzbar else None
+    Fz = np.multiply(F, sym_dz, out=F)
+    Fzzb = Fz * sym_dzbar
+    spectra = [np.multiply(Fz, sym_dz, out=Fz), Fzzb]
+    if zbarzbar:
+        spectra.append(np.multiply(Fzb, sym_dzbar, out=Fzb))
+    return tuple(np.fft.ifftn(S, out=S) for S in spectra)
 
 
 def beurling(phi: GridField) -> GridField:
@@ -165,13 +171,32 @@ def resample(f: GridField, new_n: int) -> GridField:
     Exact for band-limited fields (spectral zero padding / truncation); the
     Nyquist modes are split evenly between +-n/2 when padding and summed when
     truncating, so real fields stay real either way.  The affine part is
-    carried over unchanged.
+    carried over unchanged.  The transforms are pruned (Markel, IEEE Trans.
+    Audio Electroacoust. 1971) and keep the bits of the full fft2/ifft2,
+    which transform rows first and columns second: padding takes the row
+    pass of only the m + 1 spectrum rows that hold modes (a zero row
+    transforms to zero), truncation the column pass of only the new_n + 1
+    columns it keeps or folds into the coarse Nyquist column.
     """
     src = f.spec
     dst = GridSpec(new_n, src.L)
-    if new_n == src.n:
+    m = src.n
+    if new_n == m:
         return GridField(dst, f.c, f.d, f.values)
-    A = np.fft.fft2(f.values) / (src.n ** 2)
-    B = _resize_rows(_resize_rows(A, new_n).T, new_n).T
-    vals = np.fft.ifft2(B * (new_n ** 2))
+    if new_n > m:
+        half = m // 2
+        A = np.fft.fft2(f.values) / (m ** 2)
+        keep = np.r_[0:half + 1, -half:0]  # the padded spectrum's nonzero rows
+        rows = _resize_rows(_resize_rows(A, new_n)[keep].T, new_n).T * (new_n ** 2)
+        vals = np.zeros((new_n, new_n), dtype=complex)
+        vals[keep] = np.fft.ifft(rows, axis=1)
+        np.fft.ifft(vals, axis=0, out=vals)
+    else:
+        half = new_n // 2
+        # the coarse columns in fft2 layout, then +new_n/2, which folds into -new_n/2
+        cols = np.fft.fft(f.values, axis=1)[:, np.r_[0:half, -half:0, half]]
+        B = _resize_rows(np.fft.fft(cols, axis=0, out=cols) / (m ** 2), new_n)
+        B[:, half] += B[:, new_n]
+        vals = np.fft.ifft2(B[:, :new_n] * (new_n ** 2))
+    vals.setflags(write=False)  # fresh: the field adopts it
     return GridField(dst, f.c, f.d, vals)

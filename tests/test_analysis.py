@@ -32,6 +32,7 @@ from beltrami import (
 )
 from beltrami import analysis, synth
 from beltrami.analysis import _distortion_values, _tail_fit
+from beltrami.operators import _multipliers
 from beltrami.synth import _CENTER_FRAC
 from _helpers import rel_l2
 
@@ -43,6 +44,18 @@ LADDER = [random_trig_field(GridSpec(n), seed=5, amplitude=0.05, c=1.0)
 
 def affine(c, d, spec=SPEC):
     return GridField(spec, c, d, np.zeros(spec.n ** 2))
+
+
+def field_with_dz(dz):
+    """A field whose z-derivative has the samples dz (to roundoff): the mean
+    of dz is its affine c, the rest comes from dividing by the d/dz symbol."""
+    spec = GridSpec(dz.shape[0])
+    sym_dz = _multipliers(spec.n, spec.L)[0]
+    F = np.fft.fft2(dz - dz.mean())
+    F[0, 0] = 0.0
+    F[1:] /= sym_dz[1:]
+    F[0, 1:] /= sym_dz[0, 1:]
+    return GridField(spec, dz.mean(), 0.0, np.fft.ifft2(F))
 
 
 class TestDistortion:
@@ -302,7 +315,8 @@ class TestSecondOrderProbe:
 
 class TestTransformCount:
     # A field is transformed forward once per call; each derivative it
-    # yields costs one inverse transform (second derivatives: three).
+    # yields costs one inverse transform (second derivatives: two, and a
+    # third for f_zbarzbar, which only the directional family reads).
 
     def test_sobolev_probe_one_pair_per_level(self, fft_counts):
         sobolev_probe(LADDER, [2.0, 4.0])
@@ -310,7 +324,7 @@ class TestTransformCount:
 
     def test_second_order_probe_one_transform_per_level(self, fft_counts):
         second_order_probe(LADDER, 0.5, [1.5, 2.0])
-        assert fft_counts == {"fft2": 3, "ifft2": 9}
+        assert fft_counts == {"fft2": 3, "ifft2": 6}
 
     def test_directional_family_one_transform(self, fft_counts):
         directional_family_max_distortion(LADDER[0])
@@ -321,7 +335,7 @@ class TestTransformCount:
         coeffs = recover_coefficients(*directional_derivative_fields(f), 0.3)
         fft_counts.update(fft2=0, ifft2=0)
         gradient_equation_check(f, coeffs)
-        assert fft_counts == {"fft2": 1, "ifft2": 3}
+        assert fft_counts == {"fft2": 1, "ifft2": 2}
 
 
 class TestRecoverCoefficients:
@@ -340,6 +354,37 @@ class TestRecoverCoefficients:
         fx = GridField(SPEC, 1.0, 0.1, np.zeros(SPEC.n ** 2))
         fy = GridField(SPEC, np.exp(1j * theta), 0.2, np.zeros(SPEC.n ** 2))
         assert recover_coefficients(fx, fy, 0.3).flagged_fraction == flagged
+
+    @pytest.mark.parametrize("scale, flagged", [(2e-9, False), (0.5e-9, True)],
+                             ids=["2e-9-solved", "0.5e-9-flagged"])
+    def test_absolute_floor_is_1e_9_of_the_largest(self, scale, flagged):
+        # h_z = 1 and i everywhere (singular values sqrt 2 and sqrt 2) but
+        # scale and i*scale at one sample: its ratio stays 1, and only the
+        # floor 1e-9 * max(smax) can flag it
+        ax, ay = np.ones((32, 32), complex), np.full((32, 32), 1j)
+        ax[3, 5], ay[3, 5] = scale, 1j * scale
+        co = recover_coefficients(field_with_dz(ax), field_with_dz(ay), 0.3)
+        assert co.flagged[3, 5] == flagged
+        assert co.flagged.sum() == flagged
+
+    def test_partly_flagged_matches_all_samples_formula(self):
+        # the least-norm values, now taken on the flagged samples only, keep
+        # the bytes of the formula that took them at every sample.  n = 128
+        # makes the full-size temporaries large enough for numpy to elide
+        rng = np.random.default_rng(12)
+        shape = (128, 128)
+        ax = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ay = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        singular = rng.random(shape) < 0.3
+        ay[singular] = 2.5 * ax[singular]
+        ax[:2], ay[:2] = 1e-12 * ax[:2], 1e-12 * ay[:2]   # below the floor
+        fx, fy = field_with_dz(ax), field_with_dz(ay)
+        co = recover_coefficients(fx, fy, 0.3)
+        mu, nu, flagged = _recover_reference(fx, fy)
+        assert 0.3 < co.flagged_fraction < 0.5
+        assert np.array_equal(co.flagged, flagged)
+        assert co.mu.values.tobytes() == mu.tobytes()
+        assert co.nu.values.tobytes() == nu.tobytes()
 
     def test_matches_per_sample_lstsq_oracle(self):
         # feed generic smooth fields and compare the vectorized solve with
@@ -374,6 +419,27 @@ class TestRecoverCoefficients:
     def test_spec_mismatch(self):
         with pytest.raises(ValueError, match="grids"):
             recover_coefficients(zero_field(SPEC), zero_field(GridSpec(32)), 0.3)
+
+
+def _recover_reference(fx, fy):
+    """recover_coefficients with the least-norm values taken at every
+    sample and chosen by np.where: (mu, nu, flagged) samples."""
+    ax, bx = (g.values for g in derivative_pair(fx))
+    ay, by = (g.values for g in derivative_pair(fy))
+    det = ax * np.conj(ay) - np.conj(ax) * ay
+    fro2 = (np.abs(ax) ** 2 + np.abs(ay) ** 2) * 2.0
+    disc = np.sqrt(np.maximum(fro2 ** 2 - 4.0 * np.abs(det) ** 2, 0.0))
+    smax = np.sqrt((fro2 + disc) / 2.0)
+    smin = np.where(smax > 0, np.abs(det) / np.maximum(smax, 1e-300), 0.0)
+    floor = 1e-9 * max(float(smax.max()), 1e-300)
+    good = (smin >= 1e-6 * smax) & (smax > floor)
+    s2 = np.maximum(smax ** 2, 1e-300)
+    mu_ln = (np.conj(ax) * bx + np.conj(ay) * by) / s2
+    nu_ln = (ax * bx + ay * by) / s2
+    safe_det = np.where(good, det, 1.0)
+    mu = np.where(good, (bx * np.conj(ay) - np.conj(ax) * by) / safe_det, mu_ln)
+    nu = np.where(good, (ax * by - bx * ay) / safe_det, nu_ln)
+    return mu, nu, ~good
 
 
 class TestGradientEquationCheck:
@@ -418,13 +484,15 @@ class TestDirectionalFamily:
         assert directional_family_max_distortion(f) == 0.0
 
     def test_members_are_the_directional_derivatives(self, monkeypatch):
-        # each member's pair is the derivative pair of cos(t)*fx + sin(t)*fy
+        # each member's pair is the derivative pair of cos(t)*fx + sin(t)*fy.
+        # The recorder reports distortion 1 everywhere: the family stops at
+        # the first member that reads inf, and this field's first one does
         f = random_trig_field(SPEC, seed=78, amplitude=0.05, c=1.0)
         seen = []
 
         def record(vz, vzb):
             seen.append((vz, vzb))
-            return _distortion_values(vz, vzb)
+            return np.ones(vz.shape)
 
         monkeypatch.setattr(analysis, "_distortion_values", record)
         directional_family_max_distortion(f)
@@ -446,13 +514,52 @@ class TestDirectionalFamily:
         # the grid, so some active sample of a real field is degenerate (inf)
         n = SPEC.n
         fzz, zero = np.full((n, n), size + 0j), np.zeros((n, n), complex)
-        monkeypatch.setattr(analysis, "_second_derivatives", lambda f: (fzz, zero, zero))
+        monkeypatch.setattr(analysis, "_second_derivatives",
+                            lambda f, zbarzbar=False: (fzz, zero, zero))
         assert directional_family_max_distortion(zero_field(SPEC)) == worst
+
+    @pytest.mark.parametrize("case, worst", [("smooth", math.inf), ("affine", 0.0),
+                                             ("nan-sample", None)])
+    def test_matches_all_members_loop(self, monkeypatch, case, worst):
+        # stopping at the first inf gives the loop over all 16 members
+        f = {"smooth": random_trig_field(SPEC, seed=79, amplitude=0.05, c=1.0),
+             "affine": affine(1.0, 0.2)}.get(case, zero_field(SPEC))
+        if case == "nan-sample":
+            # finite distortion in every member except one NaN sample, which
+            # no member counts (its magnitude is not above the floor)
+            rng = np.random.default_rng(3)
+            fzz = 1.0 + 0.1 * rng.standard_normal((SPEC.n, SPEC.n)) + 0j
+            fzz[7, 9] = np.nan
+            small = [0.05 * rng.standard_normal((SPEC.n, SPEC.n)) + 0j for _ in range(2)]
+            monkeypatch.setattr(analysis, "_second_derivatives",
+                                lambda f, zbarzbar=False: (fzz, *small))
+        got = directional_family_max_distortion(f)
+        assert got == _family_reference(*analysis._second_derivatives(f, zbarzbar=True))
+        if worst is not None:
+            assert got == worst
+        else:
+            assert 1.0 < got < math.inf
 
     def test_smooth_family_has_finite_default_floor(self):
         f = random_trig_field(SPEC, seed=77, amplitude=0.05, c=1.0)
         worst = directional_family_max_distortion(f)
         assert worst > 1.0
+
+
+def _family_reference(fzz, fzzb, fzbzb):
+    """The directional family's loop over all 16 members."""
+    worst = 0.0
+    for t in np.linspace(0.0, np.pi, 16, endpoint=False):
+        e = complex(math.cos(t), math.sin(t))
+        vz = e * fzz + e.conjugate() * fzzb
+        vzb = e * fzzb + e.conjugate() * fzbzb
+        mag = np.abs(vz) + np.abs(vzb)
+        active = mag > 1e-8
+        if not np.any(active):
+            continue
+        K = _distortion_values(vz, vzb)[active]
+        worst = max(worst, float(K.max()))
+    return worst
 
 
 class TestHodograph:
@@ -649,6 +756,21 @@ class TestTailFit:
             assert (tail_exponent, r2) == (math.inf, 0.0)
         else:
             assert math.isfinite(tail_exponent)
+
+    @pytest.mark.parametrize("levels", [3, 4])
+    def test_needs_4_positive_levels(self, monkeypatch, levels):
+        # the 24 levels run geometrically from lo to hi.  hi stands in for a
+        # 99.995th percentile far above every sample, so only the levels
+        # below the largest sample, M, have a positive tail fraction: with
+        # hi = M^(23/(levels - 0.5)) those are the first `levels`
+        s = 1.1 ** np.arange(200.0)
+        hi = s.max() ** (23 / (levels - 0.5))
+        monkeypatch.setattr(np, "quantile", lambda a, q, **kw: np.array([1.0, hi]))
+        tail_exponent, r2 = _tail_fit(s)
+        if levels < 4:
+            assert (tail_exponent, r2) == (math.inf, 0.0)
+        else:
+            assert math.isfinite(tail_exponent) and r2 > 0
 
     def test_degenerate_inputs_match_reference(self):
         for s in (np.ones(1000), np.array([np.inf, np.nan, 0.0, 1.0, 2.0]),

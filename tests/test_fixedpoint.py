@@ -253,6 +253,16 @@ class TestReferenceOracle:
         rep = self.check(recorded, lambda: solve_full(H, 1.0, damping=0.7, spec=SPEC))
         assert rep.converged and rep.iterations > 10
 
+    def test_damped_full_map_at_elision_size(self, recorded):
+        # n = 128 is the smallest grid whose complex temporaries (256 KiB)
+        # numpy elides into a product, which then takes its operands in the
+        # other order; the kernel's full-map field must round as the
+        # reference does on both sides of that size
+        spec = GridSpec(128)
+        H = parse_map("kabs:0.3+zterm:0.05,0,1,0+wterm:0.02,0", spec.L)
+        rep = self.check(recorded, lambda: solve_full(H, 1.0, damping=0.7, spec=spec))
+        assert rep.converged and rep.iterations > 10
+
     def test_divergent_full_map_best_iterate(self, recorded):
         spec = GridSpec(32)
         H = parse_map("linear:0.9,0,0,0+wterm:50,0+zterm:5,0,1,0", spec.L)

@@ -101,7 +101,7 @@ class TestSecondDerivatives:
         fz, fzb = derivative_pair(f)
         fzz, fzzb = derivative_pair(fz)
         chained = (fzz.values, fzzb.values, derivative_pair(fzb).dzbar.values)
-        for got, want in zip(_second_derivatives(f), chained):
+        for got, want in zip(_second_derivatives(f, zbarzbar=True), chained):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_exact_symbol_products_on_trig_field(self):
@@ -115,7 +115,7 @@ class TestSecondDerivatives:
             w = coeff * np.exp(1j * (TAU / SPEC.L) * (k1 * x + k2 * y))
             for out, sym in zip(exact, (sz * sz, sz * szb, szb * szb)):
                 out += sym * w
-        for got, want in zip(_second_derivatives(f), exact):
+        for got, want in zip(_second_derivatives(f, zbarzbar=True), exact):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -271,6 +271,19 @@ class TestResample:
             back = resample(resample(f, n), 16)
             assert np.allclose(back.values, f.values, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("m, n", [(16, 32), (16, 64), (32, 16), (64, 16), (128, 32)])
+    def test_pruned_transforms_match_full_transforms(self, m, n):
+        # random samples put energy on every mode, the Nyquist row and column
+        # included; the pruned passes give the full transforms' bytes
+        rng = np.random.default_rng(m + n)
+        vals = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        A = np.fft.fft2(vals)
+        assert min(np.abs(A[m // 2]).min(), np.abs(A[:, m // 2]).min()) > 1e-3
+        f = GridField(GridSpec(m), 0.5, -0.25j, vals)
+        g = resample(f, n)
+        assert (g.spec.n, g.c, g.d) == (n, f.c, f.d)
+        assert g.values.tobytes() == _resample_reference(vals, n).tobytes()
+
     def test_downsample_band_limited_is_subsampling(self):
         # modes up to |k| = 8 sit on the 16-grid's Nyquist rows; exp(8ix) and
         # exp(-8ix) both alias to that row, so truncation must add them
@@ -278,6 +291,15 @@ class TestResample:
                                          (5, -1, 0.3 + 0.1j)])
         down = resample(fine, 16)
         assert np.allclose(down.values, fine.values[::2, ::2], rtol=0, atol=1e-14)
+
+
+def _resample_reference(vals, new_n):
+    """resample's samples through the full transforms: fft2, both axes
+    resized, ifft2."""
+    m = vals.shape[0]
+    A = np.fft.fft2(vals) / (m ** 2)
+    B = _resize_rows(_resize_rows(A, new_n).T, new_n).T
+    return np.fft.ifft2(B * (new_n ** 2))
 
 
 # Band-limited wave lists below the n = 16 Nyquist rows, with an affine part.
