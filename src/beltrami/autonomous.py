@@ -5,7 +5,9 @@ declared Lipschitz constant k < 1; the solver's convergence rate is
 bounded by k.  A map that is linear at infinity, A(zeta) = a*zeta +
 b*conj(zeta) + U(zeta) with U sublinear and |a| + |b| < 1, declares its
 linear part as ``linf = CCParams(a, b)``, the constant-coefficient
-operator; the solver then solves that part exactly in every step.
+operator; the solver then solves that part exactly in every step.  A map
+without linf is stepped with its derivative at the mean gradient instead
+(a chord step, see fixedpoint).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fixedpoint import SolveReport, picard_solve
+from .fixedpoint import SolveReport, _chord, picard_solve
 from .grid import GridField, lp_norm, values_l2
 from .operators import derivative_pair
 
@@ -162,9 +164,15 @@ def solve_autonomous(
     (see fixedpoint).  Converges geometrically with ratio at most k, and at
     most Lip(U)/(1 - |a| - |b|) when the declared linf is honest.  The
     solve starts from c*z with that part solved, so an exactly linear map
-    converges in one iteration.  A step that contracts by less than k
-    switches the rest of the solve to plain steps and the report's notes
-    name it.  The returned field satisfies
+    converges in one iteration.  A map with no linf is stepped the same way
+    with (a, b) = DA(c_mean), its derivative at the mean gradient (Newton's
+    chord method), unless that is (0, 0), as for k|z| at c_mean = 0, or
+    |a| + |b| >= 1.  The chord's contraction is guarded, not guaranteed:
+    where f_z strays from c_mean it may contract by less than k.  A step
+    that contracts by less than k switches the rest of the solve to plain
+    steps and the report's notes name it; when that is the second step the
+    plain steps start from c*z, and the solve returns the plain solve's
+    field two iterations later.  The returned field satisfies
     ||f_zbar - A(f_z) - h||_2 <= tol * max(1, ||h||_2).  The declared k is
     audited by sampling at solve time (error if clearly exceeded).
     """
@@ -175,10 +183,13 @@ def solve_autonomous(
     Aeval = A.eval
 
     def rhs(_field, psi):
-        return Aeval(psi) + hv
+        return np.add(Aeval(psi), hv, out=psi)
 
     scale = max(1.0, lp_norm(h, 2))
-    linear = None if A.linf is None else (A.linf.a, A.linf.b, A.k)
+    if A.linf is None:
+        linear = _chord(Aeval, c_mean, A.k)
+    else:
+        linear = (A.linf.a, A.linf.b, A.k)
     return picard_solve(rhs, h.spec, c_mean, tol * scale, max_iter, linear=linear)
 
 

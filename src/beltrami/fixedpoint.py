@@ -20,28 +20,35 @@ f (the fully nonlinear H(z, f, f_z)) pays the third transform for P and the
 affine rebuild.  The returned field is built once, after the loop, from the
 spectrum of the best iterate, once every other work array is freed.
 
-Apart from rhs's result, field() and the damped blend, a step allocates no
-n x n array: it writes into three work arrays that live for the whole solve.
+Apart from rhs's own temporaries, field(), and a damped step's difference
+and blend, a step allocates no n x n array: it writes into work arrays that
+live for the whole solve.
 
     spectra[0], spectra[1]  fft2(r) is written into whichever one does not
                             hold the best iterate's spectrum, so a new best
                             only re-points best_R and copies nothing
-    psi                     R * beurling, transformed back in place; once
-                            rhs has returned it takes the difference r - r',
-                            whose residual norm is the sum of squares of its
-                            float view (np.einsum: no temporary)
+    psi                     R * beurling, transformed back in place, then
+                            rhs's result: the solvers' right-hand sides
+                            write it there (np.add(..., out=psi)), and any
+                            other result is copied in
+    r_prev                  a plain step's previous right-hand side; it takes
+                            the difference r - r_prev, whose residual norm is
+                            the sum of squares of its float view (np.einsum:
+                            no temporary), and then swaps roles with psi
 
-Besides these a solve holds r_prev (read by plain steps only) and T^-1's
-multipliers; the first field() call builds Z, c*Z and a buffer that P is
-transformed into, so only a full map's solve allocates them.  The
-answer's samples are locked and adopted by its GridField without a copy.
+A preconditioned step holds T^-1's two multipliers in place of r_prev.  So
+a solve holds four n x n arrays in a plain step and five in a
+preconditioned one, plus rhs's temporaries: for k*|z| + h one real array,
+so 4.5 and 5.5 arrays at the peak.  The first field() call builds Z, c*Z and a
+buffer that P is transformed into, so only a full map's solve allocates
+them.  The answer's samples are locked and adopted by its GridField
+without a copy.
 
 Because psi is reused, a right-hand side may read or overwrite psi during
-its call but must not keep it.  If rhs returns psi or a view of it, the
-kernel copies the result before reusing the array.  The inverse transform
+its call, and may return it, but must not keep it.  The inverse transform
 is np.fft.ifftn, not ifft2: numpy 2.4's ifft2 accepts out= but ignores it
 (it passes out=None on), while ifftn writes into out and gives the same
-bits as ifft2 over both axes.
+bits as ifft2 over both axes; fft2 honours out=, in place too.
 
 Preconditioned steps.  When the right-hand side is linear at infinity,
 rhs(psi) = a*psi + b*conj(psi) + U(psi) + h with U of Lipschitz constant
@@ -68,16 +75,28 @@ an exactly linear map is solved by the start, and the first iteration
 measures a residual at roundoff, in four transforms all told.
 
 The declared linear part is not checked.  The first time a preconditioned
-step contracts the residual by less than k, the rest of the solve takes
-plain steps, starting from that step's right-hand side, and the notes name
-the iteration.  Until then every step makes a new best iterate, so the
-update can write into the spectrum buffer that does not hold it.  E = Q - R
-lives in psi and its residual is taken as a plain step's is (np.einsum:
-numpy's own single-threaded loop), so the step uses the same work arrays
-and allocates no n x n array apart from rhs's result.  The kernel calls no
-BLAS: np.vdot woke a multithreaded OpenBLAS at 4-8 ms per call on 2 shared
-x86 CPUs (einsum: 0.06 ms at n = 256) and slowed the fft2 calls after it
-twofold.
+step contracts the residual by less than k, T^-1 is freed, the rest of the
+solve takes plain steps and the notes name the iteration.  When that is the
+second step, the plain steps start from the affine start's right-hand side,
+evaluated again, and return the plain solve's field to the bit, two
+iterations later; after a later step they start from that step's
+right-hand side, rebuilt as ifft2(E + R) (one inverse transform more).
+Until then every step makes a new best iterate, so the update can write
+into the spectrum buffer that does not hold it.  E = Q - R lives in psi:
+rhs's result is transformed in place there, and its residual is taken as
+a plain step's is (np.einsum: numpy's own single-threaded loop).  The
+kernel calls no BLAS: np.vdot woke a multithreaded OpenBLAS at 4-8 ms per
+call on 2 shared x86 CPUs (einsum: 0.06 ms at n = 256) and slowed the fft2
+calls after it twofold.
+
+Chord steps.  A map that declares no linear part is handed to the kernel
+with its derivative at the start's gradient c, (a, b) = DA(c) from
+_chord: the Jacobian of the step frozen at the start, Newton's chord
+method (Kelley, Iterative Methods for Linear and Nonlinear Equations,
+SIAM 1995, 5.4).  Where f_z stays near its mean the chord contracts far
+below k; where it does not, nothing bounds the step, and the guard above
+returns the solve to plain steps: a chord whose first step fails costs
+two iterations.
 """
 
 from __future__ import annotations
@@ -178,6 +197,23 @@ def _apply_inverse(E: np.ndarray, out: np.ndarray, m1: np.ndarray, m2: np.ndarra
     return out
 
 
+def _chord(g: Callable[[np.ndarray], np.ndarray], c_mean: complex, k: float):
+    """picard_solve's linear = (a, b, k) for a map g of the gradient, frozen at
+    the start's gradient c: Newton's chord method.  None takes plain steps.
+
+    (a, b) = DA(c) by central differences at c +- s and c +- i*s, with
+    s = 2^-20 * max(1, |c|): a = (dx - i*dy)/2 and b = (dx + i*dy)/2.  A
+    derivative with |a| + |b| >= 1, or not finite, gives None; k*|z| at
+    c = 0 gives (0, 0), which picard_solve also steps plainly.
+    """
+    c = complex(c_mean)
+    s = 2.0 ** -20 * max(1.0, abs(c))
+    gx, gx_, gy, gy_ = (complex(v) for v in g(np.array([c + s, c - s, c + 1j * s, c - 1j * s])))
+    dx, dy = (gx - gx_) / (2 * s), (gy - gy_) / (2 * s)
+    a, b = (dx - 1j * dy) / 2, (dx + 1j * dy) / 2
+    return (a, b, k) if abs(a) + abs(b) < 1.0 else None
+
+
 def picard_solve(
     rhs: Callable[[Callable[[], np.ndarray], np.ndarray], np.ndarray],
     spec: GridSpec,
@@ -196,7 +232,8 @@ def picard_solve(
     it; each step then runs two transforms instead of three.  psi_values is
     the kernel's work array: rhs may read or overwrite it during the call
     but must not keep it, since the next step writes into it again.  A
-    result that is psi_values or a view of it is copied first.
+    result written into psi_values and returned costs nothing; any other
+    result, a view of psi_values included, is copied into it.
 
     tol is the absolute stopping threshold: the solve stops at the first
     equation residual <= tol.  On exhaustion the best iterate (least
@@ -210,7 +247,10 @@ def picard_solve(
     with |a| + |b| < 1 and the whole map k-Lipschitz, k < 1.  With (a, b)
     not both zero the start and each step solve the linear part exactly
     (see the module docstring) and damping must be 1; the first step that
-    contracts by less than k switches the rest of the solve to plain steps.
+    contracts by less than k switches the rest of the solve to plain steps,
+    from the affine start if it is the second step.  (a, b) may also be a
+    map's derivative at c_mean (_chord), which the map need not honour
+    away from c_mean: the same guard holds it.
     """
     if not (0.0 < damping <= 1.0):
         raise ValueError(f"damping must be in (0, 1], got {damping}")
@@ -226,7 +266,6 @@ def picard_solve(
             raise ValueError(f"linear part needs |a|+|b| < 1 and k in [0, 1), got {linear}")
         if damping != 1.0:
             raise ValueError("a preconditioned solve takes no damping")
-        m1, m2 = _linear_inverse(beur, a, b)
     c_mean = complex(c_mean)
     Z = affine_c = periodic = None
 
@@ -246,18 +285,32 @@ def picard_solve(
         P = np.fft.ifftn(np.multiply(R, inv_dzbar, out=periodic), out=periodic)
         return affine_c + complex(R[0, 0]) / (n * n) * np.conj(Z) + P
 
-    r_prev = rhs(field, np.full((n, n), c_mean, dtype=complex))
+    def into(psi: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """rhs's result r, taken into the array psi it was handed."""
+        if r is not psi:  # a fresh array, or a view of psi
+            np.copyto(psi, r)
+        return psi
+
+    def start() -> np.ndarray:
+        """The right-hand side at the affine start f = c*z, in an array of its own."""
+        psi = np.full((n, n), c_mean, dtype=complex)
+        return into(psi, rhs(field, psi))
+
+    r_prev = start()
 
     history: list[float] = []
     converged = False
     notes: list[str] = []
     best_R, best_res = None, np.inf
     spectra = (np.empty((n, n), dtype=complex), np.empty((n, n), dtype=complex))
-    psi = np.empty((n, n), dtype=complex)
     if precondition:  # a step reads only R; a fallback sets r_prev again
-        # the start f = c*z with U frozen at U(c) and the linear part solved
-        R = _apply_inverse(np.fft.fft2(r_prev, out=spectra[1]), spectra[0], m1, m2)
+        # the start f = c*z with U frozen at U(c) and the linear part solved;
+        # T^-1 is built once r_prev is freed, so the two never coexist
+        np.fft.fft2(r_prev, out=spectra[1])
         r_prev = None
+        m1, m2 = _linear_inverse(beur, a, b)
+        R = _apply_inverse(spectra[1], spectra[0], m1, m2)
+    psi = np.empty((n, n), dtype=complex)
     for it in range(1, max_iter + 1):
         if not precondition:
             R = spectra[1] if best_R is spectra[0] else spectra[0]
@@ -265,16 +318,16 @@ def picard_solve(
         np.multiply(R, beur, out=psi)
         np.fft.ifftn(psi, out=psi)  # not ifft2, which ignores out=
         psi += c_mean
-        r = rhs(partial(field, R), psi)
-        if np.may_share_memory(r, psi):
-            r = r.copy()
+        into(psi, rhs(partial(field, R), psi))
         if precondition:  # psi takes E = Q - R; by Parseval ||rhs - r||_2 = ||E||_2 / n^2
-            E = np.subtract(np.fft.fft2(r, out=psi), R, out=psi)
+            diff = E = np.subtract(np.fft.fft2(psi, out=psi), R, out=psi)
             scale = n * n
+        elif damping == 1.0:  # r_prev takes r - r_prev, then psi's place
+            diff, scale = np.subtract(psi, r_prev, out=r_prev), n
         else:
-            np.subtract(r, r_prev, out=psi)
-            scale = n
-        res = math.sqrt(_sum_squares(psi)) / scale
+            diff, scale = psi - r_prev, n
+        res = math.sqrt(_sum_squares(diff)) / scale
+        diff = None
         if not math.isfinite(res):
             if not history:
                 raise ArithmeticError("residual non-finite at iteration 1; "
@@ -288,23 +341,28 @@ def picard_solve(
             converged = True
             break
         if precondition and len(history) > 1 and res > k * history[-2]:
-            precondition = False
+            precondition, m1, m2 = False, None, None  # freed before r_prev is rebuilt
+            if it == 2:  # the first step failed: plain steps as from the start
+                r_prev, where = start(), "the start"
+            else:  # from this step's right-hand side, rebuilt from its spectrum
+                r_prev, where = np.add(E, R), "there"
+                np.fft.ifftn(r_prev, out=r_prev)
             notes.append(f"preconditioned step contracted by less than k = {k:g} "
-                         f"at iteration {it}; plain steps from there")
-        if precondition:  # R is the best iterate: write R + T^-1 E beside it
+                         f"at iteration {it}; plain steps from {where}")
+        elif precondition:  # R is the best iterate: write R + T^-1 E beside it
             R_next = _apply_inverse(E, spectra[1] if R is spectra[0] else spectra[0], m1, m2)
             R_next += R
             R = R_next
         elif damping == 1.0:
-            r_prev = r
+            r_prev, psi = psi, r_prev
         else:
-            r_prev = (1.0 - damping) * r_prev + damping * r
+            r_prev = (1.0 - damping) * r_prev + damping * psi
 
     # free all but best_R and psi, so the answer is built below the loop's
     # peak.  Its samples go into an array allocated last, not into psi: a
     # kept psi, allocated before the loop, stops glibc's heap from shrinking
     # (probe workload: 4 MB more peak resident memory).
-    r_prev = r = spectra = R = R_next = E = m1 = m2 = None
+    r_prev = spectra = R = R_next = E = m1 = m2 = None
     Z = affine_c = periodic = None
     d = complex(best_R[0, 0]) / (n * n)
     P = np.empty((n, n), dtype=complex)

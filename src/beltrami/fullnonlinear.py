@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fixedpoint import SolveReport, picard_solve
+from .fixedpoint import SolveReport, _chord, picard_solve
 from .grid import GridField, GridSpec, lp_norm, z_grid
 from .autonomous import AutonomousMap
 
@@ -227,15 +227,18 @@ def solve_full(
     Each step evaluates H pointwise at the current iterate, routes the mean
     to the affine part, pulls the gradient candidate through the beurling
     transform and rebuilds f; a damping factor below one blends consecutive
-    right-hand sides.  The dependence on f itself is not contractive in
-    general, so non-convergence is possible and is reported honestly via
-    the converged flag (no exception); converged means, as in
-    solve_autonomous, ||f_zbar - H - h||_2 <= tol * max(1, ||h||_2).  The
-    least-residual iterate is returned, and a non-finite residual ends the
-    run early with a note.  Only when the very first residual is non-finite
-    is ArithmeticError raised, since no finite iterate exists.  H is the one
-    right-hand side that reads f, so each step here costs three transforms,
-    not two.
+    right-hand sides.  Undamped, each step also solves the linear part of
+    zeta -> H(0, 0, zeta) at c_mean exactly (the chord of solve_autonomous,
+    which a from_autonomous map shares to the bit); as there, the chord's
+    contraction is guarded, not guaranteed.  The dependence on f itself is
+    not contractive in general, so non-convergence is possible and is
+    reported honestly via the converged flag (no exception); converged
+    means, as in solve_autonomous, ||f_zbar - H - h||_2 <= tol *
+    max(1, ||h||_2).  The least-residual iterate is returned, and a
+    non-finite residual ends the run early with a note.  Only when the very
+    first residual is non-finite is ArithmeticError raised, since no finite
+    iterate exists.  H is the one right-hand side that reads f, so each
+    step here costs three transforms, not two.
     """
     if h is not None and (h.spec != spec or not h.is_periodic()):
         raise ValueError(f"forcing must be periodic on the solve grid {spec}")
@@ -245,7 +248,13 @@ def solve_full(
 
     def rhs(field, psi):
         out = Heval(Z, field(), psi)
-        return out if hv is None else out + hv
+        return out if hv is None else np.add(out, hv, out=psi)
+
+    def at_origin(zeta):  # zeta -> H(0, 0, zeta)
+        zero = np.zeros_like(zeta)
+        return Heval(zero, zero, zeta)
 
     scale = 1.0 if h is None else max(1.0, lp_norm(h, 2))
-    return picard_solve(rhs, spec, c_mean, tol * scale, max_iter, damping=damping)
+    linear = _chord(at_origin, c_mean, H.k) if damping == 1.0 else None
+    return picard_solve(rhs, spec, c_mean, tol * scale, max_iter, damping=damping,
+                        linear=linear)

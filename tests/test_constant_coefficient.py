@@ -27,6 +27,8 @@ from beltrami import (
     zero_field,
 )
 from beltrami import constant_coefficient
+from beltrami.grid import values_l2
+from beltrami.operators import _wavevectors
 from _helpers import pair_rel_l2, rel_l2
 
 SPEC = GridSpec(64)
@@ -231,6 +233,70 @@ class TestChangeVarSolver:
             solve_cc_changevar(p, u, 1.0)
         _, rep = solve_cc_neumann(p, u, 1.0, tol=1e-12, max_iter=2000)
         assert rep.converged
+
+
+def conj_flip(A):
+    """conj(A[-k]) on an fft2-layout spectrum: reversed on both axes, rolled by one."""
+    return np.conj(np.roll(A[::-1, ::-1], 1, axis=(0, 1)))
+
+
+class TestChangeVarBytes:
+    """solve_cc_changevar and cc_residual against their formulas, to the bit,
+    at n = 128: the smallest grid whose complex temporaries (256 KiB) numpy
+    elides into a product with a scalar, which then takes the array as its
+    first operand.  The two operand orders round apart, so each product
+    below is written in the order the solver's expression runs in there."""
+
+    SPEC128 = GridSpec(128)
+    P = CCParams(0.45 * np.exp(0.7j), 0.35 * np.exp(-1.9j))
+
+    def reference_changevar(self, p, u, c_mean):
+        cv = compute_mu_nu(p)
+        mu, nu = cv.mu, cv.nu
+        n = u.spec.n
+        KC = _wavevectors(n, u.spec.L)
+        U = np.fft.fft2(u.values) / (n * n)
+        kappa = np.multiply(np.conj(KC), mu) + KC
+        with np.errstate(divide="ignore", invalid="ignore"):
+            W = 1.0 / np.multiply(0.5j, kappa)
+        W[0, 0] = 0.0
+        G = (np.multiply(conj_flip(U), mu * nu) + U) * W
+        FT = (G - np.multiply(conj_flip(G), nu)) / (1.0 - abs(nu) ** 2)
+        FT[0, 0] = 0.0
+        d = p.a * c_mean + p.b * complex(c_mean).conjugate() + complex(U[0, 0])
+        return np.fft.ifft2(FT * (n * n)), d
+
+    @staticmethod
+    def reference_residual(p, f, u):
+        fz, fzb = derivative_pair(f)
+        r = fzb.values - np.multiply(p.a, fz.values) - np.multiply(np.conj(fz.values), p.b)
+        return values_l2(r - u.values)
+
+    def dense_forcing(self, seed):
+        """Every mode below the Nyquist lines, so that each product is read."""
+        n = self.SPEC128.n
+        rng = np.random.default_rng(seed)
+        U = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / n
+        U[n // 2, :] = U[:, n // 2] = U[0, 0] = 0.0
+        return GridField(self.SPEC128, 0, 0, np.fft.ifft2(U))
+
+    def test_changevar_bytes(self):
+        u = self.dense_forcing(11)
+        f, rep = solve_cc_changevar(self.P, u, 0.8 - 0.3j)
+        values, d = self.reference_changevar(self.P, u, 0.8 - 0.3j)
+        assert rep.converged
+        assert f.values.tobytes() == values.tobytes()
+        assert (f.c, f.d) == (0.8 - 0.3j, d)
+        assert rep.final_residual == self.reference_residual(self.P, f, u)
+
+    def test_cc_residual_bytes(self):
+        # at a solution the residual is roundoff, which the rounding of each
+        # product sets: an off-solution residual would hide it in its sum
+        u = self.dense_forcing(12)
+        f, _ = solve_cc_neumann(self.P, u, 1.0 + 0.5j, tol=1e-13)
+        res = cc_residual(self.P, f, u)
+        assert res < 1e-13
+        assert res == self.reference_residual(self.P, f, u)
 
 
 class TestChangeVarBoundaries:

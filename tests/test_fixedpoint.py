@@ -34,7 +34,7 @@ from beltrami import (
 )
 from beltrami import autonomous, fixedpoint, fullnonlinear
 from beltrami.cli import parse_map
-from beltrami.fixedpoint import picard_solve
+from beltrami.fixedpoint import _chord, picard_solve
 from beltrami.operators import _multipliers, _wavevectors
 
 from _helpers import rel_l2
@@ -42,6 +42,7 @@ from _helpers import rel_l2
 SPEC = GridSpec(16)
 # built outside the counted solves: trig_field itself calls ifft2
 FORCING = random_trig_field(SPEC, seed=1, amplitude=0.5)
+SMALL_FORCING = random_trig_field(SPEC, seed=1, amplitude=0.01)
 
 
 def full_residual(H, f):
@@ -49,6 +50,34 @@ def full_residual(H, f):
     fz, fzb = derivative_pair(f)
     r = fzb.values - H.eval(z_grid(f.spec), f.total_values(), fz.values)
     return float(np.sqrt(np.mean(np.abs(r) ** 2)))
+
+
+@pytest.fixture
+def plain_steps(monkeypatch):
+    """The solvers hand picard_solve no linear part: plain steps, whatever
+    linear part they declare or take from the map's derivative."""
+    def plain(*args, **kwargs):
+        return picard_solve(*args, **{**kwargs, "linear": None})
+
+    for module in (autonomous, fullnonlinear):
+        monkeypatch.setattr(module, "picard_solve", plain)
+
+
+def plain_autonomous(A, h, c_mean, tol=1e-10, max_iter=1000):
+    """solve_autonomous's solve in plain steps."""
+    hv = h.values
+    return picard_solve(lambda _field, psi: A.eval(psi) + hv, h.spec, c_mean,
+                        tol * max(1.0, lp_norm(h, 2)), max_iter)
+
+
+def band_forcing(spec, rms, seed, band=10):
+    """Every mode of the band, with a 1/(1+|k|^2) spectrum and random phases."""
+    rng = np.random.default_rng(seed)
+    waves = [(k1, k2, np.exp(2j * np.pi * rng.uniform()) / (1 + k1 * k1 + k2 * k2))
+             for k1 in range(-band, band + 1) for k2 in range(-band, band + 1)
+             if (k1, k2) != (0, 0)]
+    f = trig_field(spec, waves)
+    return f * (rms / lp_norm(f, 2))
 
 
 class TestTransformCount:
@@ -62,12 +91,35 @@ class TestTransformCount:
     # so the start's spectrum is one more fft2 before the loop:
     #   linear part:    fft2 = I + 1, ifft2 = I + 1 (2 I + 2 in all)
     # An exactly linear map is solved by that start: I = 1, four transforms.
+    # A chord step (a map with no linear part, stepped with its derivative
+    # at c) counts as a linear part does.  A chord that fails its first step
+    # restarts plain steps from the start's right-hand side, with no
+    # transform; a later failure rebuilds that step's right-hand side from
+    # its spectrum, one ifft2 more.
 
-    def test_autonomous_two_per_step(self, fft_counts):
+    def test_autonomous_two_per_step(self, fft_counts, plain_steps):
         _, rep = solve_autonomous(abs_map(0.5), FORCING, 1.0, tol=1e-10)
         it = rep.iterations
         assert it > 10
         assert fft_counts == {"fft2": it, "ifft2": it + 1}
+
+    def test_chord_two_per_step(self, fft_counts):
+        _, rep = solve_autonomous(abs_map(0.5), SMALL_FORCING, 1.0, tol=1e-10)
+        it = rep.iterations
+        assert rep.converged and not rep.notes and 1 < it < 10
+        assert fft_counts == {"fft2": it + 1, "ifft2": it + 1}
+
+    def test_chord_later_fallback_rebuilds_its_rhs(self, fft_counts):
+        _, rep = solve_autonomous(abs_map(0.5), FORCING, 1.0, tol=1e-10)
+        it = rep.iterations
+        assert rep.converged and "at iteration 3; plain steps from there" in rep.notes
+        assert fft_counts == {"fft2": it + 1, "ifft2": it + 2}
+
+    def test_chord_restart_from_the_start(self, fft_counts):
+        _, rep = solve_autonomous(abs_map(0.9), FORCING, 1.0, tol=1e-10)
+        it = rep.iterations
+        assert rep.converged and "at iteration 2; plain steps from the start" in rep.notes
+        assert fft_counts == {"fft2": it + 1, "ifft2": it + 1}
 
     def test_neumann_two_per_step(self, fft_counts):
         _, rep = solve_cc_neumann(CCParams(0.3, 0.2j), FORCING, 1.0, tol=1e-10)
@@ -81,18 +133,25 @@ class TestTransformCount:
         assert it > 10 and rep.converged and not rep.notes
         assert fft_counts == {"fft2": it + 1, "ifft2": it + 1}
 
+    FULL = FullMap(eval=lambda z, w, zeta: 0.3 * zeta + 0.05 * w / (1 + np.abs(w)), k=0.3)
+
     @pytest.mark.parametrize("h", [None, FORCING], ids=["unforced", "forced"])
-    def test_full_map_reads_field_every_step(self, h, fft_counts):
-        H = FullMap(eval=lambda z, w, zeta: 0.3 * zeta + 0.05 * w / (1 + np.abs(w)),
-                    k=0.3)
-        _, rep = solve_full(H, 1.0, tol=1e-10, spec=SPEC, h=h)
+    def test_full_map_reads_field_every_step(self, h, fft_counts, plain_steps):
+        _, rep = solve_full(self.FULL, 1.0, tol=1e-10, spec=SPEC, h=h)
         it = rep.iterations
         assert it > 10
         assert fft_counts == {"fft2": it, "ifft2": 2 * it + 1}
 
+    @pytest.mark.parametrize("h", [None, FORCING], ids=["unforced", "forced"])
+    def test_full_map_chord_reads_field_every_step(self, h, fft_counts):
+        _, rep = solve_full(self.FULL, 1.0, tol=1e-10, spec=SPEC, h=h)
+        it = rep.iterations
+        assert rep.converged and not rep.notes and 1 < it < 10
+        assert fft_counts == {"fft2": it + 1, "ifft2": 2 * it + 1}
+
 
 class TestBestIterate:
-    def test_best_iterate_returned_on_nonconvergence(self):
+    def test_best_iterate_returned_on_nonconvergence(self, plain_steps):
         spec = GridSpec(32)
         H = parse_map("linear:0.9,0,0,0+wterm:50,0+zterm:5,0,1,0", spec.L)
         f, rep = solve_full(H, 1.0, max_iter=60, spec=spec)
@@ -103,6 +162,19 @@ class TestBestIterate:
         assert rep.residual_history[0] == best
         assert rep.residual_history[-1] > 10 * best
         assert rep.final_residual == best
+        assert full_residual(H, f) == pytest.approx(best, rel=1e-8)
+
+    def test_chord_best_iterate_returned_on_nonconvergence(self):
+        # the chord's second step fails, and the plain steps from the start
+        # diverge: the least residual is the plain first step's
+        spec = GridSpec(32)
+        H = parse_map("linear:0.9,0,0,0+wterm:50,0+zterm:5,0,1,0", spec.L)
+        f, rep = solve_full(H, 1.0, max_iter=60, spec=spec)
+        assert not rep.converged and rep.iterations == 60
+        assert "at iteration 2; plain steps from the start" in rep.notes
+        best = min(rep.residual_history)
+        assert rep.residual_history[2] == best < rep.residual_history[0]
+        assert rep.residual_history[-1] > 10 * best
         assert full_residual(H, f) == pytest.approx(best, rel=1e-8)
 
     def test_report_derives_from_its_history(self):
@@ -138,11 +210,16 @@ class TestNonFinite:
             solve_full(H, 1.0, spec=SPEC)
 
 
-def reference_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None):
+def reference_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None,
+                    chord=False):
     """The fixed-point loop as it was before the kernel reused its work
     arrays: every step allocates its spectrum, psi and the difference, whose
     norm is the kernel's sum of squares over the float view.  It takes plain
-    steps whatever linear part the solver declares.  Returns (field, history,
+    steps whatever linear part the solver declares, unless chord=True: then
+    linear = (a, b, k) is solved in each step as the kernel does, from the
+    kernel's own multipliers, and the guard's fallback restarts plain steps
+    from the start (a failed second step) or from the failed step's
+    right-hand side, rebuilt from its spectrum.  Returns (field, history,
     notes, converged)."""
     n = spec.n
     _, _, beur, inv_dzbar = _multipliers(n, spec.L)
@@ -153,12 +230,28 @@ def reference_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None):
     def periodic_and_d(R):
         return np.fft.ifft2(R * inv_dzbar), complex(R[0, 0]) / (n * n)
 
-    r_prev = rhs(affine_c.copy, np.full((n, n), c_mean, dtype=complex))
-    history, converged, notes = [], False, ""
+    def start():
+        return rhs(affine_c.copy, np.full((n, n), c_mean, dtype=complex))
+
+    def norm(x):
+        x = x.reshape(-1).view(float)
+        return math.sqrt(np.einsum("i,i->", x, x))
+
+    r_prev = start()
+    history, converged, notes = [], False, []
     best_R, best_res = None, np.inf
     R_beur = np.empty((n, n), dtype=complex)
+    if chord:
+        a, b, k = linear
+        m1, m2 = fixedpoint._linear_inverse(beur, a, b)
+
+        def inverse(E):  # conj(E[-k]) is conj of E reversed on both axes, rolled by one
+            return np.conj(np.roll(E[::-1, ::-1], 1, axis=(0, 1))) * m2 + E * m1
+
+        R = inverse(np.fft.fft2(r_prev))
     for it in range(1, max_iter + 1):
-        R = np.fft.fft2(r_prev)
+        if not chord:
+            R = np.fft.fft2(r_prev)
         psi = np.fft.ifft2(np.multiply(R, beur, out=R_beur))
         psi += c_mean
 
@@ -167,12 +260,15 @@ def reference_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None):
             return affine_c + d * np.conj(Z) + P
 
         r = rhs(field, psi)
-        x = (r - r_prev).reshape(-1).view(float)
-        res = math.sqrt(np.einsum("i,i->", x, x)) / n
+        if chord:
+            E = np.fft.fft2(r) - R
+            res = norm(E) / (n * n)
+        else:
+            res = norm(r - r_prev) / n
         if not math.isfinite(res):
             if not history:
                 raise ArithmeticError("residual non-finite at iteration 1")
-            notes = f"residual non-finite at iteration {it}; stopped"
+            notes.append(f"residual non-finite at iteration {it}; stopped")
             break
         history.append(res)
         if res < best_res:
@@ -180,12 +276,20 @@ def reference_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None):
         if res <= tol:
             converged = True
             break
-        if damping == 1.0:
+        if chord and len(history) > 1 and res > k * history[-2]:
+            chord = False
+            r_prev = start() if it == 2 else np.fft.ifft2(E + R)
+            notes.append(f"preconditioned step contracted by less than k = {k:g} at "
+                         f"iteration {it}; plain steps from "
+                         f"{'the start' if it == 2 else 'there'}")
+        elif chord:
+            R = inverse(E) + R
+        elif damping == 1.0:
             r_prev = r
         else:
             r_prev = (1.0 - damping) * r_prev + damping * r
     P, d = periodic_and_d(best_R)
-    return GridField(spec, c_mean, d, P), history, notes, converged
+    return GridField(spec, c_mean, d, P), history, "; ".join(notes), converged
 
 
 def assert_same_solve(f, rep, ref):
@@ -198,32 +302,68 @@ def assert_same_solve(f, rep, ref):
     assert (rep.notes, rep.converged) == (notes, converged)
 
 
+def _record(monkeypatch, plain):
+    """Records the arguments each solver hands to picard_solve; plain=True
+    drops the linear part first, so the solve takes plain steps."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        if plain:
+            kwargs["linear"] = None
+        calls.append((args, kwargs))
+        return picard_solve(*args, **kwargs)
+
+    for module in (autonomous, fullnonlinear):
+        monkeypatch.setattr(module, "picard_solve", recording)
+    return calls
+
+
 class TestReferenceOracle:
     """The kernel gives the allocating loop's results to the bit."""
 
     @pytest.fixture
     def recorded(self, monkeypatch):
-        """Records the arguments each solver hands to picard_solve."""
-        calls = []
+        return _record(monkeypatch, plain=False)
 
-        def recording(*args, **kwargs):
-            calls.append((args, kwargs))
-            return picard_solve(*args, **kwargs)
-
-        for module in (autonomous, fullnonlinear):
-            monkeypatch.setattr(module, "picard_solve", recording)
-        return calls
+    @pytest.fixture
+    def recorded_plain(self, monkeypatch):
+        return _record(monkeypatch, plain=True)
 
     @staticmethod
-    def check(recorded, solve):
+    def check(recorded, solve, chord=False):
         f, rep = solve()
         (args, kwargs), = recorded
-        assert_same_solve(f, rep, reference_solve(*args, **kwargs))
+        assert (kwargs.get("linear") is not None) == chord
+        assert_same_solve(f, rep, reference_solve(*args, **kwargs, chord=chord))
         return rep
 
-    def test_autonomous_kabs(self, recorded):
-        rep = self.check(recorded, lambda: solve_autonomous(abs_map(0.5), FORCING, 1.0))
+    def test_autonomous_kabs(self, recorded_plain):
+        rep = self.check(recorded_plain, lambda: solve_autonomous(abs_map(0.5), FORCING, 1.0))
         assert rep.converged
+
+    # kabs(0.5) on FORCING fails its third chord step and kabs(0.9) its
+    # second; the small forcing converges in chord steps throughout
+    @pytest.mark.parametrize("k, h, note", [
+        (0.5, SMALL_FORCING, ""),
+        (0.5, FORCING, "at iteration 3; plain steps from there"),
+        (0.9, FORCING, "at iteration 2; plain steps from the start")],
+        ids=["chord", "later-fallback", "restart"])
+    def test_chord_kabs(self, recorded, k, h, note):
+        rep = self.check(recorded, lambda: solve_autonomous(abs_map(k), h, 1.0),
+                         chord=True)
+        assert rep.converged and note in rep.notes and bool(note) == bool(rep.notes)
+
+    def test_chord_kabs_at_elision_size(self, recorded):
+        spec = GridSpec(128)
+        h = random_trig_field(spec, seed=2, amplitude=0.05)
+        rep = self.check(recorded, lambda: solve_autonomous(abs_map(0.3), h, 1.0), chord=True)
+        assert rep.converged and rep.iterations > 2
+
+    def test_chord_full_map_at_elision_size(self, recorded):
+        spec = GridSpec(128)
+        H = parse_map("kabs:0.3+zterm:0.05,0,1,0+wterm:0.02,0", spec.L)
+        rep = self.check(recorded, lambda: solve_full(H, 1.0, spec=spec), chord=True)
+        assert rep.converged and rep.iterations > 2
 
     @staticmethod
     def check_close(recorded, solve):
@@ -263,17 +403,117 @@ class TestReferenceOracle:
         rep = self.check(recorded, lambda: solve_full(H, 1.0, damping=0.7, spec=spec))
         assert rep.converged and rep.iterations > 10
 
-    def test_divergent_full_map_best_iterate(self, recorded):
+    def test_divergent_full_map_best_iterate(self, recorded_plain):
         spec = GridSpec(32)
         H = parse_map("linear:0.9,0,0,0+wterm:50,0+zterm:5,0,1,0", spec.L)
-        rep = self.check(recorded, lambda: solve_full(H, 1.0, max_iter=60, spec=spec))
+        rep = self.check(recorded_plain, lambda: solve_full(H, 1.0, max_iter=60, spec=spec))
         assert not rep.converged and rep.residual_history[0] == rep.final_residual
 
+    def test_chord_divergent_full_map_best_iterate(self, recorded):
+        spec = GridSpec(32)
+        H = parse_map("linear:0.9,0,0,0+wterm:50,0+zterm:5,0,1,0", spec.L)
+        rep = self.check(recorded, lambda: solve_full(H, 1.0, max_iter=60, spec=spec),
+                         chord=True)
+        assert not rep.converged and rep.residual_history[2] == rep.final_residual
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nonfinite_stop(self, recorded):
+    def test_nonfinite_stop(self, recorded_plain):
         H = FullMap(lambda z, w, zeta: 0.3 * zeta + 0.1 * w ** 2, k=0.3)
-        rep = self.check(recorded, lambda: solve_full(H, 1.0, max_iter=200, spec=SPEC))
+        rep = self.check(recorded_plain, lambda: solve_full(H, 1.0, max_iter=200, spec=SPEC))
         assert "non-finite" in rep.notes
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_chord_nonfinite_stop(self, recorded):
+        H = FullMap(lambda z, w, zeta: 0.3 * zeta + 0.1 * w ** 2, k=0.3)
+        rep = self.check(recorded, lambda: solve_full(H, 1.0, max_iter=200, spec=SPEC),
+                         chord=True)
+        assert "plain steps from the start; residual non-finite" in rep.notes
+
+
+class TestChord:
+    """A map that declares no linear part is stepped with its derivative at
+    the mean gradient c, (a, b) = DA(c) by central differences: Newton's
+    chord method, under the same guard as a declared linear part."""
+
+    @pytest.mark.parametrize("c", [1.0, 1.0 + 0.5j, -0.3j, 40.0 - 7.0j, 1e-3])
+    @pytest.mark.parametrize("k", [0.3, 0.9])
+    def test_kabs_closed_form(self, c, k):
+        a, b, kk = _chord(abs_map(k).eval, c, k)
+        assert kk == k
+        assert abs(a - k * np.conj(c) / (2 * abs(c))) <= 1e-9
+        assert abs(b - k * c / (2 * abs(c))) <= 1e-9
+
+    @pytest.mark.parametrize("a, b", [(0.3, 0.1), (0.5, 0.3j),
+                                      (0.55 * np.exp(0.4j), 0.35 * np.exp(2.1j))])
+    @pytest.mark.parametrize("c", [1.0, 0.7 + 0.2j, 0.0])
+    def test_linear_map_closed_form(self, a, b, c):
+        aa, bb, _ = _chord(linear_map(a, b).eval, c, 0.9)
+        assert abs(aa - a) <= 1e-9 and abs(bb - b) <= 1e-9
+
+    def test_no_chord_at_or_past_ellipticity_or_when_not_finite(self):
+        assert _chord(lambda z: 0.6 * z + 0.4 * np.conj(z), 1.0, 0.9) is None
+        assert _chord(lambda z: 1.2 * z, 1.0, 0.9) is None
+        with np.errstate(invalid="ignore"):
+            assert _chord(lambda z: z * np.inf, 1.0, 0.3) is None
+            assert _chord(lambda z: z * np.nan, 1.0, 0.3) is None
+
+    def test_declared_linear_part_wins(self, monkeypatch):
+        # a map's linf goes to the kernel as declared; a damped full map
+        # gets no linear part, an undamped one its chord
+        calls = _record(monkeypatch, plain=False)
+        A = smooth_saturating_map(0.5, 0.2j, 0.2)
+        solve_autonomous(A, FORCING, 1.0)
+        H = parse_map("kabs:0.3+wterm:0.05,0", SPEC.L)
+        solve_full(H, 1.0, damping=0.7, spec=SPEC)
+        solve_full(H, 1.0, spec=SPEC)
+        assert [kwargs["linear"] for _, kwargs in calls] == [
+            (0.5, 0.2j, A.k), None, _chord(abs_map(0.3).eval, 1.0, 0.3)]
+
+    def test_kabs_at_zero_mean_takes_plain_steps(self):
+        # k|z| at c = 0 differences to (0, 0): no chord, today's plain bytes
+        assert _chord(abs_map(0.3).eval, 0.0, 0.3) == (0, 0, 0.3)
+        f, rep = solve_autonomous(abs_map(0.3), FORCING, 0.0)
+        g, plain = plain_autonomous(abs_map(0.3), FORCING, 0.0)
+        assert rep.converged and not rep.notes
+        assert rep.residual_history == plain.residual_history
+        assert f.values.tobytes() == g.values.tobytes() and f.d == g.d
+
+    def test_setup_ladder_in_at_most_4(self):
+        # the probe benchmark's set-up: kabs:0.3 under small smooth forcing
+        rng = np.random.default_rng(23)
+        phases = np.exp(2j * np.pi * rng.uniform(size=3))
+        waves = [(1, 0, 2e-3 * phases[0]), (0, 1, 2e-3 * phases[1]), (1, 1, 1e-3 * phases[2])]
+        for n in (128, 256, 512):
+            h = trig_field(GridSpec(n), waves)
+            f, rep = solve_autonomous(abs_map(0.3), h, 1.0, tol=1e-12)
+            g, plain = plain_autonomous(abs_map(0.3), h, 1.0, tol=1e-12)
+            assert rep.converged and not rep.notes and rep.iterations <= 4
+            assert plain.converged and plain.iterations == 18
+            assert rel_l2(f.values, g.values) <= 1e-9
+
+    def test_linear_base_full_map_in_at_most_12(self):
+        # a linear base with a position and an unknown term: 84 plain steps
+        spec = GridSpec(256)
+        H = parse_map("linear:0.5,0,0.3,0+zterm:0.1,0,2,1+wterm:0.05,0", spec.L)
+        f, rep = solve_full(H, 1.0, tol=1e-10, spec=spec)
+        assert rep.converged and not rep.notes and rep.iterations <= 12
+        assert full_residual(H, f) <= 1.5e-10
+        Z = z_grid(spec)
+        _, plain = picard_solve(lambda field, psi: H.eval(Z, field(), psi), spec, 1.0,
+                                1e-10, 200)
+        assert plain.converged and plain.iterations == 84
+
+    def test_rough_kabs_09_restarts_to_the_plain_bytes(self):
+        # the chord's first step fails under rough forcing: plain steps from
+        # the start, two iterations after the plain solve's own
+        h = band_forcing(GridSpec(64), rms=0.5, seed=5)
+        f, rep = solve_autonomous(abs_map(0.9), h, 1.0)
+        g, plain = plain_autonomous(abs_map(0.9), h, 1.0)
+        assert rep.converged and plain.converged
+        assert "at iteration 2; plain steps from the start" in rep.notes
+        assert rep.iterations == plain.iterations + 2
+        assert rep.residual_history[2:] == plain.residual_history
+        assert f.values.tobytes() == g.values.tobytes() and f.d == g.d
 
 
 class TestWorkArrayContract:
@@ -339,11 +579,6 @@ class TestPreconditioned:
 
     SPEC64 = GridSpec(64)
 
-    @staticmethod
-    def plain(A):
-        """The same map with no declared linear part: plain steps."""
-        return dataclasses.replace(A, linf=None)
-
     @pytest.mark.parametrize("A, most", [
         (linear_map(0.5, 0.3j), 2),
         (smooth_saturating_map(0.5, 0.2j, 0.2), 20),
@@ -351,7 +586,7 @@ class TestPreconditioned:
     def test_agrees_with_plain(self, A, most):
         h = random_trig_field(self.SPEC64, seed=4)
         f, rep = solve_autonomous(A, h, 1.0 - 0.5j, tol=1e-12)
-        g, plain = solve_autonomous(self.plain(A), h, 1.0 - 0.5j, tol=1e-12)
+        g, plain = plain_autonomous(A, h, 1.0 - 0.5j, tol=1e-12)
         assert rep.converged and plain.converged and not rep.notes
         assert rep.iterations <= most < plain.iterations
         # the preconditioned start solves the linear part of the affine start
@@ -399,14 +634,17 @@ class TestPreconditioned:
 
     def test_misdeclared_linear_part_falls_back(self):
         # the declared a = 0.95 is wrong for 0.3*zeta: the preconditioned step
-        # expands by about 13, and the first such step switches to plain steps
+        # expands by about 13, and the first such step restarts plain steps
+        # from the start, which then give the plain solve's field to the bit
         A = AutonomousMap(eval=lambda z: 0.3 * z, k=0.3, linf=CCParams(0.95, 0))
         h = random_trig_field(self.SPEC64, seed=3)
         f, rep = solve_autonomous(A, h, 1.0)
-        _, plain = solve_autonomous(self.plain(A), h, 1.0)
+        g, plain = plain_autonomous(A, h, 1.0)
         assert rep.converged
-        assert "less than k = 0.3 at iteration 2; plain steps" in rep.notes
-        assert rep.iterations <= plain.iterations + 5
+        assert "less than k = 0.3 at iteration 2; plain steps from the start" in rep.notes
+        assert rep.iterations == plain.iterations + 2
+        assert rep.residual_history[2:] == plain.residual_history
+        assert f.values.tobytes() == g.values.tobytes() and f.d == g.d
         assert residual(A, f, h) <= 1e-10 * max(1.0, lp_norm(h, 2)) + 1e-14
 
     def test_step_contracting_by_more_than_k_falls_back(self):
@@ -466,6 +704,8 @@ class TestSolveHoldsOnlyWhatItsStepReads:
         "neumann": lambda h: solve_cc_neumann(CCParams(0.5, 0.2j), h, 1.0),
         "smoothsat": lambda h: solve_autonomous(smooth_saturating_map(0.5, 0.2j, 0.2), h, 1.0),
         "kabs": lambda h: solve_autonomous(abs_map(0.3), h, 1.0),
+        # its chord's second step fails: T^-1 is freed, plain steps from the start
+        "kabs0.9-restart": lambda h: solve_autonomous(abs_map(0.9), h, 1.0),
         "full": lambda h: solve_full(parse_map("kabs:0.3+wterm:0.05,0", h.spec.L), 1.0,
                                      spec=h.spec, h=h),
         "changevar": lambda h: solve_cc_changevar(CCParams(0.5, 0.2j), h, 1.0),
@@ -493,9 +733,12 @@ class TestSolveHoldsOnlyWhatItsStepReads:
     # derivative_pair 5.0 before it reused its buffers.  Before the Neumann
     # solve built T^-1 without temporaries and changevar ran in place:
     # neumann 9.55, changevar 12.04, cc_residual 5.02 (now 8.05, 5.03, 4.01).
+    # kabs takes chord steps (6.56, as in plain steps), and kabs0.9 restarts
+    # plain steps after its chord's second step (6.56; 7.60 had the restart
+    # kept T^-1).
     @pytest.mark.parametrize("kind, bound", [
         ("kabs", 8.0), ("smoothsat", 12.0), ("neumann", 8.5), ("derivative_pair", 3.5),
-        ("changevar", 5.5), ("cc_residual", 4.5)])
+        ("changevar", 5.5), ("cc_residual", 4.5), ("kabs0.9-restart", 7.0)])
     def test_traced_peak(self, kind, bound):
         h = random_trig_field(self.SPEC64, seed=3)
         if kind == "derivative_pair":
@@ -505,7 +748,9 @@ class TestSolveHoldsOnlyWhatItsStepReads:
             call, arg = partial(cc_residual, CCParams(0.5, 0.2j), f), h
         else:
             call, arg = self.SOLVES[kind], h
-        call(arg)
+        out = call(arg)
+        if kind == "kabs0.9-restart":
+            assert "at iteration 2; plain steps from the start" in out[1].notes
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]

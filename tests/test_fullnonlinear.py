@@ -20,6 +20,7 @@ from beltrami import (
     zero_field,
 )
 from beltrami.cli import parse_map
+from beltrami import fullnonlinear
 from beltrami.fullnonlinear import _min_sum_cover, _sample_points
 
 SPEC = GridSpec(64)
@@ -85,6 +86,46 @@ class TestCheckConditions:
             rep = check_conditions(from_autonomous(A), samples=4000)
             assert rep.lipschitz_max <= k + 1e-9
             assert rep.lipschitz_max >= k - 1e-3
+
+
+class TestCheckConditionsBoundaries:
+    """check_conditions' documented sampling constants, each tested on both sides."""
+
+    @pytest.mark.parametrize("beta, r0, violated", [
+        (0.75, 5e3, True), (0.75, 2e4, False),     # |U| outgrows the envelope past r0
+        (0.25, 2e-3, True), (0.25, 5e-4, False)])  # |U| outgrows it below r0
+    def test_zeta_moduli_span_1e_minus_3_to_1e4(self, beta, r0, violated):
+        # |U| = r^beta * r0^(1/2 - beta) against the envelope r^(1/2) crosses
+        # it at |zeta| = r0 only, so the envelope is broken exactly when a
+        # sampled modulus lies beyond r0: moduli are drawn from [1e-3, 1e4]
+        c = r0 ** (0.5 - beta)
+        H = FullMap(eval=lambda z, w, zeta: 0.3 * zeta + c * np.abs(zeta) ** beta, k=0.3,
+                    structure=structure(a=0.3, alpha=0.5, zeta_bound=1.0))
+        rep = check_conditions(H, samples=2000)
+        assert (rep.bound_excess > 0.0) == violated
+
+    @pytest.mark.parametrize("gap, kept", [(2e-9, True), (5e-10, False)])
+    def test_pair_cutoff_is_1e_9(self, monkeypatch, gap, kept):
+        # every pair (zeta, eta) is drawn |zeta - eta| = gap apart: pairs
+        # closer than 1e-9 are dropped, and no pair leaves the maximum at 0
+        class Stub:
+            def uniform(self, low, high, size):
+                return np.ones(size)
+
+            def normal(self, size):
+                return np.full(size, gap / np.sqrt(2.0))
+
+        def sample_points(spec, samples, seed):
+            _, z, w, zeta = _sample_points(spec, samples, seed)
+            return Stub(), z, w, zeta / np.maximum(1.0, np.abs(zeta))  # |zeta| <= 1
+
+        monkeypatch.setattr(fullnonlinear, "_sample_points", sample_points)
+        H = FullMap(eval=lambda z, w, zeta: 0.3 * zeta, k=0.3)
+        rep = check_conditions(H, samples=500)
+        if kept:
+            assert rep.lipschitz_max == pytest.approx(0.3, rel=1e-4)
+        else:
+            assert rep.lipschitz_max == 0.0
 
 
 class TestSolveFull:
@@ -156,7 +197,8 @@ class TestSolveFull:
     def test_nonconvergence_reported_not_raised(self):
         H = FullMap(eval=lambda z, w, zeta: 0.3 * zeta
                     + 0.02 * np.sin(2 * np.pi * np.real(z) / SPEC.L), k=0.3)
-        f, rep = solve_full(H, 1.0, tol=1e-13, max_iter=2, spec=SPEC)
+        # damped, so plain steps: undamped, the chord solves this map in 2
+        f, rep = solve_full(H, 1.0, tol=1e-13, max_iter=2, damping=0.9, spec=SPEC)
         assert not rep.converged
         assert rep.iterations == 2
         assert f is not None
