@@ -1,48 +1,51 @@
 """Shared fixed-point machinery for the torus solvers.
 
-All solvers iterate on the conj(z)-derivative candidate r ~ f_zbar:
+All solvers iterate on the spectrum R = fft2(r) of the conj(z)-derivative
+candidate r ~ f_zbar, and every step has one form:
 
-    R   = fft2(r)
     psi = c + ifft2(R * beurling)      # f_z candidate; S0 = mean-zero beurling
     f   = c*z + d*conj(z) + P          # d = mean(r), P = ifft2(R / dzbar)
-    r'  = rhs(f, psi)                  # the equation's right-hand side
+    E   = fft2(rhs(f, psi)) - R        # the equation's right-hand side, less r
+    res = sqrt(sum |E|^2) / n^2        # Parseval: ||rhs - r||_2
+    R  <- R + damping * M(E)
 
-The measured residual ||r' - r||_2 is exactly the equation residual of the
-candidate f built from r, because f_zbar = r and f_z = psi by construction.
-Since S0 is an l2 isometry on mean-zero fields and the mean projection is a
-contraction, a k-Lipschitz rhs makes successive residuals decay by a factor
-of at most k.  The loop stops at the first residual <= tol: tol is an
-absolute threshold, and a solver that wants a relative one scales it first.
+M is the identity in a plain step (a damped one when damping < 1) and
+T^-1 in a preconditioned one (below).  The measured residual is exactly
+the equation residual of the candidate f built from R, because f_zbar = r
+and f_z = psi by construction.  Since S0 is an l2 isometry on mean-zero
+fields and the mean projection is a contraction, a k-Lipschitz rhs makes
+successive plain residuals decay by a factor of at most k.  The loop
+stops at the first residual <= tol: tol is an absolute threshold, and a
+solver that wants a relative one scales it first.  The solve starts from
+the affine f = c*z: R is the spectrum of its right-hand side, one fft2
+before the loop.
 
-One step costs two transforms (fft2 of r, ifft2 for psi).  The field f is
-handed to rhs as a zero-argument callable: only a right-hand side that reads
-f (the fully nonlinear H(z, f, f_z)) pays the third transform for P and the
-affine rebuild.  The returned field is built once, after the loop, from the
-spectrum of the best iterate, once every other work array is freed.
+One step costs two transforms (ifft2 for psi, fft2 of the right-hand
+side).  The field f is handed to rhs as a zero-argument callable: only a
+right-hand side that reads f (the fully nonlinear H(z, f, f_z)) pays the
+third transform for P and the affine rebuild.  The returned field is built
+once, after the loop, from the spectrum of the best iterate, once every
+other work array is freed.
 
-Apart from rhs's own temporaries, field(), and a damped step's difference
-and blend, a step allocates no n x n array: it writes into work arrays that
-live for the whole solve.
+Apart from rhs's own temporaries and field(), a step allocates no n x n
+array: it writes into work arrays that live for the whole solve.
 
-    spectra[0], spectra[1]  fft2(r) is written into whichever one does not
-                            hold the best iterate's spectrum, so a new best
-                            only re-points best_R and copies nothing
-    psi                     R * beurling, transformed back in place, then
-                            rhs's result: the solvers' right-hand sides
-                            write it there (np.add(..., out=psi)), and any
-                            other result is copied in
-    r_prev                  a plain step's previous right-hand side; it takes
-                            the difference r - r_prev, whose residual norm is
-                            the sum of squares of its float view (np.einsum:
-                            no temporary), and then swaps roles with psi
+    psi       R * beurling, transformed back in place, then rhs's result:
+              the solvers' right-hand sides write it there
+              (np.add(..., out=psi)), and any other result is copied in;
+              then E, transformed in place, whose residual norm is the sum
+              of squares of its float view (np.einsum: no temporary)
+    spectra   R + damping * M(E) is written into whichever of two buffers
+              does not hold the best iterate's spectrum: beside R while R
+              is the best, over R once it is not.  So a new best only
+              re-points best_R and copies nothing.
 
-A preconditioned step holds T^-1's two multipliers in place of r_prev.  So
-a solve holds four n x n arrays in a plain step and five in a
-preconditioned one, plus rhs's temporaries: for k*|z| + h one real array,
-so 4.5 and 5.5 arrays at the peak.  The first field() call builds Z, c*Z and a
-buffer that P is transformed into, so only a full map's solve allocates
-them.  The answer's samples are locked and adopted by its GridField
-without a copy.
+So a plain or damped step holds three n x n arrays and a preconditioned
+one five (T^-1's two multipliers), plus rhs's temporaries: for k*|z| + h
+one real array, so 3.5 and 5.5 arrays at the peak.  The first field() call
+builds Z, c*Z and a buffer that P is transformed into, so only a full
+map's solve allocates them.  The answer's samples are locked and adopted
+by its GridField without a copy.
 
 Because psi is reused, a right-hand side may read or overwrite psi during
 its call, and may return it, but must not keep it.  The inverse transform
@@ -55,36 +58,25 @@ rhs(psi) = a*psi + b*conj(psi) + U(psi) + h with U of Lipschitz constant
 l, the kernel solves the R-linear part exactly and iterates only on U.
 Writing S for the mean-zero beurling transform and T = I - a*S - b*conj∘S,
 the fixed point r satisfies T r = a*c + b*conj(c) + U(psi) + h, and the
-step is r <- r + T^-1 (rhs(psi) - r).  The candidate stays in Fourier
-space:
-
-    psi = c + ifft2(R * beurling)
-    Q   = fft2(rhs(f, psi))
-    res = sqrt(sum |E|^2) / n^2        # E = Q - R; Parseval: ||rhs - r||_2
-    R  <- R + T^-1 (Q - R)
-
-conj couples mode k with -k, so T^-1 is one closed-form 2x2 solve per
-mode pair, applied as m1*E + m2*conj(E[-k]) with two multipliers built
-once per solve; the determinant is bounded below by (1-|a|)^2 - |b|^2 > 0.
-One step still costs two transforms, the ifft2 for psi and the fft2 of
-the right-hand side.  The solve starts from the affine f = c*z with U
-frozen at U(c) and the linear part solved, R = T^-1 fft2(rhs(c)), built in
-the spare spectrum buffer.  Since ||T^-1|| <= 1/(1-|a|-|b|), successive
-residuals decay by at most l/(1-|a|-|b|), which is at most k = |a|+|b|+l:
-an exactly linear map is solved by the start, and the first iteration
-measures a residual at roundoff, in four transforms all told.
+step is R <- R + T^-1 E.  conj couples mode k with -k, so T^-1 is one
+closed-form 2x2 solve per mode pair, applied as m1*E + m2*conj(E[-k])
+with two multipliers built once per solve; the determinant is bounded
+below by (1-|a|)^2 - |b|^2 > 0.  The start's spectrum goes through T^-1
+too, R = T^-1 fft2(rhs(c)): the affine start with U frozen at U(c) and the
+linear part solved.  Since ||T^-1|| <= 1/(1-|a|-|b|), successive residuals
+decay by at most l/(1-|a|-|b|), which is at most k = |a|+|b|+l: an exactly
+linear map is solved by the start, and the first iteration measures a
+residual at roundoff, in four transforms all told.
 
 The declared linear part is not checked.  The first time a preconditioned
 step contracts the residual by less than k, T^-1 is freed, the rest of the
-solve takes plain steps and the notes name the iteration.  When that is the
-second step, the plain steps start from the affine start's right-hand side,
-evaluated again, and return the plain solve's field to the bit, two
-iterations later; after a later step they start from that step's
-right-hand side, rebuilt as ifft2(E + R) (one inverse transform more).
-Until then every step makes a new best iterate, so the update can write
-into the spectrum buffer that does not hold it.  E = Q - R lives in psi:
-rhs's result is transformed in place there, and its residual is taken as
-a plain step's is (np.einsum: numpy's own single-threaded loop).  The
+solve takes plain steps and the notes name the iteration.  After a later
+step that only drops T^-1: the step's own R + E is the first plain step,
+from there.  When it is the second step, the plain steps restart from the
+affine start's right-hand side, evaluated again, and return the plain
+solve's field to the bit, two iterations later.  Until then each residual
+is below k times the one before, so every step makes a new best iterate
+and T^-1 E is always written beside R, never over it.  The
 kernel calls no BLAS: np.vdot woke a multithreaded OpenBLAS at 4-8 ms per
 call on 2 shared x86 CPUs (einsum: 0.06 ms at n = 256) and slowed the fft2
 calls after it twofold.
@@ -235,6 +227,11 @@ def picard_solve(
     result written into psi_values and returned costs nothing; any other
     result, a view of psi_values included, is copied into it.
 
+    Each step is R <- R + damping * M(fft2(rhs) - R) on the candidate's
+    spectrum R (see the module docstring), written into the one of two
+    spectrum buffers that does not hold the best iterate: a plain or damped
+    step holds 3 n x n arrays, a preconditioned one 5.
+
     tol is the absolute stopping threshold: the solve stops at the first
     equation residual <= tol.  On exhaustion the best iterate (least
     residual) is returned with converged=False.  A non-finite residual
@@ -245,12 +242,12 @@ def picard_solve(
 
     linear = (a, b, k) declares rhs(psi) = a*psi + b*conj(psi) + U(psi) + h
     with |a| + |b| < 1 and the whole map k-Lipschitz, k < 1.  With (a, b)
-    not both zero the start and each step solve the linear part exactly
-    (see the module docstring) and damping must be 1; the first step that
-    contracts by less than k switches the rest of the solve to plain steps,
-    from the affine start if it is the second step.  (a, b) may also be a
-    map's derivative at c_mean (_chord), which the map need not honour
-    away from c_mean: the same guard holds it.
+    not both zero, M = T^-1 solves the linear part exactly in the start and
+    each step, and damping must be 1; the first step that contracts by less
+    than k drops T^-1 for the rest of the solve, and restarts it from the
+    affine start if it is the second step.  (a, b) may also be a map's
+    derivative at c_mean (_chord), which the map need not honour away from
+    c_mean: the same guard holds it.
     """
     if not (0.0 < damping <= 1.0):
         raise ValueError(f"damping must be in (0, 1], got {damping}")
@@ -259,8 +256,9 @@ def picard_solve(
 
     n = spec.n
     _, _, beur, inv_dzbar = _multipliers(n, spec.L)
-    precondition = linear is not None and (linear[0], linear[1]) != (0, 0)
-    if precondition:
+    if linear is not None and (linear[0], linear[1]) == (0, 0):
+        linear = None  # a zero linear part: plain steps
+    if linear is not None:
         a, b, k = complex(linear[0]), complex(linear[1]), float(linear[2])
         if not (abs(a) + abs(b) < 1.0 and 0.0 <= k < 1.0):
             raise ValueError(f"linear part needs |a|+|b| < 1 and k in [0, 1), got {linear}")
@@ -291,43 +289,33 @@ def picard_solve(
             np.copyto(psi, r)
         return psi
 
-    def start() -> np.ndarray:
-        """The right-hand side at the affine start f = c*z, in an array of its own."""
-        psi = np.full((n, n), c_mean, dtype=complex)
-        return into(psi, rhs(field, psi))
+    psi = np.empty((n, n), dtype=complex)
 
-    r_prev = start()
+    def from_start(out: np.ndarray) -> np.ndarray:
+        """fft2 of the right-hand side at the affine start f = c*z, into out."""
+        psi.fill(c_mean)
+        return np.fft.fft2(into(psi, rhs(field, psi)), out=out)
+
+    R = from_start(np.empty((n, n), dtype=complex))
+    # T^-1's multipliers while the solve preconditions, built before the
+    # second spectrum buffer so that its temporaries never coexist with it
+    inverse = None if linear is None else _linear_inverse(beur, a, b)
+    spectra = (R, np.empty((n, n), dtype=complex))
+    if inverse is not None:  # the start with U frozen at U(c) and the linear part solved
+        R = _apply_inverse(R, spectra[1], *inverse)
 
     history: list[float] = []
     converged = False
     notes: list[str] = []
     best_R, best_res = None, np.inf
-    spectra = (np.empty((n, n), dtype=complex), np.empty((n, n), dtype=complex))
-    if precondition:  # a step reads only R; a fallback sets r_prev again
-        # the start f = c*z with U frozen at U(c) and the linear part solved;
-        # T^-1 is built once r_prev is freed, so the two never coexist
-        np.fft.fft2(r_prev, out=spectra[1])
-        r_prev = None
-        m1, m2 = _linear_inverse(beur, a, b)
-        R = _apply_inverse(spectra[1], spectra[0], m1, m2)
-    psi = np.empty((n, n), dtype=complex)
     for it in range(1, max_iter + 1):
-        if not precondition:
-            R = spectra[1] if best_R is spectra[0] else spectra[0]
-            np.fft.fft2(r_prev, out=R)
         np.multiply(R, beur, out=psi)
         np.fft.ifftn(psi, out=psi)  # not ifft2, which ignores out=
         psi += c_mean
         into(psi, rhs(partial(field, R), psi))
-        if precondition:  # psi takes E = Q - R; by Parseval ||rhs - r||_2 = ||E||_2 / n^2
-            diff = E = np.subtract(np.fft.fft2(psi, out=psi), R, out=psi)
-            scale = n * n
-        elif damping == 1.0:  # r_prev takes r - r_prev, then psi's place
-            diff, scale = np.subtract(psi, r_prev, out=r_prev), n
-        else:
-            diff, scale = psi - r_prev, n
-        res = math.sqrt(_sum_squares(diff)) / scale
-        diff = None
+        # psi takes E = fft2(rhs) - R; by Parseval ||rhs - r||_2 = ||E||_2 / n^2
+        E = np.subtract(np.fft.fft2(psi, out=psi), R, out=psi)
+        res = math.sqrt(_sum_squares(E)) / (n * n)
         if not math.isfinite(res):
             if not history:
                 raise ArithmeticError("residual non-finite at iteration 1; "
@@ -340,29 +328,27 @@ def picard_solve(
         if res <= tol:
             converged = True
             break
-        if precondition and len(history) > 1 and res > k * history[-2]:
-            precondition, m1, m2 = False, None, None  # freed before r_prev is rebuilt
-            if it == 2:  # the first step failed: plain steps as from the start
-                r_prev, where = start(), "the start"
-            else:  # from this step's right-hand side, rebuilt from its spectrum
-                r_prev, where = np.add(E, R), "there"
-                np.fft.ifftn(r_prev, out=r_prev)
+        # beside R while R is the best iterate, over R once it is not
+        R_next = spectra[1] if best_R is spectra[0] else spectra[0]
+        if inverse is not None and len(history) > 1 and res > k * history[-2]:
+            inverse = None  # later steps are plain, from this step's R + E
             notes.append(f"preconditioned step contracted by less than k = {k:g} "
-                         f"at iteration {it}; plain steps from {where}")
-        elif precondition:  # R is the best iterate: write R + T^-1 E beside it
-            R_next = _apply_inverse(E, spectra[1] if R is spectra[0] else spectra[0], m1, m2)
-            R_next += R
-            R = R_next
-        elif damping == 1.0:
-            r_prev, psi = psi, r_prev
-        else:
-            r_prev = (1.0 - damping) * r_prev + damping * psi
+                         f"at iteration {it}; plain steps from "
+                         f"{'the start' if it == 2 else 'there'}")
+            if it == 2:  # the first step failed: plain steps as from the start
+                R = from_start(R_next)
+                continue
+        if inverse is not None:  # R is the best iterate: R_next is not R
+            E = _apply_inverse(E, R_next, *inverse)
+        elif damping != 1.0:
+            E *= damping
+        R = np.add(R, E, out=R_next)
 
     # free all but best_R and psi, so the answer is built below the loop's
     # peak.  Its samples go into an array allocated last, not into psi: a
     # kept psi, allocated before the loop, stops glibc's heap from shrinking
     # (probe workload: 4 MB more peak resident memory).
-    r_prev = spectra = R = R_next = E = m1 = m2 = None
+    spectra = R = R_next = E = inverse = None
     Z = affine_c = periodic = None
     d = complex(best_R[0, 0]) / (n * n)
     P = np.empty((n, n), dtype=complex)

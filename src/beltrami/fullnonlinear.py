@@ -226,8 +226,9 @@ def solve_full(
     else ValueError; h=None solves f_zbar = H(z, f, f_z) with nothing added.
     Each step evaluates H pointwise at the current iterate, routes the mean
     to the affine part, pulls the gradient candidate through the beurling
-    transform and rebuilds f; a damping factor below one blends consecutive
-    right-hand sides.  Undamped, each step also solves the linear part of
+    transform and rebuilds f; a damping factor below one moves the
+    candidate's spectrum only that fraction of the way to the right-hand
+    side's.  Undamped, each step also solves the linear part of
     zeta -> H(0, 0, zeta) at c_mean exactly (the chord of solve_autonomous,
     which a from_autonomous map shares to the bit); as there, the chord's
     contraction is guarded, not guaranteed.  The dependence on f itself is

@@ -81,27 +81,25 @@ def band_forcing(spec, rms, seed, band=10):
 
 
 class TestTransformCount:
-    # Each step runs fft2(r) and an inverse transform of R * beurling for psi
-    # (np.fft.ifftn, which fft_counts counts under "ifft2"); reading the
-    # field f adds ifft2(R / dzbar).  After the loop one ifft2 builds the
-    # returned field's periodic part from the best iterate's spectrum:
-    #   gradient-only:  fft2 = I, ifft2 = I + 1   (2 I + 1 in all)
-    #   full map:       fft2 = I, ifft2 = 2 I + 1 (3 I + 1 in all)
-    # A preconditioned step transforms the right-hand side it just evaluated,
-    # so the start's spectrum is one more fft2 before the loop:
-    #   linear part:    fft2 = I + 1, ifft2 = I + 1 (2 I + 2 in all)
-    # An exactly linear map is solved by that start: I = 1, four transforms.
-    # A chord step (a map with no linear part, stepped with its derivative
-    # at c) counts as a linear part does.  A chord that fails its first step
-    # restarts plain steps from the start's right-hand side, with no
-    # transform; a later failure rebuilds that step's right-hand side from
-    # its spectrum, one ifft2 more.
+    # Each step runs an inverse transform of R * beurling for psi
+    # (np.fft.ifftn, which fft_counts counts under "ifft2") and fft2 of the
+    # right-hand side it just evaluated; reading the field f adds
+    # ifft2(R / dzbar).  The start's right-hand side is one fft2 before the
+    # loop, and after it one ifft2 builds the returned field's periodic part
+    # from the best iterate's spectrum:
+    #   gradient-only:  fft2 = I + 1, ifft2 = I + 1   (2 I + 2 in all)
+    #   full map:       fft2 = I + 1, ifft2 = 2 I + 1 (3 I + 2 in all)
+    # Plain, damped, declared-linear and chord steps (a map with no linear
+    # part, stepped with its derivative at c) all count so, and an exactly
+    # linear map is solved by its start: I = 1, four transforms.  A chord
+    # that fails its first step restarts plain steps from the start's
+    # right-hand side, one fft2 more; a later failure only drops T^-1.
 
     def test_autonomous_two_per_step(self, fft_counts, plain_steps):
         _, rep = solve_autonomous(abs_map(0.5), FORCING, 1.0, tol=1e-10)
         it = rep.iterations
         assert it > 10
-        assert fft_counts == {"fft2": it, "ifft2": it + 1}
+        assert fft_counts == {"fft2": it + 1, "ifft2": it + 1}
 
     def test_chord_two_per_step(self, fft_counts):
         _, rep = solve_autonomous(abs_map(0.5), SMALL_FORCING, 1.0, tol=1e-10)
@@ -109,17 +107,17 @@ class TestTransformCount:
         assert rep.converged and not rep.notes and 1 < it < 10
         assert fft_counts == {"fft2": it + 1, "ifft2": it + 1}
 
-    def test_chord_later_fallback_rebuilds_its_rhs(self, fft_counts):
+    def test_chord_later_fallback_drops_its_inverse(self, fft_counts):
         _, rep = solve_autonomous(abs_map(0.5), FORCING, 1.0, tol=1e-10)
         it = rep.iterations
         assert rep.converged and "at iteration 3; plain steps from there" in rep.notes
-        assert fft_counts == {"fft2": it + 1, "ifft2": it + 2}
+        assert fft_counts == {"fft2": it + 1, "ifft2": it + 1}
 
     def test_chord_restart_from_the_start(self, fft_counts):
         _, rep = solve_autonomous(abs_map(0.9), FORCING, 1.0, tol=1e-10)
         it = rep.iterations
         assert rep.converged and "at iteration 2; plain steps from the start" in rep.notes
-        assert fft_counts == {"fft2": it + 1, "ifft2": it + 1}
+        assert fft_counts == {"fft2": it + 2, "ifft2": it + 1}
 
     def test_neumann_two_per_step(self, fft_counts):
         _, rep = solve_cc_neumann(CCParams(0.3, 0.2j), FORCING, 1.0, tol=1e-10)
@@ -140,7 +138,7 @@ class TestTransformCount:
         _, rep = solve_full(self.FULL, 1.0, tol=1e-10, spec=SPEC, h=h)
         it = rep.iterations
         assert it > 10
-        assert fft_counts == {"fft2": it, "ifft2": 2 * it + 1}
+        assert fft_counts == {"fft2": it + 1, "ifft2": 2 * it + 1}
 
     @pytest.mark.parametrize("h", [None, FORCING], ids=["unforced", "forced"])
     def test_full_map_chord_reads_field_every_step(self, h, fft_counts):
@@ -210,17 +208,15 @@ class TestNonFinite:
             solve_full(H, 1.0, spec=SPEC)
 
 
-def reference_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None,
-                    chord=False):
+def reference_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None):
     """The fixed-point loop as it was before the kernel reused its work
-    arrays: every step allocates its spectrum, psi and the difference, whose
-    norm is the kernel's sum of squares over the float view.  It takes plain
-    steps whatever linear part the solver declares, unless chord=True: then
-    linear = (a, b, k) is solved in each step as the kernel does, from the
-    kernel's own multipliers, and the guard's fallback restarts plain steps
-    from the start (a failed second step) or from the failed step's
-    right-hand side, rebuilt from its spectrum.  Returns (field, history,
-    notes, converged)."""
+    arrays: every step allocates its spectra and psi.  One step for every
+    solve, R <- R + damping * M(E) with E = fft2(rhs) - R, whose norm is the
+    kernel's sum of squares over the float view.  M is T^-1, from the
+    kernel's own multipliers, while linear = (a, b, k) with (a, b) not both
+    zero holds, and the identity otherwise; the guard drops T^-1 and, after
+    a failed second step, restarts from the start.  Returns (field,
+    history, notes, converged)."""
     n = spec.n
     _, _, beur, inv_dzbar = _multipliers(n, spec.L)
     Z = z_grid(spec)
@@ -230,28 +226,26 @@ def reference_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None,
     def periodic_and_d(R):
         return np.fft.ifft2(R * inv_dzbar), complex(R[0, 0]) / (n * n)
 
-    def start():
-        return rhs(affine_c.copy, np.full((n, n), c_mean, dtype=complex))
+    def from_start():
+        return np.fft.fft2(rhs(affine_c.copy, np.full((n, n), c_mean, dtype=complex)))
 
     def norm(x):
         x = x.reshape(-1).view(float)
         return math.sqrt(np.einsum("i,i->", x, x))
 
-    r_prev = start()
-    history, converged, notes = [], False, []
-    best_R, best_res = None, np.inf
-    R_beur = np.empty((n, n), dtype=complex)
-    if chord:
+    R, inverse = from_start(), None
+    if linear is not None and (linear[0], linear[1]) != (0, 0):
         a, b, k = linear
         m1, m2 = fixedpoint._linear_inverse(beur, a, b)
 
         def inverse(E):  # conj(E[-k]) is conj of E reversed on both axes, rolled by one
             return np.conj(np.roll(E[::-1, ::-1], 1, axis=(0, 1))) * m2 + E * m1
 
-        R = inverse(np.fft.fft2(r_prev))
+        R = inverse(R)
+    history, converged, notes = [], False, []
+    best_R, best_res = None, np.inf
+    R_beur = np.empty((n, n), dtype=complex)
     for it in range(1, max_iter + 1):
-        if not chord:
-            R = np.fft.fft2(r_prev)
         psi = np.fft.ifft2(np.multiply(R, beur, out=R_beur))
         psi += c_mean
 
@@ -259,12 +253,8 @@ def reference_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None,
             P, d = periodic_and_d(R)
             return affine_c + d * np.conj(Z) + P
 
-        r = rhs(field, psi)
-        if chord:
-            E = np.fft.fft2(r) - R
-            res = norm(E) / (n * n)
-        else:
-            res = norm(r - r_prev) / n
+        E = np.fft.fft2(rhs(field, psi)) - R
+        res = norm(E) / (n * n)
         if not math.isfinite(res):
             if not history:
                 raise ArithmeticError("residual non-finite at iteration 1")
@@ -276,20 +266,86 @@ def reference_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None,
         if res <= tol:
             converged = True
             break
-        if chord and len(history) > 1 and res > k * history[-2]:
-            chord = False
-            r_prev = start() if it == 2 else np.fft.ifft2(E + R)
+        if inverse is not None and len(history) > 1 and res > k * history[-2]:
+            inverse = None
             notes.append(f"preconditioned step contracted by less than k = {k:g} at "
                          f"iteration {it}; plain steps from "
                          f"{'the start' if it == 2 else 'there'}")
-        elif chord:
-            R = inverse(E) + R
-        elif damping == 1.0:
-            r_prev = r
-        else:
-            r_prev = (1.0 - damping) * r_prev + damping * r
+            if it == 2:
+                R = from_start()
+                continue
+        R = R + (damping * E if inverse is None else inverse(E))
     P, d = periodic_and_d(best_R)
     return GridField(spec, c_mean, d, P), history, "; ".join(notes), converged
+
+
+def real_space_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None):
+    """The plain loop in real space, as the kernel stepped before every step
+    took one form: fft2(r_prev) each step, the residual ||r - r_prev||_2 of
+    consecutive right-hand sides, a damped step blending them, and a chord
+    that fails its second step restarting it from the start.  Steps of the
+    same map in another rounding: the kernel must agree with it to 1e-13,
+    with the same iterations, notes and best iterate."""
+    n = spec.n
+    _, _, beur, inv_dzbar = _multipliers(n, spec.L)
+    Z = z_grid(spec)
+    c_mean = complex(c_mean)
+    affine_c = c_mean * Z
+
+    def start():
+        return rhs(affine_c.copy, np.full((n, n), c_mean, dtype=complex))
+
+    def norm(x):
+        return math.sqrt(np.sum(np.abs(x) ** 2))
+
+    chord = linear is not None and (linear[0], linear[1]) != (0, 0)
+    r_prev = start()
+    history, converged, notes = [], False, []
+    best_R, best_res = None, np.inf
+    if chord:
+        a, b, k = linear
+        m1, m2 = fixedpoint._linear_inverse(beur, a, b)
+
+        def inverse(E):
+            return np.conj(np.roll(E[::-1, ::-1], 1, axis=(0, 1))) * m2 + E * m1
+
+        R = inverse(np.fft.fft2(r_prev))
+    for it in range(1, max_iter + 1):
+        if not chord:
+            R = np.fft.fft2(r_prev)
+        psi = np.fft.ifft2(R * beur) + c_mean
+
+        def field(R=R):
+            P = np.fft.ifft2(R * inv_dzbar)
+            return affine_c + complex(R[0, 0]) / (n * n) * np.conj(Z) + P
+
+        r = rhs(field, psi)
+        if chord:
+            E = np.fft.fft2(r) - R
+            res = norm(E) / (n * n)
+        else:
+            res = norm(r - r_prev) / n
+        if not math.isfinite(res):
+            notes.append(f"residual non-finite at iteration {it}; stopped")
+            break
+        history.append(res)
+        if res < best_res:
+            best_R, best_res = R, res
+        if res <= tol:
+            converged = True
+            break
+        if chord and len(history) > 1 and res > k * history[-2]:
+            assert it == 2, "only the restart is modelled"
+            chord, r_prev = False, start()
+            notes.append(f"preconditioned step contracted by less than k = {k:g} at "
+                         f"iteration {it}; plain steps from the start")
+        elif chord:
+            R = R + inverse(E)
+        else:
+            r_prev = (1.0 - damping) * r_prev + damping * r
+    P = np.fft.ifft2(best_R * inv_dzbar)
+    return (GridField(spec, c_mean, complex(best_R[0, 0]) / (n * n), P), history,
+            "; ".join(notes), converged)
 
 
 def assert_same_solve(f, rep, ref):
@@ -334,7 +390,7 @@ class TestReferenceOracle:
         f, rep = solve()
         (args, kwargs), = recorded
         assert (kwargs.get("linear") is not None) == chord
-        assert_same_solve(f, rep, reference_solve(*args, **kwargs, chord=chord))
+        assert_same_solve(f, rep, reference_solve(*args, **kwargs))
         return rep
 
     def test_autonomous_kabs(self, recorded_plain):
@@ -372,7 +428,7 @@ class TestReferenceOracle:
         f, rep = solve()
         (args, kwargs), = recorded
         assert kwargs["linear"] is not None
-        g, history, notes, converged = reference_solve(*args, **kwargs)
+        g, history, notes, converged = reference_solve(*args, **{**kwargs, "linear": None})
         assert rep.converged and converged and not rep.notes
         assert rel_l2(f.values, g.values) <= 1e-8
         assert f.c == g.c and abs(f.d - g.d) <= 1e-8 * max(1.0, abs(g.d))
@@ -428,6 +484,27 @@ class TestReferenceOracle:
         rep = self.check(recorded, lambda: solve_full(H, 1.0, max_iter=200, spec=SPEC),
                          chord=True)
         assert "plain steps from the start; residual non-finite" in rep.notes
+
+    # plain, damped, restarted and rising-above-the-best solves, which take
+    # E's update where the real-space loop took consecutive right-hand sides
+    @pytest.mark.parametrize("plain, solve", [
+        (False, lambda: solve_autonomous(abs_map(0.3), FORCING, 0.0)),
+        (False, lambda: solve_full(parse_map("kabs:0.3+zterm:0.05,0,1,0+wterm:0.02,0", SPEC.L),
+                                   1.0, damping=0.7, spec=SPEC)),
+        (False, lambda: solve_autonomous(abs_map(0.9), FORCING, 1.0)),
+        (True, lambda: solve_full(parse_map("linear:0.9,0,0,0+wterm:50,0+zterm:5,0,1,0", SPEC.L),
+                                  1.0, max_iter=60, spec=GridSpec(32))),
+    ], ids=["kabs-c0", "damped-full-map", "kabs0.9-restart", "divergent-full-map"])
+    def test_real_space_loop(self, monkeypatch, plain, solve):
+        recorded = _record(monkeypatch, plain=plain)
+        f, rep = solve()
+        (args, kwargs), = recorded
+        g, history, notes, converged = real_space_solve(*args, **kwargs)
+        assert (rep.iterations, rep.notes, rep.converged) == (len(history), notes, converged)
+        assert np.argmin(rep.residual_history) == np.argmin(history)
+        assert rep.residual_history == pytest.approx(history, rel=1e-12, abs=1e-14)
+        assert rel_l2(f.values, g.values) <= 1e-13
+        assert f.c == g.c and abs(f.d - g.d) <= 1e-13 * max(1.0, abs(g.d))
 
 
 class TestChord:
@@ -709,6 +786,10 @@ class TestSolveHoldsOnlyWhatItsStepReads:
         "full": lambda h: solve_full(parse_map("kabs:0.3+wterm:0.05,0", h.spec.L), 1.0,
                                      spec=h.spec, h=h),
         "changevar": lambda h: solve_cc_changevar(CCParams(0.5, 0.2j), h, 1.0),
+        # k|z| at c = 0 has no chord, and a damped full map none: plain steps
+        "kabs-c0": lambda h: solve_autonomous(abs_map(0.3), h, 0.0),
+        "full-damped": lambda h: solve_full(parse_map("kabs:0.3+wterm:0.05,0", h.spec.L), 1.0,
+                                            damping=0.7, spec=h.spec, h=h),
     }
 
     @pytest.mark.parametrize("kind", SOLVES)
@@ -735,10 +816,13 @@ class TestSolveHoldsOnlyWhatItsStepReads:
     # neumann 9.55, changevar 12.04, cc_residual 5.02 (now 8.05, 5.03, 4.01).
     # kabs takes chord steps (6.56, as in plain steps), and kabs0.9 restarts
     # plain steps after its chord's second step (6.56; 7.60 had the restart
-    # kept T^-1).
+    # kept T^-1).  Plain and damped steps hold one array less since they
+    # update the spectrum in place of keeping the previous right-hand side:
+    # kabs at c = 0 5.56 -> 4.56, the damped full map 13.09 -> 12.09.
     @pytest.mark.parametrize("kind, bound", [
         ("kabs", 8.0), ("smoothsat", 12.0), ("neumann", 8.5), ("derivative_pair", 3.5),
-        ("changevar", 5.5), ("cc_residual", 4.5), ("kabs0.9-restart", 7.0)])
+        ("changevar", 5.5), ("cc_residual", 4.5), ("kabs0.9-restart", 7.0),
+        ("kabs-c0", 5.0), ("full-damped", 12.5)])
     def test_traced_peak(self, kind, bound):
         h = random_trig_field(self.SPEC64, seed=3)
         if kind == "derivative_pair":
@@ -780,15 +864,22 @@ class TestSolveHoldsOnlyWhatItsStepReads:
         assert rep.converged
         assert kept - f.values.nbytes < spec.n ** 2 * 16
 
-    def test_preconditioned_residual_is_the_equation_residual(self):
+    @pytest.mark.parametrize("kind", ["preconditioned", "plain", "damped"])
+    def test_residual_is_the_equation_residual(self, kind):
         # stopped early, the reported residual is the recomputed equation
         # residual of the returned field: the Parseval sum's 1/n^2 and root
         h = random_trig_field(self.SPEC64, seed=3)
-        A = smooth_saturating_map(0.5, 0.2j, 0.2)
-        f, rep = solve_autonomous(A, h, 1.0, max_iter=3)
-        assert not rep.converged and rep.iterations == 3
-        assert rep.final_residual == pytest.approx(residual(A, f, h), rel=1e-10)
-        # the first iterate is the start with the linear part solved
-        f, rep = solve_autonomous(A, h, 1.0, max_iter=1)
-        assert not rep.converged and rep.iterations == 1
-        assert rep.final_residual == pytest.approx(residual(A, f, h), rel=1e-10)
+        if kind == "damped":
+            H = parse_map("kabs:0.3+wterm:0.05,0", h.spec.L)
+            solve = partial(solve_full, H, 1.0, damping=0.7, spec=h.spec)
+            recomputed = partial(full_residual, H)
+        else:
+            A, c = ((smooth_saturating_map(0.5, 0.2j, 0.2), 1.0) if kind == "preconditioned"
+                    else (abs_map(0.3), 0.0))
+            solve = partial(solve_autonomous, A, h, c)
+            recomputed = partial(residual, A, h=h)
+        # the first iterate is the start, with any linear part solved
+        for max_iter in (3, 1):
+            f, rep = solve(max_iter=max_iter)
+            assert not rep.converged and rep.iterations == max_iter
+            assert rep.final_residual == pytest.approx(recomputed(f), rel=1e-10)
