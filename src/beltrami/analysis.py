@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autonomous import AutonomousMap
-from .grid import DerivedPair, GridField, z_grid
+from .grid import GridField, values_l2, z_grid
 from .operators import _second_derivatives, derivative_pair
 
 __all__ = [
@@ -156,15 +156,11 @@ def _tail_fit(samples: np.ndarray):
     return float(-slope), r2
 
 
-def _as_pair(f: GridField, pair) -> tuple[np.ndarray, np.ndarray]:
-    a, b = derivative_pair(f) if pair is None else pair
-    return a.values, b.values
-
-
 def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
     """Estimate the critical integrability exponent of the gradient.
 
     fields: the same solution sampled at >= 3 doubling grid levels.
+    p_grid: increasing finite exponents >= 1, else ValueError.
     pairs: optional per-level derivative pairs (a DerivedPair or any
     (dz, dzbar) pair of fields); by default each is computed spectrally,
     with one forward transform per level.  For each p the probe tracks the
@@ -197,15 +193,16 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
     if len({f.spec.L for f in fields}) != 1:
         raise ValueError("levels must share the physical period")
     p_grid = [float(p) for p in p_grid]
-    if any(p < 1 for p in p_grid) or any(b <= a for a, b in zip(p_grid, p_grid[1:])):
-        raise ValueError("p_grid must be increasing and >= 1")
+    if (not all(1 <= p < math.inf for p in p_grid)
+            or any(b <= a for a, b in zip(p_grid, p_grid[1:]))):
+        raise ValueError("p_grid must be increasing, finite and >= 1")
 
     if pairs is None:
         pairs = [None] * len(fields)
     power_means = np.zeros((len(fields), len(p_grid)))
     p_col, blk = np.array(p_grid)[:, None], np.empty((len(p_grid), _BLOCK))
     for i, (f, pair) in enumerate(zip(fields, pairs)):
-        a, b = (np.abs(v) for v in _as_pair(f, pair))
+        a, b = (np.abs(g.values) for g in (derivative_pair(f) if pair is None else pair))
         if i == len(fields) - 1:  # the finest level
             st = _pair_stats(a, b)
         m = a + b
@@ -249,8 +246,9 @@ def second_order_probe(fields, k: float, q_grid) -> RegularityReport:
 
     Applies the gradient probe to (f_zz, f_zzbar), the derivative pair of
     f_z, taken from one forward and two inverse transforms of each ladder
-    member.  The interesting comparison level is q against 1 + 1/k; k is
-    only range-checked and changes no output.
+    member.  q_grid is checked as the gradient probe's p_grid.  The
+    interesting comparison level is q against 1 + 1/k; k is only
+    range-checked and changes no output.
     """
     if not (0 < k < 1):
         raise ValueError("need a Lipschitz constant in (0, 1)")
@@ -260,8 +258,7 @@ def second_order_probe(fields, k: float, q_grid) -> RegularityReport:
         fzz, fzzb = _second_derivatives(f)
         for a in (fzz, fzzb):
             a.setflags(write=False)  # fresh arrays: the fields adopt them
-        pairs.append(DerivedPair(GridField(f.spec, 0.0, 0.0, fzz),
-                                 GridField(f.spec, 0.0, 0.0, fzzb)))
+        pairs.append((GridField(f.spec, 0.0, 0.0, fzz), GridField(f.spec, 0.0, 0.0, fzzb)))
     return sobolev_probe(fields, q_grid, pairs=pairs)
 
 
@@ -358,8 +355,7 @@ def gradient_equation_check(f: GridField, coeffs: CoefficientFields) -> Gradient
                         (coeffs.mu.values, coeffs.nu.values, fzz, fzzb))
     denom = 1.0 - np.abs(nu) ** 2
     rhs = mu / denom * fzz + np.conj(mu) * nu / denom * np.conj(fzz)
-    num = float(np.sqrt(np.mean(np.abs(lhs - rhs) ** 2)))
-    den = float(np.sqrt(np.mean(np.abs(lhs) ** 2)))
+    num, den = values_l2(lhs - rhs), values_l2(lhs)
     residual = 0.0 if den < 1e-280 and num < 1e-280 else num / max(den, 1e-300)
     abs_nu = np.abs(nu)
     k_prime = math.inf if np.any(abs_nu >= 1.0) else float(np.max(np.abs(mu) / (1.0 - abs_nu)))

@@ -21,10 +21,12 @@ the affine f = c*z: R is the spectrum of its right-hand side, one fft2
 before the loop.
 
 One step costs two transforms (ifft2 for psi, fft2 of the right-hand
-side).  The field f is handed to rhs as a zero-argument callable: only a
-right-hand side that reads f (the fully nonlinear H(z, f, f_z)) pays the
-third transform for P and the affine rebuild.  The returned field is built
-once, after the loop, from the spectrum of the best iterate, once every
+side).  The candidate f is handed to rhs as a zero-argument callable,
+field(), that returns it as a GridField (c, d and P) for one inverse
+transform: only a right-hand side that reads f (the fully nonlinear
+H(z, f, f_z)) pays that third transform.  The kernel deals only in spectra
+and GridFields and builds no z; solve_full assembles f's samples.  The
+returned field is field() of the best iterate's spectrum, built once every
 other work array is freed.
 
 Apart from rhs's own temporaries and field(), a step allocates no n x n
@@ -42,10 +44,9 @@ array: it writes into work arrays that live for the whole solve.
 
 So a plain or damped step holds three n x n arrays and a preconditioned
 one five (T^-1's two multipliers), plus rhs's temporaries: for k*|z| + h
-one real array, so 3.5 and 5.5 arrays at the peak.  The first field() call
-builds Z, c*Z and a buffer that P is transformed into, so only a full
-map's solve allocates them.  The answer's samples are locked and adopted
-by its GridField without a copy.
+one real array, so 3.5 and 5.5 arrays at the peak.  Each field() call
+transforms P into a fresh array, locked and adopted by its GridField
+without a copy: a right-hand side that drops the field frees it.
 
 Because psi is reused, a right-hand side may read or overwrite psi during
 its call, and may return it, but must not keep it.  The inverse transform
@@ -100,7 +101,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import GridField, GridSpec, _sum_squares, z_grid
+from .grid import GridField, GridSpec, _sum_squares
 from .operators import _conj_flip, _multipliers
 
 __all__ = ["SolveReport", "picard_solve"]
@@ -207,7 +208,7 @@ def _chord(g: Callable[[np.ndarray], np.ndarray], c_mean: complex, k: float):
 
 
 def picard_solve(
-    rhs: Callable[[Callable[[], np.ndarray], np.ndarray], np.ndarray],
+    rhs: Callable[[Callable[[], GridField], np.ndarray], np.ndarray],
     spec: GridSpec,
     c_mean: complex,
     tol: float,
@@ -218,9 +219,10 @@ def picard_solve(
     """Run the damped fixed-point iteration.
 
     rhs(field, psi_values) must return the sampled right-hand side of the
-    equation f_zbar = rhs(f, f_z), where field() returns the samples of the
-    current candidate f.  Calling field() costs one inverse transform and
-    the affine rebuild, so a right-hand side that ignores f should not call
+    equation f_zbar = rhs(f, f_z), where field() returns the current
+    candidate f as a GridField; the start's is GridField(spec, c_mean, 0, 0)
+    with zero samples, f = c*z.  Calling field() costs one inverse transform
+    and one n x n array, so a right-hand side that ignores f should not call
     it; each step then runs two transforms instead of three.  psi_values is
     the kernel's work array: rhs may read or overwrite it during the call
     but must not keep it, since the next step writes into it again.  A
@@ -265,23 +267,16 @@ def picard_solve(
         if damping != 1.0:
             raise ValueError("a preconditioned solve takes no damping")
     c_mean = complex(c_mean)
-    Z = affine_c = periodic = None
 
-    def field(R: np.ndarray | None = None) -> np.ndarray:
-        """Samples of the candidate with spectrum R; None is the start f = c*z."""
-        nonlocal Z, affine_c, periodic
-        if Z is None:  # built on first use: only a full map reads f
-            Z = z_grid(spec)
-            affine_c = c_mean * Z
-            periodic = np.empty((n, n), dtype=complex)
+    def field(R: np.ndarray | None = None) -> GridField:
+        """The candidate with spectrum R; None is the start f = c*z."""
         if R is None:
-            return affine_c.copy()
-        # P goes into the solve's own buffer.  conj(Z) stays a per-call
-        # temporary: from 256 KiB numpy elides it into the product, which then
-        # runs as conj(Z)*d, below that as d*conj(Z); the two round apart, and
-        # the full-map results are pinned to both.
-        P = np.fft.ifftn(np.multiply(R, inv_dzbar, out=periodic), out=periodic)
-        return affine_c + complex(R[0, 0]) / (n * n) * np.conj(Z) + P
+            P, d = np.zeros((n, n), dtype=complex), 0
+        else:
+            P, d = np.multiply(R, inv_dzbar), complex(R[0, 0]) / (n * n)
+            np.fft.ifftn(P, out=P)
+        P.setflags(write=False)  # adopted by the field, not copied
+        return GridField(spec, c_mean, d, P)
 
     def into(psi: np.ndarray, r: np.ndarray) -> np.ndarray:
         """rhs's result r, taken into the array psi it was handed."""
@@ -345,13 +340,7 @@ def picard_solve(
         R = np.add(R, E, out=R_next)
 
     # free all but best_R and psi, so the answer is built below the loop's
-    # peak.  Its samples go into an array allocated last, not into psi: a
-    # kept psi, allocated before the loop, stops glibc's heap from shrinking
-    # (probe workload: 4 MB more peak resident memory).
+    # peak.  psi is freed only on return: freed before the answer's array was
+    # allocated, it cost the probe workload 0.8 MB more peak resident memory.
     spectra = R = R_next = E = inverse = None
-    Z = affine_c = periodic = None
-    d = complex(best_R[0, 0]) / (n * n)
-    P = np.empty((n, n), dtype=complex)
-    np.fft.ifftn(np.multiply(best_R, inv_dzbar, out=psi), out=P)
-    P.setflags(write=False)  # adopted by the field, not copied
-    return GridField(spec, c_mean, d, P), SolveReport(history, converged, "; ".join(notes))
+    return field(best_R), SolveReport(history, converged, "; ".join(notes))

@@ -239,16 +239,25 @@ def solve_full(
     non-finite residual ends the run early with a note.  Only when the very
     first residual is non-finite is ArithmeticError raised, since no finite
     iterate exists.  H is the one right-hand side that reads f, so each
-    step here costs three transforms, not two.
+    step here costs three transforms, not two; z and c*z are built once per
+    solve, and each step assembles f's samples from them and the kernel's
+    candidate GridField.
     """
     if h is not None and (h.spec != spec or not h.is_periodic()):
         raise ValueError(f"forcing must be periodic on the solve grid {spec}")
     Z = z_grid(spec)
+    cZ = complex(c_mean) * Z
     Heval = H.eval
     hv = None if h is None else h.values
 
     def rhs(field, psi):
-        out = Heval(Z, field(), psi)
+        g = field()
+        # conj(Z) stays a per-call temporary: from 256 KiB numpy elides it into
+        # the product, which then runs as conj(Z)*d, below that as d*conj(Z);
+        # the two round apart, and the full-map results are pinned to both.
+        f = cZ + g.d * np.conj(Z) + g.values
+        del g  # its periodic part is freed before H runs
+        out = Heval(Z, f, psi)
         return out if hv is None else np.add(out, hv, out=psi)
 
     def at_origin(zeta):  # zeta -> H(0, 0, zeta)

@@ -140,12 +140,13 @@ def zero_field(spec: GridSpec) -> GridField:
 def lp_norm(f: GridField, p: float) -> float:
     """Riemann-sum L^p norm over one period, normalized by the cell area.
 
-    Computes (mean of |f|^p over the lattice)^(1/p), which approximates
-    ( (1/L^2) * integral |f|^p )^(1/p).  A field without an affine part is
-    read from its samples directly: |0*z + 0*conj(z) + P| = |P| exactly.
+    Computes (mean of |f|^p over the lattice)^(1/p) for 1 <= p < inf,
+    which approximates ( (1/L^2) * integral |f|^p )^(1/p).  A field without
+    an affine part is read from its samples directly:
+    |0*z + 0*conj(z) + P| = |P| exactly.
     """
-    if not (p >= 1):
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not (1 <= p < math.inf):
+        raise ValueError(f"p must be finite and >= 1, got {p}")
     v = f.values if f.is_periodic() else f.total_values()
     return float(np.mean(np.abs(v) ** p) ** (1.0 / p))
 

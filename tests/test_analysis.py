@@ -168,6 +168,17 @@ class TestSobolevProbe:
         with pytest.raises(ValueError, match="double"):
             sobolev_probe(fields, [2.0])
 
+    @pytest.mark.parametrize("p_grid", [[math.nan, 2.0], [2.0, math.inf], [2.0, math.nan]])
+    def test_rejects_non_finite_exponents(self, p_grid):
+        # nan reported p_critical = nan, and inf a verdict from an infinite exponent
+        fields = [affine(1.0, 0.0, GridSpec(n)) for n in (64, 128, 256)]
+        with pytest.raises(ValueError, match="finite"):
+            sobolev_probe(fields, p_grid)
+
+    def test_accepts_p_one(self):
+        fields = [affine(1.0, 0.0, GridSpec(n)) for n in (64, 128, 256)]
+        assert math.isinf(sobolev_probe(fields, [1.0, 2.0]).p_critical)
+
     def test_norm_rows_shape(self):
         fields = [affine(1.0, 0.0, GridSpec(n)) for n in (64, 128, 256)]
         rep = sobolev_probe(fields, [2.0, 3.0])
@@ -302,6 +313,13 @@ class TestSecondOrderProbe:
         fields = [affine(1.0, 0.0, GridSpec(n)) for n in (64, 128, 256)]
         with pytest.raises(ValueError, match="Lipschitz"):
             second_order_probe(fields, 1.5, [2.0])
+
+    @pytest.mark.parametrize("q", [math.inf, math.nan])
+    def test_rejects_non_finite_exponents(self, q):
+        fields = [affine(1.0, 0.0, GridSpec(n)) for n in (64, 128, 256)]
+        with pytest.raises(ValueError, match="finite"):
+            second_order_probe(fields, 0.5, [1.5, q])
+        assert math.isinf(second_order_probe(fields, 0.5, [1.0, 1.5]).p_critical)
 
     def test_probes_the_derivative_pair_of_fz(self):
         # reference: the gradient probe on the z-derivative of each member

@@ -4,6 +4,7 @@ the preconditioned step for maps that declare a linear part at infinity."""
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 from functools import partial
 
@@ -208,6 +209,17 @@ class TestNonFinite:
             solve_full(H, 1.0, spec=SPEC)
 
 
+def reference_field(spec, c_mean, R=None):
+    """The candidate the kernel hands rhs, from allocating transforms:
+    c*z + d*conj(z) + P with d = R[0, 0]/n^2 and P = ifft2(R / dzbar), and
+    the start c*z (d = 0, P = 0) for R = None."""
+    n = spec.n
+    if R is None:
+        return GridField(spec, c_mean, 0, np.zeros((n, n), dtype=complex))
+    inv_dzbar = _multipliers(n, spec.L)[3]
+    return GridField(spec, c_mean, complex(R[0, 0]) / (n * n), np.fft.ifft2(R * inv_dzbar))
+
+
 def reference_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None):
     """The fixed-point loop as it was before the kernel reused its work
     arrays: every step allocates its spectra and psi.  One step for every
@@ -215,19 +227,16 @@ def reference_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None):
     kernel's sum of squares over the float view.  M is T^-1, from the
     kernel's own multipliers, while linear = (a, b, k) with (a, b) not both
     zero holds, and the identity otherwise; the guard drops T^-1 and, after
-    a failed second step, restarts from the start.  Returns (field,
-    history, notes, converged)."""
+    a failed second step, restarts from the start.  rhs is handed the
+    candidate as the kernel hands it, a GridField.  Returns (field, history,
+    notes, converged)."""
     n = spec.n
-    _, _, beur, inv_dzbar = _multipliers(n, spec.L)
-    Z = z_grid(spec)
+    _, _, beur, _ = _multipliers(n, spec.L)
     c_mean = complex(c_mean)
-    affine_c = c_mean * Z
-
-    def periodic_and_d(R):
-        return np.fft.ifft2(R * inv_dzbar), complex(R[0, 0]) / (n * n)
+    field = partial(reference_field, spec, c_mean)
 
     def from_start():
-        return np.fft.fft2(rhs(affine_c.copy, np.full((n, n), c_mean, dtype=complex)))
+        return np.fft.fft2(rhs(field, np.full((n, n), c_mean, dtype=complex)))
 
     def norm(x):
         x = x.reshape(-1).view(float)
@@ -248,12 +257,7 @@ def reference_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None):
     for it in range(1, max_iter + 1):
         psi = np.fft.ifft2(np.multiply(R, beur, out=R_beur))
         psi += c_mean
-
-        def field(R=R):
-            P, d = periodic_and_d(R)
-            return affine_c + d * np.conj(Z) + P
-
-        E = np.fft.fft2(rhs(field, psi)) - R
+        E = np.fft.fft2(rhs(partial(field, R), psi)) - R
         res = norm(E) / (n * n)
         if not math.isfinite(res):
             if not history:
@@ -275,8 +279,7 @@ def reference_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None):
                 R = from_start()
                 continue
         R = R + (damping * E if inverse is None else inverse(E))
-    P, d = periodic_and_d(best_R)
-    return GridField(spec, c_mean, d, P), history, "; ".join(notes), converged
+    return field(best_R), history, "; ".join(notes), converged
 
 
 def real_space_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None):
@@ -287,13 +290,12 @@ def real_space_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None)
     same map in another rounding: the kernel must agree with it to 1e-13,
     with the same iterations, notes and best iterate."""
     n = spec.n
-    _, _, beur, inv_dzbar = _multipliers(n, spec.L)
-    Z = z_grid(spec)
+    _, _, beur, _ = _multipliers(n, spec.L)
     c_mean = complex(c_mean)
-    affine_c = c_mean * Z
+    field = partial(reference_field, spec, c_mean)
 
     def start():
-        return rhs(affine_c.copy, np.full((n, n), c_mean, dtype=complex))
+        return rhs(field, np.full((n, n), c_mean, dtype=complex))
 
     def norm(x):
         return math.sqrt(np.sum(np.abs(x) ** 2))
@@ -314,12 +316,7 @@ def real_space_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None)
         if not chord:
             R = np.fft.fft2(r_prev)
         psi = np.fft.ifft2(R * beur) + c_mean
-
-        def field(R=R):
-            P = np.fft.ifft2(R * inv_dzbar)
-            return affine_c + complex(R[0, 0]) / (n * n) * np.conj(Z) + P
-
-        r = rhs(field, psi)
+        r = rhs(partial(field, R), psi)
         if chord:
             E = np.fft.fft2(r) - R
             res = norm(E) / (n * n)
@@ -343,9 +340,7 @@ def real_space_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None)
             R = R + inverse(E)
         else:
             r_prev = (1.0 - damping) * r_prev + damping * r
-    P = np.fft.ifft2(best_R * inv_dzbar)
-    return (GridField(spec, c_mean, complex(best_R[0, 0]) / (n * n), P), history,
-            "; ".join(notes), converged)
+    return field(best_R), history, "; ".join(notes), converged
 
 
 def assert_same_solve(f, rep, ref):
@@ -419,6 +414,17 @@ class TestReferenceOracle:
         spec = GridSpec(128)
         H = parse_map("kabs:0.3+zterm:0.05,0,1,0+wterm:0.02,0", spec.L)
         rep = self.check(recorded, lambda: solve_full(H, 1.0, spec=spec), chord=True)
+        assert rep.converged and rep.iterations > 2
+
+    # at negative and imaginary means the start's samples carry other signed
+    # zeros on the axes than c*z does: the kernel and the loop still agree
+    @pytest.mark.parametrize("damping", [1.0, 0.7], ids=["chord", "damped"])
+    @pytest.mark.parametrize("c", [-2.5, -1j])
+    def test_full_map_off_the_positive_axis_at_elision_size(self, recorded, c, damping):
+        spec = GridSpec(128)
+        H = parse_map("kabs:0.3+zterm:0.05,0,1,0+wterm:0.02,0", spec.L)
+        rep = self.check(recorded, lambda: solve_full(H, c, damping=damping, spec=spec),
+                         chord=damping == 1.0)
         assert rep.converged and rep.iterations > 2
 
     @staticmethod
@@ -576,8 +582,12 @@ class TestChord:
         assert rep.converged and not rep.notes and rep.iterations <= 12
         assert full_residual(H, f) <= 1.5e-10
         Z = z_grid(spec)
-        _, plain = picard_solve(lambda field, psi: H.eval(Z, field(), psi), spec, 1.0,
-                                1e-10, 200)
+
+        def rhs(field, psi):
+            g = field()
+            return H.eval(Z, g.c * Z + g.d * np.conj(Z) + g.values, psi)
+
+        _, plain = picard_solve(rhs, spec, 1.0, 1e-10, 200)
         assert plain.converged and plain.iterations == 84
 
     def test_rough_kabs_09_restarts_to_the_plain_bytes(self):
@@ -773,8 +783,8 @@ class TestPreconditioned:
 
 
 class TestSolveHoldsOnlyWhatItsStepReads:
-    """A solve calls no BLAS, builds z only when its right-hand side reads f,
-    frees its work arrays before it builds the answer and keeps nothing else."""
+    """A solve calls no BLAS, builds z only in solve_full, once, frees its
+    work arrays before it builds the answer and keeps nothing else."""
 
     SPEC64 = GridSpec(64)
     SOLVES = {
@@ -798,15 +808,45 @@ class TestSolveHoldsOnlyWhatItsStepReads:
         assert rep.converged
 
     def test_only_a_full_map_builds_z(self, monkeypatch):
-        def refused(spec):
-            raise RuntimeError("z_grid built")
+        # the kernel deals only in spectra and GridFields; solve_full builds
+        # z for H's position argument once, and a restart builds no second
+        assert not hasattr(fixedpoint, "z_grid")
+        calls = []
 
-        monkeypatch.setattr(fixedpoint, "z_grid", refused)
-        for kind in ("neumann", "smoothsat", "kabs"):
+        def counted(spec):
+            calls.append(spec)
+            return z_grid(spec)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("beltrami") and hasattr(module, "z_grid"):
+                monkeypatch.setattr(module, "z_grid", counted)
+        builds = {"neumann": 0, "smoothsat": 0, "kabs": 0, "full": 1, "full-damped": 1}
+        for kind, expected in builds.items():
+            calls.clear()
             _, rep = self.SOLVES[kind](FORCING)
-            assert rep.converged
-        with pytest.raises(RuntimeError, match="z_grid built"):
-            self.SOLVES["full"](FORCING)
+            assert rep.converged and len(calls) == expected, kind
+        calls.clear()
+        H = parse_map("kabs:0.9+wterm:0.05,0", SPEC.L)
+        _, rep = solve_full(H, 1.0, spec=SPEC, h=FORCING)
+        assert "at iteration 2; plain steps from the start" in rep.notes
+        assert rep.converged and len(calls) == 1
+
+    @pytest.mark.parametrize("c", [1.0, -2.5, -1j, 0.8 - 0.3j])
+    def test_start_is_the_affine_field(self, c):
+        # the first candidate handed to rhs is f = c*z: no d, no periodic part
+        starts = []
+
+        def rhs(field, psi):
+            if not starts:
+                starts.append(field())
+            return 0.5 * np.abs(psi) + FORCING.values
+
+        picard_solve(rhs, SPEC, c, 1e-10, 3)
+        g, = starts
+        assert isinstance(g, GridField) and (g.spec, g.c, g.d) == (SPEC, c, 0)
+        assert not g.values.any()
+        # equal in value: the signed zeros on the axes may differ from c*z's
+        assert np.array_equal(g.total_values(), c * z_grid(SPEC))
 
     # Traced peak above entry, in n x n complex arrays, at n = 64 with the
     # multipliers warm.  Before the work arrays were freed for the answer
@@ -818,11 +858,14 @@ class TestSolveHoldsOnlyWhatItsStepReads:
     # plain steps after its chord's second step (6.56; 7.60 had the restart
     # kept T^-1).  Plain and damped steps hold one array less since they
     # update the spectrum in place of keeping the previous right-hand side:
-    # kabs at c = 0 5.56 -> 4.56, the damped full map 13.09 -> 12.09.
+    # kabs at c = 0 5.56 -> 4.56, the damped full map 13.09 -> 12.09.  Since
+    # the kernel builds no z and solve_full frees each candidate's periodic
+    # part before H runs, a full map holds two arrays less: 14.09 -> 12.09
+    # undamped (chord steps), 12.09 -> 10.08 damped.
     @pytest.mark.parametrize("kind, bound", [
         ("kabs", 8.0), ("smoothsat", 12.0), ("neumann", 8.5), ("derivative_pair", 3.5),
         ("changevar", 5.5), ("cc_residual", 4.5), ("kabs0.9-restart", 7.0),
-        ("kabs-c0", 5.0), ("full-damped", 12.5)])
+        ("kabs-c0", 5.0), ("full", 12.5), ("full-damped", 10.5)])
     def test_traced_peak(self, kind, bound):
         h = random_trig_field(self.SPEC64, seed=3)
         if kind == "derivative_pair":

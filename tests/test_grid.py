@@ -144,6 +144,17 @@ class TestLpNorm:
         with pytest.raises(ValueError, match="p must be"):
             lp_norm(zero_field(GridSpec(16)), 0.5)
 
+    @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_p(self, p):
+        # an infinite p read 1.0 for every field, whatever its largest |v|
+        f = GridField(GridSpec(16), 0.0, 0.0, np.full(256, 3.0 + 0j))
+        with pytest.raises(ValueError, match="p must be finite"):
+            lp_norm(f, p)
+
+    def test_accepts_p_one(self):
+        f = GridField(GridSpec(16), 0.0, 0.0, np.full(256, 0.3 + 0j))
+        assert lp_norm(f, 1) == pytest.approx(0.3, rel=1e-15)
+
     @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 4.0, 8.0])
     def test_matches_total_values_reference(self, p):
         # periodic fields skip the affine rebuild; the norm is bit-identical
