@@ -201,6 +201,23 @@ def reduction_residual(p: CCParams, cv: ChangeOfVars, trials: int, seed: int = 0
     return _transform_residual(p, cv.mu, cv.nu, cv.mu * cv.nu, trials, seed=seed)
 
 
+def _inverse_sheared_dzbar(spec: GridSpec, mu: complex) -> np.ndarray:
+    """1/(0.5j*kappa) at every mode, for the sheared wavevector
+    kappa = KC + mu*conj(KC); the zero mode is 0.  Built straight into the
+    one n x n array, block by block of wavevector rows, so no n x n KC is
+    held beside it."""
+    W = np.empty((spec.n, spec.n), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rows, KC in _wavevectors(spec.n, spec.L):
+            Wr = W[rows]
+            Wr[...] = mu * np.conj(KC)      # an expression, rounded as the grid's
+            Wr += KC                        # kappa
+            np.multiply(0.5j, Wr, out=Wr)   # 0.5j*kappa, in that operand order
+            np.divide(1.0, Wr, out=Wr)
+    W[0, 0] = 0.0
+    return W
+
+
 def solve_cc_changevar(
     p: CCParams,
     u: GridField,
@@ -224,7 +241,6 @@ def solve_cc_changevar(
     mu, nu = cv.mu, cv.nu
     spec = u.spec
     n = spec.n
-    KC = _wavevectors(n, spec.L)
 
     # The passes run in place.  A complex scalar times a fresh array stays an
     # expression: from 256 KiB numpy elides it into the array, and its operand
@@ -242,12 +258,7 @@ def solve_cc_changevar(
                 "solve_cc_neumann or resample the forcing to a finer grid")
     mean_u = complex(U[0, 0])
 
-    W = mu * np.conj(KC)
-    W += KC                                 # kappa, the sheared wavevector
-    np.multiply(0.5j, W, out=W)             # 0.5j*kappa, in that operand order
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(1.0, W, out=W)            # inverse of the sheared dzbar symbol
-    W[0, 0] = 0.0
+    W = _inverse_sheared_dzbar(spec, mu)
 
     # g_zbar = v + (mu*nu)*conj(v) integrated mode-wise on sheared waves
     G = (mu * nu) * _conj_flip(U)

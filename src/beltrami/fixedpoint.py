@@ -102,7 +102,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import GridField, GridSpec, _sum_squares
-from .operators import _conj_flip, _multipliers
+from .operators import _conj_flip, _kernel_symbols
 
 __all__ = ["SolveReport", "picard_solve"]
 
@@ -257,7 +257,7 @@ def picard_solve(
         raise ValueError("max_iter must be at least 1")
 
     n = spec.n
-    _, _, beur, inv_dzbar = _multipliers(n, spec.L)
+    beur, inv_dzbar = _kernel_symbols(n, spec.L)
     if linear is not None and (linear[0], linear[1]) == (0, 0):
         linear = None  # a zero linear part: plain steps
     if linear is not None:

@@ -11,6 +11,14 @@ Conventions fixed here: coefficients are stored in numpy fft2 layout
 (fftfreq ordering, Nyquist rows use the signed representative -n/2), and
 the beurling transform's zero mode is 0; means of derivative fields are
 carried by the affine coefficients, never by the periodic part.
+
+Only the two multipliers that the fixed-point kernel reads in every step,
+the beurling symbol and 1/dzbar, are cached per grid (two n x n arrays).
+The derivative symbols and the wavevectors are built per call over blocks
+of rows, each block used while it is in cache and then dropped, so no other
+n x n array outlives a call.  Each wavevector entry is one rounded product
+(2*pi/L)*k, k an integer, and a derivative symbol's parts are exact halves
+of them, so every block holds the bits of the whole-grid expression.
 """
 
 from __future__ import annotations
@@ -29,30 +37,42 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=32)
-def _wavevectors(n: int, L: float) -> np.ndarray:
-    """The complex wavevector grid KC = (2*pi/L) * (k1 + i*k2)."""
-    k = np.fft.fftfreq(n, d=1.0 / n).astype(int)  # 0, 1, ..., n/2-1, -n/2, ..., -1
-    K1, K2 = np.meshgrid(k, k)  # K1 varies along columns (x), K2 along rows (y)
-    KC = (2.0 * np.pi / L) * (K1 + 1j * K2)
-    KC.setflags(write=False)
-    return KC
+# Samples per block of rows of a per-call symbol: 256 KiB of complex, one
+# block's arrays stay in L2.  It is also numpy's threshold for eliding a
+# temporary into the result, which puts the temporary first in a product:
+# a block elides where the whole grid does (n <= 128 is one block), so a
+# blocked expression rounds as the grid's did.
+_BLOCK = 1 << 14
+
+
+def _wavevectors(n: int, L: float):
+    """Blocks of rows of the complex wavevector grid KC = (2*pi/L)*(k1 + i*k2),
+    as (row slice, fresh KC block) pairs; k1 varies along columns (x), k2
+    along rows (y)."""
+    k = (2.0 * np.pi / L) * np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    rows = max(1, _BLOCK // n)
+    for s in range(0, n, rows):
+        KC = np.empty((min(rows, n - s), n), dtype=complex)
+        KC.real = k
+        KC.imag = k[s:s + rows, None]
+        yield slice(s, s + rows), KC
 
 
 @lru_cache(maxsize=32)
-def _multipliers(n: int, L: float):
-    """(d/dz symbol, d/dzbar symbol, beurling symbol, 1/dzbar symbol)."""
-    KC = _wavevectors(n, L)
-    sym_dz = 0.5j * np.conj(KC)
-    sym_dzbar = 0.5j * KC
+def _kernel_symbols(n: int, L: float):
+    """(beurling symbol, 1/dzbar symbol), read by the fixed-point kernel in
+    every step, so kept per grid; the zero mode of each is 0."""
+    beur = np.empty((n, n), dtype=complex)
+    inv_dzbar = np.empty((n, n), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
-        beur = np.conj(KC) / KC
-        inv_dzbar = 1.0 / sym_dzbar
+        for rows, KC in _wavevectors(n, L):
+            np.divide(np.conj(KC), KC, out=beur[rows])
+            np.divide(1.0, 0.5j * KC, out=inv_dzbar[rows])
     beur[0, 0] = 0.0
     inv_dzbar[0, 0] = 0.0
-    for a in (sym_dz, sym_dzbar, beur, inv_dzbar):
+    for a in (beur, inv_dzbar):
         a.setflags(write=False)
-    return sym_dz, sym_dzbar, beur, inv_dzbar
+    return beur, inv_dzbar
 
 
 def _conj_flip(A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -79,13 +99,19 @@ def derivative_pair(f: GridField) -> DerivedPair:
     Both outputs are purely periodic; f's affine c and d become their means.
     dz is built in one buffer and dzbar in the spectrum's own array (ifftn,
     since ifft2 ignores out=); both are locked and adopted by their fields,
-    so two n x n arrays are allocated and none is copied.
+    so two n x n arrays are allocated and none is copied.  Each block of
+    the d/dz symbol is built in dz's rows, that of the d/dzbar symbol in
+    the wavevector block.
     """
-    sym_dz, sym_dzbar, _, _ = _multipliers(f.spec.n, f.spec.L)
     F = np.fft.fft2(f.values)
-    dz = F * sym_dz
+    dz = np.empty_like(F)
+    for rows, KC in _wavevectors(f.spec.n, f.spec.L):
+        sym_dz = np.conjugate(KC, out=dz[rows])
+        sym_dz *= 0.5j
+        np.multiply(F[rows], sym_dz, out=sym_dz)
+        sym_dzbar = np.multiply(KC, 0.5j, out=KC)
+        F[rows] *= sym_dzbar
     np.add(np.fft.ifftn(dz, out=dz), f.c, out=dz)
-    F *= sym_dzbar
     dzb = np.add(np.fft.ifftn(F, out=F), f.d, out=F)
     for a in (dz, dzb):
         a.setflags(write=False)
@@ -99,16 +125,24 @@ def _second_derivatives(f: GridField, zbarzbar: bool = False) -> tuple[np.ndarra
     Each is the product of two first-derivative symbols applied to the same
     spectrum; the affine part is linear, so no second derivative sees it.
     Every output costs one inverse transform, taken in place in a fresh
-    array that the caller owns.
+    array that the caller owns.  The spectra are built block by block of
+    rows: f_zz's rows first hold the d/dz symbol, and F's rows take f_z's
+    spectrum and then f_zzbar's.
     """
-    sym_dz, sym_dzbar, _, _ = _multipliers(f.spec.n, f.spec.L)
     F = np.fft.fft2(f.values)
-    Fzb = F * sym_dzbar if zbarzbar else None
-    Fz = np.multiply(F, sym_dz, out=F)
-    Fzzb = Fz * sym_dzbar
-    spectra = [np.multiply(Fz, sym_dz, out=Fz), Fzzb]
-    if zbarzbar:
-        spectra.append(np.multiply(Fzb, sym_dzbar, out=Fzb))
+    Fzz = np.empty_like(F)
+    spectra = [Fzz, F] + ([np.empty_like(F)] if zbarzbar else [])
+    for rows, KC in _wavevectors(f.spec.n, f.spec.L):
+        sym_dz = np.conjugate(KC, out=Fzz[rows])
+        sym_dz *= 0.5j
+        sym_dzbar = np.multiply(KC, 0.5j, out=KC)
+        Fr = F[rows]
+        if zbarzbar:
+            Fzbzb = np.multiply(Fr, sym_dzbar, out=spectra[2][rows])
+            Fzbzb *= sym_dzbar
+        Fr *= sym_dz                            # f_z
+        np.multiply(Fr, sym_dz, out=sym_dz)     # f_zz
+        Fr *= sym_dzbar                         # f_zzbar
     return tuple(np.fft.ifftn(S, out=S) for S in spectra)
 
 
@@ -123,7 +157,7 @@ def beurling(phi: GridField) -> GridField:
     """
     if not phi.is_periodic():
         raise ValueError("beurling requires a field with zero affine part")
-    _, _, beur, _ = _multipliers(phi.spec.n, phi.spec.L)
+    beur, _ = _kernel_symbols(phi.spec.n, phi.spec.L)
     return GridField(phi.spec, 0.0, 0.0, np.fft.ifft2(np.fft.fft2(phi.values) * beur))
 
 
@@ -136,7 +170,7 @@ def antiderivative_zbar(phi: GridField, c: complex = 0.0) -> GridField:
     """
     if not phi.is_periodic():
         raise ValueError("antiderivative_zbar requires a field with zero affine part")
-    _, _, _, inv = _multipliers(phi.spec.n, phi.spec.L)
+    _, inv = _kernel_symbols(phi.spec.n, phi.spec.L)
     F = np.fft.fft2(phi.values)
     mean = complex(F[0, 0]) / (phi.spec.n ** 2)
     vals = np.fft.ifft2(F * inv)

@@ -17,6 +17,14 @@ def spectrum(values: np.ndarray) -> np.ndarray:
     return np.fft.fft2(values) / values.shape[0] ** 2
 
 
+def wavevectors(n: int, L: float) -> np.ndarray:
+    """The whole wavevector grid KC = (2*pi/L)*(k1 + i*k2) in fft2 layout,
+    as one meshgrid expression."""
+    k = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    K1, K2 = np.meshgrid(k, k)
+    return (2.0 * np.pi / L) * (K1 + 1j * K2)
+
+
 def field_rel_l2(f: GridField, g: GridField) -> float:
     return rel_l2(f.total_values(), g.total_values())
 

@@ -32,9 +32,8 @@ from beltrami import (
 )
 from beltrami import analysis, synth
 from beltrami.analysis import _distortion_values, _tail_fit
-from beltrami.operators import _multipliers
 from beltrami.synth import _CENTER_FRAC
-from _helpers import rel_l2
+from _helpers import rel_l2, wavevectors
 
 SPEC = GridSpec(64)
 # a smooth ladder, built outside the counted calls (trig_field calls ifft2)
@@ -50,7 +49,7 @@ def field_with_dz(dz):
     """A field whose z-derivative has the samples dz (to roundoff): the mean
     of dz is its affine c, the rest comes from dividing by the d/dz symbol."""
     spec = GridSpec(dz.shape[0])
-    sym_dz = _multipliers(spec.n, spec.L)[0]
+    sym_dz = 0.5j * np.conj(wavevectors(spec.n, spec.L))
     F = np.fft.fft2(dz - dz.mean())
     F[0, 0] = 0.0
     F[1:] /= sym_dz[1:]

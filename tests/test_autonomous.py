@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,6 +173,29 @@ class TestSolveAutonomous:
         else:
             with pytest.raises(ValueError, match="declared Lipschitz constant 0.5 exceeded"):
                 solve_autonomous(close, zero_field(SPEC), 1.0)
+
+    @pytest.mark.parametrize("delta, outcome", [(2e-6, "raises"), (5e-7, "warns"),
+                                                (5e-9, "warns"), (5e-10, "silent")])
+    def test_audit_thresholds_on_a_modulus_map(self, delta, outcome):
+        # kt*|z| declared at k = kt - delta: its collinear sample pairs read
+        # kt to rounding, so the audit sees an excess of delta.  Above 1e-6
+        # it raises, above 1e-9 it warns, below that it is silent; each delta
+        # sits within a factor of 5 of a threshold, so a threshold moved by
+        # a factor of 10 fails one of these.
+        kt = 0.5
+        A = AutonomousMap(eval=lambda z: kt * np.abs(z), k=kt - delta)
+        if outcome == "raises":
+            with pytest.raises(ValueError, match="exceeded by sampled estimate 0.5"):
+                solve_autonomous(A, zero_field(SPEC), 1.0)
+            return
+        if outcome == "warns":
+            with pytest.warns(UserWarning, match="slightly exceeds declared"):
+                _, rep = solve_autonomous(A, zero_field(SPEC), 1.0)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, rep = solve_autonomous(A, zero_field(SPEC), 1.0)
+        assert rep.converged
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

@@ -28,8 +28,7 @@ from beltrami import (
 )
 from beltrami import constant_coefficient
 from beltrami.grid import values_l2
-from beltrami.operators import _wavevectors
-from _helpers import pair_rel_l2, rel_l2
+from _helpers import pair_rel_l2, rel_l2, wavevectors
 
 SPEC = GridSpec(64)
 
@@ -254,7 +253,7 @@ class TestChangeVarBytes:
         cv = compute_mu_nu(p)
         mu, nu = cv.mu, cv.nu
         n = u.spec.n
-        KC = _wavevectors(n, u.spec.L)
+        KC = wavevectors(n, u.spec.L)
         U = np.fft.fft2(u.values) / (n * n)
         kappa = np.multiply(np.conj(KC), mu) + KC
         with np.errstate(divide="ignore", invalid="ignore"):

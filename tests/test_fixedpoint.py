@@ -24,6 +24,7 @@ from beltrami import (
     linear_map,
     lp_norm,
     random_trig_field,
+    resample,
     residual,
     smooth_saturating_map,
     solve_autonomous,
@@ -36,7 +37,7 @@ from beltrami import (
 from beltrami import autonomous, fixedpoint, fullnonlinear
 from beltrami.cli import parse_map
 from beltrami.fixedpoint import _chord, picard_solve
-from beltrami.operators import _multipliers, _wavevectors
+from beltrami.operators import _kernel_symbols, _second_derivatives
 
 from _helpers import rel_l2
 
@@ -216,7 +217,7 @@ def reference_field(spec, c_mean, R=None):
     n = spec.n
     if R is None:
         return GridField(spec, c_mean, 0, np.zeros((n, n), dtype=complex))
-    inv_dzbar = _multipliers(n, spec.L)[3]
+    _, inv_dzbar = _kernel_symbols(n, spec.L)
     return GridField(spec, c_mean, complex(R[0, 0]) / (n * n), np.fft.ifft2(R * inv_dzbar))
 
 
@@ -231,7 +232,7 @@ def reference_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None):
     candidate as the kernel hands it, a GridField.  Returns (field, history,
     notes, converged)."""
     n = spec.n
-    _, _, beur, _ = _multipliers(n, spec.L)
+    beur, _ = _kernel_symbols(n, spec.L)
     c_mean = complex(c_mean)
     field = partial(reference_field, spec, c_mean)
 
@@ -290,7 +291,7 @@ def real_space_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None)
     same map in another rounding: the kernel must agree with it to 1e-13,
     with the same iterations, notes and best iterate."""
     n = spec.n
-    _, _, beur, _ = _multipliers(n, spec.L)
+    beur, _ = _kernel_symbols(n, spec.L)
     c_mean = complex(c_mean)
     field = partial(reference_field, spec, c_mean)
 
@@ -849,7 +850,7 @@ class TestSolveHoldsOnlyWhatItsStepReads:
         assert np.array_equal(g.total_values(), c * z_grid(SPEC))
 
     # Traced peak above entry, in n x n complex arrays, at n = 64 with the
-    # multipliers warm.  Before the work arrays were freed for the answer
+    # kernel's symbols warm.  Before the work arrays were freed for the answer
     # and z was built lazily: kabs 10.6, smoothsat 14.1, neumann 12.6, and
     # derivative_pair 5.0 before it reused its buffers.  Before the Neumann
     # solve built T^-1 without temporaries and changevar ran in place:
@@ -861,7 +862,9 @@ class TestSolveHoldsOnlyWhatItsStepReads:
     # kabs at c = 0 5.56 -> 4.56, the damped full map 13.09 -> 12.09.  Since
     # the kernel builds no z and solve_full frees each candidate's periodic
     # part before H runs, a full map holds two arrays less: 14.09 -> 12.09
-    # undamped (chord steps), 12.09 -> 10.08 damped.
+    # undamped (chord steps), 12.09 -> 10.08 damped.  derivative_pair builds
+    # its symbols per call from one wavevector block, the whole grid at
+    # n = 64: 2.03 -> 3.03 (changevar 5.03 -> 5.04, cc_residual 4.01).
     @pytest.mark.parametrize("kind, bound", [
         ("kabs", 8.0), ("smoothsat", 12.0), ("neumann", 8.5), ("derivative_pair", 3.5),
         ("changevar", 5.5), ("cc_residual", 4.5), ("kabs0.9-restart", 7.0),
@@ -890,13 +893,14 @@ class TestSolveHoldsOnlyWhatItsStepReads:
     @pytest.mark.parametrize("kind", SOLVES)
     def test_solve_keeps_only_its_answer(self, kind):
         # Traced from the first solve on a grid of its own, with only the
-        # grid's symbols warm (operators caches them by design): once the
-        # solve returns, what it still holds besides the answer's samples is
-        # less than one n x n array, so no per-grid cache of one is kept.
+        # kernel's two symbols warm: operators caches the beurling and
+        # 1/dzbar multipliers by design, since every step reads them.  Once
+        # the solve returns, what it still holds besides the answer's
+        # samples is less than one n x n array, so no other per-grid cache
+        # of one is kept.
         spec = GridSpec(64, L=3.0 + list(self.SOLVES).index(kind))
         h = random_trig_field(spec, seed=3)
-        _multipliers(spec.n, spec.L)
-        _wavevectors(spec.n, spec.L)
+        _kernel_symbols(spec.n, spec.L)
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
@@ -906,6 +910,32 @@ class TestSolveHoldsOnlyWhatItsStepReads:
             tracemalloc.stop()
         assert rep.converged
         assert kept - f.values.nbytes < spec.n ** 2 * 16
+
+    CALLS = {
+        "derivative_pair": lambda f, h: [g.values for g in derivative_pair(f)],
+        "second_derivatives": lambda f, h: list(_second_derivatives(f)),
+        "resample": lambda f, h: [resample(f, 128).values],
+        "changevar": lambda f, h: [solve_cc_changevar(CCParams(0.5, 0.2j), h, 1.0)[0].values],
+        "cc_residual": lambda f, h: [cc_residual(CCParams(0.5, 0.2j), f, h)],
+    }
+
+    @pytest.mark.parametrize("kind", CALLS)
+    def test_call_keeps_only_its_outputs(self, kind):
+        # The first call on a grid of its own, with nothing warm: the
+        # derivative symbols and the wavevectors are built per call, so what
+        # it still holds besides its outputs' arrays is less than one n x n
+        # array.  Only the fixed-point kernel's two symbols are cached.
+        spec = GridSpec(64, L=20.0 + list(self.CALLS).index(kind))
+        f = random_trig_field(spec, seed=4, c=0.7 - 0.2j, d=0.1 + 0.3j)
+        h = random_trig_field(spec, seed=3)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            out = self.CALLS[kind](f, h)
+            kept = tracemalloc.get_traced_memory()[0] - entry
+        finally:
+            tracemalloc.stop()
+        assert kept - sum(np.asarray(a).nbytes for a in out) < spec.n ** 2 * 16
 
     @pytest.mark.parametrize("kind", ["preconditioned", "plain", "damped"])
     def test_residual_is_the_equation_residual(self, kind):

@@ -16,6 +16,7 @@ from beltrami import (
     read_field,
     trig_field,
     write_field,
+    z_grid,
     zero_field,
 )
 from _helpers import spectrum
@@ -36,6 +37,16 @@ class TestGridSpec:
     def test_rejects_bad_period(self, L):
         with pytest.raises(ValueError, match="period"):
             GridSpec(16, L)
+
+    @pytest.mark.parametrize("n", [16, 64, 1024])
+    @pytest.mark.parametrize("L", [2 * math.pi, 3.0, 1e-3])
+    def test_z_grid_is_the_meshgrid_expression(self, n, L):
+        # one array filled from the coordinates holds meshgrid's x + 1j*y
+        # byte for byte, sign bits included
+        spec = GridSpec(n, L)
+        t = np.arange(n) * spec.h
+        x, y = np.meshgrid(t, t)
+        assert z_grid(spec).tobytes() == (x + 1j * y).tobytes()
 
 
 class TestMakeField:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -21,8 +22,9 @@ from beltrami import (
     z_grid,
     zero_field,
 )
-from beltrami.operators import _conj_flip, _resize_rows, _second_derivatives
-from _helpers import fd_dz, fd_dzbar, rel_l2, spectrum
+from beltrami.operators import (_conj_flip, _kernel_symbols, _resize_rows,
+                                _second_derivatives, _wavevectors)
+from _helpers import fd_dz, fd_dzbar, rel_l2, spectrum, wavevectors
 
 SPEC = GridSpec(32)
 TAU = 2 * math.pi
@@ -117,6 +119,86 @@ class TestSecondDerivatives:
                 out += sym * w
         for got, want in zip(_second_derivatives(f, zbarzbar=True), exact):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestSymbolBytes:
+    """The symbols are built block by block of wavevector rows; every block
+    holds the bits of the whole-grid expression, sign bits included, on
+    either side of numpy's 256 KiB temporary-elision threshold (n = 64, 256)
+    and on a grid of several blocks (n = 1024)."""
+
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
+    @pytest.mark.parametrize("L", [TAU, 3.0, 1e-3])
+    def test_blocks_match_whole_grid(self, n, L):
+        KC = wavevectors(n, L)
+        end = 0
+        for rows, block in _wavevectors(n, L):
+            assert rows.start == end and block.tobytes() == KC[rows].tobytes()
+            end += block.shape[0]
+        assert end == n
+        # the derivative symbols, as the helpers build them from each block
+        sym_dz = np.concatenate([np.conjugate(b) * 0.5j for _, b in _wavevectors(n, L)])
+        sym_dzbar = np.concatenate([b * 0.5j for _, b in _wavevectors(n, L)])
+        assert sym_dz.tobytes() == (0.5j * np.conj(KC)).tobytes()
+        assert sym_dzbar.tobytes() == (0.5j * KC).tobytes()
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_kernel_symbols_match_whole_grid(self, n):
+        KC = wavevectors(n, 3.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            beur, inv_dzbar = np.conj(KC) / KC, 1.0 / (0.5j * KC)
+        beur[0, 0] = inv_dzbar[0, 0] = 0.0
+        got = _kernel_symbols(n, 3.0)
+        assert [a.tobytes() for a in got] == [beur.tobytes(), inv_dzbar.tobytes()]
+        assert not any(a.flags.writeable for a in got)
+
+
+class TestSymbolPathBytes:
+    """sha256 (first 16 hex digits) of every output of the operators that
+    read a symbol, on trig fields with an affine part, at n = 64 and 256
+    (either side of numpy's elision threshold) for two periods.  Recorded
+    from whole-grid symbols with numpy 2.4 on x86-64: any moved bit fails
+    here; another numpy build or CPU may round apart and need them
+    re-recorded."""
+
+    DIGESTS = {
+        ("derivative_pair", 64, TAU): "1749c2395d4f7364",
+        ("derivative_pair", 64, 3.0): "2d4864125577dbba",
+        ("derivative_pair", 256, TAU): "1b0be126057dc357",
+        ("derivative_pair", 256, 3.0): "236397cb44094613",
+        ("second_derivatives", 64, TAU): "ff474bbe957c15c0",
+        ("second_derivatives", 64, 3.0): "985e0c02a74244ec",
+        ("second_derivatives", 256, TAU): "3733ae1fafdb01c4",
+        ("second_derivatives", 256, 3.0): "fbac6ff7e22f171a",
+        ("beurling", 64, TAU): "4f8ca25b8a577a2a",
+        ("beurling", 64, 3.0): "4f8ca25b8a577a2a",
+        ("beurling", 256, TAU): "f6b8f37d2b91e7d8",
+        ("beurling", 256, 3.0): "f6b8f37d2b91e7d8",
+        ("antiderivative_zbar", 64, TAU): "7cc1ac56e125fceb",
+        ("antiderivative_zbar", 64, 3.0): "3447e23ccfbdd752",
+        ("antiderivative_zbar", 256, TAU): "0a38e50e33fda5cf",
+        ("antiderivative_zbar", 256, 3.0): "bb47ad2230ae6850",
+    }
+
+    @staticmethod
+    def outputs(name, f):
+        p = GridField(f.spec, 0.0, 0.0, f.values)
+        if name == "derivative_pair":
+            return [g.values for g in derivative_pair(f)]
+        if name == "second_derivatives":
+            return list(_second_derivatives(f, zbarzbar=True))
+        if name == "beurling":
+            return [beurling(p).values]
+        g = antiderivative_zbar(p, 0.3j)
+        return [g.values, np.array([g.c, g.d])]
+
+    @pytest.mark.parametrize("name, n, L", list(DIGESTS))
+    def test_digest(self, name, n, L):
+        f = random_trig_field(GridSpec(n, L), seed=7, c=0.7 - 0.2j, d=0.1 + 0.3j)
+        h = hashlib.sha256()
+        for a in self.outputs(name, f):
+            h.update(a.tobytes())
+        assert h.hexdigest()[:16] == self.DIGESTS[name, n, L]
 
 
 class TestBeurling:

@@ -48,6 +48,22 @@ def test_readme_quick_start_runs(capsys):
     assert int(iterations) >= 1 and float(ratio) <= 0.3
 
 
+def test_only_the_kernel_symbols_are_cached():
+    # a per-grid cache of n x n arrays outlives every call; only the two
+    # multipliers the fixed-point kernel reads in every step are kept so
+    cached = []
+    for path in sorted(Path(beltrami.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = getattr(target, "attr", getattr(target, "id", None))
+                if name in ("lru_cache", "cache"):
+                    cached.append(f"{path.stem}.{node.name}")
+    assert cached == ["operators._kernel_symbols"]
+
+
 def test_perfbench_calls_bind():
     # perfbench calls the package by position and keyword; every call must
     # still bind to the signature it reaches (the files are read, not run)
