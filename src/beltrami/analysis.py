@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autonomous import AutonomousMap
-from .grid import GridField, values_l2, z_grid
+from .grid import GridField, _z_at, values_l2
 from .operators import _second_derivatives, derivative_pair
 
 __all__ = [
@@ -35,17 +35,49 @@ __all__ = [
 # |f_z| - |f_zbar| at or below this gap counts as orientation-degenerate.
 DEGENERACY_GAP = 1e-12
 
+# Samples per row block of the moduli pass: one block's moduli, their sum and
+# its distortion stay in cache.
+_PASS_BLOCK = 1 << 14
+
 
 def _distortion_values(fz: np.ndarray, fzb: np.ndarray) -> np.ndarray:
     """Samplewise distortion (|f_z|+|f_zbar|)/(|f_z|-|f_zbar|), inf where
     the orientation degenerates."""
-    return _moduli_distortion(np.abs(fz), np.abs(fzb))
-
-
-def _moduli_distortion(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """_distortion_values from the moduli a = |f_z| and b = |f_zbar|."""
+    a, b = np.abs(fz), np.abs(fzb)
     lo = a - b
     return np.divide(a + b, lo, out=np.full(a.shape, np.inf), where=lo > DEGENERACY_GAP)
+
+
+def _moduli_blocks(fz: np.ndarray, fzb: np.ndarray):
+    """(|f_z|, |f_zbar|, |f_z| + |f_zbar|) over row blocks of about
+    _PASS_BLOCK samples of the pair's sample arrays, in row order."""
+    rows = max(1, _PASS_BLOCK // fz.shape[1])
+    for r in range(0, fz.shape[0], rows):
+        a, b = np.abs(fz[r:r + rows]), np.abs(fzb[r:r + rows])
+        yield a, b, a + b
+
+
+def _finite_distortion(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The finite values of _distortion_values over one block, in row order,
+    from its moduli a, b and their sum m; overwrites a and b."""
+    lo = np.subtract(a, b, out=a)
+    b.fill(np.inf)
+    K = np.divide(m, lo, out=b, where=lo > DEGENERACY_GAP)
+    return K[np.isfinite(K)]
+
+
+class _Compacted:
+    """Samples picked out block by block, kept front to back in one buffer."""
+
+    def __init__(self, size: int):
+        self._buf, self._used = np.empty(size), 0
+
+    def add(self, picked: np.ndarray) -> None:
+        self._buf[self._used:self._used + picked.size] = picked
+        self._used += picked.size
+
+    def values(self) -> np.ndarray:
+        return self._buf[:self._used]
 
 
 @dataclass(frozen=True)
@@ -55,22 +87,28 @@ class DistortionStats:
     degenerate_fraction: float
 
 
-def _pair_stats(a: np.ndarray, b: np.ndarray) -> DistortionStats:
-    """Distortion statistics of one derivative pair, from its moduli
-    a = |f_z| and b = |f_zbar|."""
-    K = _moduli_distortion(a, b)
-    finite = K[np.isfinite(K)]
-    frac = 1.0 - finite.size / K.size
+def _finite_stats(finite: np.ndarray, size: int) -> DistortionStats:
+    """Distortion statistics from the finite distortion values among size
+    samples; partitions finite in place."""
     if finite.size == 0:
         return DistortionStats(math.inf, (math.inf,) * 3, 1.0)
-    top = float(finite.max())  # before quantile partitions the fresh array
+    top = float(finite.max())  # before quantile partitions the array
     q = tuple(float(v) for v in np.quantile(finite, [0.5, 0.9, 0.99], overwrite_input=True))
-    return DistortionStats(top, q, frac)
+    return DistortionStats(top, q, 1.0 - finite.size / size)
+
+
+def _pair_stats(fz: np.ndarray, fzb: np.ndarray) -> DistortionStats:
+    """Distortion statistics of one derivative pair's sample arrays, from
+    one pass over row blocks that keeps only the finite distortion values."""
+    finite = _Compacted(fz.size)
+    for a, b, m in _moduli_blocks(fz, fzb):
+        finite.add(_finite_distortion(a, b, m))
+    return _finite_stats(finite.values(), fz.size)
 
 
 def distortion_stats(f: GridField) -> DistortionStats:
     fz, fzb = derivative_pair(f)
-    return _pair_stats(np.abs(fz.values), np.abs(fzb.values))
+    return _pair_stats(fz.values, fzb.values)
 
 
 @dataclass
@@ -130,14 +168,18 @@ def _tail_fit(samples: np.ndarray):
     """Power-law fit of the upper tail of the |Df| distribution.
 
     Fits log measure{|Df| > lam} against log lam between the 99.5th and
-    99.995th percentiles; returns (tail_exponent, r2) with tail_exponent
-    = -slope (the empirical critical exponent for power-law tails).
+    99.995th percentiles of the positive finite samples; returns
+    (tail_exponent, r2) with tail_exponent = -slope (the empirical critical
+    exponent for power-law tails).
     """
-    s = samples[np.isfinite(samples)]
-    s = s[s > 0]
+    return _positive_tail_fit(samples[np.isfinite(samples) & (samples > 0)])
+
+
+def _positive_tail_fit(s: np.ndarray):
+    """_tail_fit of the positive finite samples s, which it reorders."""
     if s.size < 64:
         return math.inf, 0.0
-    lo, hi = np.quantile(s, [0.995, 0.99995], overwrite_input=True)  # s is fresh
+    lo, hi = np.quantile(s, [0.995, 0.99995], overwrite_input=True)
     if not (hi > lo * 1.0001):
         return math.inf, 0.0  # no tail to fit (nearly constant field)
     lam = np.exp(np.linspace(np.log(lo), np.log(hi), 24))
@@ -161,28 +203,32 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
 
     fields: the same solution sampled at >= 3 doubling grid levels.
     p_grid: increasing finite exponents >= 1, else ValueError.
-    pairs: optional per-level derivative pairs (a DerivedPair or any
-    (dz, dzbar) pair of fields); by default each is computed spectrally,
-    with one forward transform per level.  For each p the probe tracks the
-    Riemann sums mean(|Df|^p) across levels (|Df| = |f_z| + |f_zbar|, the
-    maximal directional derivative) and applies a Cauchy test to their
-    level-to-level increments: shrinking increments mean convergence,
-    increments growing beyond 10% per doubling mean divergence.  For a
-    power-law singularity the increment ratio per doubling is
-    2^((p - p_critical)/2) on both sides of the critical exponent, so the
-    crossing locates it sharply.  p_critical is the largest stable exponent
-    below the first unstable one (inf when every probed p is stable).
-    |f_z| and |f_zbar| are taken once per level; the finest level's
-    distortion statistics and tail fit read those moduli and their sum.
-    Each power mean sums exp(p log|Df|) over the samples with |Df| != 0
-    (a zero adds 0^p = 0) and divides by all n^2 samples; one logarithm
-    per level, every exponent evaluated together over blocks of 4096
-    samples.  A term differs from |Df|^p by at most about
-    eps*(1 + p*|log|Df||) relative, and both overflow or underflow alike
-    once p*|log|Df|| passes about 709 (1.7e-13 relative); adding up the
-    blocks adds at most about eps per block (5.7e-14 at n = 1024).  Up to
-    n = 2048 this stays below the 1e-12 increment guard (2.4e-15 on the
-    benchmark's ladders).
+    pairs: optional derivative pairs, one per level (a DerivedPair or any
+    (dz, dzbar) pair of fields on that level's grid, else ValueError); by
+    default each is computed spectrally, with one forward transform per
+    level.  For each p the probe tracks the Riemann sums mean(|Df|^p)
+    across levels (|Df| = |f_z| + |f_zbar|, the maximal directional
+    derivative) and applies a Cauchy test to their level-to-level
+    increments: shrinking increments mean convergence, increments growing
+    beyond 10% per doubling mean divergence.  For a power-law singularity
+    the increment ratio per doubling is 2^((p - p_critical)/2) on both
+    sides of the critical exponent, so the crossing locates it sharply.
+    p_critical is the largest stable exponent below the first unstable one
+    (inf when every probed p is stable).
+    Each level is one pass over row blocks of about 2^14 samples of its
+    pair, taking |f_z|, |f_zbar| and |Df| once per block.  Each power mean
+    sums exp(p log|Df|) over the samples with |Df| != 0 (a zero adds
+    0^p = 0) and divides by all n^2 samples: every exponent is evaluated
+    together over chunks of 4096 of those logarithms, in sample order, the
+    fewer than 4096 left at the end of a block carried into the next.  Only
+    the finest level keeps samples beyond a block: its finite distortion
+    values for the distortion statistics and its positive finite |Df| for
+    the tail fit, each compacted into one n^2 buffer.  A term differs from
+    |Df|^p by at most about eps*(1 + p*|log|Df||) relative, and both
+    overflow or underflow alike once p*|log|Df|| passes about 709
+    (1.7e-13 relative); adding up the chunks adds at most about eps per
+    chunk (5.7e-14 at n = 1024).  Up to n = 2048 this stays below the
+    1e-12 increment guard (2.4e-15 on the benchmark's ladders).
     """
     fields = list(fields)
     if len(fields) < 3:
@@ -196,24 +242,44 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
     if (not all(1 <= p < math.inf for p in p_grid)
             or any(b <= a for a, b in zip(p_grid, p_grid[1:]))):
         raise ValueError("p_grid must be increasing, finite and >= 1")
-
     if pairs is None:
         pairs = [None] * len(fields)
+    else:
+        pairs = list(pairs)
+        if len(pairs) != len(fields) or any(
+                g.spec != f.spec for f, pair in zip(fields, pairs) for g in pair):
+            raise ValueError("pairs must hold one derivative pair per level, "
+                             "on that level's grid")
+
     power_means = np.zeros((len(fields), len(p_grid)))
     p_col, blk = np.array(p_grid)[:, None], np.empty((len(p_grid), _BLOCK))
-    for i, (f, pair) in enumerate(zip(fields, pairs)):
-        a, b = (np.abs(g.values) for g in (derivative_pair(f) if pair is None else pair))
-        if i == len(fields) - 1:  # the finest level
-            st = _pair_stats(a, b)
-        m = a + b
-        logm = m[m != 0]  # a zero adds 0^p = 0; a NaN still reaches the sum
-        np.log(logm, out=logm)
-        for s in range(0, logm.size, _BLOCK):
-            part = blk[:, :logm.size - s]
-            power_means[i] += np.exp(np.multiply(p_col, logm[s:s + _BLOCK], out=part),
-                                     out=part).sum(axis=1)
-        power_means[i] /= m.size
-    tail_exponent, fit_r2 = _tail_fit(m.reshape(-1))  # the finest level's |Df|
+
+    def add_chunk(row, logs):
+        part = blk[:, :logs.size]
+        row += np.exp(np.multiply(p_col, logs, out=part), out=part).sum(axis=1)
+
+    for i, (row, f, pair) in enumerate(zip(power_means, fields, pairs)):
+        fz, fzb = (g.values for g in (derivative_pair(f) if pair is None else pair))
+        finest = i == len(fields) - 1
+        if finest:
+            finite_K, positive = _Compacted(fz.size), _Compacted(fz.size)
+        carry = np.empty(0)  # the logarithms short of a whole chunk
+        for a, b, m in _moduli_blocks(fz, fzb):
+            logs = m[m != 0]  # a zero adds 0^p = 0; a NaN still reaches the sum
+            if finest:
+                finite_K.add(_finite_distortion(a, b, m))
+                positive.add(logs[np.isfinite(logs)])  # nonzero |Df| >= 0 is positive
+            logs = np.concatenate((carry, np.log(logs, out=logs)))
+            whole = logs.size - logs.size % _BLOCK
+            for s in range(0, whole, _BLOCK):
+                add_chunk(row, logs[s:s + _BLOCK])
+            carry = logs[whole:]
+        if carry.size:
+            add_chunk(row, carry)
+        row /= fz.size
+    st = _finite_stats(finite_K.values(), fz.size)
+    del finite_K
+    tail_exponent, fit_r2 = _positive_tail_fit(positive.values())
 
     stable = []
     for j in range(len(p_grid)):
@@ -459,7 +525,7 @@ def hodograph_check(
     i, j, dfz, dfzb, jac = i[kept], j[kept], dfz[kept], dfzb[kept], jac[kept]
 
     delta = fd_step if fd_step is not None else 0.5 * spec.h
-    z0 = z_grid(spec)[i, j]
+    z0 = _z_at(spec, i, j)
     w0 = f.c * z0 + f.d * np.conj(z0) + f.values[i, j]
 
     def f_at(z: np.ndarray) -> np.ndarray:

@@ -67,6 +67,16 @@ def z_grid(spec: GridSpec) -> np.ndarray:
     return z
 
 
+def _z_at(spec: GridSpec, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """z_grid(spec)[i, j] without the grid: the same coordinates, read at
+    the points only."""
+    t = np.arange(spec.n) * spec.h
+    z = np.empty(np.shape(i), dtype=complex)
+    z.real = t[j]
+    z.imag = t[i]
+    return z
+
+
 @dataclass(frozen=True)
 class GridField:
     """Immutable field c*z + d*conj(z) + P on a GridSpec lattice.

@@ -1,5 +1,7 @@
 """Shared numeric helpers for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 
 from beltrami import GridField, derivative_pair
@@ -23,6 +25,20 @@ def wavevectors(n: int, L: float) -> np.ndarray:
     k = np.fft.fftfreq(n, d=1.0 / n).astype(int)
     K1, K2 = np.meshgrid(k, k)
     return (2.0 * np.pi / L) * (K1 + 1j * K2)
+
+
+def traced_peak(call, *args):
+    """call(*args) under tracemalloc: its result, the traced peak and the
+    memory it still holds on return, both in bytes above the memory in use
+    on entry."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        out = call(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - entry, held - entry
 
 
 def field_rel_l2(f: GridField, g: GridField) -> float:

@@ -31,9 +31,16 @@ from beltrami import (
     z_grid,
 )
 from beltrami import analysis, synth
-from beltrami.analysis import _distortion_values, _tail_fit
+from beltrami.analysis import (
+    GROWTH_TOLERANCE,
+    DistortionStats,
+    RegularityReport,
+    _distortion_values,
+    _tail_fit,
+)
+from beltrami.operators import _second_derivatives
 from beltrami.synth import _CENTER_FRAC
-from _helpers import rel_l2, wavevectors
+from _helpers import rel_l2, traced_peak, wavevectors
 
 SPEC = GridSpec(64)
 # a smooth ladder, built outside the counted calls (trig_field calls ifft2)
@@ -161,6 +168,21 @@ class TestSobolevProbe:
         fields = [affine(1.0, 0.0, GridSpec(n)) for n in (64, 128)]
         with pytest.raises(ValueError, match="three"):
             sobolev_probe(fields, [2.0])
+
+    def test_needs_one_pair_per_level(self):
+        # two pairs for three levels ran into an unbound name
+        fields, pairs = _extremal_ladder(2.0, 16)
+        with pytest.raises(ValueError, match="one derivative pair per level"):
+            sobolev_probe(fields, [2.0], pairs=pairs[:2])
+
+    def test_pairs_sit_on_their_levels_grid(self):
+        # three pairs of the coarse level were read as three levels
+        fields, pairs = _extremal_ladder(2.0, 16)
+        with pytest.raises(ValueError, match="on that level's grid"):
+            sobolev_probe(fields, [2.0], pairs=[pairs[0]] * 3)
+        with pytest.raises(ValueError, match="on that level's grid"):
+            sobolev_probe(fields, [2.0], pairs=[pairs[0], (pairs[1][0], pairs[2][1]),
+                                                pairs[2]])
 
     def test_levels_must_double(self):
         fields = [affine(1.0, 0.0, GridSpec(n)) for n in (64, 128, 512)]
@@ -328,6 +350,150 @@ class TestSecondOrderProbe:
         assert rep.stable == ref.stable and rep.p_critical == ref.p_critical
         assert np.allclose(rep.power_means, ref.power_means, rtol=1e-13, atol=0)
         assert rep.distortion_max == pytest.approx(ref.distortion_max, rel=1e-9)
+
+
+def _pair_stats_reference(fz, fzb):
+    """Distortion statistics from whole arrays of the moduli, as first written."""
+    K = _distortion_values(fz, fzb)
+    finite = K[np.isfinite(K)]
+    frac = 1.0 - finite.size / K.size
+    if finite.size == 0:
+        return DistortionStats(math.inf, (math.inf,) * 3, 1.0)
+    q = tuple(float(v) for v in np.quantile(finite, [0.5, 0.9, 0.99]))
+    return DistortionStats(float(finite.max()), q, frac)
+
+
+def _sobolev_reference(fields, p_grid, pairs=None):
+    """sobolev_probe as first written: whole arrays of the moduli, |Df| and
+    its logarithms at every level."""
+    p_grid = [float(p) for p in p_grid]
+    if pairs is None:
+        pairs = [derivative_pair(f) for f in fields]
+    power_means = np.zeros((len(fields), len(p_grid)))
+    p_col, blk = np.array(p_grid)[:, None], np.empty((len(p_grid), analysis._BLOCK))
+    for i, (dz, dzb) in enumerate(pairs):
+        m = np.abs(dz.values) + np.abs(dzb.values)
+        logm = m[m != 0]
+        np.log(logm, out=logm)
+        for s in range(0, logm.size, analysis._BLOCK):
+            part = blk[:, :logm.size - s]
+            power_means[i] += np.exp(np.multiply(p_col, logm[s:s + analysis._BLOCK], out=part),
+                                     out=part).sum(axis=1)
+        power_means[i] /= m.size
+    st = _pair_stats_reference(dz.values, dzb.values)
+    tail_exponent, fit_r2 = _tail_fit(m.reshape(-1))
+    stable = []
+    for j in range(len(p_grid)):
+        col = power_means[:, j]
+        scale = float(col.max())
+        if scale < 1e-280:
+            stable.append(True)
+            continue
+        diffs = np.abs(np.diff(col))
+        if np.all(diffs <= 1e-12 * scale):
+            stable.append(True)
+            continue
+        ratios = np.maximum(diffs[1:], 1e-300) / np.maximum(diffs[:-1], 1e-300)
+        stable.append(float(np.exp(np.mean(np.log(ratios)))) <= GROWTH_TOLERANCE)
+    return RegularityReport(fit_r2, tail_exponent, st.max, tuple(f.spec.n for f in fields),
+                            tuple(p_grid), tuple(tuple(r) for r in power_means), tuple(stable))
+
+
+def _extremal_ladder(K, base):
+    fields, pairs = [], []
+    for n in (base, 2 * base, 4 * base):
+        g, gz, gzb = radial_extremal_pair(GridSpec(n), K)
+        fields.append(g)
+        pairs.append((gz, gzb))
+    return fields, pairs
+
+
+def _rough_ladder(nan_level, degenerate_top=False):
+    """Random pairs on 64, 128, 256 with 30% zeros and one NaN sample at
+    nan_level; the top level's pair is orientation-degenerate on request."""
+    rng = np.random.default_rng(23 + nan_level)
+    fields, pairs = [], []
+    for lev, n in enumerate((64, 128, 256)):
+        spec = GridSpec(n)
+        fz, fzb = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2))
+        fzb *= 0.6
+        if degenerate_top and lev == 2:
+            fzb = fz.copy()
+        zero = rng.random((n, n)) < 0.3
+        fz[zero] = fzb[zero] = 0.0
+        if lev == nan_level:
+            fz[n // 3, n // 5] = np.nan
+        fields.append(zero_field(spec))
+        pairs.append((GridField(spec, 0.0, 0.0, fz), GridField(spec, 0.0, 0.0, fzb)))
+    return fields, pairs
+
+
+class TestOnePassPerLevel:
+    """sobolev_probe streams each level over row blocks: its reports equal
+    the whole-array probe's in every field, bit for bit."""
+
+    P = np.arange(2.0, 8.0 + 1e-9, 0.2)
+
+    @staticmethod
+    def assert_same(got, ref):
+        # repr spells every float exactly, NaNs included, where == fails on NaN
+        assert repr(got) == repr(ref)
+
+    @pytest.mark.parametrize("K", [1.5, 2.0, 3.0])
+    def test_extremal_ladders(self, K):
+        fields, pairs = _extremal_ladder(K, 128)
+        rep = sobolev_probe(fields, self.P, pairs=pairs)
+        assert rep == _sobolev_reference(fields, self.P, pairs)
+        assert distortion_stats(fields[-1]) == _pair_stats_reference(
+            *(g.values for g in derivative_pair(fields[-1])))
+
+    @pytest.mark.parametrize("rows", [None, 7], ids=["default", "ragged"])
+    @pytest.mark.parametrize("nan_level", [1, 2])
+    def test_zeros_and_a_nan(self, monkeypatch, rows, nan_level):
+        # the top level's nonzero |Df| span several pass blocks and end mid
+        # chunk, so chunks straddle blocks through the carry; 7 rows per
+        # block leave a ragged last block at every level
+        if rows:
+            monkeypatch.setattr(analysis, "_PASS_BLOCK", rows * 256)
+        fields, pairs = _rough_ladder(nan_level)
+        nonzero = int(np.count_nonzero(np.abs(pairs[-1][0].values)
+                                       + np.abs(pairs[-1][1].values)))
+        assert nonzero > 2 * analysis._PASS_BLOCK and nonzero % analysis._BLOCK
+        p_grid = [1.0, 2.5, 7.0, 40.0]
+        rep = sobolev_probe(fields, p_grid, pairs=pairs)
+        self.assert_same(rep, _sobolev_reference(fields, p_grid, pairs))
+        assert np.isnan(rep.power_means[nan_level]).all()
+        dz, dzb = (g.values for g in pairs[-1])
+        assert analysis._pair_stats(dz, dzb) == _pair_stats_reference(dz, dzb)
+
+    def test_all_degenerate_top_level(self):
+        fields, pairs = _rough_ladder(1, degenerate_top=True)
+        rep = sobolev_probe(fields, [1.0, 2.0], pairs=pairs)
+        self.assert_same(rep, _sobolev_reference(fields, [1.0, 2.0], pairs))
+        assert rep.distortion_max == math.inf
+
+    def test_spectral_pairs(self):
+        rep = sobolev_probe(LADDER, self.P)
+        assert rep == _sobolev_reference(LADDER, self.P)
+        for f in LADDER:
+            assert distortion_stats(f) == _pair_stats_reference(
+                *(g.values for g in derivative_pair(f)))
+
+    def test_second_order(self):
+        q_grid = np.arange(1.2, 3.01, 0.1)
+        pairs = [tuple(GridField(f.spec, 0.0, 0.0, a) for a in _second_derivatives(f))
+                 for f in LADDER]
+        assert second_order_probe(LADDER, 0.5, q_grid) == _sobolev_reference(LADDER, q_grid,
+                                                                             pairs)
+
+    def test_peak_above_the_inputs(self):
+        # The 256, 512, 1024 ladder: the whole-array probe held 5.65 real
+        # arrays of the top level above its inputs (moduli, distortion,
+        # finite distortion, |Df| and its logarithms); one pass per level
+        # keeps the two compacted buffers and blocks, 2.23.
+        fields, pairs = _extremal_ladder(2.0, 256)
+        _, peak, _ = traced_peak(sobolev_probe, fields, self.P, pairs)
+        assert peak / (1024 ** 2 * 8) < 2.5
 
 
 class TestTransformCount:
@@ -612,6 +778,11 @@ class TestHodograph:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError, match="sample"):
             hodograph_check(affine(1.0, 0.0), linear_map(0, 0), 0)
+
+    def test_reads_z_at_its_points_only(self):
+        # the points come from the coordinates (tests/test_grid.py pins
+        # their bytes to z_grid's), so no n x n grid of z is built
+        assert not hasattr(analysis, "z_grid")
 
     @staticmethod
     def _forced_abs_solution():

@@ -39,7 +39,7 @@ from beltrami.cli import parse_map
 from beltrami.fixedpoint import _chord, picard_solve
 from beltrami.operators import _kernel_symbols, _second_derivatives
 
-from _helpers import rel_l2
+from _helpers import rel_l2, traced_peak
 
 SPEC = GridSpec(16)
 # built outside the counted solves: trig_field itself calls ifft2
@@ -773,11 +773,8 @@ class TestPreconditioned:
             base[0] = tracemalloc.get_traced_memory()[0]
             return out
 
-        tracemalloc.start()
-        try:
-            _, rep = picard_solve(rhs, self.SPEC64, 1.0, 1e-12, 100, linear=linear)
-        finally:
-            tracemalloc.stop()
+        (_, rep), _, _ = traced_peak(partial(picard_solve, linear=linear),
+                                     rhs, self.SPEC64, 1.0, 1e-12, 100)
         assert rep.converged and rep.iterations > 5
         # the first windows hold the start: work arrays and multipliers
         assert max(extra[2:]) < n * n * 8
@@ -881,13 +878,7 @@ class TestSolveHoldsOnlyWhatItsStepReads:
         out = call(arg)
         if kind == "kabs0.9-restart":
             assert "at iteration 2; plain steps from the start" in out[1].notes
-        tracemalloc.start()
-        try:
-            entry = tracemalloc.get_traced_memory()[0]
-            call(arg)
-            peak = tracemalloc.get_traced_memory()[1] - entry
-        finally:
-            tracemalloc.stop()
+        _, peak, _ = traced_peak(call, arg)
         assert peak / (self.SPEC64.n ** 2 * 16) < bound
 
     @pytest.mark.parametrize("kind", SOLVES)
@@ -901,13 +892,7 @@ class TestSolveHoldsOnlyWhatItsStepReads:
         spec = GridSpec(64, L=3.0 + list(self.SOLVES).index(kind))
         h = random_trig_field(spec, seed=3)
         _kernel_symbols(spec.n, spec.L)
-        tracemalloc.start()
-        try:
-            entry = tracemalloc.get_traced_memory()[0]
-            f, rep = self.SOLVES[kind](h)
-            kept = tracemalloc.get_traced_memory()[0] - entry
-        finally:
-            tracemalloc.stop()
+        (f, rep), _, kept = traced_peak(self.SOLVES[kind], h)
         assert rep.converged
         assert kept - f.values.nbytes < spec.n ** 2 * 16
 
@@ -928,13 +913,7 @@ class TestSolveHoldsOnlyWhatItsStepReads:
         spec = GridSpec(64, L=20.0 + list(self.CALLS).index(kind))
         f = random_trig_field(spec, seed=4, c=0.7 - 0.2j, d=0.1 + 0.3j)
         h = random_trig_field(spec, seed=3)
-        tracemalloc.start()
-        try:
-            entry = tracemalloc.get_traced_memory()[0]
-            out = self.CALLS[kind](f, h)
-            kept = tracemalloc.get_traced_memory()[0] - entry
-        finally:
-            tracemalloc.stop()
+        out, _, kept = traced_peak(self.CALLS[kind], f, h)
         assert kept - sum(np.asarray(a).nbytes for a in out) < spec.n ** 2 * 16
 
     @pytest.mark.parametrize("kind", ["preconditioned", "plain", "damped"])

@@ -19,6 +19,7 @@ from beltrami import (
     z_grid,
     zero_field,
 )
+from beltrami.grid import _z_at
 from _helpers import spectrum
 
 
@@ -47,6 +48,16 @@ class TestGridSpec:
         t = np.arange(n) * spec.h
         x, y = np.meshgrid(t, t)
         assert z_grid(spec).tobytes() == (x + 1j * y).tobytes()
+
+    @pytest.mark.parametrize("n", [16, 64, 1024])
+    @pytest.mark.parametrize("L", [2 * math.pi, 3.0, 1e-3])
+    def test_points_are_z_grid_entries(self, n, L):
+        # the sample points hodograph_check reads, built without the grid,
+        # hold z_grid's entries byte for byte, the axes' zeros included
+        spec = GridSpec(n, L)
+        i, j = np.random.default_rng(n).integers(0, n, size=(2, 200))
+        i[:3], j[:3] = (0, 0, n - 1), (0, n - 1, 0)
+        assert _z_at(spec, i, j).tobytes() == z_grid(spec)[i, j].tobytes()
 
 
 class TestMakeField:
