@@ -56,7 +56,8 @@ from .constant_coefficient import (
     verify_transform,
 )
 from .fullnonlinear import FullMap, solve_full
-from .grid import _FMT, GridField, GridSpec, lp_norm, read_field, write_field
+from .grid import (_FMT, GridField, GridSpec, _lp_of_moduli, _write_row_blocks, read_field,
+                   write_field)
 from .operators import derivative_pair, resample
 from .synth import radial_extremal_pair, trig_field
 
@@ -205,17 +206,22 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_coefficients(path: Path, coeffs: CoefficientFields) -> None:
-    """coefficients.csv: one row per sample in row-major order, formatted
-    in one pass with the same spelling as _write_csv."""
+    """coefficients.csv: one row per sample in row-major order, with the same
+    spelling as _write_csv, written over blocks of grid rows as BFLD1 fields
+    are (grid._write_row_blocks)."""
     n = coeffs.mu.spec.n
-    row, col = np.divmod(np.arange(n * n), n)
-    mu, nu = coeffs.mu.values.ravel(), coeffs.nu.values.ravel()
-    flagged = np.where(coeffs.flagged.ravel(), "true", "false")
-    columns = (row, col, mu.real, mu.imag, nu.real, nu.imag, flagged)
-    cells = itertools.chain.from_iterable(zip(*(c.tolist() for c in columns)))
+    mu, nu = coeffs.mu.values, coeffs.nu.values
+
+    def cells(rows):
+        row, col = np.divmod(np.arange(rows.start * n, rows.stop * n), n)
+        m, v = mu[rows].ravel(), nu[rows].ravel()
+        flagged = np.where(coeffs.flagged[rows].ravel(), "true", "false")
+        columns = (row, col, m.real, m.imag, v.real, v.imag, flagged)
+        return itertools.chain.from_iterable(zip(*(c.tolist() for c in columns)))
+
     with open(path, "w") as fh:
         fh.write("row,col,mu_re,mu_im,nu_re,nu_im,flagged\n")
-        fh.write((f"%d,%d,{_FMT},{_FMT},{_FMT},{_FMT},%s\n" * (n * n)) % tuple(cells))
+        _write_row_blocks(fh, f"%d,%d,{_FMT},{_FMT},{_FMT},{_FMT},%s\n", n, cells)
 
 
 def _write_pgm(path: Path, data: np.ndarray, lo: float, hi: float) -> None:
@@ -459,9 +465,14 @@ def cmd_report(args) -> int:
     f = read_field(args.field)
     fz, fzb = derivative_pair(f)
     st = _pair_stats(fz.values, fzb.values)
+    exponents = (1.0, 2.0, 4.0, 8.0)
+    # lp_norm's formula: each member's moduli are taken once for every
+    # exponent, and one member's at a time
+    fz_norms, fzb_norms = ([_lp_of_moduli(m, p) for p in exponents]
+                           for m in map(np.abs, (fz.values, fzb.values)))
     _finish(args, {
         "norms.csv": (["p", "fz_norm", "fzbar_norm"],
-                      [(p, lp_norm(fz, p), lp_norm(fzb, p)) for p in (1.0, 2.0, 4.0, 8.0)]),
+                      list(zip(exponents, fz_norms, fzb_norms))),
         "distortion.csv": (["max", "q50", "q90", "q99", "degenerate_fraction"],
                            [(st.max, *st.quantiles, st.degenerate_fraction)]),
     }, {"distortion_max": st.max, "degenerate_fraction": st.degenerate_fraction})

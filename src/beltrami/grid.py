@@ -163,7 +163,13 @@ def lp_norm(f: GridField, p: float) -> float:
     if not (1 <= p < math.inf):
         raise ValueError(f"p must be finite and >= 1, got {p}")
     v = f.values if f.is_periodic() else f.total_values()
-    return float(np.mean(np.abs(v) ** p) ** (1.0 / p))
+    return _lp_of_moduli(np.abs(v), p)
+
+
+def _lp_of_moduli(moduli: np.ndarray, p: float) -> float:
+    """lp_norm's formula on moduli already taken, so that a caller needing
+    several exponents takes |v| once."""
+    return float(np.mean(moduli ** p) ** (1.0 / p))
 
 
 def _sum_squares(values: np.ndarray) -> float:
@@ -179,21 +185,43 @@ def values_l2(values: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(sq, out=sq))))
 
 
+# Samples per row block of the text writers: one block's Python floats, cell
+# tuple and formatted string stay near 2 MB whatever the grid.
+_BLOCK = 1 << 14
+
+
+def _write_row_blocks(fh, line: str, n: int, cells) -> None:
+    """Write the n*n lines of an n x n grid's samples in row-major order, one
+    ``line % cells(rows)`` per block of about _BLOCK samples: cells(rows)
+    returns, for the grid rows in slice rows, every cell of every line in
+    order.  Each line takes the same format as in one operation over the
+    whole grid, so the bytes do not depend on the blocking."""
+    rows = max(1, _BLOCK // n)
+    for s in range(0, n, rows):
+        block = slice(s, min(s + rows, n))
+        fh.write((line * (n * (block.stop - s))) % tuple(cells(block)))
+
+
 def write_field(f: GridField, path) -> None:
     """Write a field in the BFLD1 text format.
 
     Line 1: ``BFLD1 <n> <n> <L> <c_re> <c_im> <d_re> <d_im>``; then n^2
-    lines ``<re> <im>`` in row-major order, 17 significant digits.
+    lines ``<re> <im>`` in row-major order, 17 significant digits, written
+    over blocks of grid rows (_write_row_blocks).  A non-finite sample or
+    affine coefficient raises ValueError before the file is created, since
+    read_field refuses such a file.
     """
     n = f.spec.n
+    if not (np.isfinite([f.c, f.d]).all() and np.isfinite(f.values).all()):
+        raise ValueError(f"cannot write non-finite values to {path!r}")
     head = " ".join(
         ["BFLD1", str(n), str(n)]
         + [_FMT % x for x in (f.spec.L, f.c.real, f.c.imag, f.d.real, f.d.imag)]
     )
-    samples = f.values.reshape(-1).view(float).tolist()
     with open(path, "w") as fh:
         fh.write(head + "\n")
-        fh.write((f"{_FMT} {_FMT}\n" * (n * n)) % tuple(samples))
+        _write_row_blocks(fh, f"{_FMT} {_FMT}\n", n,
+                          lambda rows: f.values[rows].view(float).ravel().tolist())
 
 
 def read_field(path) -> GridField:

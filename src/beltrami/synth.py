@@ -24,13 +24,18 @@ def trig_field(spec: GridSpec, waves, c: complex = 0.0, d: complex = 0.0) -> Gri
 
     waves is an iterable of (k1, k2, coeff).  Synthesized spectrally, which
     reproduces pointwise evaluation exactly (integer modes alias onto the
-    lattice the same way in either route).
+    lattice the same way in either route).  The inverse transform and its
+    scaling run in place on the coefficient array, which the field adopts:
+    the bytes of ifft2(coeffs) * n^2 from one n x n array.
     """
     n = spec.n
     coeffs = np.zeros((n, n), dtype=complex)
     for k1, k2, coeff in waves:
         coeffs[k2 % n, k1 % n] += coeff
-    return GridField(spec, c, d, np.fft.ifft2(coeffs) * (n * n))
+    np.fft.ifftn(coeffs, out=coeffs)
+    coeffs *= n * n
+    coeffs.setflags(write=False)
+    return GridField(spec, c, d, coeffs)
 
 
 def random_waves(rng: np.random.Generator, band: int = 3, modes: int = 6,

@@ -1069,3 +1069,28 @@ class TestRadialFixture:
         # K = inf has no critical exponent and nan gives nan samples
         with pytest.raises(ValueError, match="finite and exceed 1"):
             radial_extremal_field(SPEC, K)
+
+
+class TestTrigField:
+    WAVES = [(1, 0, 0.3 + 0.1j), (2, -1, 0.2j), (0, 3, -0.5), (-5, 7, 1e-3 - 2j),
+             (1, 0, 0.25), (0, 0, 1.5)]
+
+    @pytest.mark.parametrize("n", [16, 256, 1024])
+    def test_keeps_the_out_of_place_bytes(self, n):
+        # the in-place transform and scaling give ifft2(coeffs) * n^2 to the bit
+        spec = GridSpec(n)
+        coeffs = np.zeros((n, n), dtype=complex)
+        for k1, k2, coeff in self.WAVES:
+            coeffs[k2 % n, k1 % n] += coeff
+        ref = np.fft.ifft2(coeffs) * (n * n)
+        f = trig_field(spec, self.WAVES, c=0.5, d=-0.25j)
+        assert f.values.tobytes() == ref.tobytes()
+        assert (f.c, f.d) == (0.5, -0.25j)
+
+    def test_holds_one_array(self):
+        # the out-of-place product peaked at 3 complex arrays, one of them a copy
+        spec = GridSpec(1024)
+        f, peak, kept = traced_peak(trig_field, spec, self.WAVES)
+        assert peak < 1.1 * f.values.nbytes
+        assert kept < 1.01 * f.values.nbytes
+        assert f.values.flags.owndata and not f.values.flags.writeable

@@ -11,11 +11,12 @@ import pytest
 import beltrami
 from beltrami import (GridField, GridSpec, derivative_pair, lp_norm, read_field, trig_field,
                       write_field, z_grid)
-from beltrami import cli
+from beltrami import cli, grid
 from beltrami.analysis import CoefficientFields
 from beltrami.cli import _write_coefficients, _write_csv, build_parser, main, parse_map
 from beltrami.autonomous import AutonomousMap
 from beltrami.fullnonlinear import FullMap
+from _helpers import traced_peak
 
 
 def run(args):
@@ -628,6 +629,63 @@ class TestOtherCommands:
                    ["row", "col", "mu_re", "mu_im", "nu_re", "nu_im", "flagged"], rows)
         _write_coefficients(tmp_path / "new.csv", coeffs)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @staticmethod
+    def _coefficients(n: int, seed: int) -> CoefficientFields:
+        """Coefficients over the whole float64 range, with -0.0, subnormals and
+        1e300 in the last grid row."""
+        spec = GridSpec(n)
+        rng = np.random.default_rng(seed)
+        mu = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) \
+            * 10.0 ** rng.integers(-310, 300, size=(n, n))
+        nu = 1e-3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        mu[-1, :3] = [-0.0, 5e-324, complex(1e300, -2.5e-310)]
+        nu[-1, -1] = complex(-0.0, 1 / 3)
+        flagged = rng.random((n, n)) < 0.3
+        assert flagged.any() and not flagged.all()
+        return CoefficientFields(GridField(spec, 0, 0, mu), GridField(spec, 0, 0, nu),
+                                 flagged)
+
+    @staticmethod
+    def _per_sample_bytes(path, coeffs: CoefficientFields) -> bytes:
+        n = coeffs.mu.spec.n
+        mu, nu = coeffs.mu.values, coeffs.nu.values
+        rows = [(i, j, mu[i, j].real, mu[i, j].imag, nu[i, j].real, nu[i, j].imag,
+                 bool(coeffs.flagged[i, j])) for i in range(n) for j in range(n)]
+        _write_csv(path, ["row", "col", "mu_re", "mu_im", "nu_re", "nu_im", "flagged"], rows)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_coefficients_csv_ragged_row_blocks(self, monkeypatch, n, tmp_path):
+        # 7 rows per block: the last block of 64 and 128 rows holds 1 and 2
+        monkeypatch.setattr(grid, "_BLOCK", 7 * n)
+        coeffs = self._coefficients(n, seed=n)
+        _write_coefficients(tmp_path / "new.csv", coeffs)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            self._per_sample_bytes(tmp_path / "ref.csv", coeffs)
+
+    def test_coefficients_csv_default_blocks(self, tmp_path):
+        coeffs = self._coefficients(256, seed=2)
+        assert 256 * 256 > 2 * grid._BLOCK  # several blocks
+        _write_coefficients(tmp_path / "new.csv", coeffs)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            self._per_sample_bytes(tmp_path / "ref.csv", coeffs)
+
+    def test_coefficients_csv_traced_peak_is_one_block(self, tmp_path):
+        # one %-operation over the whole file peaked at 25.5 complex arrays
+        n = 512
+        coeffs = self._coefficients(n, seed=1)
+        _, peak, kept = traced_peak(_write_coefficients, tmp_path / "c.csv", coeffs)
+        assert peak < 2.0 * coeffs.mu.values.nbytes
+        assert kept < 0.01 * coeffs.mu.values.nbytes
+
+    def test_report_norms_are_lp_norms(self, solved_field, tmp_path):
+        assert run(["report", "--field", solved_field, "--out", str(tmp_path / "r")]) == 0
+        fz, fzb = derivative_pair(read_field(solved_field))
+        expected = "p,fz_norm,fzbar_norm\n" + "".join(
+            "%.17g,%.17g,%.17g\n" % (p, lp_norm(fz, p), lp_norm(fzb, p))
+            for p in (1.0, 2.0, 4.0, 8.0))
+        assert (tmp_path / "r" / "norms.csv").read_text() == expected
 
 
 def _option_dests(command: str) -> set[str]:

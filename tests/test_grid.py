@@ -19,8 +19,9 @@ from beltrami import (
     z_grid,
     zero_field,
 )
+from beltrami import grid
 from beltrami.grid import _z_at
-from _helpers import spectrum
+from _helpers import spectrum, traced_peak
 
 
 class TestGridSpec:
@@ -309,6 +310,21 @@ class TestFieldFiles:
         assert np.array_equal(read_field(path).values.reshape(-1).view(float),
                               np.array(parsed).view(float))
 
+    @pytest.mark.parametrize("sample, c, d", [
+        (complex(0.5, math.nan), 1.0, 0.0),
+        (complex(-math.inf, 0.5), 1.0, 0.0),
+        (0.0, complex(math.nan, 0.0), 0.0),
+        (0.0, 1.0, complex(0.0, math.inf)),
+    ], ids=["sample-nan", "sample-inf", "c-nan", "d-inf"])
+    def test_non_finite_is_refused_before_the_file(self, sample, c, d, tmp_path):
+        # read_field refuses such a file, so writing one would break the round trip
+        vals = np.zeros((16, 16), dtype=complex)
+        vals[9, 4] = sample
+        path = tmp_path / "bad.bfld"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_field(GridField(GridSpec(16), c, d, vals), path)
+        assert not path.exists()
+
     @staticmethod
     def _write_rows(path, rows):
         path.write_text("\n".join(["BFLD1 16 16 6.283185307179586 1 0 0 0"] + rows) + "\n")
@@ -338,3 +354,52 @@ class TestFieldFiles:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="sample-count mismatch"):
                 read_field(path)
+
+
+def _bfld_reference(f: GridField) -> bytes:
+    """BFLD1 bytes from the per-sample loop: the header, then one line per
+    sample, row-major."""
+    head = " ".join(["BFLD1", str(f.spec.n), str(f.spec.n)]
+                    + ["%.17g" % x for x in (f.spec.L, f.c.real, f.c.imag,
+                                             f.d.real, f.d.imag)])
+    rows = ["%.17g %.17g" % (v.real, v.imag) for v in f.values.reshape(-1)]
+    return ("\n".join([head] + rows) + "\n").encode()
+
+
+def _awkward_field(n: int, seed: int) -> GridField:
+    """Samples over the whole float64 range, and -0.0, a subnormal and 1e300
+    in the last grid row."""
+    rng = np.random.default_rng(seed)
+    vals = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) \
+        * 10.0 ** rng.integers(-310, 300, size=(n, n))
+    vals[-1, :3] = [complex(-0.0, 5e-324), complex(1e300, -0.0), complex(-2.5e-310, 1e300)]
+    vals[-1, -1] = complex(-0.0, -0.0)
+    return GridField(GridSpec(n, 3.5), complex(1 / 3, -0.0), complex(-0.0, 1e-300), vals)
+
+
+class TestBlockedFieldWriter:
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_ragged_row_blocks_keep_the_reference_bytes(self, monkeypatch, n, tmp_path):
+        # 7 rows per block: the last block of 64 and 128 rows holds 1 and 2
+        monkeypatch.setattr(grid, "_BLOCK", 7 * n)
+        f = _awkward_field(n, seed=n)
+        write_field(f, tmp_path / "f.bfld")
+        assert (tmp_path / "f.bfld").read_bytes() == _bfld_reference(f)
+        g = read_field(tmp_path / "f.bfld")
+        assert g.values.tobytes() == f.values.tobytes()
+
+    def test_default_blocks_keep_the_reference_bytes(self, tmp_path):
+        f = _awkward_field(256, seed=3)
+        assert 256 * 256 > 2 * grid._BLOCK  # several blocks
+        write_field(f, tmp_path / "f.bfld")
+        assert (tmp_path / "f.bfld").read_bytes() == _bfld_reference(f)
+
+    def test_traced_peak_is_one_block(self, tmp_path):
+        # one %-operation over the whole file peaked at 9.04 complex arrays
+        n = 512
+        rng = np.random.default_rng(5)
+        f = GridField(GridSpec(n), 0.0, 0.0,
+                      rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        _, peak, kept = traced_peak(write_field, f, tmp_path / "f.bfld")
+        assert peak < 0.6 * f.values.nbytes
+        assert kept < 0.01 * f.values.nbytes
