@@ -38,7 +38,6 @@ from .constant_coefficient import (
 from .autonomous import (
     AutonomousMap,
     abs_map,
-    estimate_lipschitz,
     linear_map,
     residual,
     smooth_saturating_map,

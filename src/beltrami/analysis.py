@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autonomous import AutonomousMap
-from .grid import GridField, _z_at, values_l2
+from .grid import GridField, _row_blocks, _z_at, values_l2
 from .operators import _second_derivatives, derivative_pair
 
 __all__ = [
@@ -35,10 +35,6 @@ __all__ = [
 # |f_z| - |f_zbar| at or below this gap counts as orientation-degenerate.
 DEGENERACY_GAP = 1e-12
 
-# Samples per row block of the moduli pass: one block's moduli, their sum and
-# its distortion stay in cache.
-_PASS_BLOCK = 1 << 14
-
 
 def _distortion_values(fz: np.ndarray, fzb: np.ndarray) -> np.ndarray:
     """Samplewise distortion (|f_z|+|f_zbar|)/(|f_z|-|f_zbar|), inf where
@@ -49,11 +45,11 @@ def _distortion_values(fz: np.ndarray, fzb: np.ndarray) -> np.ndarray:
 
 
 def _moduli_blocks(fz: np.ndarray, fzb: np.ndarray):
-    """(|f_z|, |f_zbar|, |f_z| + |f_zbar|) over row blocks of about
-    _PASS_BLOCK samples of the pair's sample arrays, in row order."""
-    rows = max(1, _PASS_BLOCK // fz.shape[1])
-    for r in range(0, fz.shape[0], rows):
-        a, b = np.abs(fz[r:r + rows]), np.abs(fzb[r:r + rows])
+    """(|f_z|, |f_zbar|, |f_z| + |f_zbar|) over the row blocks (_row_blocks)
+    of the pair's n x n sample arrays, in row order: one block's moduli,
+    their sum and its distortion stay in cache."""
+    for rows in _row_blocks(fz.shape[0]):
+        a, b = np.abs(fz[rows]), np.abs(fzb[rows])
         yield a, b, a + b
 
 

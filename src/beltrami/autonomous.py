@@ -7,18 +7,18 @@ b*conj(zeta) + U(zeta) with U sublinear and |a| + |b| < 1, declares its
 linear part as ``linf = CCParams(a, b)``, the constant-coefficient
 operator; the solver then solves that part exactly in every step.  A map
 without linf is stepped with its derivative at the mean gradient instead
-(a chord step, see fixedpoint).
+(a chord step, see fixedpoint).  Both solvers audit the declared k first:
+this one on A, solve_full on zeta -> H(0, 0, zeta) (_audit_declared_k).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .fixedpoint import SolveReport, _chord, picard_solve
+from .fixedpoint import SolveReport, _audit_declared_k, _chord, picard_solve
 from .grid import GridField, lp_norm, values_l2
 from .operators import derivative_pair
 
@@ -28,7 +28,6 @@ __all__ = [
     "linear_map",
     "abs_map",
     "smooth_saturating_map",
-    "estimate_lipschitz",
     "solve_autonomous",
     "residual",
 ]
@@ -104,49 +103,6 @@ def smooth_saturating_map(a: complex, b: complex, s: float) -> AutonomousMap:
     )
 
 
-def _pair_samples(rng: np.random.Generator, samples: int, radius: float):
-    """Pairs probing a map's Lipschitz ratio: random, collinear and close."""
-    m = max(2, samples)
-    zeta = radius * np.sqrt(rng.uniform(0, 1, m)) * np.exp(2j * np.pi * rng.uniform(0, 1, m))
-    eta_random = radius * np.sqrt(rng.uniform(0, 1, m)) * np.exp(2j * np.pi * rng.uniform(0, 1, m))
-    eta_ray = zeta * rng.uniform(0.0, 1.0, m)          # same argument, smaller modulus
-    eta_close = zeta + 1e-4 * radius * np.exp(2j * np.pi * rng.uniform(0, 1, m))
-    z = np.concatenate([zeta, zeta, zeta])
-    e = np.concatenate([eta_random, eta_ray, eta_close])
-    keep = np.abs(z - e) > 1e-12 * radius
-    return z[keep], e[keep]
-
-
-def estimate_lipschitz(A: AutonomousMap, samples: int, radius: float,
-                       seed: int = 0) -> float:
-    """Sampled lower bound on the Lipschitz constant inside a disk.
-
-    Maximizes |A(z)-A(e)| / |z-e| over random pairs, collinear pairs (which
-    realize the constant for modulus-type maps) and nearly coincident pairs
-    (which probe the local derivative).
-    """
-    if samples < 2:
-        raise ValueError("need at least two samples")
-    rng = np.random.default_rng(seed)
-    z, e = _pair_samples(rng, samples, radius)
-    ratios = np.abs(A.eval(z) - A.eval(e)) / np.abs(z - e)
-    return float(ratios.max())
-
-
-def _audit_declared_k(A: AutonomousMap) -> None:
-    est = estimate_lipschitz(A, samples=96, radius=10.0, seed=12345)
-    excess = est - A.k
-    if excess > 1e-6:
-        raise ValueError(
-            f"declared Lipschitz constant {A.k:g} exceeded by sampled estimate {est:g}"
-        )
-    if excess > 1e-9:
-        warnings.warn(
-            f"sampled Lipschitz estimate {est:g} slightly exceeds declared {A.k:g}",
-            stacklevel=3,
-        )
-
-
 def solve_autonomous(
     A: AutonomousMap,
     h: GridField,
@@ -174,11 +130,12 @@ def solve_autonomous(
     plain steps start from c*z, and the solve returns the plain solve's
     field two iterations later.  The returned field satisfies
     ||f_zbar - A(f_z) - h||_2 <= tol * max(1, ||h||_2).  The declared k is
-    audited by sampling at solve time (error if clearly exceeded).
+    audited on sampled pairs first: ValueError if clearly exceeded, a
+    warning if only slightly (fixedpoint._audit_declared_k).
     """
     if not h.is_periodic():
         raise ValueError("forcing must have zero affine part")
-    _audit_declared_k(A)
+    _audit_declared_k(A.eval, A.k)
     hv = h.values
     Aeval = A.eval
 

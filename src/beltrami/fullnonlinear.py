@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fixedpoint import SolveReport, _chord, picard_solve
+from .fixedpoint import SolveReport, _audit_declared_k, _chord, picard_solve
 from .grid import GridField, GridSpec, lp_norm, z_grid
 from .autonomous import AutonomousMap
 
@@ -55,8 +55,11 @@ class FullMap:
     """Gradient map with position and unknown dependence.
 
     eval(z, w, zeta) must be vectorized over same-shape complex arrays; k
-    bounds the Lipschitz constant in the zeta slot; H(z, w, 0) must vanish
-    (check_conditions samples it), and a forcing goes to solve_full as h.
+    bounds the Lipschitz constant in the zeta slot.  solve_full audits k on
+    zeta -> H(0, 0, zeta) as solve_autonomous audits an AutonomousMap's;
+    an excess at other z or w is check_conditions' to find.  H(z, w, 0)
+    must vanish (check_conditions samples it), and a forcing goes to
+    solve_full as h.
     The CLI's zterm and wterm tokens break that normalisation: they add a
     position-only forcing or a w-term inside H (see cli.parse_map).
     """
@@ -105,6 +108,8 @@ def _sample_grid(H: FullMap) -> GridSpec:
 
 
 def _sample_points(spec: GridSpec, samples: int, seed: int):
+    if samples < 1:
+        raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     Z = z_grid(spec).reshape(-1)
     z = rng.choice(Z, size=samples)
@@ -123,8 +128,6 @@ def check_conditions(H: FullMap, samples: int, seed: int = 0) -> ConditionReport
     without structure), w over a broad disk, zeta over log-uniform moduli
     up to 1e4.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
     rng, z, w, zeta = _sample_points(_sample_grid(H), samples, seed)
 
     eta = zeta * rng.uniform(0, 1, samples) + (
@@ -195,8 +198,11 @@ def fit_bound_constants(H: FullMap, alpha: float, samples: int = 512,
     r_i at zeta_i = w_i = 0 ArithmeticError.  The linear part defaults to the
     declared structure (zero without one); pass a, b to fit around another.
     z is drawn as in check_conditions: from the structure's grid, or from a
-    16-point grid without structure.
+    16-point grid without structure.  As there, samples < 1 raises
+    ValueError, and so does alpha >= 1, which FullStructure refuses.
     """
+    if not (alpha < 1):
+        raise ValueError("growth exponent must be < 1")
     _, z, w, zeta = _sample_points(_sample_grid(H), samples, seed)
     st = H.structure
     if a is None:
@@ -222,6 +228,10 @@ def solve_full(
     """Damped Picard iteration for f_zbar = H(z, f, f_z) + h on the grid spec.
 
     The grid is always passed: a declared structure's grid is not read.
+    H.k is audited first, damped or not, on zeta -> H(0, 0, zeta), the
+    slice the chord differentiates, with solve_autonomous's sampler,
+    thresholds and messages: ValueError if clearly exceeded, a warning if
+    only slightly (fixedpoint._audit_declared_k).
     The forcing h, when given, must be periodic (zero affine part) on spec,
     else ValueError; h=None solves f_zbar = H(z, f, f_z) with nothing added.
     Each step evaluates H pointwise at the current iterate, routes the mean
@@ -245,9 +255,15 @@ def solve_full(
     """
     if h is not None and (h.spec != spec or not h.is_periodic()):
         raise ValueError(f"forcing must be periodic on the solve grid {spec}")
+    Heval = H.eval
+
+    def at_origin(zeta):  # zeta -> H(0, 0, zeta)
+        zero = np.zeros_like(zeta)
+        return Heval(zero, zero, zeta)
+
+    _audit_declared_k(at_origin, H.k)
     Z = z_grid(spec)
     cZ = complex(c_mean) * Z
-    Heval = H.eval
     hv = None if h is None else h.values
 
     def rhs(field, psi):
@@ -259,10 +275,6 @@ def solve_full(
         del g  # its periodic part is freed before H runs
         out = Heval(Z, f, psi)
         return out if hv is None else np.add(out, hv, out=psi)
-
-    def at_origin(zeta):  # zeta -> H(0, 0, zeta)
-        zero = np.zeros_like(zeta)
-        return Heval(zero, zero, zeta)
 
     scale = 1.0 if h is None else max(1.0, lp_norm(h, 2))
     linear = _chord(at_origin, c_mean, H.k) if damping == 1.0 else None

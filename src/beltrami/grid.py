@@ -185,21 +185,34 @@ def values_l2(values: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(sq, out=sq))))
 
 
-# Samples per row block of the text writers: one block's Python floats, cell
-# tuple and formatted string stay near 2 MB whatever the grid.
+# Samples per row block of every blocked pass over an n x n grid
+# (_row_blocks): wavevectors, radial fixture, moduli pass, text writers.  A
+# complex block is 256 KiB, so its arrays stay in L2 (the radial fixture ran
+# fastest at 2^14 of 2^13..2^16, n = 128..1024, on a Xeon), and a writer's
+# floats, cell tuple and string stay near 2 MB.  256 KiB is also numpy's
+# threshold for eliding a temporary into a product's result, which reorders
+# its operands: a block elides where the whole grid does (n <= 128 is one
+# block), so blocked products round as the grid's, and changevar's bytes
+# depend on that.
 _BLOCK = 1 << 14
+
+
+def _row_blocks(n: int):
+    """Slices of the rows of an n x n grid in order, about _BLOCK samples
+    (and at least one row) each; the last may be shorter."""
+    rows = max(1, _BLOCK // n)
+    for s in range(0, n, rows):
+        yield slice(s, min(s + rows, n))
 
 
 def _write_row_blocks(fh, line: str, n: int, cells) -> None:
     """Write the n*n lines of an n x n grid's samples in row-major order, one
-    ``line % cells(rows)`` per block of about _BLOCK samples: cells(rows)
-    returns, for the grid rows in slice rows, every cell of every line in
-    order.  Each line takes the same format as in one operation over the
-    whole grid, so the bytes do not depend on the blocking."""
-    rows = max(1, _BLOCK // n)
-    for s in range(0, n, rows):
-        block = slice(s, min(s + rows, n))
-        fh.write((line * (n * (block.stop - s))) % tuple(cells(block)))
+    ``line % cells(rows)`` per row block (_row_blocks): cells(rows) returns,
+    for the grid rows in slice rows, every cell of every line in order.
+    Each line takes the same format as in one operation over the whole
+    grid, so the bytes do not depend on the blocking."""
+    for rows in _row_blocks(n):
+        fh.write((line * (n * (rows.stop - rows.start))) % tuple(cells(rows)))
 
 
 def write_field(f: GridField, path) -> None:

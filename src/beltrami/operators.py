@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import DerivedPair, GridField, GridSpec
+from .grid import DerivedPair, GridField, GridSpec, _row_blocks
 
 __all__ = [
     "derivative_pair",
@@ -37,25 +37,16 @@ __all__ = [
 ]
 
 
-# Samples per block of rows of a per-call symbol: 256 KiB of complex, one
-# block's arrays stay in L2.  It is also numpy's threshold for eliding a
-# temporary into the result, which puts the temporary first in a product:
-# a block elides where the whole grid does (n <= 128 is one block), so a
-# blocked expression rounds as the grid's did.
-_BLOCK = 1 << 14
-
-
 def _wavevectors(n: int, L: float):
     """Blocks of rows of the complex wavevector grid KC = (2*pi/L)*(k1 + i*k2),
     as (row slice, fresh KC block) pairs; k1 varies along columns (x), k2
     along rows (y)."""
     k = (2.0 * np.pi / L) * np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    rows = max(1, _BLOCK // n)
-    for s in range(0, n, rows):
-        KC = np.empty((min(rows, n - s), n), dtype=complex)
+    for rows in _row_blocks(n):
+        KC = np.empty((rows.stop - rows.start, n), dtype=complex)
         KC.real = k
-        KC.imag = k[s:s + rows, None]
-        yield slice(s, s + rows), KC
+        KC.imag = k[rows, None]
+        yield rows, KC
 
 
 @lru_cache(maxsize=32)

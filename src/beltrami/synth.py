@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .grid import GridField, GridSpec
+from .grid import GridField, GridSpec, _row_blocks
 
 __all__ = [
     "trig_field",
@@ -88,15 +88,10 @@ def _window(r: np.ndarray, r0: float, r1: float):
     return w, dw
 
 
-# Samples per row block of the radial fixture (256 KB per complex array):
-# one block's temporaries stay in a 2 MB L2, and no n x n temporary is made.
-# The fastest of 2^13..2^16 on the extremal ladders n = 128..1024 (Xeon).
-_BLOCK = 1 << 14
-
-
 def _radial_parts(spec: GridSpec, K: float):
-    """Read-only samples of (g, g_z, g_zb), built over blocks of rows with
-    the operations of one pass over the grid (see radial_extremal_pair)."""
+    """Read-only samples of (g, g_z, g_zb), built over row blocks
+    (_row_blocks) with the operations of one pass over the grid (see
+    radial_extremal_pair): no n x n temporary is made."""
     if not 1 < K < math.inf:
         raise ValueError(f"distortion parameter must be finite and exceed 1, got {K}")
     L, n = spec.L, spec.n
@@ -104,10 +99,9 @@ def _radial_parts(spec: GridSpec, K: float):
     beta = (1.0 - K) / (2.0 * K)          # f0 = Z * |Z|^(2*beta), exponent 1/K - 1
     t = np.arange(n) * spec.h             # z_grid's coordinates
     parts = tuple(np.empty((n, n), dtype=complex) for _ in range(3))
-    rows = max(1, _BLOCK // n)
-    for s in range(0, n, rows):
-        g, g_z, g_zb = (a[s:s + rows] for a in parts)
-        Z = t + 1j * t[s:s + rows, None]  # z_grid(spec)[s:s + rows]
+    for rows in _row_blocks(n):
+        g, g_z, g_zb = (a[rows] for a in parts)
+        Z = t + 1j * t[rows, None]        # z_grid(spec)[rows]
         Z -= z0
         # the centre sits a third of a spacing off the lattice in x and y,
         # so r >= h/3 and nothing below divides by zero

@@ -30,7 +30,7 @@ from beltrami import (
     zero_field,
     z_grid,
 )
-from beltrami import analysis, synth
+from beltrami import analysis, grid
 from beltrami.analysis import (
     GROWTH_TOLERANCE,
     DistortionStats,
@@ -454,11 +454,11 @@ class TestOnePassPerLevel:
         # chunk, so chunks straddle blocks through the carry; 7 rows per
         # block leave a ragged last block at every level
         if rows:
-            monkeypatch.setattr(analysis, "_PASS_BLOCK", rows * 256)
+            monkeypatch.setattr(grid, "_BLOCK", rows * 256)
         fields, pairs = _rough_ladder(nan_level)
         nonzero = int(np.count_nonzero(np.abs(pairs[-1][0].values)
                                        + np.abs(pairs[-1][1].values)))
-        assert nonzero > 2 * analysis._PASS_BLOCK and nonzero % analysis._BLOCK
+        assert nonzero > 2 * grid._BLOCK and nonzero % analysis._BLOCK
         p_grid = [1.0, 2.5, 7.0, 40.0]
         rep = sobolev_probe(fields, p_grid, pairs=pairs)
         self.assert_same(rep, _sobolev_reference(fields, p_grid, pairs))
@@ -1016,7 +1016,7 @@ class TestRadialFixture:
     @pytest.mark.parametrize("n", [128, 1024])
     def test_ragged_row_blocks_keep_the_reference_bytes(self, monkeypatch, n):
         # 7 rows per block: the last block of 128 and 1024 rows holds 2
-        monkeypatch.setattr(synth, "_BLOCK", 7 * n)
+        monkeypatch.setattr(grid, "_BLOCK", 7 * n)
         spec = GridSpec(n)
         got = radial_extremal_pair(spec, 2.0)
         for g, ref in zip(got, _radial_parts_reference(spec, 2.0)):

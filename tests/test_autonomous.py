@@ -11,7 +11,7 @@ from beltrami import (
     GridSpec,
     abs_map,
     derivative_pair,
-    estimate_lipschitz,
+    from_autonomous,
     linear_map,
     lp_norm,
     random_trig_field,
@@ -19,6 +19,7 @@ from beltrami import (
     smooth_saturating_map,
     solve_autonomous,
     solve_cc_neumann,
+    solve_full,
     CCParams,
     trig_field,
     zero_field,
@@ -63,27 +64,78 @@ class TestBuiltinMaps:
             smooth_saturating_map(0.3, 0, s)
 
 
-class TestEstimateLipschitz:
-    def test_pure_linear_exact(self):
-        est = estimate_lipschitz(linear_map(0.5, 0), samples=500, radius=10.0)
-        assert est == pytest.approx(0.5, abs=1e-9)
+class _AuditedSolver:
+    """Both solvers audit the declared k on the map of the gradient that
+    their chord differentiates: solve_autonomous on A, solve_full on
+    zeta -> H(0, 0, zeta).  A subclass sets solve(A, h, c_mean)."""
 
-    def test_abs_map_tight(self):
-        est = estimate_lipschitz(abs_map(0.3), samples=4000, radius=10.0)
-        assert est <= 0.3 + 1e-9
-        assert est >= 0.3 - 1e-3
+    def test_declared_k_audited(self):
+        lying = AutonomousMap(eval=lambda z: 0.5 * z, k=0.3)
+        with pytest.raises(ValueError, match="Lipschitz"):
+            self.solve(lying, zero_field(SPEC), 1.0)
 
-    def test_mixed_linear_sup_over_directions(self):
-        est = estimate_lipschitz(linear_map(0.3, 0.2), samples=4000, radius=10.0)
-        assert est == pytest.approx(0.5, abs=1e-3)
-        assert est <= 0.5 + 1e-12
+    def test_audit_samples_beyond_radius_two(self):
+        # the map is 0.3-Lipschitz for |zeta| <= 2 and 0.8 along rays beyond,
+        # so only an audit whose samples reach past |zeta| = 2 refuses it
+        A = AutonomousMap(eval=lambda z: 0.3 * z + 0.5 * np.maximum(np.abs(z) - 2, 0),
+                          k=0.3)
+        with pytest.raises(ValueError, match="declared Lipschitz constant 0.3 exceeded"):
+            self.solve(A, zero_field(SPEC), 1.0)
 
-    def test_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            estimate_lipschitz(abs_map(0.3), samples=1, radius=1.0)
+    @pytest.mark.parametrize("excess", [1e-7, 1e-5], ids=["warns", "raises"])
+    def test_audit_boundaries(self, excess):
+        # a sampled constant above the declared k by 1e-9 to 1e-6 warns;
+        # beyond 1e-6 it raises.  A linear map's every sampled ratio is its
+        # constant, so the excess is known to roundoff.
+        close = AutonomousMap(eval=lambda z: (0.5 + excess) * z, k=0.5)
+        if excess < 1e-6:
+            with pytest.warns(UserWarning, match="slightly exceeds declared 0.5"):
+                _, rep = self.solve(close, zero_field(SPEC), 1.0)
+            assert rep.converged
+        else:
+            with pytest.raises(ValueError, match="declared Lipschitz constant 0.5 exceeded"):
+                self.solve(close, zero_field(SPEC), 1.0)
+
+    @pytest.mark.parametrize("delta, outcome", [(2e-6, "raises"), (5e-7, "warns"),
+                                                (5e-9, "warns"), (5e-10, "silent")])
+    def test_audit_thresholds_on_a_modulus_map(self, delta, outcome):
+        # kt*|z| declared at k = kt - delta: its collinear sample pairs read
+        # kt to rounding, so the audit sees an excess of delta.  Above 1e-6
+        # it raises, above 1e-9 it warns, below that it is silent; each delta
+        # sits within a factor of 5 of a threshold, so a threshold moved by
+        # a factor of 10 fails one of these.
+        kt = 0.5
+        A = AutonomousMap(eval=lambda z: kt * np.abs(z), k=kt - delta)
+        if outcome == "raises":
+            with pytest.raises(ValueError, match="exceeded by sampled estimate 0.5"):
+                self.solve(A, zero_field(SPEC), 1.0)
+            return
+        if outcome == "warns":
+            with pytest.warns(UserWarning, match="slightly exceeds declared"):
+                _, rep = self.solve(A, zero_field(SPEC), 1.0)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, rep = self.solve(A, zero_field(SPEC), 1.0)
+        assert rep.converged
+
+    def test_audit_sup_over_directions(self):
+        # a*z + b*conj(z) stretches by |a| + |b| only along one direction;
+        # the audit reads 0.5 - 3.4e-6, so a k declared 1e-5 under 0.5 fails
+        A = AutonomousMap(eval=linear_map(0.3, 0.2).eval, k=0.5 - 1e-5)
+        with pytest.raises(ValueError, match="exceeded by sampled estimate 0.499997$"):
+            self.solve(A, zero_field(SPEC), 1.0)
+
+    def test_warning_names_the_callers_file(self):
+        close = AutonomousMap(eval=lambda z: (0.5 + 1e-7) * z, k=0.5)
+        with pytest.warns(UserWarning, match="slightly exceeds declared 0.5") as record:
+            self.solve(close, zero_field(SPEC), 1.0)
+        assert [w.filename for w in record] == [__file__]
 
 
-class TestSolveAutonomous:
+class TestSolveAutonomous(_AuditedSolver):
+    solve = staticmethod(lambda A, h, c_mean: solve_autonomous(A, h, c_mean))
+
     def test_trivial(self):
         f, rep = solve_autonomous(linear_map(0, 0), zero_field(SPEC), 1.0)
         assert rep.iterations == 1 and rep.converged
@@ -147,55 +199,10 @@ class TestSolveAutonomous:
         assert history[-1] <= scale * tol < history[-2]
         assert history[-1] > tol
 
-    def test_declared_k_audited(self):
-        lying = AutonomousMap(eval=lambda z: 0.5 * z, k=0.3)
-        with pytest.raises(ValueError, match="Lipschitz"):
-            solve_autonomous(lying, zero_field(SPEC), 1.0)
 
-    def test_audit_samples_beyond_radius_two(self):
-        # the map is 0.3-Lipschitz for |zeta| <= 2 and 0.8 along rays beyond,
-        # so only an audit whose samples reach past |zeta| = 2 refuses it
-        A = AutonomousMap(eval=lambda z: 0.3 * z + 0.5 * np.maximum(np.abs(z) - 2, 0),
-                          k=0.3)
-        with pytest.raises(ValueError, match="declared Lipschitz constant 0.3 exceeded"):
-            solve_autonomous(A, zero_field(SPEC), 1.0)
-
-    @pytest.mark.parametrize("excess", [1e-7, 1e-5], ids=["warns", "raises"])
-    def test_audit_boundaries(self, excess):
-        # a sampled constant above the declared k by 1e-9 to 1e-6 warns;
-        # beyond 1e-6 it raises.  A linear map's every sampled ratio is its
-        # constant, so the excess is known to roundoff.
-        close = AutonomousMap(eval=lambda z: (0.5 + excess) * z, k=0.5)
-        if excess < 1e-6:
-            with pytest.warns(UserWarning, match="slightly exceeds declared 0.5"):
-                _, rep = solve_autonomous(close, zero_field(SPEC), 1.0)
-            assert rep.converged
-        else:
-            with pytest.raises(ValueError, match="declared Lipschitz constant 0.5 exceeded"):
-                solve_autonomous(close, zero_field(SPEC), 1.0)
-
-    @pytest.mark.parametrize("delta, outcome", [(2e-6, "raises"), (5e-7, "warns"),
-                                                (5e-9, "warns"), (5e-10, "silent")])
-    def test_audit_thresholds_on_a_modulus_map(self, delta, outcome):
-        # kt*|z| declared at k = kt - delta: its collinear sample pairs read
-        # kt to rounding, so the audit sees an excess of delta.  Above 1e-6
-        # it raises, above 1e-9 it warns, below that it is silent; each delta
-        # sits within a factor of 5 of a threshold, so a threshold moved by
-        # a factor of 10 fails one of these.
-        kt = 0.5
-        A = AutonomousMap(eval=lambda z: kt * np.abs(z), k=kt - delta)
-        if outcome == "raises":
-            with pytest.raises(ValueError, match="exceeded by sampled estimate 0.5"):
-                solve_autonomous(A, zero_field(SPEC), 1.0)
-            return
-        if outcome == "warns":
-            with pytest.warns(UserWarning, match="slightly exceeds declared"):
-                _, rep = solve_autonomous(A, zero_field(SPEC), 1.0)
-        else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                _, rep = solve_autonomous(A, zero_field(SPEC), 1.0)
-        assert rep.converged
+class TestAuditFull(_AuditedSolver):
+    solve = staticmethod(lambda A, h, c_mean: solve_full(from_autonomous(A), c_mean,
+                                                         spec=SPEC, h=h))
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

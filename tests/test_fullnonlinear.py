@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from beltrami import (
+    AutonomousMap,
     FullMap,
     FullStructure,
     GridField,
@@ -194,6 +195,19 @@ class TestSolveFull:
         with pytest.raises(ValueError, match="damping"):
             solve_full(H, 1.0, damping=0.0, spec=SPEC)
 
+    @pytest.mark.parametrize("damping", [1.0, 0.7], ids=["undamped", "damped"])
+    def test_declared_k_audited_damped_or_not(self, damping):
+        # 0.9|zeta| converges at 0.9 whatever k it declares, so only the
+        # audit of zeta -> H(0, 0, zeta) refuses it, in solve_autonomous's words
+        h = random_trig_field(SPEC, 3, amplitude=0.1)
+        with pytest.raises(ValueError) as autonomous:
+            solve_autonomous(AutonomousMap(eval=lambda z: 0.9 * np.abs(z), k=0.3), h, 1.0)
+        H = FullMap(eval=lambda z, w, zeta: 0.9 * np.abs(zeta), k=0.3)
+        with pytest.raises(ValueError) as full:
+            solve_full(H, 1.0, damping=damping, spec=SPEC, h=h)
+        assert str(full.value) == str(autonomous.value) == (
+            "declared Lipschitz constant 0.3 exceeded by sampled estimate 0.9")
+
     def test_nonconvergence_reported_not_raised(self):
         H = FullMap(eval=lambda z, w, zeta: 0.3 * zeta
                     + 0.02 * np.sin(2 * np.pi * np.real(z) / SPEC.L), k=0.3)
@@ -240,6 +254,22 @@ class TestFitBoundConstants:
                              structure=structure(a=0.3, alpha=0.99, zeta_bound=zb,
                                                  w_bound=wb))
                 assert check_conditions(Hs, samples=samples, seed=seed).bound_excess <= 1e-9
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_needs_a_sample(self, samples):
+        # no samples would fit the envelope (0, 0) to no data
+        H = FullMap(eval=lambda z, w, zeta: 0.3 * zeta + 0.1 * w ** 2, k=0.3)
+        with pytest.raises(ValueError, match="need at least one sample"):
+            fit_bound_constants(H, alpha=0.99, samples=samples)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, float("nan")])
+    def test_growth_exponent_below_one(self, alpha):
+        # the exponents FullStructure refuses, so no fit feeds it one
+        H = FullMap(eval=lambda z, w, zeta: 0.3 * zeta + 0.1 * w ** 2, k=0.3)
+        with pytest.raises(ValueError, match="growth exponent must be < 1"):
+            fit_bound_constants(H, alpha=alpha)
+        with pytest.raises(ValueError, match="growth exponent must be < 1"):
+            structure(alpha=alpha)
 
     def test_matches_linprog_on_mixed_scale_inputs(self):
         rng = np.random.default_rng(11)
