@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .fixedpoint import SolveReport, _audit_declared_k, _chord, picard_solve
-from .grid import GridField, lp_norm, values_l2
+from .grid import GridField, _row_blocks, lp_norm, values_l2
 from .operators import derivative_pair
 
 __all__ = [
@@ -52,7 +52,9 @@ class CCParams:
 class AutonomousMap:
     """Pointwise gradient map with declared Lipschitz constant k < 1.
 
-    eval must accept complex ndarrays (vectorized).  linf, when present,
+    eval must accept complex ndarrays of any shape (vectorized) and act
+    sample by sample: solve_autonomous hands it the candidate one block of
+    grid rows at a time (grid._row_blocks).  linf, when present,
     declares the linear part at infinity: A(z) - linf.a*z - linf.b*conj(z)
     is sublinear.
     """
@@ -139,8 +141,10 @@ def solve_autonomous(
     hv = h.values
     Aeval = A.eval
 
-    def rhs(_field, psi):
-        return np.add(Aeval(psi), hv, out=psi)
+    def rhs(_field, psi):  # A is pointwise: psi takes A(psi) + h one row block at a time
+        for rows in _row_blocks(h.spec.n):
+            np.add(Aeval(psi[rows]), hv[rows], out=psi[rows])
+        return psi
 
     scale = max(1.0, lp_norm(h, 2))
     if A.linf is None:
@@ -155,4 +159,6 @@ def residual(A: AutonomousMap, f: GridField, h: GridField) -> float:
     if f.spec != h.spec:
         raise ValueError("field and forcing live on different grids")
     fz, fzb = derivative_pair(f)
-    return values_l2(fzb.values - A.eval(fz.values) - h.values)
+    Afz = A.eval(fz.values)
+    del fz  # freed before the difference is formed
+    return values_l2(fzb.values - Afz - h.values)

@@ -43,8 +43,11 @@ array: it writes into work arrays that live for the whole solve.
               re-points best_R and copies nothing.
 
 So a plain or damped step holds three n x n arrays and a preconditioned
-one five (T^-1's two multipliers), plus rhs's temporaries: for k*|z| + h
-one real array, so 3.5 and 5.5 arrays at the peak.  Each field() call
+one four: T^-1's two multipliers are kept on half the spectrum, as the
+kernel's symbols are, and applied through operators._half_multiply, whose
+mirror buffer holds at most one row block.  rhs's temporaries come on
+top; solve_autonomous evaluates its map one row block at a time, so they
+are block-sized there.  Each field() call
 transforms P into a fresh array, locked and adopted by its GridField
 without a copy: a right-hand side that drops the field frees it.
 
@@ -61,7 +64,8 @@ Writing S for the mean-zero beurling transform and T = I - a*S - b*conj∘S,
 the fixed point r satisfies T r = a*c + b*conj(c) + U(psi) + h, and the
 step is R <- R + T^-1 E.  conj couples mode k with -k, so T^-1 is one
 closed-form 2x2 solve per mode pair, applied as m1*E + m2*conj(E[-k])
-with two multipliers built once per solve; the determinant is bounded
+with two multipliers built once per solve on rows 0..n/2 and the Nyquist
+column (both are even off that column); the determinant is bounded
 below by (1-|a|)^2 - |b|^2 > 0.  The start's spectrum goes through T^-1
 too, R = T^-1 fft2(rhs(c)): the affine start with U frozen at U(c) and the
 linear part solved.  Since ||T^-1|| <= 1/(1-|a|-|b|), successive residuals
@@ -103,7 +107,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import GridField, GridSpec, _sum_squares
-from .operators import _conj_flip, _kernel_symbols
+from .operators import _conj_flip, _Half, _half_multiply, _kernel_symbols
 
 __all__ = ["SolveReport", "picard_solve"]
 
@@ -151,8 +155,9 @@ def _pair_inverse(B: np.ndarray, F: np.ndarray, a: complex, b: complex):
     return m1 / det, b * F / det
 
 
-def _linear_inverse(beur: np.ndarray, a: complex, b: complex):
-    """Multipliers (m1, m2) with T^-1 E = m1*E + m2*conj(E[-k]).
+def _linear_inverse(beur: _Half, a: complex, b: complex):
+    """Multipliers (m1, m2) with T^-1 E = m1*E + m2*conj(E[-k]), as _Half
+    multipliers over the beurling symbol's half of the spectrum.
 
     T = I - a*S - b*conj∘S acts on a spectrum R as
     (1 - a*B)*R - b*F*conj(R[-k]), where B is the beurling symbol and
@@ -160,11 +165,14 @@ def _linear_inverse(beur: np.ndarray, a: complex, b: complex):
     [[1 - a*B, -b*F], [-conj(b)*B, 1 - conj(a)*F]], inverted in closed form.
     B is even and of modulus 1 off the zero mode, so off the Nyquist row and
     column F = conj(B) and the determinant |1 - a*B|^2 - |b|^2 is real: the
-    bulk takes one real reciprocal and no complex division.  On the Nyquist
-    lines -k is not the lattice twin of k, and the 2x2 solve runs as written.
+    bulk takes one real reciprocal and no complex division, and m1 and m2
+    are even there too.  On the Nyquist lines -k is not the lattice twin of
+    k, and the 2x2 solve runs as written, over the kept row and the whole
+    column.
     """
-    n = beur.shape[0]
-    m1 = np.multiply(beur, a)
+    top, col, _ = beur
+    n = top.shape[1]
+    m1 = np.multiply(top, a)
     np.subtract(1.0, m1, out=m1)
     det = np.abs(m1)
     np.square(det, out=det)
@@ -173,20 +181,21 @@ def _linear_inverse(beur: np.ndarray, a: complex, b: complex):
     np.reciprocal(det, out=det)
     np.conjugate(m1, out=m1)
     m1 *= det
-    m2 = np.conjugate(beur)
+    m2 = np.conjugate(top)
     m2 *= det
     m2 *= b
     h, flip = n // 2, -np.arange(n) % n
-    for line, twin in (((h, slice(None)), (h, flip)), ((slice(None), h), (flip, h))):
-        m1[line], m2[line] = _pair_inverse(beur[line], np.conj(beur[twin]), a, b)
-    return m1, m2
+    m1[h], m2[h] = _pair_inverse(top[h], np.conj(top[h, flip]), a, b)
+    c1, c2 = _pair_inverse(col, np.conj(col[flip]), a, b)
+    m1[:, h], m2[:, h] = c1[:h + 1], c2[:h + 1]
+    return _Half(m1, c1, 1.0), _Half(m2, c2, 1.0)
 
 
-def _apply_inverse(E: np.ndarray, out: np.ndarray, m1: np.ndarray, m2: np.ndarray):
+def _apply_inverse(E: np.ndarray, out: np.ndarray, m1: _Half, m2: _Half):
     """T^-1 E = m1*E + m2*conj(E[-k]), written into out; E is overwritten."""
     _conj_flip(E, out=out)
-    out *= m2
-    E *= m1
+    _half_multiply(out, m2, out=out)
+    _half_multiply(E, m1, out=E)
     out += E
     return out
 
@@ -215,9 +224,12 @@ def _audit_declared_k(g: Callable[[np.ndarray], np.ndarray], k: float) -> None:
     Samples |g(zeta) - g(eta)| / |zeta - eta| at 96 points zeta of the disk
     of radius 10 (seed 12345), each paired with a random point of the disk,
     a point on its ray nearer 0 (these realize a modulus map's constant) and
-    a point 1e-3 away.  An excess over k above 1e-6 raises ValueError, one
-    above 1e-9 warns at the solver's caller: each solver calls the audit
-    from its own body (stacklevel=3).
+    a point 1e-3 away.  The estimate is the largest finite ratio, so a map
+    that is NaN somewhere is still measured where it is not; with no finite
+    ratio the verdict is left to the kernel's non-finite residual.  An
+    excess over k above 1e-6 raises ValueError, one above 1e-9 warns at the
+    solver's caller: each solver calls the audit from its own body
+    (stacklevel=3).
     """
     rng, m, radius = np.random.default_rng(12345), 96, 10.0
 
@@ -230,7 +242,11 @@ def _audit_declared_k(g: Callable[[np.ndarray], np.ndarray], k: float) -> None:
     zeta = np.tile(zeta, 3)
     keep = np.abs(zeta - eta) > 1e-12 * radius
     zeta, eta = zeta[keep], eta[keep]
-    est = float((np.abs(g(zeta) - g(eta)) / np.abs(zeta - eta)).max())
+    ratios = np.abs(g(zeta) - g(eta)) / np.abs(zeta - eta)
+    ratios = ratios[np.isfinite(ratios)]
+    if not ratios.size:  # nothing to measure: the kernel meets the non-finite values
+        return
+    est = float(ratios.max())
     if est - k > 1e-6:
         raise ValueError(f"declared Lipschitz constant {k:g} exceeded by sampled estimate {est:g}")
     if est - k > 1e-9:
@@ -263,7 +279,8 @@ def picard_solve(
     Each step is R <- R + damping * M(fft2(rhs) - R) on the candidate's
     spectrum R (see the module docstring), written into the one of two
     spectrum buffers that does not hold the best iterate: a plain or damped
-    step holds 3 n x n arrays, a preconditioned one 5.
+    step holds 3 n x n arrays, a preconditioned one 4 (T^-1's multipliers
+    are kept on half the spectrum).
 
     tol is the absolute stopping threshold: the solve stops at the first
     equation residual <= tol.  On exhaustion the best iterate (least
@@ -304,7 +321,7 @@ def picard_solve(
         if R is None:
             P, d = np.zeros((n, n), dtype=complex), 0
         else:
-            P, d = np.multiply(R, inv_dzbar), complex(R[0, 0]) / (n * n)
+            P, d = _half_multiply(R, inv_dzbar), complex(R[0, 0]) / (n * n)
             np.fft.ifftn(P, out=P)
         P.setflags(write=False)  # adopted by the field, not copied
         return GridField(spec, c_mean, d, P)
@@ -335,7 +352,7 @@ def picard_solve(
     notes: list[str] = []
     best_R, best_res = None, np.inf
     for it in range(1, max_iter + 1):
-        np.multiply(R, beur, out=psi)
+        _half_multiply(R, beur, out=psi)
         np.fft.ifftn(psi, out=psi)  # not ifft2, which ignores out=
         psi += c_mean
         into(psi, rhs(partial(field, R), psi))

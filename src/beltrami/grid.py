@@ -186,13 +186,15 @@ def values_l2(values: np.ndarray) -> float:
 
 
 # Samples per row block of every blocked pass over an n x n grid
-# (_row_blocks): wavevectors, radial fixture, moduli pass, text writers.  A
-# complex block is 256 KiB, so its arrays stay in L2 (the radial fixture ran
-# fastest at 2^14 of 2^13..2^16, n = 128..1024, on a Xeon), and a writer's
-# floats, cell tuple and string stay near 2 MB.  256 KiB is also numpy's
-# threshold for eliding a temporary into a product's result, which reorders
-# its operands: a block elides where the whole grid does (n <= 128 is one
-# block), so blocked products round as the grid's, and changevar's bytes
+# (_row_blocks): wavevectors, the mirrored rows of a half-spectrum symbol,
+# solve_autonomous's right-hand side, radial fixture, moduli pass, text
+# writers.  A complex block is 256 KiB, so its arrays stay in L2 (the
+# radial fixture ran fastest at 2^14 of 2^13..2^16, n = 128..1024, on a
+# Xeon), and a writer's floats, cell tuple and string stay near 2 MB.
+# 256 KiB is also numpy's threshold for eliding a temporary into a
+# product's result, which reorders its operands: a block elides where the
+# whole grid does (n <= 128 is one block), so blocked products round as
+# the grid's, and the bytes of changevar and of the autonomous solves
 # depend on that.
 _BLOCK = 1 << 14
 

@@ -13,21 +13,24 @@ the beurling transform's zero mode is 0; means of derivative fields are
 carried by the affine coefficients, never by the periodic part.
 
 Only the two multipliers that the fixed-point kernel reads in every step,
-the beurling symbol and 1/dzbar, are cached per grid (two n x n arrays).
-The derivative symbols and the wavevectors are built per call over blocks
-of rows, each block used while it is in cache and then dropped, so no other
-n x n array outlives a call.  Each wavevector entry is one rounded product
-(2*pi/L)*k, k an integer, and a derivative symbol's parts are exact halves
-of them, so every block holds the bits of the whole-grid expression.
+the beurling symbol and 1/dzbar, are cached per grid, each on half the
+spectrum (rows 0..n/2 and the Nyquist column, about half an n x n array;
+_half_multiply applies them).  The derivative symbols and the wavevectors
+are built per call over blocks of rows, each block used while it is in
+cache and then dropped, so no other n x n array outlives a call.  Each
+wavevector entry is one rounded product (2*pi/L)*k, k an integer, and a
+derivative symbol's parts are exact halves of them, so every block holds
+the bits of the whole-grid expression.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .grid import DerivedPair, GridField, GridSpec, _row_blocks
+from .grid import _BLOCK, DerivedPair, GridField, GridSpec, _row_blocks
 
 __all__ = [
     "derivative_pair",
@@ -49,21 +52,70 @@ def _wavevectors(n: int, L: float):
         yield rows, KC
 
 
+class _Half(NamedTuple):
+    """A multiplier S kept on half the spectrum: rows 0..n/2 of S (top) and
+    its whole Nyquist column (col, n entries).  Off that column S[-k] equals
+    sign * S[k].  On it, -k aliases back onto the column (k1 = -n/2 is its
+    own negative), where S is no mirror of itself, so the column is kept."""
+
+    top: np.ndarray
+    col: np.ndarray
+    sign: float
+
+
 @lru_cache(maxsize=32)
 def _kernel_symbols(n: int, L: float):
-    """(beurling symbol, 1/dzbar symbol), read by the fixed-point kernel in
-    every step, so kept per grid; the zero mode of each is 0."""
-    beur = np.empty((n, n), dtype=complex)
-    inv_dzbar = np.empty((n, n), dtype=complex)
+    """(beurling symbol, 1/dzbar symbol) as _Half multipliers, read by the
+    fixed-point kernel in every step, so kept per grid; the zero mode of
+    each is 0.  Beurling is even and 1/dzbar odd: off the Nyquist column a
+    mode's negative has the exactly negated wavevector, so a mirrored entry
+    has the whole-grid expression's value (a zero part may carry the other
+    sign)."""
+    h = n // 2
+    halves = [_Half(np.empty((h + 1, n), dtype=complex), np.empty(n, dtype=complex), sign)
+              for sign in (1.0, -1.0)]
     with np.errstate(divide="ignore", invalid="ignore"):
         for rows, KC in _wavevectors(n, L):
-            np.divide(np.conj(KC), KC, out=beur[rows])
-            np.divide(1.0, 0.5j * KC, out=inv_dzbar[rows])
-    beur[0, 0] = 0.0
-    inv_dzbar[0, 0] = 0.0
-    for a in (beur, inv_dzbar):
-        a.setflags(write=False)
-    return beur, inv_dzbar
+            kept = max(0, min(rows.stop, h + 1) - rows.start)
+            for sym, S in zip(halves, (np.divide(np.conj(KC), KC), np.divide(1.0, 0.5j * KC))):
+                sym.col[rows] = S[:, h]
+                sym.top[rows.start:rows.start + kept] = S[:kept]
+    for sym in halves:
+        sym.top[0, 0] = 0.0
+        sym.top.setflags(write=False)
+        sym.col.setflags(write=False)
+    return tuple(halves)
+
+
+def _half_multiply(A: np.ndarray, sym: _Half, out: np.ndarray | None = None) -> np.ndarray:
+    """A * S for an fft2-layout spectrum A and a _Half multiplier S; out
+    may be A.  Wherever A has no zero part the product has the bits of the
+    product by the whole-grid S, since a mirrored entry differs from that S
+    at most in the sign of a zero part.
+
+    Rows 0..n/2 multiply the kept rows.  The rows below take S from a
+    buffer of at most n/2 - 1 rows, and at most _BLOCK samples, per block:
+    the kept rows mirrored through k -> -k by np.copyto (as _conj_flip
+    does, with no ufunc buffers), times sign, and the Nyquist column.
+    """
+    top, col, sign = sym
+    n = A.shape[0]
+    h = n // 2
+    if out is None:
+        out = np.empty_like(A)
+    np.multiply(A[:h + 1], top, out=out[:h + 1])
+    step = min(max(1, _BLOCK // n), h - 1)
+    buf = np.empty((step, n), dtype=complex)
+    for s in range(h + 1, n, step):
+        e = min(s + step, n)
+        S, src = buf[:e - s], slice(n - s, n - e, -1)  # rows n-s down to n-e+1
+        np.copyto(S[:, :1], top[src, :1])
+        np.copyto(S[:, 1:], top[src, :0:-1])
+        if sign < 0:
+            np.negative(S, out=S)
+        S[:, h] = col[s:e]
+        np.multiply(A[s:e], S, out=out[s:e])
+    return out
 
 
 def _conj_flip(A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -149,7 +201,8 @@ def beurling(phi: GridField) -> GridField:
     if not phi.is_periodic():
         raise ValueError("beurling requires a field with zero affine part")
     beur, _ = _kernel_symbols(phi.spec.n, phi.spec.L)
-    return GridField(phi.spec, 0.0, 0.0, np.fft.ifft2(np.fft.fft2(phi.values) * beur))
+    F = np.fft.fft2(phi.values)
+    return GridField(phi.spec, 0.0, 0.0, np.fft.ifft2(_half_multiply(F, beur, out=F)))
 
 
 def antiderivative_zbar(phi: GridField, c: complex = 0.0) -> GridField:
@@ -164,7 +217,7 @@ def antiderivative_zbar(phi: GridField, c: complex = 0.0) -> GridField:
     _, inv = _kernel_symbols(phi.spec.n, phi.spec.L)
     F = np.fft.fft2(phi.values)
     mean = complex(F[0, 0]) / (phi.spec.n ** 2)
-    vals = np.fft.ifft2(F * inv)
+    vals = np.fft.ifft2(_half_multiply(F, inv, out=F))
     return GridField(phi.spec, c, mean, vals)
 
 

@@ -27,6 +27,17 @@ def wavevectors(n: int, L: float) -> np.ndarray:
     return (2.0 * np.pi / L) * (K1 + 1j * K2)
 
 
+def whole_kernel_symbols(n: int, L: float) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed-point kernel's two symbols on the whole grid, as whole-grid
+    expressions: beurling conj(KC)/KC and 1/dzbar = 1/(0.5j*KC), each 0 at
+    the zero mode."""
+    KC = wavevectors(n, L)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beur, inv_dzbar = np.conj(KC) / KC, 1.0 / (0.5j * KC)
+    beur[0, 0] = inv_dzbar[0, 0] = 0.0
+    return beur, inv_dzbar
+
+
 def traced_peak(call, *args):
     """call(*args) under tracemalloc: its result, the traced peak and the
     memory it still holds on return, both in bytes above the memory in use

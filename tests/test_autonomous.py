@@ -24,7 +24,9 @@ from beltrami import (
     trig_field,
     zero_field,
 )
+from beltrami import grid
 from beltrami.analysis import distortion_stats
+from beltrami.fixedpoint import _chord, picard_solve
 from _helpers import pair_rel_l2
 
 SPEC = GridSpec(64)
@@ -126,6 +128,13 @@ class _AuditedSolver:
         with pytest.raises(ValueError, match="exceeded by sampled estimate 0.499997$"):
             self.solve(A, zero_field(SPEC), 1.0)
 
+    def test_nan_ratios_do_not_hide_the_excess(self):
+        # NaN beyond |zeta| = 9.5 makes some sampled ratios NaN; the finite
+        # ones still read 0.9, and a NaN maximum would have let k = 0.3 pass
+        A = AutonomousMap(eval=lambda z: np.where(np.abs(z) > 9.5, np.nan, 0.9 * z), k=0.3)
+        with pytest.raises(ValueError, match="0.3 exceeded by sampled estimate 0.9$"):
+            self.solve(A, zero_field(SPEC), 1.0)
+
     def test_warning_names_the_callers_file(self):
         close = AutonomousMap(eval=lambda z: (0.5 + 1e-7) * z, k=0.5)
         with pytest.warns(UserWarning, match="slightly exceeds declared 0.5") as record:
@@ -148,6 +157,29 @@ class TestSolveAutonomous(_AuditedSolver):
         fb, rb = solve_cc_neumann(CCParams(0.3, 0.2), h, 1.0, tol=1e-11)
         assert np.array_equal(fa.values, fb.values)
         assert ra.residual_history == rb.residual_history
+
+    @pytest.mark.parametrize("A", [abs_map(0.3), smooth_saturating_map(0.3, 0.1, 0.2)],
+                             ids=["kabs", "smoothsat"])
+    def test_map_sees_row_blocks_and_keeps_the_bytes(self, A):
+        # the right-hand side takes A(psi) + h one row block at a time, so A
+        # allocates no n x n temporary; at n = 256 a grid is 4 blocks, whose
+        # complex temporaries numpy elides as the whole grid's, so the solve
+        # has the bytes of one evaluation over the whole grid
+        spec = GridSpec(256)
+        h = random_trig_field(spec, seed=3, amplitude=0.1)
+        sizes = []
+
+        def evaluate(z):
+            sizes.append(np.size(z))
+            return A.eval(z)
+
+        f, rep = solve_autonomous(AutonomousMap(evaluate, A.k, A.linf), h, 1.0)
+        assert rep.converged and max(sizes) <= grid._BLOCK < spec.n ** 2
+        linear = _chord(A.eval, 1.0, A.k) if A.linf is None else (A.linf.a, A.linf.b, A.k)
+        g, ref = picard_solve(lambda _f, psi: np.add(A.eval(psi), h.values, out=psi), spec, 1.0,
+                              1e-10 * max(1.0, lp_norm(h, 2)), 1000, linear=linear)
+        assert f.values.tobytes() == g.values.tobytes() and (f.c, f.d) == (g.c, g.d)
+        assert rep.residual_history == ref.residual_history
 
     def test_abs_map_contraction_and_distortion(self):
         A = abs_map(0.3)

@@ -22,9 +22,9 @@ from beltrami import (
     z_grid,
     zero_field,
 )
-from beltrami.operators import (_conj_flip, _kernel_symbols, _resize_rows,
+from beltrami.operators import (_conj_flip, _half_multiply, _kernel_symbols, _resize_rows,
                                 _second_derivatives, _wavevectors)
-from _helpers import fd_dz, fd_dzbar, rel_l2, spectrum, wavevectors
+from _helpers import fd_dz, fd_dzbar, rel_l2, spectrum, wavevectors, whole_kernel_symbols
 
 SPEC = GridSpec(32)
 TAU = 2 * math.pi
@@ -125,7 +125,9 @@ class TestSymbolBytes:
     """The symbols are built block by block of wavevector rows; every block
     holds the bits of the whole-grid expression, sign bits included, on
     either side of numpy's 256 KiB temporary-elision threshold (n = 64, 256)
-    and on a grid of several blocks (n = 1024)."""
+    and on a grid of several blocks (n = 1024).  The kernel's two symbols,
+    kept on half the spectrum, multiply a spectrum to the bits of the
+    whole-grid product."""
 
     @pytest.mark.parametrize("n", [16, 64, 256, 1024])
     @pytest.mark.parametrize("L", [TAU, 3.0, 1e-3])
@@ -142,15 +144,26 @@ class TestSymbolBytes:
         assert sym_dz.tobytes() == (0.5j * np.conj(KC)).tobytes()
         assert sym_dzbar.tobytes() == (0.5j * KC).tobytes()
 
-    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
     def test_kernel_symbols_match_whole_grid(self, n):
-        KC = wavevectors(n, 3.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            beur, inv_dzbar = np.conj(KC) / KC, 1.0 / (0.5j * KC)
-        beur[0, 0] = inv_dzbar[0, 0] = 0.0
-        got = _kernel_symbols(n, 3.0)
-        assert [a.tobytes() for a in got] == [beur.tobytes(), inv_dzbar.tobytes()]
-        assert not any(a.flags.writeable for a in got)
+        # products, not expanded symbols: a mirrored entry may carry the
+        # other sign of a zero part, which no product with R shows
+        rng = np.random.default_rng(n)
+        R = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for L in (TAU, 3.0, 1e-3):  # built outside the cache, which would keep them
+            for sym, whole in zip(_kernel_symbols.__wrapped__(n, L), whole_kernel_symbols(n, L)):
+                assert _half_multiply(R, sym).tobytes() == (R * whole).tobytes()
+                out = R.copy()
+                assert _half_multiply(out, sym, out=out) is out
+                assert out.tobytes() == (R * whole).tobytes()
+                assert not (sym.top.flags.writeable or sym.col.flags.writeable)
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_kernel_symbols_keep_half_the_spectrum(self, n):
+        # rows 0..n/2 and the Nyquist column: about half an n x n array each
+        for sym in _kernel_symbols(n, 5.0):
+            assert sym.top.dtype == sym.col.dtype == complex
+            assert sym.top.size + sym.col.size <= (n // 2 + 1) * n + n
 
 
 class TestSymbolPathBytes:

@@ -92,6 +92,6 @@ def test_perfbench_calls_bind():
             except TypeError as exc:
                 raise AssertionError(f"{where}: {exc}") from None
             bound.append(target)
-    assert {"solve_full", "solve_autonomous", "FullStructure", "fit_bound_constants",
-            "check_conditions", "recover_coefficients", "second_order_probe",
-            "parse_map"} <= set(bound)
+    assert {"solve_full", "solve_autonomous", "solve_cc_neumann", "residual", "FullStructure",
+            "fit_bound_constants", "check_conditions", "recover_coefficients",
+            "second_order_probe", "parse_map"} <= set(bound)
