@@ -83,23 +83,19 @@ class DistortionStats:
     degenerate_fraction: float
 
 
-def _finite_stats(finite: np.ndarray, size: int) -> DistortionStats:
-    """Distortion statistics from the finite distortion values among size
-    samples; partitions finite in place."""
+def _pair_stats(fz: np.ndarray, fzb: np.ndarray) -> DistortionStats:
+    """Distortion statistics of one derivative pair's sample arrays, from
+    one pass over row blocks that keeps only the finite distortion values,
+    which the quantiles then partition in place."""
+    finite = _Compacted(fz.size)
+    for a, b, m in _moduli_blocks(fz, fzb):
+        finite.add(_finite_distortion(a, b, m))
+    finite = finite.values()
     if finite.size == 0:
         return DistortionStats(math.inf, (math.inf,) * 3, 1.0)
     top = float(finite.max())  # before quantile partitions the array
     q = tuple(float(v) for v in np.quantile(finite, [0.5, 0.9, 0.99], overwrite_input=True))
-    return DistortionStats(top, q, 1.0 - finite.size / size)
-
-
-def _pair_stats(fz: np.ndarray, fzb: np.ndarray) -> DistortionStats:
-    """Distortion statistics of one derivative pair's sample arrays, from
-    one pass over row blocks that keeps only the finite distortion values."""
-    finite = _Compacted(fz.size)
-    for a, b, m in _moduli_blocks(fz, fzb):
-        finite.add(_finite_distortion(a, b, m))
-    return _finite_stats(finite.values(), fz.size)
+    return DistortionStats(top, q, 1.0 - finite.size / fz.size)
 
 
 def distortion_stats(f: GridField) -> DistortionStats:
@@ -160,19 +156,14 @@ GROWTH_TOLERANCE = 1.10
 _BLOCK = 4096
 
 
-def _tail_fit(samples: np.ndarray):
+def _positive_tail_fit(s: np.ndarray):
     """Power-law fit of the upper tail of the |Df| distribution.
 
     Fits log measure{|Df| > lam} against log lam between the 99.5th and
-    99.995th percentiles of the positive finite samples; returns
-    (tail_exponent, r2) with tail_exponent = -slope (the empirical critical
-    exponent for power-law tails).
+    99.995th percentiles of s, the positive finite samples, which it
+    reorders; returns (tail_exponent, r2) with tail_exponent = -slope (the
+    empirical critical exponent for power-law tails).
     """
-    return _positive_tail_fit(samples[np.isfinite(samples) & (samples > 0)])
-
-
-def _positive_tail_fit(s: np.ndarray):
-    """_tail_fit of the positive finite samples s, which it reorders."""
     if s.size < 64:
         return math.inf, 0.0
     lo, hi = np.quantile(s, [0.995, 0.99995], overwrite_input=True)
@@ -200,15 +191,18 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
     fields: the same solution sampled at >= 3 doubling grid levels.
     p_grid: increasing finite exponents >= 1, else ValueError.
     pairs: optional derivative pairs, one per level (a DerivedPair or any
-    (dz, dzbar) pair of fields on that level's grid, else ValueError); by
-    default each is computed spectrally, with one forward transform per
+    (dz, dzbar) pair of fields on that level's grid), read one level at a
+    time as that level is probed, so an iterator may build each on demand;
+    a pair on another grid, or too few or too many pairs, raise ValueError.
+    By default each is computed spectrally, with one forward transform per
     level.  For each p the probe tracks the Riemann sums mean(|Df|^p)
     across levels (|Df| = |f_z| + |f_zbar|, the maximal directional
     derivative) and applies a Cauchy test to their level-to-level
     increments: shrinking increments mean convergence, increments growing
     beyond 10% per doubling mean divergence.  For a power-law singularity
-    the increment ratio per doubling is 2^((p - p_critical)/2) on both
-    sides of the critical exponent, so the crossing locates it sharply.
+    |Df| ~ r^(-2/p_critical) the increment ratio per doubling is
+    2^(2(p - p_critical)/p_critical) on both sides of the critical
+    exponent, so the crossing locates it sharply.
     p_critical is the largest stable exponent below the first unstable one
     (inf when every probed p is stable).
     Each level is one pass over row blocks of about 2^14 samples of its
@@ -217,11 +211,11 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
     0^p = 0) and divides by all n^2 samples: every exponent is evaluated
     together over chunks of 4096 of those logarithms, in sample order, the
     fewer than 4096 left at the end of a block carried into the next.  Only
-    the finest level keeps samples beyond a block: its finite distortion
-    values for the distortion statistics and its positive finite |Df| for
-    the tail fit, each compacted into one n^2 buffer.  A term differs from
-    |Df|^p by at most about eps*(1 + p*|log|Df||) relative, and both
-    overflow or underflow alike once p*|log|Df|| passes about 709
+    the finest level keeps samples beyond a block: its positive finite |Df|
+    for the tail fit, compacted into one n^2 buffer; its largest finite
+    distortion is a running maximum (inf when no sample has one).  A term
+    differs from |Df|^p by at most about eps*(1 + p*|log|Df||) relative,
+    and both overflow or underflow alike once p*|log|Df|| passes about 709
     (1.7e-13 relative); adding up the chunks adds at most about eps per
     chunk (5.7e-14 at n = 1024).  Up to n = 2048 this stays below the
     1e-12 increment guard (2.4e-15 on the benchmark's ladders).
@@ -238,14 +232,9 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
     if (not all(1 <= p < math.inf for p in p_grid)
             or any(b <= a for a, b in zip(p_grid, p_grid[1:]))):
         raise ValueError("p_grid must be increasing, finite and >= 1")
-    if pairs is None:
-        pairs = [None] * len(fields)
-    else:
-        pairs = list(pairs)
-        if len(pairs) != len(fields) or any(
-                g.spec != f.spec for f, pair in zip(fields, pairs) for g in pair):
-            raise ValueError("pairs must hold one derivative pair per level, "
-                             "on that level's grid")
+    misfit = "pairs must hold one derivative pair per level, on that level's grid"
+    if pairs is not None:
+        pairs = iter(pairs)
 
     power_means = np.zeros((len(fields), len(p_grid)))
     p_col, blk = np.array(p_grid)[:, None], np.empty((len(p_grid), _BLOCK))
@@ -254,16 +243,20 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
         part = blk[:, :logs.size]
         row += np.exp(np.multiply(p_col, logs, out=part), out=part).sum(axis=1)
 
-    for i, (row, f, pair) in enumerate(zip(power_means, fields, pairs)):
-        fz, fzb = (g.values for g in (derivative_pair(f) if pair is None else pair))
+    top = -math.inf  # the finest level's largest finite distortion
+    for i, (row, f) in enumerate(zip(power_means, fields)):
+        pair = derivative_pair(f) if pairs is None else next(pairs, None)
+        if pair is None or any(g.spec != f.spec for g in pair):
+            raise ValueError(misfit)
+        fz, fzb = (g.values for g in pair)
         finest = i == len(fields) - 1
         if finest:
-            finite_K, positive = _Compacted(fz.size), _Compacted(fz.size)
+            positive = _Compacted(fz.size)
         carry = np.empty(0)  # the logarithms short of a whole chunk
         for a, b, m in _moduli_blocks(fz, fzb):
             logs = m[m != 0]  # a zero adds 0^p = 0; a NaN still reaches the sum
             if finest:
-                finite_K.add(_finite_distortion(a, b, m))
+                top = float(_finite_distortion(a, b, m).max(initial=top))
                 positive.add(logs[np.isfinite(logs)])  # nonzero |Df| >= 0 is positive
             logs = np.concatenate((carry, np.log(logs, out=logs)))
             whole = logs.size - logs.size % _BLOCK
@@ -273,8 +266,8 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
         if carry.size:
             add_chunk(row, carry)
         row /= fz.size
-    st = _finite_stats(finite_K.values(), fz.size)
-    del finite_K
+    if pairs is not None and next(pairs, None) is not None:
+        raise ValueError(misfit)
     tail_exponent, fit_r2 = _positive_tail_fit(positive.values())
 
     stable = []
@@ -295,7 +288,7 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
     return RegularityReport(
         fit_r2=fit_r2,
         tail_exponent=tail_exponent,
-        distortion_max=st.max,
+        distortion_max=top if top > -math.inf else math.inf,
         grid_levels=tuple(ns),
         p_grid=tuple(p_grid),
         power_means=tuple(tuple(r) for r in power_means),
@@ -308,20 +301,21 @@ def second_order_probe(fields, k: float, q_grid) -> RegularityReport:
 
     Applies the gradient probe to (f_zz, f_zzbar), the derivative pair of
     f_z, taken from one forward and two inverse transforms of each ladder
-    member.  q_grid is checked as the gradient probe's p_grid.  The
+    member when its level is probed.  q_grid is checked as the gradient probe's p_grid.  The
     interesting comparison level is q against 1 + 1/k; k is only
     range-checked and changes no output.
     """
     if not (0 < k < 1):
         raise ValueError("need a Lipschitz constant in (0, 1)")
     fields = list(fields)
-    pairs = []
-    for f in fields:
+
+    def pair(f):  # built when sobolev_probe reads f's level
         fzz, fzzb = _second_derivatives(f)
         for a in (fzz, fzzb):
             a.setflags(write=False)  # fresh arrays: the fields adopt them
-        pairs.append((GridField(f.spec, 0.0, 0.0, fzz), GridField(f.spec, 0.0, 0.0, fzzb)))
-    return sobolev_probe(fields, q_grid, pairs=pairs)
+        return GridField(f.spec, 0.0, 0.0, fzz), GridField(f.spec, 0.0, 0.0, fzzb)
+
+    return sobolev_probe(fields, q_grid, pairs=map(pair, fields))
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,9 @@ side).  The candidate f is handed to rhs as a zero-argument callable,
 field(), that returns it as a GridField (c, d and P) for one inverse
 transform: only a right-hand side that reads f (the fully nonlinear
 H(z, f, f_z)) pays that third transform.  The kernel deals only in spectra
-and GridFields and builds no z; solve_full assembles f's samples.  The
-returned field is field() of the best iterate's spectrum, built once every
-other work array is freed.
+and GridFields and builds no z; solve_full assembles f's samples, one row
+block at a time.  The returned field is field() of the best iterate's
+spectrum, built once every other work array is freed.
 
 Apart from rhs's own temporaries and field(), a step allocates no n x n
 array: it writes into work arrays that live for the whole solve.
@@ -42,12 +42,11 @@ array: it writes into work arrays that live for the whole solve.
               is the best, over R once it is not.  So a new best only
               re-points best_R and copies nothing.
 
-So a plain or damped step holds three n x n arrays and a preconditioned
-one four: T^-1's two multipliers are kept on half the spectrum, as the
-kernel's symbols are, and applied through operators._half_multiply, whose
-mirror buffer holds at most one row block.  rhs's temporaries come on
-top; solve_autonomous evaluates its map one row block at a time, so they
-are block-sized there.  Each field() call
+A preconditioned step adds T^-1's two multipliers, kept on half the
+spectrum as the kernel's symbols are and applied through
+operators._half_multiply, whose mirror buffer holds at most one row
+block.  rhs's temporaries come on top; both solvers evaluate their map
+one row block at a time, so they are block-sized.  Each field() call
 transforms P into a fresh array, locked and adopted by its GridField
 without a copy: a right-hand side that drops the field frees it.
 
@@ -278,9 +277,7 @@ def picard_solve(
 
     Each step is R <- R + damping * M(fft2(rhs) - R) on the candidate's
     spectrum R (see the module docstring), written into the one of two
-    spectrum buffers that does not hold the best iterate: a plain or damped
-    step holds 3 n x n arrays, a preconditioned one 4 (T^-1's multipliers
-    are kept on half the spectrum).
+    spectrum buffers that does not hold the best iterate.
 
     tol is the absolute stopping threshold: the solve stops at the first
     equation residual <= tol.  On exhaustion the best iterate (least

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .fixedpoint import SolveReport, _audit_declared_k, _chord, picard_solve
-from .grid import GridField, GridSpec, lp_norm, z_grid
+from .grid import GridField, GridSpec, _row_blocks, lp_norm, z_grid
 from .autonomous import AutonomousMap
 
 __all__ = [
@@ -54,12 +54,13 @@ class FullStructure:
 class FullMap:
     """Gradient map with position and unknown dependence.
 
-    eval(z, w, zeta) must be vectorized over same-shape complex arrays; k
-    bounds the Lipschitz constant in the zeta slot.  solve_full audits k on
-    zeta -> H(0, 0, zeta) as solve_autonomous audits an AutonomousMap's;
-    an excess at other z or w is check_conditions' to find.  H(z, w, 0)
-    must vanish (check_conditions samples it), and a forcing goes to
-    solve_full as h.
+    eval(z, w, zeta) must be vectorized over same-shape complex arrays and
+    act sample by sample: solve_full hands it one block of grid rows at a
+    time (grid._row_blocks).  k bounds the Lipschitz constant in the zeta
+    slot.  solve_full audits k on zeta -> H(0, 0, zeta) as
+    solve_autonomous audits an AutonomousMap's; an excess at other z or w
+    is check_conditions' to find.  H(z, w, 0) must vanish (check_conditions
+    samples it), and a forcing goes to solve_full as h.
     The CLI's zterm and wterm tokens break that normalisation: they add a
     position-only forcing or a w-term inside H (see cli.parse_map).
     """
@@ -249,9 +250,9 @@ def solve_full(
     non-finite residual ends the run early with a note.  Only when the very
     first residual is non-finite is ArithmeticError raised, since no finite
     iterate exists.  H is the one right-hand side that reads f, so each
-    step here costs three transforms, not two; z and c*z are built once per
-    solve, and each step assembles f's samples from them and the kernel's
-    candidate GridField.
+    step here costs three transforms, not two.  As solve_autonomous does
+    with A, each step evaluates H one row block at a time, from that
+    block's z (z_grid's rows) and the kernel's candidate GridField.
     """
     if h is not None and (h.spec != spec or not h.is_periodic()):
         raise ValueError(f"forcing must be periodic on the solve grid {spec}")
@@ -262,19 +263,19 @@ def solve_full(
         return Heval(zero, zero, zeta)
 
     _audit_declared_k(at_origin, H.k)
-    Z = z_grid(spec)
-    cZ = complex(c_mean) * Z
+    c = complex(c_mean)
     hv = None if h is None else h.values
 
-    def rhs(field, psi):
+    def rhs(field, psi):  # H is pointwise: psi takes H + h one row block at a time
         g = field()
-        # conj(Z) stays a per-call temporary: from 256 KiB numpy elides it into
-        # the product, which then runs as conj(Z)*d, below that as d*conj(Z);
-        # the two round apart, and the full-map results are pinned to both.
-        f = cZ + g.d * np.conj(Z) + g.values
-        del g  # its periodic part is freed before H runs
-        out = Heval(Z, f, psi)
-        return out if hv is None else np.add(out, hv, out=psi)
+        for rows in _row_blocks(spec.n):
+            Z = z_grid(spec, rows)
+            f = c * Z + g.d * np.conj(Z) + g.values[rows]
+            out = psi[rows]
+            out[...] = Heval(Z, f, out)
+            if hv is not None:
+                out += hv[rows]
+        return psi
 
     scale = 1.0 if h is None else max(1.0, lp_norm(h, 2))
     linear = _chord(at_origin, c_mean, H.k) if damping == 1.0 else None

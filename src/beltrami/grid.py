@@ -55,15 +55,17 @@ class GridSpec:
         return self.L / self.n
 
 
-def z_grid(spec: GridSpec) -> np.ndarray:
+def z_grid(spec: GridSpec, rows: slice = slice(None)) -> np.ndarray:
     """Complex sample locations, shape (n, n); [k, j] = (j + i*k) * L/n.
 
     One array, its real and imaginary parts filled from the coordinates:
-    the bits of meshgrid's x + 1j*y, with none of its three temporaries."""
+    the bits of meshgrid's x + 1j*y, with none of its three temporaries.
+    rows builds only those grid rows: the bits of z_grid(spec)[rows]."""
     t = np.arange(spec.n) * spec.h
-    z = np.empty((spec.n, spec.n), dtype=complex)
+    y = t[rows]
+    z = np.empty((y.size, spec.n), dtype=complex)
     z.real = t
-    z.imag = t[:, None]
+    z.imag = y[:, None]
     return z
 
 
@@ -187,15 +189,15 @@ def values_l2(values: np.ndarray) -> float:
 
 # Samples per row block of every blocked pass over an n x n grid
 # (_row_blocks): wavevectors, the mirrored rows of a half-spectrum symbol,
-# solve_autonomous's right-hand side, radial fixture, moduli pass, text
+# both solvers' right-hand sides, radial fixture, moduli pass, text
 # writers.  A complex block is 256 KiB, so its arrays stay in L2 (the
 # radial fixture ran fastest at 2^14 of 2^13..2^16, n = 128..1024, on a
 # Xeon), and a writer's floats, cell tuple and string stay near 2 MB.
 # 256 KiB is also numpy's threshold for eliding a temporary into a
 # product's result, which reorders its operands: a block elides where the
 # whole grid does (n <= 128 is one block), so blocked products round as
-# the grid's, and the bytes of changevar and of the autonomous solves
-# depend on that.
+# the grid's, and the bytes of changevar and of the autonomous and
+# full-map solves depend on that.
 _BLOCK = 1 << 14
 
 

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .grid import GridField, GridSpec, _row_blocks
+from .grid import GridField, GridSpec, _row_blocks, z_grid
 
 __all__ = [
     "trig_field",
@@ -64,9 +64,11 @@ def random_trig_field(spec: GridSpec, seed: int, band: int = 3, modes: int = 6,
 # and the two offset patterns are mirror images), so for every power-of-two
 # n >= 16 the lattice samples the singular neighborhood self-similarly: the
 # nearest sample always sits at sqrt(2)/3 spacings and the surrounding ring
-# distances scale exactly with the lattice.  Riemann sums of |Df|^p then
-# grow like n^(p/2 - p_critical/2) with a level-independent prefactor,
-# which is precisely what the probe's increment test measures.
+# distances scale exactly with the lattice.  With |Df| ~ r^(-2/p_critical),
+# Riemann sums of |Df|^p then grow like n^(2p/p_critical - 2) with a
+# level-independent prefactor, so their increments grow by
+# 2^(2(p - p_critical)/p_critical) per doubling: precisely what the
+# probe's increment test measures.
 _CENTER_FRAC = (0.5 + 1.0 / 48.0, 0.5 + 1.0 / 24.0)
 
 
@@ -97,11 +99,10 @@ def _radial_parts(spec: GridSpec, K: float):
     L, n = spec.L, spec.n
     z0 = L * (_CENTER_FRAC[0] + 1j * _CENTER_FRAC[1])
     beta = (1.0 - K) / (2.0 * K)          # f0 = Z * |Z|^(2*beta), exponent 1/K - 1
-    t = np.arange(n) * spec.h             # z_grid's coordinates
     parts = tuple(np.empty((n, n), dtype=complex) for _ in range(3))
     for rows in _row_blocks(n):
         g, g_z, g_zb = (a[rows] for a in parts)
-        Z = t + 1j * t[rows, None]        # z_grid(spec)[rows]
+        Z = z_grid(spec, rows)
         Z -= z0
         # the centre sits a third of a spacing off the lattice in x and y,
         # so r >= h/3 and nothing below divides by zero

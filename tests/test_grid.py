@@ -60,6 +60,19 @@ class TestGridSpec:
         i[:3], j[:3] = (0, 0, n - 1), (0, n - 1, 0)
         assert _z_at(spec, i, j).tobytes() == z_grid(spec)[i, j].tobytes()
 
+    @pytest.mark.parametrize("n", [16, 64, 1024])
+    @pytest.mark.parametrize("L", [2 * math.pi, 3.0, 1e-3])
+    def test_row_blocks_are_z_grid_rows(self, monkeypatch, n, L):
+        # the blocks solve_full and the radial fixture build hold z_grid's
+        # rows byte for byte; 7 rows a block leave a ragged last block
+        monkeypatch.setattr(grid, "_BLOCK", 7 * n)
+        spec = GridSpec(n, L)
+        z = z_grid(spec)
+        blocks = list(grid._row_blocks(n))
+        assert blocks[-1].stop - blocks[-1].start < 7
+        for rows in blocks:
+            assert z_grid(spec, rows).tobytes() == z[rows].tobytes()
+
 
 class TestMakeField:
     def test_identity_map(self):
