@@ -36,7 +36,7 @@ array: it writes into work arrays that live for the whole solve.
               the solvers' right-hand sides write it there
               (np.add(..., out=psi)), and any other result is copied in;
               then E, transformed in place, whose residual norm is the sum
-              of squares of its float view (np.einsum: no temporary)
+              of squares of its float view (grid._sum_squares)
     spectra   R + damping * M(E) is written into whichever of two buffers
               does not hold the best iterate's spectrum: beside R while R
               is the best, over R once it is not.  So a new best only
@@ -55,6 +55,15 @@ its call, and may return it, but must not keep it.  The inverse transform
 is np.fft.ifftn, not ifft2: numpy 2.4's ifft2 accepts out= but ignores it
 (it passes out=None on), while ifftn writes into out and gives the same
 bits as ifft2 over both axes; fft2 honours out=, in place too.
+
+Padded rows.  From n = 128 psi is the [:, :n] view of an n x (n + 8)
+buffer, and every transform the kernel runs in place runs there (the
+start's is copied into R, the answer's into its field).  A contiguous
+column strides n*16 bytes, a power of two, onto a few cache sets (Bailey,
+J. Supercomputing 4, 1990); padded, fft2 takes half the time from n = 512
+with the same bits.  numpy buffers a ufunc over a padded view in 8192
+samples unless its buffer size is at most a row: the kernel's own passes
+run under _ufunc_buffer(min(n, caller's)), rhs under the caller's.
 
 Preconditioned steps.  When the right-hand side is linear at infinity,
 rhs(psi) = a*psi + b*conj(psi) + U(psi) + h with U of Lipschitz constant
@@ -99,6 +108,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -199,6 +209,16 @@ def _apply_inverse(E: np.ndarray, out: np.ndarray, m1: _Half, m2: _Half):
     return out
 
 
+@contextmanager
+def _ufunc_buffer(size: int):
+    """numpy's ufunc buffer size inside the block, which gets the outer one."""
+    outer = np.setbufsize(size)
+    try:
+        yield outer
+    finally:
+        np.setbufsize(outer)
+
+
 def _chord(g: Callable[[np.ndarray], np.ndarray], c_mean: complex, k: float):
     """picard_solve's linear = (a, b, k) for a map g of the gradient, frozen at
     the start's gradient c: Newton's chord method.  None takes plain steps.
@@ -270,22 +290,23 @@ def picard_solve(
     with zero samples, f = c*z.  Calling field() costs one inverse transform
     and one n x n array, so a right-hand side that ignores f should not call
     it; each step then runs two transforms instead of three.  psi_values is
-    the kernel's work array: rhs may read or overwrite it during the call
-    but must not keep it, since the next step writes into it again.  A
-    result written into psi_values and returned costs nothing; any other
-    result, a view of psi_values included, is copied into it.
+    the kernel's work array, from n = 128 a view with padded rows: rhs may
+    read or overwrite it during the call but must not keep it.  A result
+    written into psi_values and returned costs nothing; any other result,
+    a view of psi_values included, is copied into it.
 
     Each step is R <- R + damping * M(fft2(rhs) - R) on the candidate's
     spectrum R (see the module docstring), written into the one of two
     spectrum buffers that does not hold the best iterate.
 
-    tol is the absolute stopping threshold: the solve stops at the first
-    equation residual <= tol.  On exhaustion the best iterate (least
-    residual) is returned with converged=False.  A non-finite residual
-    stops the iteration at once: it is left out of the history,
-    the best finite iterate is returned with converged=False and the notes
-    name the iteration.  If the first residual is already non-finite there
-    is no finite iterate to return and ArithmeticError is raised.
+    tol is the absolute stopping threshold, finite and >= 0: the solve
+    stops at the first equation residual <= tol.  On exhaustion the best
+    iterate (least residual) is returned with converged=False.  A
+    non-finite residual stops the iteration at once: it is left out of
+    the history, the best finite iterate is returned with converged=False
+    and the notes name the iteration.  If the first residual is already
+    non-finite there is no finite iterate to return and ArithmeticError
+    is raised.
 
     linear = (a, b, k) declares rhs(psi) = a*psi + b*conj(psi) + U(psi) + h
     with |a| + |b| < 1 and the whole map k-Lipschitz, k < 1.  With (a, b)
@@ -300,6 +321,8 @@ def picard_solve(
         raise ValueError(f"damping must be in (0, 1], got {damping}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    if not (0.0 <= tol < math.inf):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
 
     n = spec.n
     beur, inv_dzbar = _kernel_symbols(n, spec.L)
@@ -313,79 +336,83 @@ def picard_solve(
             raise ValueError("a preconditioned solve takes no damping")
     c_mean = complex(c_mean)
 
-    def field(R: np.ndarray | None = None) -> GridField:
-        """The candidate with spectrum R; None is the start f = c*z."""
+    def field(R: np.ndarray | None = None, work: np.ndarray | None = None) -> GridField:
+        """The candidate with spectrum R, transformed in work if given; None: f = c*z."""
         if R is None:
             P, d = np.zeros((n, n), dtype=complex), 0
         else:
-            P, d = _half_multiply(R, inv_dzbar), complex(R[0, 0]) / (n * n)
+            P, d = _half_multiply(R, inv_dzbar, out=work), complex(R[0, 0]) / (n * n)
             np.fft.ifftn(P, out=P)
-        P.setflags(write=False)  # adopted by the field, not copied
+        P.setflags(write=False)  # adopted by the field if fresh, copied if work
         return GridField(spec, c_mean, d, P)
 
-    def into(psi: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """rhs's result r, taken into the array psi it was handed."""
+    pad = 8 if n >= 128 else 0  # psi's rows: see the module docstring
+    psi = np.empty((n, n + pad), dtype=complex)[:, :n]
+
+    def take_rhs(candidate: Callable[[], GridField]) -> np.ndarray:
+        """rhs(candidate, psi), run under the caller's buffer size, taken into psi."""
+        with _ufunc_buffer(caller):
+            r = rhs(candidate, psi)
         if r is not psi:  # a fresh array, or a view of psi
             np.copyto(psi, r)
         return psi
 
-    psi = np.empty((n, n), dtype=complex)
-
     def from_start(out: np.ndarray) -> np.ndarray:
         """fft2 of the right-hand side at the affine start f = c*z, into out."""
         psi.fill(c_mean)
-        return np.fft.fft2(into(psi, rhs(field, psi)), out=out)
+        np.copyto(out, np.fft.fft2(take_rhs(field), out=psi))
+        return out
 
-    R = from_start(np.empty((n, n), dtype=complex))
-    # T^-1's multipliers while the solve preconditions, built before the
-    # second spectrum buffer so that its temporaries never coexist with it
-    inverse = None if linear is None else _linear_inverse(beur, a, b)
-    spectra = (R, np.empty((n, n), dtype=complex))
-    if inverse is not None:  # the start with U frozen at U(c) and the linear part solved
-        R = _apply_inverse(R, spectra[1], *inverse)
+    with _ufunc_buffer(min(n, np.getbufsize())) as caller:  # one row: see above
+        R = from_start(np.empty((n, n), dtype=complex))
+        # T^-1's multipliers while the solve preconditions, built before the
+        # second spectrum buffer so that its temporaries never coexist with it
+        inverse = None if linear is None else _linear_inverse(beur, a, b)
+        spectra = (R, np.empty((n, n), dtype=complex))
+        if inverse is not None:  # the start with U frozen at U(c) and the linear part solved
+            R = _apply_inverse(R, spectra[1], *inverse)
 
-    history: list[float] = []
-    converged = False
-    notes: list[str] = []
-    best_R, best_res = None, np.inf
-    for it in range(1, max_iter + 1):
-        _half_multiply(R, beur, out=psi)
-        np.fft.ifftn(psi, out=psi)  # not ifft2, which ignores out=
-        psi += c_mean
-        into(psi, rhs(partial(field, R), psi))
-        # psi takes E = fft2(rhs) - R; by Parseval ||rhs - r||_2 = ||E||_2 / n^2
-        E = np.subtract(np.fft.fft2(psi, out=psi), R, out=psi)
-        res = math.sqrt(_sum_squares(E)) / (n * n)
-        if not math.isfinite(res):
-            if not history:
-                raise ArithmeticError("residual non-finite at iteration 1; "
-                                      "no finite iterate to return")
-            notes.append(f"residual non-finite at iteration {it}; stopped")
-            break
-        history.append(res)
-        if res < best_res:
-            best_R, best_res = R, res
-        if res <= tol:
-            converged = True
-            break
-        # beside R while R is the best iterate, over R once it is not
-        R_next = spectra[1] if best_R is spectra[0] else spectra[0]
-        if inverse is not None and len(history) > 1 and res > k * history[-2]:
-            inverse = None  # later steps are plain, from this step's R + E
-            notes.append(f"preconditioned step contracted by less than k = {k:g} "
-                         f"at iteration {it}; plain steps from "
-                         f"{'the start' if it == 2 else 'there'}")
-            if it == 2:  # the first step failed: plain steps as from the start
-                R = from_start(R_next)
-                continue
-        if inverse is not None:  # R is the best iterate: R_next is not R
-            E = _apply_inverse(E, R_next, *inverse)
-        elif damping != 1.0:
-            E *= damping
-        R = np.add(R, E, out=R_next)
+        history: list[float] = []
+        converged = False
+        notes: list[str] = []
+        best_R, best_res = None, np.inf
+        for it in range(1, max_iter + 1):
+            _half_multiply(R, beur, out=psi)
+            np.fft.ifftn(psi, out=psi)  # not ifft2, which ignores out=
+            psi += c_mean
+            take_rhs(partial(field, R))
+            # psi takes E = fft2(rhs) - R; by Parseval ||rhs - r||_2 = ||E||_2 / n^2
+            E = np.subtract(np.fft.fft2(psi, out=psi), R, out=psi)
+            res = math.sqrt(_sum_squares(E)) / (n * n)
+            if not math.isfinite(res):
+                if not history:
+                    raise ArithmeticError("residual non-finite at iteration 1; "
+                                          "no finite iterate to return")
+                notes.append(f"residual non-finite at iteration {it}; stopped")
+                break
+            history.append(res)
+            if res < best_res:
+                best_R, best_res = R, res
+            if res <= tol:
+                converged = True
+                break
+            # beside R while R is the best iterate, over R once it is not
+            R_next = spectra[1] if best_R is spectra[0] else spectra[0]
+            if inverse is not None and len(history) > 1 and res > k * history[-2]:
+                inverse = None  # later steps are plain, from this step's R + E
+                notes.append(f"preconditioned step contracted by less than k = {k:g} "
+                             f"at iteration {it}; plain steps from "
+                             f"{'the start' if it == 2 else 'there'}")
+                if it == 2:  # the first step failed: plain steps as from the start
+                    R = from_start(R_next)
+                    continue
+            if inverse is not None:  # R is the best iterate: R_next is not R
+                E = _apply_inverse(E, R_next, *inverse)
+            elif damping != 1.0:
+                E *= damping
+            R = np.add(R, E, out=R_next)
 
-    # free all but best_R and psi, so the answer is built below the loop's
-    # peak.  psi is freed only on return: freed before the answer's array was
-    # allocated, it cost the probe workload 0.8 MB more peak resident memory.
-    spectra = R = R_next = E = inverse = None
-    return field(best_R), SolveReport(history, converged, "; ".join(notes))
+        # free all but best_R and psi, in which the answer is transformed,
+        # so that it is built below the loop's peak
+        spectra = R = R_next = E = inverse = None
+        return field(best_R, psi), SolveReport(history, converged, "; ".join(notes))

@@ -175,10 +175,23 @@ def _lp_of_moduli(moduli: np.ndarray, p: float) -> float:
 
 
 def _sum_squares(values: np.ndarray) -> float:
-    """sum |v|^2 of a C-contiguous complex array: einsum over its float view
-    runs numpy's own loop, with no temporary and no BLAS."""
-    x = values.reshape(-1).view(float)
-    return float(np.einsum("i,i->", x, x))
+    """sum |v|^2 of a complex n x n array by einsum (no BLAS), which sums a
+    contiguous float view in 8192-double buffers, in order, whatever
+    np.setbufsize says.  A padded view gets those bits from 4096-sample
+    chunks copied into one scratch (an einsum per row would not)."""
+    if values.flags.c_contiguous:
+        x = values.reshape(-1).view(float)
+        return float(np.einsum("i,i->", x, x))
+    n = len(values)
+    rows, cols = min(n, max(1, 4096 // n)), min(n, 4096)
+    chunk = np.empty((rows, cols), dtype=complex)
+    x = chunk.reshape(-1).view(float)
+    total = 0.0
+    for r in range(0, n, rows):
+        for c in range(0, n, cols):
+            np.copyto(chunk, values[r:r + rows, c:c + cols])
+            total += float(np.einsum("i,i->", x, x))
+    return total
 
 
 def values_l2(values: np.ndarray) -> float:

@@ -457,6 +457,19 @@ class TestReferenceOracle:
                          chord=damping == 1.0)
         assert rep.converged and rep.iterations > 2
 
+    # from n = 128 the kernel's psi has padded rows: its transforms, its
+    # residual's sum of squares and the answer's copy keep the loop's bits
+    def test_chord_kabs_restart_on_padded_rows(self, recorded):
+        h = random_trig_field(GridSpec(256), seed=1, amplitude=0.5)
+        rep = self.check(recorded, lambda: solve_autonomous(abs_map(0.9), h, 1.0), chord=True)
+        assert rep.converged and "at iteration 2; plain steps from the start" in rep.notes
+
+    def test_smoothsat_preconditioned_on_padded_rows(self, recorded):
+        h = random_trig_field(GridSpec(256), seed=1, amplitude=0.5)
+        A = smooth_saturating_map(0.3, 0.1, 0.2)
+        rep = self.check(recorded, lambda: solve_autonomous(A, h, 1.0 + 0.5j), chord=True)
+        assert rep.converged and not rep.notes and rep.iterations > 5
+
     @staticmethod
     def check_close(recorded, solve):
         """A map with a linear part takes preconditioned steps: the same
@@ -690,6 +703,109 @@ class TestNumpyFFTOut:
         assert out.tobytes() == np.fft.fft2(self.X).tobytes()
 
 
+class TestPaddedRows:
+    """The numpy behaviour the kernel's padded work rows rely on: in-place
+    transforms of a row-padded view, and a sum of squares over one, give
+    the bits of the contiguous array's."""
+
+    @staticmethod
+    def padded(x):
+        """x copied into the [:, :n] view of an n x (n + 8) buffer."""
+        n = x.shape[1]
+        v = np.empty((x.shape[0], n + 8), dtype=complex)[:, :n]
+        v[...] = x
+        return v
+
+    @pytest.mark.parametrize("n", [128, 256, 512, 1024])
+    def test_in_place_transforms_keep_the_contiguous_bits(self, n):
+        x = np.random.default_rng(n).standard_normal((n, 2 * n)).view(complex)
+        for transform, want in ((np.fft.fft2, np.fft.fft2(x)), (np.fft.ifftn, np.fft.ifft2(x))):
+            v = self.padded(x)
+            assert transform(v, out=v) is v
+            assert np.ascontiguousarray(v).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [16, 64, 128, 256, 512, 1024, 2048])
+    @pytest.mark.parametrize("scale", ["spread", 1e-8, 1e3])
+    def test_sum_squares_keeps_the_flat_einsum_bits(self, n, scale):
+        # magnitudes spread over 1e-8..1e3 within one array, or all near one
+        for seed in range(3 if n < 2048 else 1):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((n, 2 * n)).view(complex)
+            x *= 10.0 ** rng.uniform(-8, 3, (n, n)) if scale == "spread" else scale
+            flat = x.reshape(-1).view(float)
+            want = float(np.einsum("i,i->", flat, flat))
+            v = self.padded(x)
+            assert grid._sum_squares(v) == want
+            with fixedpoint._ufunc_buffer(n):  # as the kernel calls it
+                assert grid._sum_squares(v) == want
+
+
+class TestTolerance:
+    """The solvers refuse a stopping threshold that no residual meets, or
+    that every residual meets."""
+
+    SOLVES = {
+        "autonomous": lambda tol: solve_autonomous(abs_map(0.3), FORCING, 1.0, tol, 50),
+        "full": lambda tol: solve_full(parse_map("kabs:0.3+wterm:0.05,0", SPEC.L), 1.0,
+                                       tol=tol, max_iter=50, spec=SPEC),
+        "neumann": lambda tol: solve_cc_neumann(CCParams(0.3, 0.2j), FORCING, 1.0, tol, 50),
+    }
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300, math.inf])
+    @pytest.mark.parametrize("kind", SOLVES)
+    def test_rejects_nan_negative_or_infinite(self, kind, tol):
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            self.SOLVES[kind](tol)
+
+    @pytest.mark.parametrize("kind", SOLVES)
+    def test_zero_runs_to_max_iter_or_an_exact_zero(self, kind):
+        _, rep = self.SOLVES[kind](0.0)
+        assert rep.converged == (rep.final_residual == 0.0)
+
+
+class TestUfuncBuffer:
+    """The kernel runs its own passes with numpy's ufunc buffer at one row
+    (at most the caller's), and rhs with the caller's, which it restores
+    however the solve ends."""
+
+    @pytest.fixture
+    def caller_size(self, request):
+        outer = np.setbufsize(request.param)
+        yield request.param
+        np.setbufsize(outer)
+
+    @pytest.mark.parametrize("caller_size, n", [(2048, 16), (2048, 128), (64, 128)],
+                             indirect=["caller_size"])
+    def test_kernel_and_rhs_sizes(self, monkeypatch, caller_size, n):
+        seen = {"kernel": set(), "rhs": set()}
+        sum_squares = fixedpoint._sum_squares
+
+        def recorded(values):
+            seen["kernel"].add(np.getbufsize())
+            return sum_squares(values)
+
+        def rhs(_field, psi):
+            seen["rhs"].add(np.getbufsize())
+            return psi
+
+        monkeypatch.setattr(fixedpoint, "_sum_squares", recorded)
+        picard_solve(rhs, GridSpec(n), 1.0, 0.0, 2)
+        assert seen == {"kernel": {min(n, caller_size)}, "rhs": {caller_size}}
+        assert np.getbufsize() == caller_size
+
+    @pytest.mark.parametrize("caller_size", [2048], indirect=True)
+    def test_restored_when_the_solve_raises(self, caller_size):
+        def rhs(_field, psi):
+            raise KeyError("rhs")
+
+        with pytest.raises(KeyError):
+            picard_solve(rhs, GridSpec(128), 1.0, 1e-10, 10)
+        assert np.getbufsize() == caller_size
+        with pytest.raises(ArithmeticError):
+            picard_solve(lambda _field, psi: psi * np.nan, SPEC, 1.0, 1e-10, 10)
+        assert np.getbufsize() == caller_size
+
+
 class TestPreconditioned:
     """Maps that declare a linear part at infinity: each step solves
     (I - a*S - b*conj∘S) exactly, and only the sublinear rest is iterated."""
@@ -785,14 +901,17 @@ class TestPreconditioned:
         with pytest.raises(ValueError, match="linear part"):
             picard_solve(rhs, SPEC, 1.0, 1e-10, 10, linear=(0.6, 0.4, 0.9))
 
-    @pytest.mark.parametrize("linear", [None, (0.3, 0.1, 0.6)], ids=["plain", "linear"])
-    def test_step_allocates_only_rhs_result(self, linear):
+    @pytest.mark.parametrize("linear, n", [
+        (None, 64), ((0.3, 0.1, 0.6), 64), (None, 256), ((0.3, 0.1, 0.6), 256)],
+        ids=["plain", "linear", "plain-n256", "linear-n256"])
+    def test_step_allocates_only_rhs_result(self, linear, n):
         # between two rhs calls the kernel allocates no n x n array: the
         # traced peak stays below one real n x n array above the memory in
-        # use when the previous call returned
-        n = self.SPEC64.n
+        # use when the previous call returned.  At n = 256 psi has padded
+        # rows, and the residual's chunk scratch counts too.
+        spec = GridSpec(n)
         A = smooth_saturating_map(0.3, 0.1, 0.2)
-        hv = random_trig_field(self.SPEC64, seed=3).values
+        hv = random_trig_field(spec, seed=3).values
         extra, base = [], [0]
 
         def rhs(_field, psi):
@@ -803,7 +922,7 @@ class TestPreconditioned:
             return out
 
         (_, rep), _, _ = traced_peak(partial(picard_solve, linear=linear),
-                                     rhs, self.SPEC64, 1.0, 1e-12, 100)
+                                     rhs, spec, 1.0, 1e-12, 100)
         assert rep.converged and rep.iterations > 5
         # the first windows hold the start: work arrays and multipliers
         assert max(extra[2:]) < n * n * 8
@@ -905,12 +1024,15 @@ class TestSolveHoldsOnlyWhatItsStepReads:
     # on half the spectrum); the right-hand side's temporaries come on top.
     # At n = 64 one row block is the whole grid, so the full map's blocked
     # right-hand side shows at n = 256 only, where H is evaluated a block
-    # at a time: 9.15 -> 6.15 in chord steps, 8.13 -> 5.13 damped.
+    # at a time: 9.15 -> 6.15 in chord steps, 8.13 -> 5.13 damped.  From
+    # n = 128 psi has padded rows: kabs at n = 256 peaks at 4.43, against
+    # 4.27 with contiguous rows (0.03 is the padding, 0.125 numpy's 128 KiB
+    # buffer for the map's ufunc over a padded row block).
     @pytest.mark.parametrize("kind, bound", [
         ("kabs", 6.0), ("smoothsat", 9.0), ("neumann", 7.5), ("derivative_pair", 3.5),
         ("changevar", 5.5), ("cc_residual", 4.5), ("kabs0.9-restart", 6.0),
         ("kabs-c0", 5.0), ("full", 11.5), ("full-damped", 10.5), ("residual", 4.0),
-        ("full-n256", 6.5), ("full-damped-n256", 5.5)])
+        ("full-n256", 6.5), ("full-damped-n256", 5.5), ("kabs-n256", 4.5)])
     def test_traced_peak(self, kind, bound):
         spec = GridSpec(256) if kind.endswith("-n256") else self.SPEC64
         kind = kind.removesuffix("-n256")
