@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autonomous import AutonomousMap
-from .grid import GridField, _row_blocks, _z_at, values_l2
+from .grid import GridField, _adopt, _row_blocks, _z_at, values_l2
 from .operators import _second_derivatives, derivative_pair
 
 __all__ = [
@@ -229,9 +229,9 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
     if len({f.spec.L for f in fields}) != 1:
         raise ValueError("levels must share the physical period")
     p_grid = [float(p) for p in p_grid]
-    if (not all(1 <= p < math.inf for p in p_grid)
+    if (not p_grid or not all(1 <= p < math.inf for p in p_grid)
             or any(b <= a for a, b in zip(p_grid, p_grid[1:]))):
-        raise ValueError("p_grid must be increasing, finite and >= 1")
+        raise ValueError("p_grid must be non-empty, increasing, finite and >= 1")
     misfit = "pairs must hold one derivative pair per level, on that level's grid"
     if pairs is not None:
         pairs = iter(pairs)
@@ -310,10 +310,7 @@ def second_order_probe(fields, k: float, q_grid) -> RegularityReport:
     fields = list(fields)
 
     def pair(f):  # built when sobolev_probe reads f's level
-        fzz, fzzb = _second_derivatives(f)
-        for a in (fzz, fzzb):
-            a.setflags(write=False)  # fresh arrays: the fields adopt them
-        return GridField(f.spec, 0.0, 0.0, fzz), GridField(f.spec, 0.0, 0.0, fzzb)
+        return tuple(_adopt(f.spec, a) for a in _second_derivatives(f))
 
     return sobolev_probe(fields, q_grid, pairs=map(pair, fields))
 
@@ -371,15 +368,7 @@ def recover_coefficients(fx: GridField, fy: GridField, k: float) -> CoefficientF
         s2 = np.maximum(smax[flagged] ** 2, 1e-300)
         mu[flagged] = (np.conj(ax) * bx + np.conj(ay) * by) / s2
         nu[flagged] = (ax * bx + ay * by) / s2
-    for a in (mu, nu):
-        a.setflags(write=False)  # fresh arrays: the fields adopt them
-
-    spec = fx.spec
-    return CoefficientFields(
-        mu=GridField(spec, 0.0, 0.0, mu),
-        nu=GridField(spec, 0.0, 0.0, nu),
-        flagged=flagged,
-    )
+    return CoefficientFields(mu=_adopt(fx.spec, mu), nu=_adopt(fx.spec, nu), flagged=flagged)
 
 
 @dataclass(frozen=True)
@@ -421,10 +410,7 @@ def gradient_equation_check(f: GridField, coeffs: CoefficientFields) -> Gradient
 def directional_derivative_fields(f: GridField) -> tuple[GridField, GridField]:
     """The x- and y-directional derivatives of f as purely periodic fields."""
     fz, fzb = (g.values for g in derivative_pair(f))
-    vx, vy = fz + fzb, 1j * (fz - fzb)
-    for a in (vx, vy):
-        a.setflags(write=False)  # fresh arrays: the fields adopt them
-    return GridField(f.spec, 0.0, 0.0, vx), GridField(f.spec, 0.0, 0.0, vy)
+    return _adopt(f.spec, fz + fzb), _adopt(f.spec, 1j * (fz - fzb))
 
 
 def directional_family_max_distortion(f: GridField) -> float:

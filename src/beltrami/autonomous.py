@@ -53,10 +53,10 @@ class AutonomousMap:
     """Pointwise gradient map with declared Lipschitz constant k < 1.
 
     eval must accept complex ndarrays of any shape (vectorized) and act
-    sample by sample: solve_autonomous hands it the candidate one block of
-    grid rows at a time (grid._row_blocks).  linf, when present,
-    declares the linear part at infinity: A(z) - linf.a*z - linf.b*conj(z)
-    is sublinear.
+    sample by sample: solve_autonomous hands it one block of grid rows at
+    a time (grid._row_blocks), and its bits do not depend on numpy's ufunc
+    buffer size (one row in a solve).  linf, if given, is the linear part
+    at infinity: A(z) - linf.a*z - linf.b*conj(z) is sublinear.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]

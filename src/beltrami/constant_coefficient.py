@@ -35,7 +35,7 @@ import numpy as np
 
 from .autonomous import CCParams, linear_map, solve_autonomous
 from .fixedpoint import SolveReport
-from .grid import GridField, GridSpec, _sum_squares, lp_norm, values_l2, z_grid
+from .grid import GridField, GridSpec, _adopt, _sum_squares, lp_norm, values_l2, z_grid
 from .operators import _conj_flip, _wavevectors, derivative_pair
 from .synth import random_waves
 
@@ -237,6 +237,8 @@ def solve_cc_changevar(
     """
     if not u.is_periodic():
         raise ValueError("forcing must have zero affine part")
+    if not np.isfinite(c_mean):
+        raise ValueError(f"c_mean must be finite, got {c_mean}")
     cv = compute_mu_nu(p)
     mu, nu = cv.mu, cv.nu
     spec = u.spec
@@ -273,10 +275,8 @@ def solve_cc_changevar(
     FT[0, 0] = 0.0
 
     FT *= n * n
-    vals = np.fft.ifftn(FT, out=FT)         # ifftn, since ifft2 ignores out=
-    vals.setflags(write=False)              # adopted by the field, not copied
     d = p.a * c_mean + p.b * complex(c_mean).conjugate() + mean_u
-    f = GridField(spec, c_mean, d, vals)
+    f = _adopt(spec, np.fft.ifftn(FT, out=FT), c_mean, d)  # ifftn: ifft2 ignores out=
 
     res = cc_residual(p, f, u)
     return f, SolveReport(residual_history=[res],

@@ -47,14 +47,13 @@ spectrum as the kernel's symbols are and applied through
 operators._half_multiply, whose mirror buffer holds at most one row
 block.  rhs's temporaries come on top; both solvers evaluate their map
 one row block at a time, so they are block-sized.  Each field() call
-transforms P into a fresh array, locked and adopted by its GridField
-without a copy: a right-hand side that drops the field frees it.
+transforms P into a fresh array, which its GridField adopts (grid._adopt):
+a right-hand side that drops the field frees it.
 
-Because psi is reused, a right-hand side may read or overwrite psi during
-its call, and may return it, but must not keep it.  The inverse transform
-is np.fft.ifftn, not ifft2: numpy 2.4's ifft2 accepts out= but ignores it
-(it passes out=None on), while ifftn writes into out and gives the same
-bits as ifft2 over both axes; fft2 honours out=, in place too.
+The inverse transform is np.fft.ifftn, not ifft2: numpy 2.4's ifft2
+accepts out= but ignores it (it passes out=None on), while ifftn writes
+into out and gives the same bits as ifft2 over both axes; fft2 honours
+out=, in place too.
 
 Padded rows.  From n = 128 psi is the [:, :n] view of an n x (n + 8)
 buffer, and every transform the kernel runs in place runs there (the
@@ -62,8 +61,9 @@ start's is copied into R, the answer's into its field).  A contiguous
 column strides n*16 bytes, a power of two, onto a few cache sets (Bailey,
 J. Supercomputing 4, 1990); padded, fft2 takes half the time from n = 512
 with the same bits.  numpy buffers a ufunc over a padded view in 8192
-samples unless its buffer size is at most a row: the kernel's own passes
-run under _ufunc_buffer(min(n, caller's)), rhs under the caller's.
+samples unless its buffer size is at most a row, so the whole solve, rhs
+included, runs under _ufunc_buffer(min(n, caller's)).  A map acts sample
+by sample, so its bits do not depend on the buffer size.
 
 Preconditioned steps.  When the right-hand side is linear at infinity,
 rhs(psi) = a*psi + b*conj(psi) + U(psi) + h with U of Lipschitz constant
@@ -115,7 +115,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import GridField, GridSpec, _sum_squares
+from .grid import GridField, GridSpec, _adopt, _sum_squares
 from .operators import _conj_flip, _Half, _half_multiply, _kernel_symbols
 
 __all__ = ["SolveReport", "picard_solve"]
@@ -211,10 +211,10 @@ def _apply_inverse(E: np.ndarray, out: np.ndarray, m1: _Half, m2: _Half):
 
 @contextmanager
 def _ufunc_buffer(size: int):
-    """numpy's ufunc buffer size inside the block, which gets the outer one."""
+    """numpy's ufunc buffer size inside the block; the outer one after it."""
     outer = np.setbufsize(size)
     try:
-        yield outer
+        yield
     finally:
         np.setbufsize(outer)
 
@@ -291,22 +291,23 @@ def picard_solve(
     and one n x n array, so a right-hand side that ignores f should not call
     it; each step then runs two transforms instead of three.  psi_values is
     the kernel's work array, from n = 128 a view with padded rows: rhs may
-    read or overwrite it during the call but must not keep it.  A result
-    written into psi_values and returned costs nothing; any other result,
-    a view of psi_values included, is copied into it.
+    read or overwrite it during the call but must not keep it, and it runs
+    under the solve's ufunc buffer size (see the module docstring).  A
+    result written into psi_values and returned costs nothing; any other
+    result, a view of psi_values included, is copied into it.
 
     Each step is R <- R + damping * M(fft2(rhs) - R) on the candidate's
     spectrum R (see the module docstring), written into the one of two
     spectrum buffers that does not hold the best iterate.
 
-    tol is the absolute stopping threshold, finite and >= 0: the solve
-    stops at the first equation residual <= tol.  On exhaustion the best
-    iterate (least residual) is returned with converged=False.  A
-    non-finite residual stops the iteration at once: it is left out of
-    the history, the best finite iterate is returned with converged=False
-    and the notes name the iteration.  If the first residual is already
-    non-finite there is no finite iterate to return and ArithmeticError
-    is raised.
+    tol is the absolute stopping threshold, finite and >= 0 (c_mean must
+    be finite): the solve stops at the first equation residual <= tol.  On
+    exhaustion the best iterate (least residual) is returned with
+    converged=False.  A non-finite residual stops the iteration at once:
+    it is left out of the history, the best finite iterate is returned
+    with converged=False and the notes name the iteration.  If the first
+    residual is already non-finite there is no finite iterate to return
+    and ArithmeticError is raised.
 
     linear = (a, b, k) declares rhs(psi) = a*psi + b*conj(psi) + U(psi) + h
     with |a| + |b| < 1 and the whole map k-Lipschitz, k < 1.  With (a, b)
@@ -323,6 +324,9 @@ def picard_solve(
         raise ValueError("max_iter must be at least 1")
     if not (0.0 <= tol < math.inf):
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    c_mean = complex(c_mean)
+    if not np.isfinite(c_mean):
+        raise ValueError(f"c_mean must be finite, got {c_mean}")
 
     n = spec.n
     beur, inv_dzbar = _kernel_symbols(n, spec.L)
@@ -334,7 +338,6 @@ def picard_solve(
             raise ValueError(f"linear part needs |a|+|b| < 1 and k in [0, 1), got {linear}")
         if damping != 1.0:
             raise ValueError("a preconditioned solve takes no damping")
-    c_mean = complex(c_mean)
 
     def field(R: np.ndarray | None = None, work: np.ndarray | None = None) -> GridField:
         """The candidate with spectrum R, transformed in work if given; None: f = c*z."""
@@ -343,16 +346,17 @@ def picard_solve(
         else:
             P, d = _half_multiply(R, inv_dzbar, out=work), complex(R[0, 0]) / (n * n)
             np.fft.ifftn(P, out=P)
-        P.setflags(write=False)  # adopted by the field if fresh, copied if work
-        return GridField(spec, c_mean, d, P)
+        return _adopt(spec, P, c_mean, d)  # copied if work, a view
 
-    pad = 8 if n >= 128 else 0  # psi's rows: see the module docstring
+    # psi's rows (module docstring) are padded from n = 128 only: padded at
+    # n = 16 / 32 / 64, kabs:0.9 solves at c = 0 took 2.70 / 5.23 / 10.28 ms
+    # against 2.28 / 4.38 / 9.09 (two interleaved runs, 2 shared EPYC CPUs).
+    pad = 8 if n >= 128 else 0
     psi = np.empty((n, n + pad), dtype=complex)[:, :n]
 
     def take_rhs(candidate: Callable[[], GridField]) -> np.ndarray:
-        """rhs(candidate, psi), run under the caller's buffer size, taken into psi."""
-        with _ufunc_buffer(caller):
-            r = rhs(candidate, psi)
+        """rhs(candidate, psi), taken into psi."""
+        r = rhs(candidate, psi)
         if r is not psi:  # a fresh array, or a view of psi
             np.copyto(psi, r)
         return psi
@@ -363,7 +367,7 @@ def picard_solve(
         np.copyto(out, np.fft.fft2(take_rhs(field), out=psi))
         return out
 
-    with _ufunc_buffer(min(n, np.getbufsize())) as caller:  # one row: see above
+    with _ufunc_buffer(min(n, np.getbufsize())):  # one row: see above
         R = from_start(np.empty((n, n), dtype=complex))
         # T^-1's multipliers while the solve preconditions, built before the
         # second spectrum buffer so that its temporaries never coexist with it

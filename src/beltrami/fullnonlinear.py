@@ -56,10 +56,11 @@ class FullMap:
 
     eval(z, w, zeta) must be vectorized over same-shape complex arrays and
     act sample by sample: solve_full hands it one block of grid rows at a
-    time (grid._row_blocks).  k bounds the Lipschitz constant in the zeta
-    slot.  solve_full audits k on zeta -> H(0, 0, zeta) as
-    solve_autonomous audits an AutonomousMap's; an excess at other z or w
-    is check_conditions' to find.  H(z, w, 0) must vanish (check_conditions
+    time (grid._row_blocks), and its bits do not depend on numpy's ufunc
+    buffer size (one row in a solve).  k bounds the Lipschitz constant in
+    the zeta slot, audited on zeta -> H(0, 0, zeta) as solve_autonomous
+    audits an AutonomousMap's; an excess at other z or w is
+    check_conditions' to find.  H(z, w, 0) must vanish (check_conditions
     samples it), and a forcing goes to solve_full as h.
     The CLI's zterm and wterm tokens break that normalisation: they add a
     position-only forcing or a w-term inside H (see cli.parse_map).

@@ -86,8 +86,8 @@ class GridField:
     values is stored as a read-only complex (n, n) array.  An array that is
     already one (complex, C-contiguous, of the grid's shape, owning its
     memory and read-only) is adopted as it is; any other input, a writeable
-    array or a view included, is copied.  A caller that hands over a fresh
-    array locks it first and keeps no writeable reference to it.
+    array or a view included, is copied.  The package hands over its fresh
+    arrays through _adopt, which locks them.
     """
 
     spec: GridSpec
@@ -150,8 +150,15 @@ class DerivedPair(NamedTuple):
     dzbar: GridField
 
 
+def _adopt(spec: GridSpec, values: np.ndarray, c: complex = 0.0, d: complex = 0.0) -> GridField:
+    """The GridField that adopts values, a fresh complex n x n array that
+    nothing else keeps: locked here, so it is not copied (a view still is)."""
+    values.setflags(write=False)
+    return GridField(spec, c, d, values)
+
+
 def zero_field(spec: GridSpec) -> GridField:
-    return GridField(spec, 0.0, 0.0, np.zeros((spec.n, spec.n), dtype=complex))
+    return _adopt(spec, np.zeros((spec.n, spec.n), dtype=complex))
 
 
 def lp_norm(f: GridField, p: float) -> float:
@@ -175,13 +182,10 @@ def _lp_of_moduli(moduli: np.ndarray, p: float) -> float:
 
 
 def _sum_squares(values: np.ndarray) -> float:
-    """sum |v|^2 of a complex n x n array by einsum (no BLAS), which sums a
-    contiguous float view in 8192-double buffers, in order, whatever
-    np.setbufsize says.  A padded view gets those bits from 4096-sample
-    chunks copied into one scratch (an einsum per row would not)."""
-    if values.flags.c_contiguous:
-        x = values.reshape(-1).view(float)
-        return float(np.einsum("i,i->", x, x))
+    """sum |v|^2 of a complex n x n array, contiguous or a padded view, by
+    einsum (no BLAS), which sums a flat float array in 8192-double buffers,
+    in order, whatever np.setbufsize says: 4096-sample chunks copied into
+    one scratch give its bits (an einsum per row would not)."""
     n = len(values)
     rows, cols = min(n, max(1, 4096 // n)), min(n, 4096)
     chunk = np.empty((rows, cols), dtype=complex)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import _BLOCK, DerivedPair, GridField, GridSpec, _row_blocks
+from .grid import _BLOCK, DerivedPair, GridField, GridSpec, _adopt, _row_blocks
 
 __all__ = [
     "derivative_pair",
@@ -141,10 +141,9 @@ def derivative_pair(f: GridField) -> DerivedPair:
 
     Both outputs are purely periodic; f's affine c and d become their means.
     dz is built in one buffer and dzbar in the spectrum's own array (ifftn,
-    since ifft2 ignores out=); both are locked and adopted by their fields,
-    so two n x n arrays are allocated and none is copied.  Each block of
-    the d/dz symbol is built in dz's rows, that of the d/dzbar symbol in
-    the wavevector block.
+    since ifft2 ignores out=), which their fields adopt: two n x n arrays
+    are allocated and none is copied.  Each block of the d/dz symbol is
+    built in dz's rows, that of the d/dzbar symbol in the wavevector block.
     """
     F = np.fft.fft2(f.values)
     dz = np.empty_like(F)
@@ -156,9 +155,7 @@ def derivative_pair(f: GridField) -> DerivedPair:
         F[rows] *= sym_dzbar
     np.add(np.fft.ifftn(dz, out=dz), f.c, out=dz)
     dzb = np.add(np.fft.ifftn(F, out=F), f.d, out=F)
-    for a in (dz, dzb):
-        a.setflags(write=False)
-    return DerivedPair(GridField(f.spec, 0.0, 0.0, dz), GridField(f.spec, 0.0, 0.0, dzb))
+    return DerivedPair(_adopt(f.spec, dz), _adopt(f.spec, dzb))
 
 
 def _second_derivatives(f: GridField, zbarzbar: bool = False) -> tuple[np.ndarray, ...]:
@@ -202,7 +199,7 @@ def beurling(phi: GridField) -> GridField:
         raise ValueError("beurling requires a field with zero affine part")
     beur, _ = _kernel_symbols(phi.spec.n, phi.spec.L)
     F = np.fft.fft2(phi.values)
-    return GridField(phi.spec, 0.0, 0.0, np.fft.ifft2(_half_multiply(F, beur, out=F)))
+    return _adopt(phi.spec, np.fft.ifftn(_half_multiply(F, beur, out=F), out=F))
 
 
 def antiderivative_zbar(phi: GridField, c: complex = 0.0) -> GridField:
@@ -217,8 +214,7 @@ def antiderivative_zbar(phi: GridField, c: complex = 0.0) -> GridField:
     _, inv = _kernel_symbols(phi.spec.n, phi.spec.L)
     F = np.fft.fft2(phi.values)
     mean = complex(F[0, 0]) / (phi.spec.n ** 2)
-    vals = np.fft.ifft2(_half_multiply(F, inv, out=F))
-    return GridField(phi.spec, c, mean, vals)
+    return _adopt(phi.spec, np.fft.ifftn(_half_multiply(F, inv, out=F), out=F), c, mean)
 
 
 def _resize_rows(A: np.ndarray, n: int) -> np.ndarray:
@@ -276,5 +272,4 @@ def resample(f: GridField, new_n: int) -> GridField:
         B = _resize_rows(np.fft.fft(cols, axis=0, out=cols) / (m ** 2), new_n)
         B[:, half] += B[:, new_n]
         vals = np.fft.ifft2(B[:, :new_n] * (new_n ** 2))
-    vals.setflags(write=False)  # fresh: the field adopts it
-    return GridField(dst, f.c, f.d, vals)
+    return _adopt(dst, vals, f.c, f.d)

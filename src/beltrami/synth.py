@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .grid import GridField, GridSpec, _row_blocks, z_grid
+from .grid import GridField, GridSpec, _adopt, _row_blocks, z_grid
 
 __all__ = [
     "trig_field",
@@ -34,8 +34,7 @@ def trig_field(spec: GridSpec, waves, c: complex = 0.0, d: complex = 0.0) -> Gri
         coeffs[k2 % n, k1 % n] += coeff
     np.fft.ifftn(coeffs, out=coeffs)
     coeffs *= n * n
-    coeffs.setflags(write=False)
-    return GridField(spec, c, d, coeffs)
+    return _adopt(spec, coeffs, c, d)
 
 
 def random_waves(rng: np.random.Generator, band: int = 3, modes: int = 6,
@@ -91,7 +90,7 @@ def _window(r: np.ndarray, r0: float, r1: float):
 
 
 def _radial_parts(spec: GridSpec, K: float):
-    """Read-only samples of (g, g_z, g_zb), built over row blocks
+    """Fresh samples of (g, g_z, g_zb), built over row blocks
     (_row_blocks) with the operations of one pass over the grid (see
     radial_extremal_pair): no n x n temporary is made."""
     if not 1 < K < math.inf:
@@ -127,8 +126,6 @@ def _radial_parts(spec: GridSpec, K: float):
             g_d *= w
             g_d += g
         np.multiply(w, f0, out=g)
-    for a in parts:
-        a.setflags(write=False)
     return parts
 
 
@@ -139,8 +136,7 @@ def radial_extremal_field(spec: GridSpec, K: float) -> GridField:
     exactly for p < 2K/(K-1), which calibrates the integrability probe.
     The window makes the samples exactly periodic.
     """
-    g, _, _ = _radial_parts(spec, K)
-    return GridField(spec, 0.0, 0.0, g)
+    return _adopt(spec, _radial_parts(spec, K)[0])
 
 
 def radial_extremal_pair(spec: GridSpec, K: float) -> tuple[GridField, GridField, GridField]:
@@ -148,12 +144,8 @@ def radial_extremal_pair(spec: GridSpec, K: float) -> tuple[GridField, GridField
 
     Returns (field, dz, dzbar).  Analytic sampling avoids polluting the
     probe calibration with ringing from spectral differentiation of a
-    point-singular field.  The samples are computed over blocks of rows
-    and written straight into the three fields' arrays, which the fields
-    adopt without a copy; every sample takes the same operations as in one
-    pass over the grid, so the bytes do not depend on the blocking.
+    point-singular field.  The samples are built over blocks of rows into
+    the arrays the fields adopt, each with the operations of one pass over
+    the grid, so the bytes do not depend on the blocking.
     """
-    g, g_z, g_zb = _radial_parts(spec, K)
-    return (GridField(spec, 0.0, 0.0, g),
-            GridField(spec, 0.0, 0.0, g_z),
-            GridField(spec, 0.0, 0.0, g_zb))
+    return tuple(_adopt(spec, a) for a in _radial_parts(spec, K))

@@ -223,6 +223,16 @@ class TestSobolevProbe:
         fields = [affine(1.0, 0.0, GridSpec(n)) for n in (64, 128, 256)]
         assert math.isinf(sobolev_probe(fields, [1.0, 2.0]).p_critical)
 
+    @pytest.mark.parametrize("probe", ["sobolev", "second_order"])
+    def test_rejects_an_empty_exponent_grid(self, probe):
+        # no exponent probed read as p_critical = inf, "every exponent stable"
+        fields = [affine(1.0, 0.0, GridSpec(n)) for n in (64, 128, 256)]
+        with pytest.raises(ValueError, match="p_grid must be non-empty"):
+            if probe == "sobolev":
+                sobolev_probe(fields, [])
+            else:
+                second_order_probe(fields, 0.5, np.array([]))
+
     def test_norm_rows_shape(self):
         fields = [affine(1.0, 0.0, GridSpec(n)) for n in (64, 128, 256)]
         rep = sobolev_probe(fields, [2.0, 3.0])

@@ -33,8 +33,9 @@ from beltrami import (
     solve_full,
     trig_field,
     z_grid,
+    zero_field,
 )
-from beltrami import autonomous, fixedpoint, fullnonlinear, grid
+from beltrami import autonomous, fixedpoint, fullnonlinear, grid, operators
 from beltrami.cli import parse_map
 from beltrami.fixedpoint import _chord, picard_solve
 from beltrami.operators import _kernel_symbols, _second_derivatives
@@ -742,7 +743,7 @@ class TestPaddedRows:
 
 class TestTolerance:
     """The solvers refuse a stopping threshold that no residual meets, or
-    that every residual meets."""
+    that every residual meets, and a mean gradient that is not finite."""
 
     SOLVES = {
         "autonomous": lambda tol: solve_autonomous(abs_map(0.3), FORCING, 1.0, tol, 50),
@@ -762,11 +763,26 @@ class TestTolerance:
         _, rep = self.SOLVES[kind](0.0)
         assert rep.converged == (rep.final_residual == 0.0)
 
+    MEANS = {
+        "autonomous": lambda c: solve_autonomous(abs_map(0.3), FORCING, c),
+        "full": lambda c: solve_full(parse_map("kabs:0.3+wterm:0.05,0", SPEC.L), c, spec=SPEC),
+        "neumann": lambda c: solve_cc_neumann(CCParams(0.3, 0.2j), FORCING, c),
+        "changevar": lambda c: solve_cc_changevar(CCParams(0.3, 0.2j), FORCING, c),
+    }
+
+    @pytest.mark.parametrize("c_mean", [math.nan, math.inf, complex(1.0, -math.inf),
+                                        complex(math.nan, 0.0)])
+    @pytest.mark.parametrize("kind", MEANS)
+    def test_rejects_non_finite_mean(self, kind, c_mean):
+        # refused before a transform or a product warns of the non-finite values
+        with pytest.raises(ValueError, match="c_mean must be finite"):
+            self.MEANS[kind](c_mean)
+
 
 class TestUfuncBuffer:
-    """The kernel runs its own passes with numpy's ufunc buffer at one row
-    (at most the caller's), and rhs with the caller's, which it restores
-    however the solve ends."""
+    """A solve runs with numpy's ufunc buffer at one row, at most the
+    caller's, its right-hand side included, and restores the caller's
+    however it ends."""
 
     @pytest.fixture
     def caller_size(self, request):
@@ -790,7 +806,7 @@ class TestUfuncBuffer:
 
         monkeypatch.setattr(fixedpoint, "_sum_squares", recorded)
         picard_solve(rhs, GridSpec(n), 1.0, 0.0, 2)
-        assert seen == {"kernel": {min(n, caller_size)}, "rhs": {caller_size}}
+        assert seen == {"kernel": {min(n, caller_size)}, "rhs": {min(n, caller_size)}}
         assert np.getbufsize() == caller_size
 
     @pytest.mark.parametrize("caller_size", [2048], indirect=True)
@@ -804,6 +820,32 @@ class TestUfuncBuffer:
         with pytest.raises(ArithmeticError):
             picard_solve(lambda _field, psi: psi * np.nan, SPEC, 1.0, 1e-10, 10)
         assert np.getbufsize() == caller_size
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512, 1024])
+    @pytest.mark.parametrize("spec_str", ["linear:0.3,0.1,0.2,-0.1", "kabs:0.9",
+                                          "smoothsat:0.3,0.1,0.2,0,0.2",
+                                          "kabs:0.3+zterm:0.02,0,1,0+wterm:0.05,0"])
+    def test_maps_keep_their_bits_on_padded_rows(self, spec_str, n):
+        # The premise of one buffer size per solve: each map of the CLI's
+        # grammar, evaluated as the solvers do, on a row block of padded
+        # psi under a one-row buffer, gives the bits of the same map on a
+        # contiguous copy of the block under the caller's buffer.
+        spec = GridSpec(n)
+        m = parse_map(spec_str, spec.L)
+        if isinstance(m, FullMap):
+            w = np.random.default_rng(n + 1).standard_normal((n, 2 * n)).view(complex)
+            evaluate = lambda rows, zeta: m.eval(z_grid(spec, rows), w[rows], zeta)
+        else:
+            evaluate = lambda rows, zeta: m.eval(zeta)
+        x = np.random.default_rng(n).standard_normal((n, 2 * n)).view(complex)
+        x *= 10.0 ** np.random.default_rng(n + 2).uniform(-3, 2, (n, n))
+        psi = np.empty((n, n + 8), dtype=complex)[:, :n]
+        psi[...] = x
+        for rows in grid._row_blocks(n):
+            want = evaluate(rows, x[rows].copy())
+            with fixedpoint._ufunc_buffer(n):
+                got = evaluate(rows, psi[rows])
+            assert got.tobytes() == want.tobytes(), rows
 
 
 class TestPreconditioned:
@@ -1025,20 +1067,28 @@ class TestSolveHoldsOnlyWhatItsStepReads:
     # At n = 64 one row block is the whole grid, so the full map's blocked
     # right-hand side shows at n = 256 only, where H is evaluated a block
     # at a time: 9.15 -> 6.15 in chord steps, 8.13 -> 5.13 damped.  From
-    # n = 128 psi has padded rows: kabs at n = 256 peaks at 4.43, against
-    # 4.27 with contiguous rows (0.03 is the padding, 0.125 numpy's 128 KiB
-    # buffer for the map's ufunc over a padded row block).
+    # n = 128 psi has padded rows: kabs at n = 256 peaks at 4.30, against
+    # 4.27 with contiguous rows (0.03 is the padding).  It read 4.43 while
+    # the map ran under the caller's ufunc buffer: 0.125 was numpy's 128 KiB
+    # buffer for a ufunc over a padded row block.  beurling and
+    # antiderivative_zbar transform back in their spectrum's array and the
+    # field adopts it: 3.03 -> 2.03; zero_field adopts its zeros: 2.01 -> 1.01.
     @pytest.mark.parametrize("kind, bound", [
         ("kabs", 6.0), ("smoothsat", 9.0), ("neumann", 7.5), ("derivative_pair", 3.5),
         ("changevar", 5.5), ("cc_residual", 4.5), ("kabs0.9-restart", 6.0),
         ("kabs-c0", 5.0), ("full", 11.5), ("full-damped", 10.5), ("residual", 4.0),
-        ("full-n256", 6.5), ("full-damped-n256", 5.5), ("kabs-n256", 4.5)])
+        ("full-n256", 6.5), ("full-damped-n256", 5.5), ("kabs-n256", 4.4),
+        ("beurling", 2.5), ("antiderivative_zbar", 2.5), ("zero_field", 1.5)])
     def test_traced_peak(self, kind, bound):
         spec = GridSpec(256) if kind.endswith("-n256") else self.SPEC64
         kind = kind.removesuffix("-n256")
         h = random_trig_field(spec, seed=3)
         if kind == "derivative_pair":
             call, arg = derivative_pair, self.SOLVES["kabs"](h)[0]
+        elif kind in ("beurling", "antiderivative_zbar"):
+            call, arg = getattr(operators, kind), h
+        elif kind == "zero_field":
+            call, arg = zero_field, spec
         elif kind == "cc_residual":
             f = self.SOLVES["changevar"](h)[0]
             call, arg = partial(cc_residual, CCParams(0.5, 0.2j), f), h

@@ -64,6 +64,20 @@ def test_only_the_kernel_symbols_are_cached():
     assert cached == ["operators._kernel_symbols"]
 
 
+def test_only_grid_locks_fresh_arrays():
+    # a fresh array reaches a GridField through grid._adopt, the one place
+    # that locks it; the kernel's cached symbols lock their own
+    lockers = set()
+    for path in sorted(Path(beltrami.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setflags":
+                owner = [f.name for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                lockers.add(path.stem if path.stem == "grid" else ".".join([path.stem] + owner))
+    assert lockers == {"grid", "operators._kernel_symbols"}
+
+
 def test_perfbench_calls_bind():
     # perfbench calls the package by position and keyword; every call must
     # still bind to the signature it reaches (the files are read, not run)
