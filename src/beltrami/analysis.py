@@ -151,9 +151,10 @@ class RegularityReport:
 # Riemann sums converge, growing increments mean they diverge).
 GROWTH_TOLERANCE = 1.10
 
-# Samples per block of the power-mean pass: every exponent's terms for one
-# block (len(p_grid) * _BLOCK doubles) stay in cache.
-_BLOCK = 4096
+# Samples per chunk of the power-mean pass: every exponent's terms for one
+# chunk (len(p_grid) * _CHUNK doubles) stay in cache.  Not grid._BLOCK,
+# the row block the moduli are read in.
+_CHUNK = 4096
 
 
 def _positive_tail_fit(s: np.ndarray):
@@ -237,7 +238,7 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
         pairs = iter(pairs)
 
     power_means = np.zeros((len(fields), len(p_grid)))
-    p_col, blk = np.array(p_grid)[:, None], np.empty((len(p_grid), _BLOCK))
+    p_col, blk = np.array(p_grid)[:, None], np.empty((len(p_grid), _CHUNK))
 
     def add_chunk(row, logs):
         part = blk[:, :logs.size]
@@ -259,9 +260,9 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
                 top = float(_finite_distortion(a, b, m).max(initial=top))
                 positive.add(logs[np.isfinite(logs)])  # nonzero |Df| >= 0 is positive
             logs = np.concatenate((carry, np.log(logs, out=logs)))
-            whole = logs.size - logs.size % _BLOCK
-            for s in range(0, whole, _BLOCK):
-                add_chunk(row, logs[s:s + _BLOCK])
+            whole = logs.size - logs.size % _CHUNK
+            for s in range(0, whole, _CHUNK):
+                add_chunk(row, logs[s:s + _CHUNK])
             carry = logs[whole:]
         if carry.size:
             add_chunk(row, carry)

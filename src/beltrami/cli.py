@@ -538,8 +538,8 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("coefficients",
                         help="recover pointwise coefficients from a solution")
     sp.add_argument("--field", required=True)
-    sp.add_argument("--k", type=float, required=True,
-                    help="recorded in the manifest; changes no output")
+    sp.add_argument("--k", type=_unit_open, required=True,
+                    help="in (0, 1), recorded in the manifest; changes no output")
     common(sp)
     sp.set_defaults(func=cmd_coefficients)
 

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .fixedpoint import SolveReport, _audit_declared_k, _chord, picard_solve
-from .grid import GridField, GridSpec, _row_blocks, lp_norm, z_grid
+from .grid import GridField, GridSpec, _row_blocks, _z_at, lp_norm, z_grid
 from .autonomous import AutonomousMap
 
 __all__ = [
@@ -34,8 +34,8 @@ class FullStructure:
 
         |U(z, w, zeta)| <= zeta_bound*|zeta|^alpha + w_bound*|w|^(2*alpha) + u(z).
 
-    u is sampled on the grid that check_conditions and fit_bound_constants
-    draw z from; solve_full does not read the structure.
+    check_conditions and fit_bound_constants draw z from u's grid and read
+    u at the drawn points; solve_full does not read the structure.
     """
 
     a: complex
@@ -104,23 +104,26 @@ class ConditionReport:
         return ok
 
 
-def _sample_grid(H: FullMap) -> GridSpec:
-    """The grid z is sampled on: the structure's, else 16 points a side."""
-    return H.structure.u.spec if H.structure is not None else GridSpec(16)
-
-
-def _sample_points(spec: GridSpec, samples: int, seed: int):
+def _sample(H: FullMap, samples: int, seed: int):
+    """The samples both checks draw: grid points of the structure's grid
+    (16 points a side without one) by flat index, |u| read at those
+    indices (0.0 without a structure), w over a broad disk and zeta at
+    log-uniform moduli.  The indices are the draw rng.choice makes over the
+    flattened z_grid, so every later draw keeps its place in the stream."""
     if samples < 1:
         raise ValueError("need at least one sample")
+    st = H.structure
+    spec = st.u.spec if st is not None else GridSpec(16)
     rng = np.random.default_rng(seed)
-    Z = z_grid(spec).reshape(-1)
-    z = rng.choice(Z, size=samples)
+    i, j = np.divmod(rng.integers(0, spec.n * spec.n, samples), spec.n)
+    z = _z_at(spec, i, j)
+    u_at = np.abs(st.u.values[i, j]) if st is not None else 0.0
     w = rng.normal(size=samples) + 1j * rng.normal(size=samples)
     w *= 10.0 ** rng.uniform(-1, 2, samples)
     # log-uniform moduli stress the large-gradient regime, plus exact zeros
     r = 10.0 ** rng.uniform(-3, 4, samples)
     zeta = r * np.exp(2j * np.pi * rng.uniform(0, 1, samples))
-    return rng, z, w, zeta
+    return rng, z, w, zeta, u_at
 
 
 def check_conditions(H: FullMap, samples: int, seed: int = 0) -> ConditionReport:
@@ -130,7 +133,7 @@ def check_conditions(H: FullMap, samples: int, seed: int = 0) -> ConditionReport
     without structure), w over a broad disk, zeta over log-uniform moduli
     up to 1e4.
     """
-    rng, z, w, zeta = _sample_points(_sample_grid(H), samples, seed)
+    rng, z, w, zeta, u_at = _sample(H, samples, seed)
 
     eta = zeta * rng.uniform(0, 1, samples) + (
         rng.normal(size=samples) + 1j * rng.normal(size=samples))
@@ -141,24 +144,14 @@ def check_conditions(H: FullMap, samples: int, seed: int = 0) -> ConditionReport
 
     zero_slot = float(np.max(np.abs(H.eval(z, w, np.zeros_like(zeta)))))
 
-    bound_excess = None
-    if H.structure is not None:
-        st = H.structure
-        u_at = _u_at_points(st.u, z)
+    bound_excess, st = None, H.structure
+    if st is not None:
         U = H.eval(z, w, zeta) - st.a * zeta - st.b * np.conj(zeta)
         envelope = (st.zeta_bound * np.abs(zeta) ** st.alpha
                     + st.w_bound * np.abs(w) ** (2 * st.alpha) + u_at)
         bound_excess = float(np.max(np.abs(U) - envelope))
 
     return ConditionReport(lipschitz_max, zero_slot, bound_excess)
-
-
-def _u_at_points(u: GridField, z: np.ndarray) -> np.ndarray:
-    """Nearest-sample lookup of a grid function at grid points."""
-    n, L = u.spec.n, u.spec.L
-    j = np.rint(z.real / L * n).astype(int) % n
-    i = np.rint(z.imag / L * n).astype(int) % n
-    return np.abs(u.values[i, j])
 
 
 def _min_sum_cover(X: np.ndarray, Y: np.ndarray, r: np.ndarray) -> tuple[float, float]:
@@ -205,15 +198,13 @@ def fit_bound_constants(H: FullMap, alpha: float, samples: int = 512,
     """
     if not (alpha < 1):
         raise ValueError("growth exponent must be < 1")
-    _, z, w, zeta = _sample_points(_sample_grid(H), samples, seed)
+    _, z, w, zeta, u_at = _sample(H, samples, seed)
     st = H.structure
     if a is None:
         a = st.a if st is not None else 0.0
     if b is None:
         b = st.b if st is not None else 0.0
-    U = np.abs(H.eval(z, w, zeta) - a * zeta - b * np.conj(zeta))
-    if st is not None:
-        U = U - _u_at_points(st.u, z)
+    U = np.abs(H.eval(z, w, zeta) - a * zeta - b * np.conj(zeta)) - u_at
     return _min_sum_cover(np.abs(zeta) ** alpha, np.abs(w) ** (2 * alpha), U)
 
 

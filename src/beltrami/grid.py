@@ -120,16 +120,16 @@ class GridField:
     # Pointwise arithmetic; the affine coefficients combine linearly.
     def __add__(self, other: "GridField") -> "GridField":
         self._check_same_spec(other)
-        return GridField(self.spec, self.c + other.c, self.d + other.d,
-                         self.values + other.values)
+        return _adopt(self.spec, self.values + other.values,
+                      self.c + other.c, self.d + other.d)
 
     def __sub__(self, other: "GridField") -> "GridField":
         self._check_same_spec(other)
-        return GridField(self.spec, self.c - other.c, self.d - other.d,
-                         self.values - other.values)
+        return _adopt(self.spec, self.values - other.values,
+                      self.c - other.c, self.d - other.d)
 
     def __mul__(self, s: complex) -> "GridField":
-        return GridField(self.spec, s * self.c, s * self.d, s * self.values)
+        return _adopt(self.spec, s * self.values, s * self.c, s * self.d)
 
     __rmul__ = __mul__
 

@@ -285,8 +285,8 @@ class TestSobolevProbe:
         assert rep.stable == (stable,)
 
     def test_power_means_over_several_blocks(self):
-        # the finest level's positive samples fill two blocks and part of a
-        # third; every block adds each exponent's terms once
+        # the finest level's positive samples fill two chunks and part of a
+        # third; every chunk adds each exponent's terms once
         rng = np.random.default_rng(19)
         p_grid = [1.0, 2.5, 7.0, 40.0]
         fields, pairs, mags = [], [], []
@@ -298,16 +298,16 @@ class TestSobolevProbe:
             pairs.append((GridField(spec, 0.0, 0.0, m + 0j), zero_field(spec)))
             mags.append(m)
         positive = int(np.count_nonzero(mags[-1]))
-        assert positive > 2 * analysis._BLOCK and positive % analysis._BLOCK
+        assert positive > 2 * analysis._CHUNK and positive % analysis._CHUNK
         rep = sobolev_probe(fields, p_grid, pairs=pairs)
         # the documented bound: eps * (1 + p * |log|Df||) per term and about
-        # eps per block from adding up the blocks
+        # eps per chunk from adding up the chunks
         eps = np.finfo(float).eps
         for row, m in zip(rep.power_means, mags):
             ref = np.array([np.mean(m ** p) for p in p_grid])
             log_max = float(np.max(np.abs(np.log(m[m > 0]))))
-            blocks = m.size / analysis._BLOCK
-            bound = eps * (16.0 + blocks + np.array(p_grid) * log_max) * ref
+            chunks = m.size / analysis._CHUNK
+            bound = eps * (16.0 + chunks + np.array(p_grid) * log_max) * ref
             assert np.all(np.abs(np.array(row) - ref) <= bound)
 
     def test_zero_gradient_reads_zero_and_stable(self):
@@ -403,14 +403,14 @@ def _sobolev_reference(fields, p_grid, pairs=None):
     if pairs is None:
         pairs = [derivative_pair(f) for f in fields]
     power_means = np.zeros((len(fields), len(p_grid)))
-    p_col, blk = np.array(p_grid)[:, None], np.empty((len(p_grid), analysis._BLOCK))
+    p_col, blk = np.array(p_grid)[:, None], np.empty((len(p_grid), analysis._CHUNK))
     for i, (dz, dzb) in enumerate(pairs):
         m = np.abs(dz.values) + np.abs(dzb.values)
         logm = m[m != 0]
         np.log(logm, out=logm)
-        for s in range(0, logm.size, analysis._BLOCK):
+        for s in range(0, logm.size, analysis._CHUNK):
             part = blk[:, :logm.size - s]
-            power_means[i] += np.exp(np.multiply(p_col, logm[s:s + analysis._BLOCK], out=part),
+            power_means[i] += np.exp(np.multiply(p_col, logm[s:s + analysis._CHUNK], out=part),
                                      out=part).sum(axis=1)
         power_means[i] /= m.size
     st = _pair_stats_reference(dz.values, dzb.values)
@@ -491,7 +491,7 @@ class TestOnePassPerLevel:
         fields, pairs = _rough_ladder(nan_level)
         nonzero = int(np.count_nonzero(np.abs(pairs[-1][0].values)
                                        + np.abs(pairs[-1][1].values)))
-        assert nonzero > 2 * grid._BLOCK and nonzero % analysis._BLOCK
+        assert nonzero > 2 * grid._BLOCK and nonzero % analysis._CHUNK
         p_grid = [1.0, 2.5, 7.0, 40.0]
         rep = sobolev_probe(fields, p_grid, pairs=pairs)
         self.assert_same(rep, _sobolev_reference(fields, p_grid, pairs))

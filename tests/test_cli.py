@@ -596,6 +596,18 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "max_identity_residual=" in out
 
+    @pytest.mark.parametrize("k, code", [("0", 1), ("1", 1), ("nan", 1), ("inf", 1),
+                                         ("-5", 1), ("0.3", 0), ("0.31", 0)])
+    def test_coefficients_k_in_unit_interval(self, k, code, solved_field, tmp_path, capsys):
+        # --k changes no output, but like probe --k it must lie in (0, 1)
+        out = tmp_path / "coef"
+        assert run(["coefficients", "--field", solved_field, "--k", k,
+                    "--out", str(out)]) == code
+        if code:
+            assert "--k" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert json.loads((out / "manifest.json").read_text())["config"]["k"] == float(k)
 
     def test_coefficients_k_prime_inf_off_the_ellipticity_ball(self, tmp_path, capsys):
         # the full map drives |nu| >= 1 on unflagged samples: k' is unbounded
@@ -766,7 +778,7 @@ class TestStrictManifest:
         (["probe", "--map", "kabs:0.3", "--grid", "16", "--levels", "3"],
          {("result", "p_critical"): "inf"}),
         (["verify-transform", "--a", "0.3,0", "--b", "0.2,0"], {}),
-        (["coefficients", "--field", "FIELD", "--k", "inf"], {("config", "k"): "inf"}),
+        (["coefficients", "--field", "FIELD", "--k", "0.3"], {}),
         (["hodograph", "--field", "FIELD", "--map", "kabs:0.3", "--points", "8"], {}),
         (["report", "--field", "CONST"], {("result", "distortion_max"): "inf"}),
     ], ids=["solve", "probe-smooth", "verify-transform", "coefficients",

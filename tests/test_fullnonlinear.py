@@ -22,7 +22,8 @@ from beltrami import (
 )
 from beltrami.cli import parse_map
 from beltrami import fullnonlinear
-from beltrami.fullnonlinear import _min_sum_cover, _sample_points
+from beltrami.fullnonlinear import _min_sum_cover, _sample
+from _helpers import traced_peak
 
 SPEC = GridSpec(64)
 
@@ -116,17 +117,30 @@ class TestCheckConditionsBoundaries:
             def normal(self, size):
                 return np.full(size, gap / np.sqrt(2.0))
 
-        def sample_points(spec, samples, seed):
-            _, z, w, zeta = _sample_points(spec, samples, seed)
-            return Stub(), z, w, zeta / np.maximum(1.0, np.abs(zeta))  # |zeta| <= 1
+        def sample(H, samples, seed):
+            _, z, w, zeta, u_at = _sample(H, samples, seed)
+            return Stub(), z, w, zeta / np.maximum(1.0, np.abs(zeta)), u_at  # |zeta| <= 1
 
-        monkeypatch.setattr(fullnonlinear, "_sample_points", sample_points)
+        monkeypatch.setattr(fullnonlinear, "_sample", sample)
         H = FullMap(eval=lambda z, w, zeta: 0.3 * zeta, k=0.3)
         rep = check_conditions(H, samples=500)
         if kept:
             assert rep.lipschitz_max == pytest.approx(0.3, rel=1e-4)
         else:
             assert rep.lipschitz_max == 0.0
+
+    @pytest.mark.parametrize("check", ["check_conditions", "fit_bound_constants"])
+    def test_traced_peak_is_the_samples(self, check):
+        # z is built at the drawn points only and u read there, so a
+        # structure on a 1024 grid adds no whole-grid array (a complex
+        # 1024 x 1024 z grid is 16 MiB)
+        spec = GridSpec(1024)
+        H = FullMap(eval=lambda z, w, zeta: 0.3 * zeta + 0.01 * w, k=0.3,
+                    structure=FullStructure(0.3, 0.0, 0.5, 0.0, 0.01, zero_field(spec)))
+        call = {"check_conditions": lambda: check_conditions(H, 512),
+                "fit_bound_constants": lambda: fit_bound_constants(H, 0.5, 512)}[check]
+        _, peak, _ = traced_peak(call)
+        assert peak <= 0.2 * 2 ** 20
 
 
 class TestSolveFull:
@@ -244,7 +258,8 @@ class TestFitBoundConstants:
             for samples in (256, 1024, 4096):
                 zb, wb = fit_bound_constants(H, alpha=0.99, samples=samples,
                                              a=0.3, b=0.0, seed=seed)
-                _, z, w, zeta = _sample_points(GridSpec(16), samples, seed)
+                _, z, w, zeta, u_at = _sample(H, samples, seed)
+                assert u_at == 0.0
                 X, Y = np.abs(zeta) ** 0.99, np.abs(w) ** 1.98
                 r = np.abs(H.eval(z, w, zeta) - 0.3 * zeta)
                 assert (zb, wb) == _min_sum_cover(X, Y, r)
@@ -300,9 +315,9 @@ class TestFitBoundConstants:
         with pytest.raises(ValueError, match="inf or nan"):
             fit_bound_constants(H, alpha=0.5, samples=64)
 
-    def test_structured_map_subtracts_declared_u(self):
+    @pytest.mark.parametrize("spec", [GridSpec(16), GridSpec(128, L=37.0)])
+    def test_structured_map_subtracts_declared_u(self, spec):
         # |H - 0.3 zeta| = |0.1 w + u(z)| <= 0.1 |w| + u(z) with u declared
-        spec = GridSpec(16)
         u = GridField(spec, 0.0, 0.0, 0.05 * (1.0 + np.cos(z_grid(spec).real)))
 
         def H_eval(z, w, zeta):
@@ -311,8 +326,11 @@ class TestFitBoundConstants:
         H = FullMap(eval=H_eval, k=0.3,
                     structure=FullStructure(0.3, 0.0, 0.5, 0.0, 0.0, u))
         zb, wb = fit_bound_constants(H, alpha=0.5, samples=1024, seed=3)
-        _, z, w, zeta = _sample_points(spec, 1024, 3)
-        r = np.abs(H_eval(z, w, zeta) - 0.3 * zeta) - 0.05 * (1.0 + np.cos(z.real))
+        _, z, w, zeta, u_at = _sample(H, 1024, 3)
+        assert np.isin(z, z_grid(spec)).all()  # drawn from the structure's grid
+        # |u| is read at the drawn points' own indices: u's value at z
+        assert np.array_equal(u_at, 0.05 * (1.0 + np.cos(z.real)))
+        r = np.abs(H_eval(z, w, zeta) - 0.3 * zeta) - u_at
         assert (zb, wb) == _min_sum_cover(np.abs(zeta) ** 0.5, np.abs(w), r)
         assert zb + wb <= 0.1 * (1 + 1e-12)
         # without the declared u the same samples need larger constants

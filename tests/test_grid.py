@@ -155,6 +155,26 @@ class TestMakeField:
         assert np.allclose((2.0 * f).values, 2.0 * f.values)
         assert np.allclose((f - f).values, 0.0)
 
+    @pytest.mark.parametrize("op, s", [("add", None), ("sub", None), ("mul", 0.3 - 1.7j),
+                                       ("rmul", 2.5)])
+    def test_arithmetic_adopts_its_result(self, op, s):
+        # the fresh result is adopted, not copied: one n x n array at
+        # n = 512 (a copy would make it 2.0), with numpy's bytes
+        n = 512
+        rng = np.random.default_rng(4)
+        f, g = (GridField(GridSpec(n), c, d, rng.normal(size=(n, n))
+                          + 1j * rng.normal(size=(n, n)))
+                for c, d in ((1 + 2j, -0.5j), (0.25, 3.0)))
+        call = {"add": lambda: f + g, "sub": lambda: f - g,
+                "mul": lambda: f * s, "rmul": lambda: s * f}[op]
+        out, peak, _ = traced_peak(call)
+        assert peak < 1.1 * f.values.nbytes
+        expected = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
+                    "mul": lambda a, b: s * a, "rmul": lambda a, b: s * a}[op]
+        assert out.values.tobytes() == expected(f.values, g.values).tobytes()
+        assert (out.c, out.d) == (expected(f.c, g.c), expected(f.d, g.d))
+        assert not out.values.flags.writeable
+
     def test_spec_mismatch_arithmetic(self):
         with pytest.raises(ValueError, match="mismatch"):
             zero_field(GridSpec(16)) + zero_field(GridSpec(32))

@@ -64,18 +64,33 @@ def test_only_the_kernel_symbols_are_cached():
     assert cached == ["operators._kernel_symbols"]
 
 
-def test_only_grid_locks_fresh_arrays():
-    # a fresh array reaches a GridField through grid._adopt, the one place
-    # that locks it; the kernel's cached symbols lock their own
-    lockers = set()
+def _call_sites(name):
+    """module.function of every call to name, as a function or a method, in src/."""
+    sites = []
     for path in sorted(Path(beltrami.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setflags":
+            if isinstance(node, ast.Call) and name in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                 owner = [f.name for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
-                lockers.add(path.stem if path.stem == "grid" else ".".join([path.stem] + owner))
+                sites.append(".".join([path.stem] + owner))
+    return sorted(sites)
+
+
+def test_only_grid_locks_fresh_arrays():
+    # a fresh array reaches a GridField through grid._adopt, the one place
+    # that locks it; the kernel's cached symbols lock their own
+    lockers = {"grid" if s.split(".")[0] == "grid" else s for s in _call_sites("setflags")}
     assert lockers == {"grid", "operators._kernel_symbols"}
+
+
+def test_grid_fields_built_in_three_places():
+    # every other fresh array reaches a GridField through grid._adopt;
+    # read_field copies outside input, and resample's same-grid return
+    # shares the adopted values of its input
+    assert _call_sites("GridField") == ["grid._adopt", "grid.read_field",
+                                        "operators.resample"]
 
 
 def test_perfbench_calls_bind():
