@@ -342,9 +342,12 @@ def recover_coefficients(fx: GridField, fy: GridField, k: float) -> CoefficientF
     at least 1e-6 times the largest (and the largest clears an absolute
     floor, so roundoff-level gradients of constant fields cannot
     masquerade as data); elsewhere the sample is flagged and a least-norm
-    value, computed on the flagged samples only, is stored.  k is not read:
-    no output depends on it.
+    value, computed on the flagged samples only, is stored.  k is only
+    range-checked, as second_order_probe checks it (ValueError outside
+    (0, 1)): no output depends on it.
     """
+    if not (0 < k < 1):
+        raise ValueError("need a Lipschitz constant in (0, 1)")
     if fx.spec != fy.spec:
         raise ValueError("directional derivative fields live on different grids")
     ax, bx = (g.values for g in derivative_pair(fx))

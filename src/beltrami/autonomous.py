@@ -19,8 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .fixedpoint import SolveReport, _audit_declared_k, _chord, picard_solve
-from .grid import GridField, _row_blocks, lp_norm, values_l2
-from .operators import derivative_pair
+from .grid import GridField, _blocked_l2, _row_blocks, lp_norm
+from .operators import _first_derivatives
 
 __all__ = [
     "CCParams",
@@ -155,10 +155,19 @@ def solve_autonomous(
 
 
 def residual(A: AutonomousMap, f: GridField, h: GridField) -> float:
-    """l2 residual ||f_zbar - A(f_z) - h||_2 via spectral derivatives."""
+    """l2 residual ||f_zbar - A(f_z) - h||_2 via spectral derivatives,
+    evaluated one row block at a time, as solve_autonomous evaluates A: a
+    block's residual is formed in f_zbar's rows and its squared moduli go
+    into f_z's (grid._blocked_l2)."""
     if f.spec != h.spec:
         raise ValueError("field and forcing live on different grids")
-    fz, fzb = derivative_pair(f)
-    Afz = A.eval(fz.values)
-    del fz  # freed before the difference is formed
-    return values_l2(fzb.values - Afz - h.values)
+    fz, fzb = _first_derivatives(f)
+    Aeval, hv = A.eval, h.values
+
+    def pointwise(rows):  # fzb - A(fz) - h, in that order
+        r = fzb[rows]
+        r -= Aeval(fz[rows])
+        r -= hv[rows]
+        return r
+
+    return _blocked_l2(pointwise, fz)

@@ -35,8 +35,9 @@ import numpy as np
 
 from .autonomous import CCParams, linear_map, solve_autonomous
 from .fixedpoint import SolveReport
-from .grid import GridField, GridSpec, _adopt, _sum_squares, lp_norm, values_l2, z_grid
-from .operators import _conj_flip, _wavevectors, derivative_pair
+from .grid import (GridField, GridSpec, _adopt, _blocked_l2, _sum_squares, lp_norm, values_l2,
+                   z_grid)
+from .operators import _conj_flip, _first_derivatives, _wavevectors
 from .synth import random_waves
 
 __all__ = [
@@ -285,13 +286,19 @@ def solve_cc_changevar(
 
 
 def cc_residual(p: CCParams, f: GridField, u: GridField) -> float:
-    """l2 residual of f in the constant-coefficient equation with forcing u."""
+    """l2 residual of f in the constant-coefficient equation with forcing u,
+    evaluated one row block at a time: a block's residual is formed in
+    f_zbar's rows and its squared moduli go into f_z's (grid._blocked_l2)."""
     if f.spec != u.spec:
         raise ValueError("field and forcing live on different grids")
-    fz, fzb = derivative_pair(f)
-    r = np.multiply(p.a, fz.values)        # fzb - a*fz - b*conj(fz) - u, in that order
-    np.subtract(fzb.values, r, out=r)
-    fzb = None
-    r -= p.b * np.conj(fz.values)          # an expression, as in solve_cc_changevar
-    r -= u.values
-    return values_l2(r)
+    fz, fzb = _first_derivatives(f)
+    a, b, uv = p.a, p.b, u.values
+
+    def pointwise(rows):  # fzb - a*fz - b*conj(fz) - u, in that order
+        z, r = fz[rows], fzb[rows]
+        r -= np.multiply(a, z)
+        r -= b * np.conj(z)                # an expression, as in solve_cc_changevar
+        r -= uv[rows]
+        return r
+
+    return _blocked_l2(pointwise, fz)

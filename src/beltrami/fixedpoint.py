@@ -21,13 +21,19 @@ the affine f = c*z: R is the spectrum of its right-hand side, one fft2
 before the loop.
 
 One step costs two transforms (ifft2 for psi, fft2 of the right-hand
-side).  The candidate f is handed to rhs as a zero-argument callable,
-field(), that returns it as a GridField (c, d and P) for one inverse
-transform: only a right-hand side that reads f (the fully nonlinear
-H(z, f, f_z)) pays that third transform.  The kernel deals only in spectra
-and GridFields and builds no z; solve_full assembles f's samples, one row
-block at a time.  The returned field is field() of the best iterate's
-spectrum, built once every other work array is freed.
+side).  The candidate f = c*z + d*conj(z) + P is handed to rhs as a
+zero-argument callable, field(), that returns (P, d) for one inverse
+transform, P in a fresh array that rhs owns: only a right-hand side that
+reads f (the fully nonlinear H(z, f, f_z)) pays that third transform.  The
+kernel deals only in spectra and sample arrays and builds no z; solve_full
+writes f's samples over P's, one row block at a time.  Only the beurling
+symbol, which every step reads, is cached per grid
+(operators._beurling_half).  The 1/dzbar half that field() applies is
+built by the solve's first field() of a spectrum and kept to its end: once
+per solve, for the answer only when rhs ignores f.  The returned field is
+the GridField of field() of the best iterate's spectrum, transformed in
+psi once every other work array is freed and copied into the best
+spectrum's own buffer, which the field adopts: no third n x n array.
 
 Apart from rhs's own temporaries and field(), a step allocates no n x n
 array: it writes into work arrays that live for the whole solve.
@@ -47,8 +53,9 @@ spectrum as the kernel's symbols are and applied through
 operators._half_multiply, whose mirror buffer holds at most one row
 block.  rhs's temporaries come on top; both solvers evaluate their map
 one row block at a time, so they are block-sized.  Each field() call
-transforms P into a fresh array, which its GridField adopts (grid._adopt):
-a right-hand side that drops the field frees it.
+transforms P into a fresh array: a right-hand side that drops it frees it.
+1/dzbar's half, once built, adds about half an n x n array for the rest
+of the solve.
 
 The inverse transform is np.fft.ifftn, not ifft2: numpy 2.4's ifft2
 accepts out= but ignores it (it passes out=None on), while ifftn writes
@@ -116,7 +123,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import GridField, GridSpec, _adopt, _sum_squares
-from .operators import _conj_flip, _Half, _half_multiply, _kernel_symbols
+from .operators import _beurling_half, _conj_flip, _Half, _half_multiply, _inverse_dzbar_half
 
 __all__ = ["SolveReport", "picard_solve"]
 
@@ -274,7 +281,7 @@ def _audit_declared_k(g: Callable[[np.ndarray], np.ndarray], k: float) -> None:
 
 
 def picard_solve(
-    rhs: Callable[[Callable[[], GridField], np.ndarray], np.ndarray],
+    rhs: Callable[[Callable[[], tuple[np.ndarray, complex]], np.ndarray], np.ndarray],
     spec: GridSpec,
     c_mean: complex,
     tol: float,
@@ -286,10 +293,12 @@ def picard_solve(
 
     rhs(field, psi_values) must return the sampled right-hand side of the
     equation f_zbar = rhs(f, f_z), where field() returns the current
-    candidate f as a GridField; the start's is GridField(spec, c_mean, 0, 0)
-    with zero samples, f = c*z.  Calling field() costs one inverse transform
-    and one n x n array, so a right-hand side that ignores f should not call
-    it; each step then runs two transforms instead of three.  psi_values is
+    candidate f = c_mean*z + d*conj(z) + P as (P, d): P its periodic
+    samples, in a fresh array that rhs owns and may overwrite, and d its
+    affine coefficient; the start's is zero samples and d = 0, f = c*z.
+    Calling field() costs one inverse transform and one n x n array, so a
+    right-hand side that ignores f should not call it; each step then runs
+    two transforms instead of three.  psi_values is
     the kernel's work array, from n = 128 a view with padded rows: rhs may
     read or overwrite it during the call but must not keep it, and it runs
     under the solve's ufunc buffer size (see the module docstring).  A
@@ -329,7 +338,7 @@ def picard_solve(
         raise ValueError(f"c_mean must be finite, got {c_mean}")
 
     n = spec.n
-    beur, inv_dzbar = _kernel_symbols(n, spec.L)
+    beur = _beurling_half(n, spec.L)
     if linear is not None and (linear[0], linear[1]) == (0, 0):
         linear = None  # a zero linear part: plain steps
     if linear is not None:
@@ -339,14 +348,24 @@ def picard_solve(
         if damping != 1.0:
             raise ValueError("a preconditioned solve takes no damping")
 
-    def field(R: np.ndarray | None = None, work: np.ndarray | None = None) -> GridField:
-        """The candidate with spectrum R, transformed in work if given; None: f = c*z."""
+    inv_dzbar = None  # 1/dzbar's half, built by the first field() of a spectrum
+
+    def field(R: np.ndarray | None = None, work: np.ndarray | None = None):
+        """(P, d) of the candidate with spectrum R (None: f = c*z), P in a
+        fresh array.  Given work, P is transformed there and copied over R,
+        whose buffer it then is."""
+        nonlocal inv_dzbar
         if R is None:
-            P, d = np.zeros((n, n), dtype=complex), 0
-        else:
-            P, d = _half_multiply(R, inv_dzbar, out=work), complex(R[0, 0]) / (n * n)
-            np.fft.ifftn(P, out=P)
-        return _adopt(spec, P, c_mean, d)  # copied if work, a view
+            return np.zeros((n, n), dtype=complex), 0j
+        if inv_dzbar is None:
+            inv_dzbar = _inverse_dzbar_half(n, spec.L)
+        d = complex(R[0, 0]) / (n * n)
+        P = _half_multiply(R, inv_dzbar, out=work)
+        np.fft.ifftn(P, out=P)
+        if work is not None:
+            np.copyto(R, P)
+            P = R
+        return P, d
 
     # psi's rows (module docstring) are padded from n = 128 only: padded at
     # n = 16 / 32 / 64, kabs:0.9 solves at c = 0 took 2.70 / 5.23 / 10.28 ms
@@ -416,7 +435,9 @@ def picard_solve(
                 E *= damping
             R = np.add(R, E, out=R_next)
 
-        # free all but best_R and psi, in which the answer is transformed,
-        # so that it is built below the loop's peak
+        # free all but best_R and psi, in which the answer is transformed
+        # before best_R's buffer takes it, so that it is built below the
+        # loop's peak
         spectra = R = R_next = E = inverse = None
-        return field(best_R, psi), SolveReport(history, converged, "; ".join(notes))
+        P, d = field(best_R, psi)
+        return _adopt(spec, P, c_mean, d), SolveReport(history, converged, "; ".join(notes))

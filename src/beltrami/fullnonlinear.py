@@ -259,10 +259,10 @@ def solve_full(
     hv = None if h is None else h.values
 
     def rhs(field, psi):  # H is pointwise: psi takes H + h one row block at a time
-        g = field()
+        P, d = field()
         for rows in _row_blocks(spec.n):
             Z = z_grid(spec, rows)
-            f = c * Z + g.d * np.conj(Z) + g.values[rows]
+            f = np.add(c * Z + d * np.conj(Z), P[rows], out=P[rows])  # f's samples, over P's
             out = psi[rows]
             out[...] = Heval(Z, f, out)
             if hv is not None:

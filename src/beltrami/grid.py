@@ -204,6 +204,26 @@ def values_l2(values: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(sq, out=sq))))
 
 
+def _blocked_l2(pointwise, scratch: np.ndarray) -> float:
+    """values_l2 of the n x n samples that pointwise(rows) returns block by
+    block (_row_blocks), in one pass and with values_l2's bits.
+
+    scratch is a complex n x n array that pointwise has read up to the
+    block's rows when it returns, and that the block it returns does not
+    share.  A block's squared moduli fill the n*(e - s) floats of scratch's
+    float view from s*n, which lie in rows s/2..e/2, already read; one
+    np.mean over its first n^2 floats, in grid order, sums them as
+    values_l2 sums the whole array.
+    """
+    n = len(scratch)
+    sq = scratch.reshape(-1).view(float)[:n * n]
+    for rows in _row_blocks(n):
+        out = sq[rows.start * n:rows.stop * n].reshape(-1, n)
+        np.abs(pointwise(rows), out=out)
+        np.square(out, out=out)
+    return float(np.sqrt(np.mean(sq)))
+
+
 # Samples per row block of every blocked pass over an n x n grid
 # (_row_blocks): wavevectors, the mirrored rows of a half-spectrum symbol,
 # both solvers' right-hand sides, radial fixture, moduli pass, text

@@ -12,15 +12,20 @@ Conventions fixed here: coefficients are stored in numpy fft2 layout
 the beurling transform's zero mode is 0; means of derivative fields are
 carried by the affine coefficients, never by the periodic part.
 
-Only the two multipliers that the fixed-point kernel reads in every step,
-the beurling symbol and 1/dzbar, are cached per grid, each on half the
-spectrum (rows 0..n/2 and the Nyquist column, about half an n x n array;
-_half_multiply applies them).  The derivative symbols and the wavevectors
-are built per call over blocks of rows, each block used while it is in
-cache and then dropped, so no other n x n array outlives a call.  Each
-wavevector entry is one rounded product (2*pi/L)*k, k an integer, and a
-derivative symbol's parts are exact halves of them, so every block holds
-the bits of the whole-grid expression.
+Only the multiplier that the fixed-point kernel reads in every step, the
+beurling symbol, is cached per grid, on half the spectrum (rows 0..n/2 and
+the Nyquist column, about half an n x n array; _half_multiply applies it).
+1/dzbar, which only turns a finished spectrum back into a field, is built
+on the same half per solve or per call.  The derivative symbols and the
+wavevectors are built per call over blocks of rows, each block used while
+it is in cache and then dropped, so no other n x n array outlives a call.
+Each wavevector entry is one rounded product (2*pi/L)*k, k an integer, and
+a derivative symbol's parts are exact halves of them, so every block holds
+the bits of the whole-grid expression.  The symbols are applied by calls
+with out=, which no temporary elision reorders, so their blocks need not
+be _row_blocks': a grid of one block (n <= 128) is cut into sixteenths
+(_symbol_blocks).  Only changevar's sheared symbol, an expression, takes
+_row_blocks.
 """
 
 from __future__ import annotations
@@ -40,16 +45,32 @@ __all__ = [
 ]
 
 
-def _wavevectors(n: int, L: float):
+def _wavevectors(n: int, L: float, blocks=None, cols: slice = slice(None)):
     """Blocks of rows of the complex wavevector grid KC = (2*pi/L)*(k1 + i*k2),
-    as (row slice, fresh KC block) pairs; k1 varies along columns (x), k2
-    along rows (y)."""
+    as (row slice, KC block) pairs, over the row slices blocks
+    (_row_blocks(n) by default) and the columns cols; k1 varies along
+    columns (x), k2 along rows (y).  One buffer is refilled for every block,
+    so a caller may overwrite a block but must be done with it before it
+    takes the next."""
     k = (2.0 * np.pi / L) * np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    for rows in _row_blocks(n):
-        KC = np.empty((rows.stop - rows.start, n), dtype=complex)
-        KC.real = k
+    buf = np.empty(0, dtype=complex)
+    for rows in _row_blocks(n) if blocks is None else blocks:
+        size = (rows.stop - rows.start) * k[cols].size
+        if buf.size < size:
+            buf = np.empty(size, dtype=complex)
+        KC = buf[:size].reshape(rows.stop - rows.start, -1)
+        KC.real = k[cols]
         KC.imag = k[rows, None]
         yield rows, KC
+
+
+def _symbol_blocks(n: int, stop: int | None = None):
+    """Row slices of rows 0..stop (all n by default) for a symbol applied
+    with out=: _BLOCK samples each, but a sixteenth of a grid that fits in
+    one block (n <= 128), so no block is the whole grid."""
+    step = n // 16 if n * n <= _BLOCK else _BLOCK // n
+    stop = n if stop is None else stop
+    return (slice(s, min(s + step, stop)) for s in range(0, stop, step))
 
 
 class _Half(NamedTuple):
@@ -63,28 +84,41 @@ class _Half(NamedTuple):
     sign: float
 
 
-@lru_cache(maxsize=32)
-def _kernel_symbols(n: int, L: float):
-    """(beurling symbol, 1/dzbar symbol) as _Half multipliers, read by the
-    fixed-point kernel in every step, so kept per grid; the zero mode of
-    each is 0.  Beurling is even and 1/dzbar odd: off the Nyquist column a
-    mode's negative has the exactly negated wavevector, so a mirrored entry
-    has the whole-grid expression's value (a zero part may carry the other
-    sign)."""
+def _half_symbol(n: int, L: float, symbol, sign: float) -> _Half:
+    """The _Half of the multiplier symbol(KC) (sign: its parity under
+    k -> -k), 0 at the zero mode.  symbol writes S into the wavevector block
+    it is given; it runs over _symbol_blocks of rows 0..n/2, then over the
+    Nyquist column's other rows, so no block is the whole grid.  Off the
+    Nyquist column a mode's negative has the exactly negated wavevector, so
+    a mirrored entry has the whole-grid expression's value (a zero part may
+    carry the other sign)."""
     h = n // 2
-    halves = [_Half(np.empty((h + 1, n), dtype=complex), np.empty(n, dtype=complex), sign)
-              for sign in (1.0, -1.0)]
+    top, col = np.empty((h + 1, n), dtype=complex), np.empty(n, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for rows, KC in _wavevectors(n, L):
-            kept = max(0, min(rows.stop, h + 1) - rows.start)
-            for sym, S in zip(halves, (np.divide(np.conj(KC), KC), np.divide(1.0, 0.5j * KC))):
-                sym.col[rows] = S[:, h]
-                sym.top[rows.start:rows.start + kept] = S[:kept]
-    for sym in halves:
-        sym.top[0, 0] = 0.0
-        sym.top.setflags(write=False)
-        sym.col.setflags(write=False)
-    return tuple(halves)
+        for rows, KC in _wavevectors(n, L, _symbol_blocks(n, h + 1)):
+            top[rows] = symbol(KC)
+        for rows, KC in _wavevectors(n, L, [slice(h + 1, n)], cols=slice(h, h + 1)):
+            col[rows] = symbol(KC)[:, 0]
+    col[:h + 1] = top[:, h]
+    top[0, 0] = 0.0
+    return _Half(top, col, sign)
+
+
+@lru_cache(maxsize=32)
+def _beurling_half(n: int, L: float) -> _Half:
+    """The beurling symbol conj(KC)/KC as a _Half (it is even), read by the
+    fixed-point kernel in every step, so kept per grid and locked."""
+    beur = _half_symbol(n, L, lambda KC: np.divide(np.conj(KC), KC, out=KC), 1.0)
+    beur.top.setflags(write=False)
+    beur.col.setflags(write=False)
+    return beur
+
+
+def _inverse_dzbar_half(n: int, L: float) -> _Half:
+    """The 1/dzbar symbol 1/(0.5j*KC) as a _Half (it is odd), fresh: it only
+    turns a finished spectrum back into a field, so it is not cached."""
+    return _half_symbol(n, L, lambda KC: np.divide(1.0, np.multiply(0.5j, KC, out=KC), out=KC),
+                        -1.0)
 
 
 def _half_multiply(A: np.ndarray, sym: _Half, out: np.ndarray | None = None) -> np.ndarray:
@@ -136,25 +170,35 @@ def _conj_flip(A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.conjugate(out, out=out)
 
 
-def derivative_pair(f: GridField) -> DerivedPair:
-    """Both Wirtinger derivatives (df/dz, df/dconj(z)) with one forward transform.
+def _first_derivatives(f: GridField) -> tuple[np.ndarray, np.ndarray]:
+    """Samples of (df/dz, df/dconj(z)) with one forward transform, in two
+    fresh arrays that the caller owns.
 
-    Both outputs are purely periodic; f's affine c and d become their means.
     dz is built in one buffer and dzbar in the spectrum's own array (ifftn,
-    since ifft2 ignores out=), which their fields adopt: two n x n arrays
-    are allocated and none is copied.  Each block of the d/dz symbol is
-    built in dz's rows, that of the d/dzbar symbol in the wavevector block.
+    since ifft2 ignores out=): two n x n arrays are allocated and none is
+    copied.  Each block of the d/dz symbol is built in dz's rows, that of
+    the d/dzbar symbol in the wavevector block (_symbol_blocks).
     """
     F = np.fft.fft2(f.values)
     dz = np.empty_like(F)
-    for rows, KC in _wavevectors(f.spec.n, f.spec.L):
+    for rows, KC in _wavevectors(f.spec.n, f.spec.L, _symbol_blocks(f.spec.n)):
         sym_dz = np.conjugate(KC, out=dz[rows])
         sym_dz *= 0.5j
         np.multiply(F[rows], sym_dz, out=sym_dz)
         sym_dzbar = np.multiply(KC, 0.5j, out=KC)
         F[rows] *= sym_dzbar
     np.add(np.fft.ifftn(dz, out=dz), f.c, out=dz)
-    dzb = np.add(np.fft.ifftn(F, out=F), f.d, out=F)
+    return dz, np.add(np.fft.ifftn(F, out=F), f.d, out=F)
+
+
+def derivative_pair(f: GridField) -> DerivedPair:
+    """Both Wirtinger derivatives (df/dz, df/dconj(z)) with one forward transform.
+
+    Both outputs are purely periodic; f's affine c and d become their means.
+    Their fields adopt the two arrays _first_derivatives builds, so none is
+    copied.
+    """
+    dz, dzb = _first_derivatives(f)
     return DerivedPair(_adopt(f.spec, dz), _adopt(f.spec, dzb))
 
 
@@ -166,13 +210,13 @@ def _second_derivatives(f: GridField, zbarzbar: bool = False) -> tuple[np.ndarra
     spectrum; the affine part is linear, so no second derivative sees it.
     Every output costs one inverse transform, taken in place in a fresh
     array that the caller owns.  The spectra are built block by block of
-    rows: f_zz's rows first hold the d/dz symbol, and F's rows take f_z's
-    spectrum and then f_zzbar's.
+    rows (_symbol_blocks): f_zz's rows first hold the d/dz symbol, and F's
+    rows take f_z's spectrum and then f_zzbar's.
     """
     F = np.fft.fft2(f.values)
     Fzz = np.empty_like(F)
     spectra = [Fzz, F] + ([np.empty_like(F)] if zbarzbar else [])
-    for rows, KC in _wavevectors(f.spec.n, f.spec.L):
+    for rows, KC in _wavevectors(f.spec.n, f.spec.L, _symbol_blocks(f.spec.n)):
         sym_dz = np.conjugate(KC, out=Fzz[rows])
         sym_dz *= 0.5j
         sym_dzbar = np.multiply(KC, 0.5j, out=KC)
@@ -197,8 +241,8 @@ def beurling(phi: GridField) -> GridField:
     """
     if not phi.is_periodic():
         raise ValueError("beurling requires a field with zero affine part")
-    beur, _ = _kernel_symbols(phi.spec.n, phi.spec.L)
     F = np.fft.fft2(phi.values)
+    beur = _beurling_half(phi.spec.n, phi.spec.L)
     return _adopt(phi.spec, np.fft.ifftn(_half_multiply(F, beur, out=F), out=F))
 
 
@@ -207,13 +251,14 @@ def antiderivative_zbar(phi: GridField, c: complex = 0.0) -> GridField:
 
     The mean of phi becomes F's affine coefficient d; the prescribed c sets
     F's z-derivative mean.  phi must be purely periodic (an affine part in
-    phi would require quadratic terms, which fields cannot represent).
+    phi would require quadratic terms, which fields cannot represent).  The
+    1/dzbar symbol is built for the call, after the forward transform.
     """
     if not phi.is_periodic():
         raise ValueError("antiderivative_zbar requires a field with zero affine part")
-    _, inv = _kernel_symbols(phi.spec.n, phi.spec.L)
     F = np.fft.fft2(phi.values)
     mean = complex(F[0, 0]) / (phi.spec.n ** 2)
+    inv = _inverse_dzbar_half(phi.spec.n, phi.spec.L)
     return _adopt(phi.spec, np.fft.ifftn(_half_multiply(F, inv, out=F), out=F), c, mean)
 
 

@@ -652,6 +652,20 @@ class TestRecoverCoefficients:
         with pytest.raises(ValueError, match="grids"):
             recover_coefficients(zero_field(SPEC), zero_field(GridSpec(32)), 0.3)
 
+    @pytest.mark.parametrize("k", [0.0, 1.0, math.nan, math.inf, -5.0])
+    def test_k_outside_the_unit_interval_refused(self, k):
+        # as second_order_probe and the CLI's --k refuse it
+        fx, fy = random_trig_field(SPEC, seed=41), random_trig_field(SPEC, seed=42)
+        with pytest.raises(ValueError, match=r"need a Lipschitz constant in \(0, 1\)"):
+            recover_coefficients(fx, fy, k)
+        with pytest.raises(ValueError, match=r"need a Lipschitz constant in \(0, 1\)"):
+            second_order_probe(LADDER, k, [1.5, 2.0])
+
+    def test_k_inside_the_unit_interval_accepted(self):
+        fx, fy = random_trig_field(SPEC, seed=41), random_trig_field(SPEC, seed=42)
+        co = recover_coefficients(fx, fy, 0.3)
+        assert co.mu.spec == SPEC and 0.0 <= co.flagged_fraction <= 1.0
+
 
 def _recover_reference(fx, fy):
     """recover_coefficients with the least-norm values taken at every

@@ -27,6 +27,7 @@ from beltrami import (
 from beltrami import grid
 from beltrami.analysis import distortion_stats
 from beltrami.fixedpoint import _chord, picard_solve
+from beltrami.grid import values_l2
 from _helpers import pair_rel_l2
 
 SPEC = GridSpec(64)
@@ -286,3 +287,23 @@ class TestResidualOp:
         f = zero_field(GridSpec(32))
         with pytest.raises(ValueError, match="grids"):
             residual(abs_map(0.3), f, zero_field(SPEC))
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_blocked_pass_keeps_the_whole_array_float(self, monkeypatch, n, ragged):
+        # The residual of the whole-array formula, bit for bit.  A map with a
+        # complex scalar times a temporary (smoothsat) rounds as the grid's
+        # only in blocks that numpy elides where the grid does (the default
+        # 2^14 samples, or the grid at n = 64); k|z| rounds the same in any
+        # block, so it also runs in ragged blocks of 7 rows.
+        spec = GridSpec(n)
+        f = random_trig_field(spec, seed=5, c=0.7 - 0.2j, d=0.1 + 0.3j)
+        h = random_trig_field(spec, seed=3)
+        fz, fzb = derivative_pair(f)
+        maps = [abs_map(0.3)]
+        if not ragged or n == 64:
+            maps.append(smooth_saturating_map(0.3 + 0.1j, 0.21 - 0.17j, 0.2))
+        whole = [values_l2(fzb.values - A.eval(fz.values) - h.values) for A in maps]
+        if ragged:
+            monkeypatch.setattr(grid, "_BLOCK", 7 * n)
+        assert [residual(A, f, h) for A in maps] == whole

@@ -26,7 +26,7 @@ from beltrami import (
     verify_transform,
     zero_field,
 )
-from beltrami import constant_coefficient
+from beltrami import constant_coefficient, grid
 from beltrami.grid import values_l2
 from _helpers import pair_rel_l2, rel_l2, wavevectors
 
@@ -287,6 +287,25 @@ class TestChangeVarBytes:
         assert f.values.tobytes() == values.tobytes()
         assert (f.c, f.d) == (0.8 - 0.3j, d)
         assert rep.final_residual == self.reference_residual(self.P, f, u)
+
+    @pytest.mark.parametrize("n, ragged", [(64, False), (64, True), (256, False), (1024, False)])
+    def test_blocked_pass_keeps_the_whole_array_float(self, monkeypatch, n, ragged):
+        # cc_residual runs one row block at a time; at a solution, where each
+        # product's rounding shows, it returns the float of the whole-array
+        # formula.  Its b*conj(f_z) rounds as the grid's only in blocks that
+        # numpy elides where the grid does: the default 2^14 samples, or any
+        # block at n = 64, where neither is elided (ragged: 7 rows a block).
+        spec = GridSpec(n)
+        u = random_trig_field(spec, seed=12, band=n // 4, modes=200)
+        f, _ = solve_cc_neumann(self.P, u, 1.0 + 0.5j, tol=1e-13)
+        fz, fzb = derivative_pair(f)
+        r = np.multiply(self.P.a, fz.values)
+        np.subtract(fzb.values, r, out=r)
+        r -= self.P.b * np.conj(fz.values)
+        r -= u.values
+        if ragged:
+            monkeypatch.setattr(grid, "_BLOCK", 7 * n)
+        assert cc_residual(self.P, f, u) == values_l2(r) < 1e-13
 
     def test_cc_residual_bytes(self):
         # at a solution the residual is roundoff, which the rounding of each

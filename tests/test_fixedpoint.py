@@ -38,7 +38,7 @@ from beltrami import (
 from beltrami import autonomous, fixedpoint, fullnonlinear, grid, operators
 from beltrami.cli import parse_map
 from beltrami.fixedpoint import _chord, picard_solve
-from beltrami.operators import _kernel_symbols, _second_derivatives
+from beltrami.operators import _beurling_half, _second_derivatives
 
 from _helpers import rel_l2, traced_peak, whole_kernel_symbols
 
@@ -238,15 +238,15 @@ def whole_linear_inverse(beur, a, b):
     return m1, m2
 
 
-def reference_field(spec, c_mean, R=None):
-    """The candidate the kernel hands rhs, from allocating transforms:
-    c*z + d*conj(z) + P with d = R[0, 0]/n^2 and P = ifft2(R / dzbar), and
-    the start c*z (d = 0, P = 0) for R = None."""
+def reference_field(spec, R=None):
+    """The candidate c*z + d*conj(z) + P as the kernel hands it to rhs,
+    (P, d), from allocating transforms: d = R[0, 0]/n^2 and
+    P = ifft2(R / dzbar), and the start c*z (P = 0, d = 0) for R = None."""
     n = spec.n
     if R is None:
-        return GridField(spec, c_mean, 0, np.zeros((n, n), dtype=complex))
+        return np.zeros((n, n), dtype=complex), 0j
     _, inv_dzbar = whole_kernel_symbols(n, spec.L)
-    return GridField(spec, c_mean, complex(R[0, 0]) / (n * n), np.fft.ifft2(R * inv_dzbar))
+    return np.fft.ifft2(R * inv_dzbar), complex(R[0, 0]) / (n * n)
 
 
 def reference_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None):
@@ -259,12 +259,12 @@ def reference_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None):
     drops T^-1 and, after a failed second step, restarts from the start.
     The symbols and multipliers cover the whole grid, built here from
     whole-grid expressions, not from the kernel's.  rhs is handed the
-    candidate as the kernel hands it, a GridField.  Returns (field, history,
+    candidate as the kernel hands it, (P, d).  Returns (field, history,
     notes, converged)."""
     n = spec.n
     beur, _ = whole_kernel_symbols(n, spec.L)
     c_mean = complex(c_mean)
-    field = partial(reference_field, spec, c_mean)
+    field = partial(reference_field, spec)
 
     def from_start():
         return np.fft.fft2(rhs(field, np.full((n, n), c_mean, dtype=complex)))
@@ -310,7 +310,8 @@ def reference_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None):
                 R = from_start()
                 continue
         R = R + (damping * E if inverse is None else inverse(E))
-    return field(best_R), history, "; ".join(notes), converged
+    P, d = field(best_R)
+    return GridField(spec, c_mean, d, P), history, "; ".join(notes), converged
 
 
 def real_space_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None):
@@ -323,7 +324,7 @@ def real_space_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None)
     n = spec.n
     beur, _ = whole_kernel_symbols(n, spec.L)
     c_mean = complex(c_mean)
-    field = partial(reference_field, spec, c_mean)
+    field = partial(reference_field, spec)
 
     def start():
         return rhs(field, np.full((n, n), c_mean, dtype=complex))
@@ -371,7 +372,8 @@ def real_space_solve(rhs, spec, c_mean, tol, max_iter, damping=1.0, linear=None)
             R = R + inverse(E)
         else:
             r_prev = (1.0 - damping) * r_prev + damping * r
-    return field(best_R), history, "; ".join(notes), converged
+    P, d = field(best_R)
+    return GridField(spec, c_mean, d, P), history, "; ".join(notes), converged
 
 
 def assert_same_solve(f, rep, ref):
@@ -628,8 +630,8 @@ class TestChord:
         Z = z_grid(spec)
 
         def rhs(field, psi):
-            g = field()
-            return H.eval(Z, g.c * Z + g.d * np.conj(Z) + g.values, psi)
+            P, d = field()
+            return H.eval(Z, Z + d * np.conj(Z) + P, psi)
 
         _, plain = picard_solve(rhs, spec, 1.0, 1e-10, 200)
         assert plain.converged and plain.iterations == 84
@@ -1035,14 +1037,13 @@ class TestSolveHoldsOnlyWhatItsStepReads:
             return 0.5 * np.abs(psi) + FORCING.values
 
         picard_solve(rhs, SPEC, c, 1e-10, 3)
-        g, = starts
-        assert isinstance(g, GridField) and (g.spec, g.c, g.d) == (SPEC, c, 0)
-        assert not g.values.any()
+        (P, d), = starts
+        assert d == 0 and P.shape == (SPEC.n, SPEC.n) and not P.any()
         # equal in value: the signed zeros on the axes may differ from c*z's
-        assert np.array_equal(g.total_values(), c * z_grid(SPEC))
+        assert np.array_equal(GridField(SPEC, c, d, P).total_values(), c * z_grid(SPEC))
 
     # Traced peak above entry, in n x n complex arrays, at n = 64 with the
-    # kernel's symbols warm.  Before the work arrays were freed for the answer
+    # beurling symbol warm.  Before the work arrays were freed for the answer
     # and z was built lazily: kabs 10.6, smoothsat 14.1, neumann 12.6, and
     # derivative_pair 5.0 before it reused its buffers.  Before the Neumann
     # solve built T^-1 without temporaries and changevar ran in place:
@@ -1073,11 +1074,27 @@ class TestSolveHoldsOnlyWhatItsStepReads:
     # buffer for a ufunc over a padded row block.  beurling and
     # antiderivative_zbar transform back in their spectrum's array and the
     # field adopts it: 3.03 -> 2.03; zero_field adopts its zeros: 2.01 -> 1.01.
+    # Only the beurling symbol is cached: 1/dzbar's half (0.51) is built by
+    # a solve's first field() of a spectrum and kept for that solve, so a
+    # full map holds it while H runs, and an autonomous solve builds it for
+    # its answer only.  solve_full writes each block's f over the
+    # candidate's own samples in place of a fresh block: full 10.19 ->
+    # 9.72 and full-damped 9.12 -> 8.65 at n = 64 (a block of 1.0 less, the
+    # half more), full-n256 6.18 -> 6.44 and full-damped-n256 5.16 -> 5.42
+    # (a block of 0.25 less, the half more).  derivative_pair and _second_derivatives
+    # build their symbols in sixteenths of a grid of one row block, refilled
+    # in one buffer: derivative_pair 3.03 -> 2.10, antiderivative_zbar, which
+    # builds 1/dzbar's half per call, 2.03 -> 2.03.  residual and cc_residual
+    # form each block's residual in f_zbar's rows and its squared moduli in
+    # f_z's float view: 3.00 -> 2.25 at n = 256 for both, where a row block
+    # is a quarter of the grid; at n = 64, one block, residual 3.53 -> 3.54
+    # and cc_residual 4.01 -> 4.03.
     @pytest.mark.parametrize("kind, bound", [
-        ("kabs", 6.0), ("smoothsat", 9.0), ("neumann", 7.5), ("derivative_pair", 3.5),
-        ("changevar", 5.5), ("cc_residual", 4.5), ("kabs0.9-restart", 6.0),
-        ("kabs-c0", 5.0), ("full", 11.5), ("full-damped", 10.5), ("residual", 4.0),
+        ("kabs", 6.0), ("smoothsat", 9.0), ("neumann", 7.5), ("derivative_pair", 2.3),
+        ("changevar", 5.5), ("cc_residual", 4.25), ("kabs0.9-restart", 6.0),
+        ("kabs-c0", 5.0), ("full", 10.0), ("full-damped", 9.0), ("residual", 3.75),
         ("full-n256", 6.5), ("full-damped-n256", 5.5), ("kabs-n256", 4.4),
+        ("residual-n256", 2.4), ("cc_residual-n256", 2.4),
         ("beurling", 2.5), ("antiderivative_zbar", 2.5), ("zero_field", 1.5)])
     def test_traced_peak(self, kind, bound):
         spec = GridSpec(256) if kind.endswith("-n256") else self.SPEC64
@@ -1103,17 +1120,41 @@ class TestSolveHoldsOnlyWhatItsStepReads:
         _, peak, _ = traced_peak(call, arg)
         assert peak / (spec.n ** 2 * 16) < bound
 
+    def test_answer_takes_the_best_spectrum_buffer(self, monkeypatch):
+        # An autonomous solve builds 1/dzbar's half for its answer only.
+        # From then on it allocates that half and block-sized buffers: the
+        # answer, transformed in psi, is copied into the best iterate's
+        # spectrum buffer, which its field adopts: 0.77 n x n arrays (half
+        # and wavevector block), where a fresh array for it read 1.51.
+        spec = GridSpec(256)
+        h = random_trig_field(spec, seed=3)
+        built, marks = fixedpoint._inverse_dzbar_half, []
+
+        def build(n, L):
+            marks.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return built(n, L)
+
+        monkeypatch.setattr(fixedpoint, "_inverse_dzbar_half", build)
+        tracemalloc.start()
+        try:
+            f, rep = solve_autonomous(abs_map(0.3), h, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.converged and len(marks) == 1
+        assert (peak - marks[0]) / f.values.nbytes < 1.0
+
     @pytest.mark.parametrize("kind", SOLVES)
     def test_solve_keeps_only_its_answer(self, kind):
         # Traced from the first solve on a grid of its own, with only the
-        # kernel's two symbols warm: operators caches the beurling and
-        # 1/dzbar multipliers by design, since every step reads them.  Once
-        # the solve returns, what it still holds besides the answer's
-        # samples is less than one n x n array, so no other per-grid cache
-        # of one is kept.
+        # beurling symbol warm: operators caches it by design, since every
+        # step reads it.  Once the solve returns, what it still holds
+        # besides the answer's samples is less than one n x n array, so no
+        # other per-grid cache of one is kept, 1/dzbar's half included.
         spec = GridSpec(64, L=3.0 + list(self.SOLVES).index(kind))
         h = random_trig_field(spec, seed=3)
-        _kernel_symbols(spec.n, spec.L)
+        _beurling_half(spec.n, spec.L)
         (f, rep), _, kept = traced_peak(self.SOLVES[kind], h)
         assert rep.converged
         assert kept - f.values.nbytes < spec.n ** 2 * 16
@@ -1131,7 +1172,7 @@ class TestSolveHoldsOnlyWhatItsStepReads:
         # The first call on a grid of its own, with nothing warm: the
         # derivative symbols and the wavevectors are built per call, so what
         # it still holds besides its outputs' arrays is less than one n x n
-        # array.  Only the fixed-point kernel's two symbols are cached.
+        # array.  Only the fixed-point kernel's beurling symbol is cached.
         spec = GridSpec(64, L=20.0 + list(self.CALLS).index(kind))
         f = random_trig_field(spec, seed=4, c=0.7 - 0.2j, d=0.1 + 0.3j)
         h = random_trig_field(spec, seed=3)

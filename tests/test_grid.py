@@ -232,6 +232,33 @@ class TestLpNorm:
             assert lp_norm(f, 2) == pytest.approx(spectral, rel=1e-10)
 
 
+class TestBlockedL2:
+    """grid._blocked_l2: one pass over row blocks, each block's squared
+    moduli in the float view of an array the pass has read."""
+
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
+    @pytest.mark.parametrize("rows", [None, 7])
+    def test_whole_array_bits(self, monkeypatch, n, rows):
+        # the float of values_l2 over the whole array, and every squared
+        # modulus in place, with the default blocks and ragged ones of 7 rows
+        if rows is not None:
+            monkeypatch.setattr(grid, "_BLOCK", rows * n)
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        whole = b - 0.3 * np.abs(a)
+        read = []
+
+        def pointwise(r):
+            assert all(s.stop <= r.start for s in read)   # rows in order, once
+            read.append(r)
+            return b[r] - 0.3 * np.abs(a[r])
+
+        assert grid._blocked_l2(pointwise, a) == grid.values_l2(whole)
+        assert sum(r.stop - r.start for r in read) == n
+        assert a.reshape(-1).view(float)[:n * n].tobytes() == (np.abs(whole) ** 2).tobytes()
+
+
 class TestFieldFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)

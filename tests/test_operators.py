@@ -22,8 +22,8 @@ from beltrami import (
     z_grid,
     zero_field,
 )
-from beltrami.operators import (_conj_flip, _half_multiply, _kernel_symbols, _resize_rows,
-                                _second_derivatives, _wavevectors)
+from beltrami.operators import (_beurling_half, _conj_flip, _half_multiply, _inverse_dzbar_half,
+                                _resize_rows, _second_derivatives, _symbol_blocks, _wavevectors)
 from _helpers import fd_dz, fd_dzbar, rel_l2, spectrum, wavevectors, whole_kernel_symbols
 
 SPEC = GridSpec(32)
@@ -133,16 +133,25 @@ class TestSymbolBytes:
     @pytest.mark.parametrize("L", [TAU, 3.0, 1e-3])
     def test_blocks_match_whole_grid(self, n, L):
         KC = wavevectors(n, L)
-        end = 0
-        for rows, block in _wavevectors(n, L):
-            assert rows.start == end and block.tobytes() == KC[rows].tobytes()
-            end += block.shape[0]
-        assert end == n
+        for blocks in (None, _symbol_blocks(n)):
+            end = 0
+            for rows, block in _wavevectors(n, L, blocks):
+                assert rows.start == end and block.tobytes() == KC[rows].tobytes()
+                end += block.shape[0]
+            assert end == n
         # the derivative symbols, as the helpers build them from each block
         sym_dz = np.concatenate([np.conjugate(b) * 0.5j for _, b in _wavevectors(n, L)])
         sym_dzbar = np.concatenate([b * 0.5j for _, b in _wavevectors(n, L)])
         assert sym_dz.tobytes() == (0.5j * np.conj(KC)).tobytes()
         assert sym_dzbar.tobytes() == (0.5j * KC).tobytes()
+
+    @pytest.mark.parametrize("n", [16, 64, 128, 256, 1024])
+    def test_symbol_blocks_are_never_the_whole_grid(self, n):
+        # a grid of one _row_blocks block (n <= 128) is cut into sixteenths;
+        # a larger one keeps its 2^14-sample blocks
+        rows = [r.stop - r.start for r in _symbol_blocks(n)]
+        assert sum(rows) == n and max(rows) == (n // 16 if n <= 128 else (1 << 14) // n)
+        assert [r.stop for r in _symbol_blocks(n, n // 2 + 1)][-1] == n // 2 + 1
 
     @pytest.mark.parametrize("n", [16, 64, 256, 1024])
     def test_kernel_symbols_match_whole_grid(self, n):
@@ -151,17 +160,18 @@ class TestSymbolBytes:
         rng = np.random.default_rng(n)
         R = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         for L in (TAU, 3.0, 1e-3):  # built outside the cache, which would keep them
-            for sym, whole in zip(_kernel_symbols.__wrapped__(n, L), whole_kernel_symbols(n, L)):
+            halves = (_beurling_half.__wrapped__(n, L), _inverse_dzbar_half(n, L))
+            for sym, whole in zip(halves, whole_kernel_symbols(n, L)):
                 assert _half_multiply(R, sym).tobytes() == (R * whole).tobytes()
                 out = R.copy()
                 assert _half_multiply(out, sym, out=out) is out
                 assert out.tobytes() == (R * whole).tobytes()
-                assert not (sym.top.flags.writeable or sym.col.flags.writeable)
+            assert not (halves[0].top.flags.writeable or halves[0].col.flags.writeable)
 
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_kernel_symbols_keep_half_the_spectrum(self, n):
         # rows 0..n/2 and the Nyquist column: about half an n x n array each
-        for sym in _kernel_symbols(n, 5.0):
+        for sym in (_beurling_half(n, 5.0), _inverse_dzbar_half(n, 5.0)):
             assert sym.top.dtype == sym.col.dtype == complex
             assert sym.top.size + sym.col.size <= (n // 2 + 1) * n + n
 

@@ -10,6 +10,8 @@ import pytest
 
 import beltrami
 from beltrami.cli import parse_map
+from beltrami.operators import _beurling_half
+from _helpers import traced_peak
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 LIBRARY_MODULES = ["grid", "operators", "fixedpoint", "constant_coefficient",
@@ -49,8 +51,9 @@ def test_readme_quick_start_runs(capsys):
 
 
 def test_only_the_kernel_symbols_are_cached():
-    # a per-grid cache of n x n arrays outlives every call; only the two
-    # multipliers the fixed-point kernel reads in every step are kept so
+    # a per-grid cache of n x n arrays outlives every call; only the
+    # multiplier the fixed-point kernel reads in every step, the beurling
+    # symbol, is kept so
     cached = []
     for path in sorted(Path(beltrami.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -61,7 +64,36 @@ def test_only_the_kernel_symbols_are_cached():
                 name = getattr(target, "attr", getattr(target, "id", None))
                 if name in ("lru_cache", "cache"):
                     cached.append(f"{path.stem}.{node.name}")
-    assert cached == ["operators._kernel_symbols"]
+    assert cached == ["operators._beurling_half"]
+
+
+CENSUS_CALLS = {
+    "full": lambda h: beltrami.solve_full(parse_map("kabs:0.3+wterm:0.05,0", h.spec.L), 1.0,
+                                          spec=h.spec, h=h)[0],
+    "kabs": lambda h: beltrami.solve_autonomous(beltrami.abs_map(0.3), h, 1.0)[0],
+    "antiderivative_zbar": beltrami.antiderivative_zbar,
+}
+
+
+@pytest.mark.parametrize("call", CENSUS_CALLS)
+def test_a_fresh_grid_caches_only_the_beurling_half(call):
+    # On a grid of its own, a solve caches one per-grid symbol, the beurling
+    # half, and keeps nothing else besides its answer; 1/dzbar's half is
+    # built per solve or per call and dropped.  antiderivative_zbar reads
+    # no beurling symbol and caches nothing.  A first call on another grid
+    # takes numpy's own first-use allocations.
+    index = list(CENSUS_CALLS).index(call)
+    CENSUS_CALLS[call](beltrami.random_trig_field(beltrami.GridSpec(32, L=40.5 + index), seed=3))
+    spec = beltrami.GridSpec(32, L=40.0 + index)
+    h = beltrami.random_trig_field(spec, seed=3)
+    misses = _beurling_half.cache_info().misses
+    out, _, kept = traced_peak(CENSUS_CALLS[call], h)
+    cached = _beurling_half.cache_info().misses - misses
+    assert cached == (call != "antiderivative_zbar")
+    beur = _beurling_half(spec.n, spec.L)
+    assert beur.sign == 1.0 and _beurling_half.cache_info().misses - misses == 1
+    half = cached * (beur.top.nbytes + beur.col.nbytes)
+    assert 0 <= kept - out.values.nbytes - half < out.values.nbytes / 8
 
 
 def _call_sites(name):
@@ -82,7 +114,7 @@ def test_only_grid_locks_fresh_arrays():
     # a fresh array reaches a GridField through grid._adopt, the one place
     # that locks it; the kernel's cached symbols lock their own
     lockers = {"grid" if s.split(".")[0] == "grid" else s for s in _call_sites("setflags")}
-    assert lockers == {"grid", "operators._kernel_symbols"}
+    assert lockers == {"grid", "operators._beurling_half"}
 
 
 def test_grid_fields_built_in_three_places():
