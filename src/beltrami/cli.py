@@ -162,11 +162,20 @@ def parse_map(spec_str: str, L: float):
     freq = 2.0 * math.pi / L
 
     def full_eval(z, w, zeta):
+        # each term in one fresh array with the sum added into it: out + term, bit for bit
         out = aeval(zeta)
         for amp, k1, k2 in zterms:
-            out = out + amp * np.sin(freq * (k1 * np.real(z) + k2 * np.imag(z)))
+            t = k1 * np.real(z)
+            t += k2 * np.imag(z)
+            t *= freq
+            t = amp * np.sin(t, out=t)
+            out = np.add(t, out, out=t)
         for cw in wterms:
-            out = out + cw * w / (1.0 + np.abs(w))
+            d = np.abs(w)
+            d += 1.0
+            t = cw * w
+            t /= d
+            out = np.add(t, out, out=t)
         return out
 
     return FullMap(eval=full_eval, k=base.k, name=spec_str)

@@ -202,21 +202,19 @@ def reduction_residual(p: CCParams, cv: ChangeOfVars, trials: int, seed: int = 0
     return _transform_residual(p, cv.mu, cv.nu, cv.mu * cv.nu, trials, seed=seed)
 
 
-def _inverse_sheared_dzbar(spec: GridSpec, mu: complex) -> np.ndarray:
-    """1/(0.5j*kappa) at every mode, for the sheared wavevector
-    kappa = KC + mu*conj(KC); the zero mode is 0.  Built straight into the
-    one n x n array, block by block of wavevector rows, so no n x n KC is
-    held beside it."""
-    W = np.empty((spec.n, spec.n), dtype=complex)
+def _inverse_sheared_dzbar(G: np.ndarray, spec: GridSpec, mu: complex) -> None:
+    """G times 1/(0.5j*kappa) in place, kappa = KC + mu*conj(KC) the sheared
+    wavevector, 0 at the zero mode: built as applied, a _row_blocks block at
+    a time, so that its expression rounds as the whole grid's (grid._BLOCK)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         for rows, KC in _wavevectors(spec.n, spec.L):
-            Wr = W[rows]
-            Wr[...] = mu * np.conj(KC)      # an expression, rounded as the grid's
-            Wr += KC                        # kappa
-            np.multiply(0.5j, Wr, out=Wr)   # 0.5j*kappa, in that operand order
-            np.divide(1.0, Wr, out=Wr)
-    W[0, 0] = 0.0
-    return W
+            W = mu * np.conj(KC)            # an expression, rounded as the grid's
+            W += KC                         # kappa
+            np.multiply(0.5j, W, out=W)     # 0.5j*kappa, in that operand order
+            np.divide(1.0, W, out=W)
+            if rows.start == 0:
+                W[0, 0] = 0.0
+            G[rows] *= W
 
 
 def solve_cc_changevar(
@@ -261,13 +259,11 @@ def solve_cc_changevar(
                 "solve_cc_neumann or resample the forcing to a finer grid")
     mean_u = complex(U[0, 0])
 
-    W = _inverse_sheared_dzbar(spec, mu)
-
     # g_zbar = v + (mu*nu)*conj(v) integrated mode-wise on sheared waves
     G = (mu * nu) * _conj_flip(U)
     G += U
-    G *= W
-    U = W = None
+    U = None
+    _inverse_sheared_dzbar(G, spec, mu)
     # undo the conjugation mixing: ft = (g - nu*conj(g)) / (1 - |nu|^2)
     FT = nu * _conj_flip(G)
     np.subtract(G, FT, out=FT)

@@ -28,12 +28,11 @@ reads f (the fully nonlinear H(z, f, f_z)) pays that third transform.  The
 kernel deals only in spectra and sample arrays and builds no z; solve_full
 writes f's samples over P's, one row block at a time.  Only the beurling
 symbol, which every step reads, is cached per grid
-(operators._beurling_half).  The 1/dzbar half that field() applies is
-built by the solve's first field() of a spectrum and kept to its end: once
-per solve, for the answer only when rhs ignores f.  The returned field is
-the GridField of field() of the best iterate's spectrum, transformed in
-psi once every other work array is freed and copied into the best
-spectrum's own buffer, which the field adopts: no third n x n array.
+(operators._beurling_half); field() applies 1/dzbar as it builds it, a
+block at a time (operators._inverse_dzbar).  The returned field is the
+GridField of field() of the best iterate's spectrum, transformed in psi
+once every other work array is freed and copied into the best spectrum's
+own buffer, which the field adopts: no third n x n array.
 
 Apart from rhs's own temporaries and field(), a step allocates no n x n
 array: it writes into work arrays that live for the whole solve.
@@ -49,13 +48,11 @@ array: it writes into work arrays that live for the whole solve.
               re-points best_R and copies nothing.
 
 A preconditioned step adds T^-1's two multipliers, kept on half the
-spectrum as the kernel's symbols are and applied through
-operators._half_multiply, whose mirror buffer holds at most one row
-block.  rhs's temporaries come on top; both solvers evaluate their map
-one row block at a time, so they are block-sized.  Each field() call
-transforms P into a fresh array: a right-hand side that drops it frees it.
-1/dzbar's half, once built, adds about half an n x n array for the rest
-of the solve.
+spectrum as the beurling symbol is (operators._half_multiply applies
+both, its mirror buffer a row block at most).  rhs's temporaries come on
+top; both solvers evaluate their map one row block at a time, so they
+are block-sized.  Each field() call transforms P into a fresh array: a
+right-hand side that drops it frees it.
 
 The inverse transform is np.fft.ifftn, not ifft2: numpy 2.4's ifft2
 accepts out= but ignores it (it passes out=None on), while ifftn writes
@@ -123,7 +120,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import GridField, GridSpec, _adopt, _sum_squares
-from .operators import _beurling_half, _conj_flip, _Half, _half_multiply, _inverse_dzbar_half
+from .operators import _beurling_half, _conj_flip, _Half, _half_multiply, _inverse_dzbar
 
 __all__ = ["SolveReport", "picard_solve"]
 
@@ -186,7 +183,7 @@ def _linear_inverse(beur: _Half, a: complex, b: complex):
     k, and the 2x2 solve runs as written, over the kept row and the whole
     column.
     """
-    top, col, _ = beur
+    top, col = beur
     n = top.shape[1]
     m1 = np.multiply(top, a)
     np.subtract(1.0, m1, out=m1)
@@ -204,7 +201,7 @@ def _linear_inverse(beur: _Half, a: complex, b: complex):
     m1[h], m2[h] = _pair_inverse(top[h], np.conj(top[h, flip]), a, b)
     c1, c2 = _pair_inverse(col, np.conj(col[flip]), a, b)
     m1[:, h], m2[:, h] = c1[:h + 1], c2[:h + 1]
-    return _Half(m1, c1, 1.0), _Half(m2, c2, 1.0)
+    return _Half(m1, c1), _Half(m2, c2)
 
 
 def _apply_inverse(E: np.ndarray, out: np.ndarray, m1: _Half, m2: _Half):
@@ -348,19 +345,14 @@ def picard_solve(
         if damping != 1.0:
             raise ValueError("a preconditioned solve takes no damping")
 
-    inv_dzbar = None  # 1/dzbar's half, built by the first field() of a spectrum
-
     def field(R: np.ndarray | None = None, work: np.ndarray | None = None):
         """(P, d) of the candidate with spectrum R (None: f = c*z), P in a
         fresh array.  Given work, P is transformed there and copied over R,
         whose buffer it then is."""
-        nonlocal inv_dzbar
         if R is None:
             return np.zeros((n, n), dtype=complex), 0j
-        if inv_dzbar is None:
-            inv_dzbar = _inverse_dzbar_half(n, spec.L)
         d = complex(R[0, 0]) / (n * n)
-        P = _half_multiply(R, inv_dzbar, out=work)
+        P = _inverse_dzbar(R, spec.L, out=work)
         np.fft.ifftn(P, out=P)
         if work is not None:
             np.copyto(R, P)

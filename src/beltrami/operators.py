@@ -12,20 +12,17 @@ Conventions fixed here: coefficients are stored in numpy fft2 layout
 the beurling transform's zero mode is 0; means of derivative fields are
 carried by the affine coefficients, never by the periodic part.
 
-Only the multiplier that the fixed-point kernel reads in every step, the
-beurling symbol, is cached per grid, on half the spectrum (rows 0..n/2 and
-the Nyquist column, about half an n x n array; _half_multiply applies it).
-1/dzbar, which only turns a finished spectrum back into a field, is built
-on the same half per solve or per call.  The derivative symbols and the
-wavevectors are built per call over blocks of rows, each block used while
-it is in cache and then dropped, so no other n x n array outlives a call.
-Each wavevector entry is one rounded product (2*pi/L)*k, k an integer, and
-a derivative symbol's parts are exact halves of them, so every block holds
-the bits of the whole-grid expression.  The symbols are applied by calls
-with out=, which no temporary elision reorders, so their blocks need not
-be _row_blocks': a grid of one block (n <= 128) is cut into sixteenths
-(_symbol_blocks).  Only changevar's sheared symbol, an expression, takes
-_row_blocks.
+Only the beurling symbol, which the fixed-point kernel reads in every
+step, is kept: cached per grid on half the spectrum (rows 0..n/2 and the
+Nyquist column; _half_multiply applies it).  Every other symbol (d/dz,
+d/dzbar, 1/dzbar) is built as it is applied, over blocks of wavevector
+rows, each used while it is in cache and then dropped.  Each wavevector
+entry is one rounded product (2*pi/L)*k, k an integer, and a symbol's
+parts are exact halves of them, so every block holds the bits of the
+whole-grid expression.  The symbols are applied by calls with out=, which
+no temporary elision reorders, so their blocks need not be _row_blocks':
+a grid of one block (n <= 128) is cut into sixteenths (_symbol_blocks).
+Only changevar's sheared symbol, an expression, takes _row_blocks.
 """
 
 from __future__ import annotations
@@ -45,98 +42,75 @@ __all__ = [
 ]
 
 
-def _wavevectors(n: int, L: float, blocks=None, cols: slice = slice(None)):
+def _wavevectors(n: int, L: float, blocks=None):
     """Blocks of rows of the complex wavevector grid KC = (2*pi/L)*(k1 + i*k2),
     as (row slice, KC block) pairs, over the row slices blocks
-    (_row_blocks(n) by default) and the columns cols; k1 varies along
-    columns (x), k2 along rows (y).  One buffer is refilled for every block,
-    so a caller may overwrite a block but must be done with it before it
-    takes the next."""
+    (_row_blocks(n) by default); k1 varies along columns (x), k2 along rows
+    (y).  One buffer is refilled for every block, so a caller may overwrite
+    a block but must be done with it before it takes the next."""
     k = (2.0 * np.pi / L) * np.fft.fftfreq(n, d=1.0 / n).astype(int)
     buf = np.empty(0, dtype=complex)
     for rows in _row_blocks(n) if blocks is None else blocks:
-        size = (rows.stop - rows.start) * k[cols].size
+        size = (rows.stop - rows.start) * n
         if buf.size < size:
             buf = np.empty(size, dtype=complex)
-        KC = buf[:size].reshape(rows.stop - rows.start, -1)
-        KC.real = k[cols]
+        KC = buf[:size].reshape(rows.stop - rows.start, n)
+        KC.real = k
         KC.imag = k[rows, None]
         yield rows, KC
 
 
-def _symbol_blocks(n: int, stop: int | None = None):
-    """Row slices of rows 0..stop (all n by default) for a symbol applied
-    with out=: _BLOCK samples each, but a sixteenth of a grid that fits in
-    one block (n <= 128), so no block is the whole grid."""
+def _symbol_blocks(n: int):
+    """Row slices of an n x n grid for a symbol applied with out=: _BLOCK
+    samples each, but a sixteenth of a grid that fits in one block
+    (n <= 128), so no block is the whole grid."""
     step = n // 16 if n * n <= _BLOCK else _BLOCK // n
-    stop = n if stop is None else stop
-    return (slice(s, min(s + step, stop)) for s in range(0, stop, step))
+    return (slice(s, min(s + step, n)) for s in range(0, n, step))
 
 
 class _Half(NamedTuple):
-    """A multiplier S kept on half the spectrum: rows 0..n/2 of S (top) and
-    its whole Nyquist column (col, n entries).  Off that column S[-k] equals
-    sign * S[k].  On it, -k aliases back onto the column (k1 = -n/2 is its
-    own negative), where S is no mirror of itself, so the column is kept."""
+    """An even multiplier S kept on half the spectrum: rows 0..n/2 of S
+    (top) and its whole Nyquist column (col, n entries).  Off that column
+    S[-k] equals S[k]; on it, -k aliases back onto the column (k1 = -n/2 is
+    its own negative), where S is no mirror of itself, so it is kept."""
 
     top: np.ndarray
     col: np.ndarray
-    sign: float
-
-
-def _half_symbol(n: int, L: float, symbol, sign: float) -> _Half:
-    """The _Half of the multiplier symbol(KC) (sign: its parity under
-    k -> -k), 0 at the zero mode.  symbol writes S into the wavevector block
-    it is given; it runs over _symbol_blocks of rows 0..n/2, then over the
-    Nyquist column's other rows, so no block is the whole grid.  Off the
-    Nyquist column a mode's negative has the exactly negated wavevector, so
-    a mirrored entry has the whole-grid expression's value (a zero part may
-    carry the other sign)."""
-    h = n // 2
-    top, col = np.empty((h + 1, n), dtype=complex), np.empty(n, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for rows, KC in _wavevectors(n, L, _symbol_blocks(n, h + 1)):
-            top[rows] = symbol(KC)
-        for rows, KC in _wavevectors(n, L, [slice(h + 1, n)], cols=slice(h, h + 1)):
-            col[rows] = symbol(KC)[:, 0]
-    col[:h + 1] = top[:, h]
-    top[0, 0] = 0.0
-    return _Half(top, col, sign)
 
 
 @lru_cache(maxsize=32)
 def _beurling_half(n: int, L: float) -> _Half:
-    """The beurling symbol conj(KC)/KC as a _Half (it is even), read by the
-    fixed-point kernel in every step, so kept per grid and locked."""
-    beur = _half_symbol(n, L, lambda KC: np.divide(np.conj(KC), KC, out=KC), 1.0)
-    beur.top.setflags(write=False)
-    beur.col.setflags(write=False)
-    return beur
+    """The beurling symbol conj(KC)/KC as a _Half, 0 at the zero mode, from
+    one pass over _symbol_blocks: read by the fixed-point kernel in every
+    step, so kept per grid and locked."""
+    h = n // 2
+    top, col = np.empty((h + 1, n), dtype=complex), np.empty(n, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rows, KC in _wavevectors(n, L, _symbol_blocks(n)):
+            S = np.divide(np.conj(KC), KC, out=KC)
+            col[rows] = S[:, h]
+            top[rows] = S[:len(top[rows])]  # top[rows] stops at row n/2
+    top[0, 0] = 0.0
+    top.setflags(write=False)
+    col.setflags(write=False)
+    return _Half(top, col)
 
 
-def _inverse_dzbar_half(n: int, L: float) -> _Half:
-    """The 1/dzbar symbol 1/(0.5j*KC) as a _Half (it is odd), fresh: it only
-    turns a finished spectrum back into a field, so it is not cached."""
-    return _half_symbol(n, L, lambda KC: np.divide(1.0, np.multiply(0.5j, KC, out=KC), out=KC),
-                        -1.0)
-
-
-def _half_multiply(A: np.ndarray, sym: _Half, out: np.ndarray | None = None) -> np.ndarray:
-    """A * S for an fft2-layout spectrum A and a _Half multiplier S; out
-    may be A.  Wherever A has no zero part the product has the bits of the
-    product by the whole-grid S, since a mirrored entry differs from that S
-    at most in the sign of a zero part.
+def _half_multiply(A: np.ndarray, sym: _Half, out: np.ndarray) -> np.ndarray:
+    """A * S for an fft2-layout spectrum A and a _Half multiplier S, written
+    into out, which may be A.  Wherever A has no zero part the product has
+    the bits of the product by the whole-grid S: a mode's negative has the
+    exactly negated wavevector, so a mirrored entry differs from that S at
+    most in the sign of a zero part.
 
     Rows 0..n/2 multiply the kept rows.  The rows below take S from a
     buffer of at most n/2 - 1 rows, and at most _BLOCK samples, per block:
     the kept rows mirrored through k -> -k by np.copyto (as _conj_flip
-    does, with no ufunc buffers), times sign, and the Nyquist column.
+    does, with no ufunc buffers), and the Nyquist column.
     """
-    top, col, sign = sym
+    top, col = sym
     n = A.shape[0]
     h = n // 2
-    if out is None:
-        out = np.empty_like(A)
     np.multiply(A[:h + 1], top, out=out[:h + 1])
     step = min(max(1, _BLOCK // n), h - 1)
     buf = np.empty((step, n), dtype=complex)
@@ -145,10 +119,24 @@ def _half_multiply(A: np.ndarray, sym: _Half, out: np.ndarray | None = None) -> 
         S, src = buf[:e - s], slice(n - s, n - e, -1)  # rows n-s down to n-e+1
         np.copyto(S[:, :1], top[src, :1])
         np.copyto(S[:, 1:], top[src, :0:-1])
-        if sign < 0:
-            np.negative(S, out=S)
         S[:, h] = col[s:e]
         np.multiply(A[s:e], S, out=out[s:e])
+    return out
+
+
+def _inverse_dzbar(A: np.ndarray, L: float, out: np.ndarray | None = None) -> np.ndarray:
+    """A times the 1/dzbar symbol 1/(0.5j*KC), 0 at the zero mode, for an
+    fft2-layout spectrum A of period L, to the bits of the whole-grid
+    product; out may be A.  Built as applied, a _symbol_blocks block at a time."""
+    n = A.shape[0]
+    if out is None:
+        out = np.empty_like(A)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rows, KC in _wavevectors(n, L, _symbol_blocks(n)):
+            S = np.divide(1.0, np.multiply(0.5j, KC, out=KC), out=KC)
+            if rows.start == 0:
+                S[0, 0] = 0.0
+            np.multiply(A[rows], S, out=out[rows])
     return out
 
 
@@ -250,16 +238,17 @@ def antiderivative_zbar(phi: GridField, c: complex = 0.0) -> GridField:
     """The field F with dF/dconj(z) = phi, normalized to periodic mean zero.
 
     The mean of phi becomes F's affine coefficient d; the prescribed c sets
-    F's z-derivative mean.  phi must be purely periodic (an affine part in
-    phi would require quadratic terms, which fields cannot represent).  The
-    1/dzbar symbol is built for the call, after the forward transform.
+    F's z-derivative mean and must be finite.  phi must be purely periodic
+    (an affine part in phi would require quadratic terms, which fields
+    cannot represent).  phi's spectrum takes 1/dzbar in place (_inverse_dzbar).
     """
     if not phi.is_periodic():
         raise ValueError("antiderivative_zbar requires a field with zero affine part")
+    if not np.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
     F = np.fft.fft2(phi.values)
     mean = complex(F[0, 0]) / (phi.spec.n ** 2)
-    inv = _inverse_dzbar_half(phi.spec.n, phi.spec.L)
-    return _adopt(phi.spec, np.fft.ifftn(_half_multiply(F, inv, out=F), out=F), c, mean)
+    return _adopt(phi.spec, np.fft.ifftn(_inverse_dzbar(F, phi.spec.L, out=F), out=F), c, mean)
 
 
 def _resize_rows(A: np.ndarray, n: int) -> np.ndarray:
@@ -290,18 +279,19 @@ def resample(f: GridField, new_n: int) -> GridField:
     Exact for band-limited fields (spectral zero padding / truncation); the
     Nyquist modes are split evenly between +-n/2 when padding and summed when
     truncating, so real fields stay real either way.  The affine part is
-    carried over unchanged.  The transforms are pruned (Markel, IEEE Trans.
-    Audio Electroacoust. 1971) and keep the bits of the full fft2/ifft2,
-    which transform rows first and columns second: padding takes the row
-    pass of only the m + 1 spectrum rows that hold modes (a zero row
-    transforms to zero), truncation the column pass of only the new_n + 1
-    columns it keeps or folds into the coarse Nyquist column.
+    carried over unchanged; on the same grid f itself is returned (it is
+    immutable).  The transforms are pruned (Markel, IEEE Trans. Audio
+    Electroacoust. 1971) and keep the bits of the full fft2/ifft2, which
+    transform rows first and columns second: padding takes the row pass of
+    only the m + 1 spectrum rows that hold modes (a zero row transforms to
+    zero), truncation the column pass of only the new_n + 1 columns it
+    keeps or folds into the coarse Nyquist column.
     """
     src = f.spec
     dst = GridSpec(new_n, src.L)
     m = src.n
     if new_n == m:
-        return GridField(dst, f.c, f.d, f.values)
+        return f
     if new_n > m:
         half = m // 2
         A = np.fft.fft2(f.values) / (m ** 2)

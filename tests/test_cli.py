@@ -46,6 +46,23 @@ class TestMapGrammar:
                     + 0.05 * w / (1 + np.abs(w)))
         assert np.allclose(m.eval(z, w, zeta), expected)
 
+    @pytest.mark.parametrize("shape", [(1, 16), (16, 16), (4, 64), (64, 256), (16, 1024)])
+    def test_full_map_terms_keep_the_summed_expressions_bits(self, shape):
+        # each term is added in place into its own array: the bits of
+        # out = out + term, on either side of numpy's 256 KiB elision threshold
+        L = 3.0
+        m = parse_map("kabs:0.3+zterm:0.02,0.01,1,-2+zterm:-0.03,0,3,1"
+                      "+wterm:0.05,0.02+wterm:-0.01,0", L)
+        rng = np.random.default_rng(shape[1])
+        z, w, zeta = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                      for _ in range(3))
+        out = 0.3 * np.abs(zeta)
+        for amp, k1, k2 in ((0.02 + 0.01j, 1, -2), (-0.03 + 0j, 3, 1)):
+            out = out + amp * np.sin(2 * math.pi / L * (k1 * np.real(z) + k2 * np.imag(z)))
+        for cw in (0.05 + 0.02j, -0.01 + 0j):
+            out = out + cw * w / (1.0 + np.abs(w))
+        assert m.eval(z, w, zeta).tobytes() == out.tobytes()
+
     @pytest.mark.parametrize("argv, token", [
         (["--h", "trig:0.1,0,1.5,0"], "0.1,0,1.5,0"),
         (["--h", "trig:0.1,0,1,0+0.2,0,0,nan"], "0.2,0,0,nan"),

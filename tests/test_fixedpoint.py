@@ -1042,60 +1042,38 @@ class TestSolveHoldsOnlyWhatItsStepReads:
         # equal in value: the signed zeros on the axes may differ from c*z's
         assert np.array_equal(GridField(SPEC, c, d, P).total_values(), c * z_grid(SPEC))
 
-    # Traced peak above entry, in n x n complex arrays, at n = 64 with the
-    # beurling symbol warm.  Before the work arrays were freed for the answer
-    # and z was built lazily: kabs 10.6, smoothsat 14.1, neumann 12.6, and
-    # derivative_pair 5.0 before it reused its buffers.  Before the Neumann
-    # solve built T^-1 without temporaries and changevar ran in place:
-    # neumann 9.55, changevar 12.04, cc_residual 5.02 (now 8.05, 5.03, 4.01).
-    # kabs takes chord steps (6.56, as in plain steps), and kabs0.9 restarts
-    # plain steps after its chord's second step (6.56; 7.60 had the restart
-    # kept T^-1).  Plain and damped steps hold one array less since they
-    # update the spectrum in place of keeping the previous right-hand side:
-    # kabs at c = 0 5.56 -> 4.56, the damped full map 13.09 -> 12.09.  Since
-    # the kernel builds no z and solve_full frees each candidate's periodic
-    # part before H runs, a full map holds two arrays less: 14.09 -> 12.09
-    # undamped (chord steps), 12.09 -> 10.08 damped.  derivative_pair builds
-    # its symbols per call from one wavevector block, the whole grid at
-    # n = 64: 2.03 -> 3.03 (changevar 5.03 -> 5.04, cc_residual 4.01).
-    # T^-1's multipliers are kept on half the spectrum, one array where
-    # there were two: kabs 6.56 -> 5.64, smoothsat 9.58 -> 8.65, neumann
-    # 8.06 -> 7.13, full 12.09 -> 11.15, kabs0.9-restart 6.56 -> 5.64.
-    # residual frees f_z before it forms the difference: 4.53 -> 3.53.
-    # A plain or damped step holds three n x n arrays (two spectra and psi),
-    # a chord or declared-linear step four (T^-1's two multipliers besides,
-    # on half the spectrum); the right-hand side's temporaries come on top.
-    # At n = 64 one row block is the whole grid, so the full map's blocked
-    # right-hand side shows at n = 256 only, where H is evaluated a block
-    # at a time: 9.15 -> 6.15 in chord steps, 8.13 -> 5.13 damped.  From
-    # n = 128 psi has padded rows: kabs at n = 256 peaks at 4.30, against
-    # 4.27 with contiguous rows (0.03 is the padding).  It read 4.43 while
-    # the map ran under the caller's ufunc buffer: 0.125 was numpy's 128 KiB
-    # buffer for a ufunc over a padded row block.  beurling and
-    # antiderivative_zbar transform back in their spectrum's array and the
-    # field adopts it: 3.03 -> 2.03; zero_field adopts its zeros: 2.01 -> 1.01.
-    # Only the beurling symbol is cached: 1/dzbar's half (0.51) is built by
-    # a solve's first field() of a spectrum and kept for that solve, so a
-    # full map holds it while H runs, and an autonomous solve builds it for
-    # its answer only.  solve_full writes each block's f over the
-    # candidate's own samples in place of a fresh block: full 10.19 ->
-    # 9.72 and full-damped 9.12 -> 8.65 at n = 64 (a block of 1.0 less, the
-    # half more), full-n256 6.18 -> 6.44 and full-damped-n256 5.16 -> 5.42
-    # (a block of 0.25 less, the half more).  derivative_pair and _second_derivatives
-    # build their symbols in sixteenths of a grid of one row block, refilled
-    # in one buffer: derivative_pair 3.03 -> 2.10, antiderivative_zbar, which
-    # builds 1/dzbar's half per call, 2.03 -> 2.03.  residual and cc_residual
-    # form each block's residual in f_zbar's rows and its squared moduli in
-    # f_z's float view: 3.00 -> 2.25 at n = 256 for both, where a row block
-    # is a quarter of the grid; at n = 64, one block, residual 3.53 -> 3.54
-    # and cc_residual 4.01 -> 4.03.
+    # Traced peak above entry, in n x n complex arrays, with the beurling
+    # symbol warm; each bound is the measured peak plus at most 0.3.  A plain
+    # or damped step holds three arrays (two spectra and psi), a chord or
+    # declared-linear step 4.03 (T^-1's two halves besides); a map's
+    # temporaries come on top, the whole grid's at n = 64 (one row block)
+    # and a block's at n = 256.  What each peak holds now:
+    #   kabs 5.15               chord steps and k|z|'s temporaries
+    #   smoothsat 7.68          declared-linear steps and the map's temporaries
+    #   neumann 7.14            declared-linear steps and the linear map's temporaries
+    #   derivative_pair 2.10    its two outputs and a sixteenth-grid wavevector block
+    #   changevar 5.05          its answer and cc_residual's check (the solve peaks at 4.05)
+    #   cc_residual 4.03        f's two derivatives and the residual's temporaries
+    #   kabs0.9-restart 5.15    as kabs, until its chord fails its second step and frees T^-1
+    #   kabs-c0 4.08            plain steps and k|z|'s temporaries
+    #   full 9.15               chord steps, field()'s samples of f and H's temporaries
+    #   full-damped 8.08        as full, in plain steps
+    #   residual 3.54           f's two derivatives and the map's temporaries
+    #   full-n256 5.81          as full, H's temporaries a block's
+    #   full-damped-n256 4.79   as full-damped, H's temporaries a block's
+    #   kabs-n256 4.30          as kabs, 0.03 of it psi's padded rows
+    #   residual-n256 2.25      f's two derivatives and a block's residual
+    #   cc_residual-n256 2.25   as residual-n256
+    #   beurling 2.03           the spectrum, which the field adopts, and fft2's other pass
+    #   antiderivative_zbar 2.03  as beurling; 1/dzbar is applied a wavevector block at a time
+    #   zero_field 1.00         its zeros, adopted
     @pytest.mark.parametrize("kind, bound", [
-        ("kabs", 6.0), ("smoothsat", 9.0), ("neumann", 7.5), ("derivative_pair", 2.3),
-        ("changevar", 5.5), ("cc_residual", 4.25), ("kabs0.9-restart", 6.0),
-        ("kabs-c0", 5.0), ("full", 10.0), ("full-damped", 9.0), ("residual", 3.75),
-        ("full-n256", 6.5), ("full-damped-n256", 5.5), ("kabs-n256", 4.4),
+        ("kabs", 5.4), ("smoothsat", 7.9), ("neumann", 7.4), ("derivative_pair", 2.3),
+        ("changevar", 5.3), ("cc_residual", 4.25), ("kabs0.9-restart", 5.4),
+        ("kabs-c0", 4.3), ("full", 9.4), ("full-damped", 8.3), ("residual", 3.75),
+        ("full-n256", 6.0), ("full-damped-n256", 5.0), ("kabs-n256", 4.4),
         ("residual-n256", 2.4), ("cc_residual-n256", 2.4),
-        ("beurling", 2.5), ("antiderivative_zbar", 2.5), ("zero_field", 1.5)])
+        ("beurling", 2.3), ("antiderivative_zbar", 2.3), ("zero_field", 1.25)])
     def test_traced_peak(self, kind, bound):
         spec = GridSpec(256) if kind.endswith("-n256") else self.SPEC64
         kind = kind.removesuffix("-n256")
@@ -1121,21 +1099,21 @@ class TestSolveHoldsOnlyWhatItsStepReads:
         assert peak / (spec.n ** 2 * 16) < bound
 
     def test_answer_takes_the_best_spectrum_buffer(self, monkeypatch):
-        # An autonomous solve builds 1/dzbar's half for its answer only.
-        # From then on it allocates that half and block-sized buffers: the
-        # answer, transformed in psi, is copied into the best iterate's
-        # spectrum buffer, which its field adopts: 0.77 n x n arrays (half
-        # and wavevector block), where a fresh array for it read 1.51.
+        # An autonomous solve applies 1/dzbar for its answer only.  From
+        # then on it allocates block-sized buffers: the answer, transformed
+        # in psi, is copied into the best iterate's spectrum buffer, which
+        # its field adopts: 0.26 n x n arrays (a wavevector block), where a
+        # fresh array for it read 1.51.
         spec = GridSpec(256)
         h = random_trig_field(spec, seed=3)
-        built, marks = fixedpoint._inverse_dzbar_half, []
+        applied, marks = fixedpoint._inverse_dzbar, []
 
-        def build(n, L):
+        def apply(*args, **kwargs):
             marks.append(tracemalloc.get_traced_memory()[0])
             tracemalloc.reset_peak()
-            return built(n, L)
+            return applied(*args, **kwargs)
 
-        monkeypatch.setattr(fixedpoint, "_inverse_dzbar_half", build)
+        monkeypatch.setattr(fixedpoint, "_inverse_dzbar", apply)
         tracemalloc.start()
         try:
             f, rep = solve_autonomous(abs_map(0.3), h, 1.0)
@@ -1143,7 +1121,7 @@ class TestSolveHoldsOnlyWhatItsStepReads:
         finally:
             tracemalloc.stop()
         assert rep.converged and len(marks) == 1
-        assert (peak - marks[0]) / f.values.nbytes < 1.0
+        assert (peak - marks[0]) / f.values.nbytes < 0.5
 
     @pytest.mark.parametrize("kind", SOLVES)
     def test_solve_keeps_only_its_answer(self, kind):
@@ -1151,7 +1129,7 @@ class TestSolveHoldsOnlyWhatItsStepReads:
         # beurling symbol warm: operators caches it by design, since every
         # step reads it.  Once the solve returns, what it still holds
         # besides the answer's samples is less than one n x n array, so no
-        # other per-grid cache of one is kept, 1/dzbar's half included.
+        # other per-grid cache of one is kept.
         spec = GridSpec(64, L=3.0 + list(self.SOLVES).index(kind))
         h = random_trig_field(spec, seed=3)
         _beurling_half(spec.n, spec.L)

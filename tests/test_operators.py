@@ -22,7 +22,8 @@ from beltrami import (
     z_grid,
     zero_field,
 )
-from beltrami.operators import (_beurling_half, _conj_flip, _half_multiply, _inverse_dzbar_half,
+from beltrami.fixedpoint import _linear_inverse
+from beltrami.operators import (_beurling_half, _conj_flip, _half_multiply, _inverse_dzbar,
                                 _resize_rows, _second_derivatives, _symbol_blocks, _wavevectors)
 from _helpers import fd_dz, fd_dzbar, rel_l2, spectrum, wavevectors, whole_kernel_symbols
 
@@ -125,9 +126,9 @@ class TestSymbolBytes:
     """The symbols are built block by block of wavevector rows; every block
     holds the bits of the whole-grid expression, sign bits included, on
     either side of numpy's 256 KiB temporary-elision threshold (n = 64, 256)
-    and on a grid of several blocks (n = 1024).  The kernel's two symbols,
-    kept on half the spectrum, multiply a spectrum to the bits of the
-    whole-grid product."""
+    and on a grid of several blocks (n = 1024).  The beurling symbol, kept
+    on half the spectrum, and 1/dzbar, built as it is applied, multiply a
+    spectrum to the bits of the whole-grid product."""
 
     @pytest.mark.parametrize("n", [16, 64, 256, 1024])
     @pytest.mark.parametrize("L", [TAU, 3.0, 1e-3])
@@ -149,29 +150,52 @@ class TestSymbolBytes:
     def test_symbol_blocks_are_never_the_whole_grid(self, n):
         # a grid of one _row_blocks block (n <= 128) is cut into sixteenths;
         # a larger one keeps its 2^14-sample blocks
-        rows = [r.stop - r.start for r in _symbol_blocks(n)]
+        blocks = list(_symbol_blocks(n))
+        rows = [r.stop - r.start for r in blocks]
         assert sum(rows) == n and max(rows) == (n // 16 if n <= 128 else (1 << 14) // n)
-        assert [r.stop for r in _symbol_blocks(n, n // 2 + 1)][-1] == n // 2 + 1
+        assert [r.start for r in blocks[1:]] == [r.stop for r in blocks[:-1]]
 
     @pytest.mark.parametrize("n", [16, 64, 256, 1024])
     def test_kernel_symbols_match_whole_grid(self, n):
         # products, not expanded symbols: a mirrored entry may carry the
-        # other sign of a zero part, which no product with R shows
+        # other sign of a zero part, which no product with R shows.  The
+        # whole-grid symbol is kept in a name, so that numpy cannot elide
+        # it into the product and reorder the operands.
         rng = np.random.default_rng(n)
         R = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        for L in (TAU, 3.0, 1e-3):  # built outside the cache, which would keep them
-            halves = (_beurling_half.__wrapped__(n, L), _inverse_dzbar_half(n, L))
-            for sym, whole in zip(halves, whole_kernel_symbols(n, L)):
-                assert _half_multiply(R, sym).tobytes() == (R * whole).tobytes()
-                out = R.copy()
-                assert _half_multiply(out, sym, out=out) is out
-                assert out.tobytes() == (R * whole).tobytes()
-            assert not (halves[0].top.flags.writeable or halves[0].col.flags.writeable)
+        for L in (TAU, 3.0, 1e-3):  # built outside the cache, which would keep it
+            beur, (whole, _) = _beurling_half.__wrapped__(n, L), whole_kernel_symbols(n, L)
+            want = R * whole
+            assert _half_multiply(R, beur, np.empty_like(R)).tobytes() == want.tobytes()
+            out = R.copy()
+            assert _half_multiply(out, beur, out=out) is out
+            assert out.tobytes() == want.tobytes()
+            assert not (beur.top.flags.writeable or beur.col.flags.writeable)
+
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
+    def test_inverse_dzbar_matches_whole_grid(self, n):
+        # into a fresh array, in place and into a view with padded rows, as
+        # the fixed-point kernel's answer is transformed
+        rng = np.random.default_rng(n)
+        R = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for L in (TAU, 3.0, 1e-3):
+            _, whole = whole_kernel_symbols(n, L)
+            want = (R * whole).tobytes()
+            assert _inverse_dzbar(R, L).tobytes() == want
+            out = R.copy()
+            assert _inverse_dzbar(out, L, out=out) is out
+            assert out.tobytes() == want
+            padded = np.empty((n, n + 8), dtype=complex)[:, :n]
+            assert _inverse_dzbar(R, L, out=padded) is padded
+            assert padded.tobytes() == want
 
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_kernel_symbols_keep_half_the_spectrum(self, n):
-        # rows 0..n/2 and the Nyquist column: about half an n x n array each
-        for sym in (_beurling_half(n, 5.0), _inverse_dzbar_half(n, 5.0)):
+        # the beurling symbol and T^-1's multipliers, the ones every step
+        # reads: rows 0..n/2 and the Nyquist column, about half an n x n
+        # array each
+        beur = _beurling_half(n, 5.0)
+        for sym in (beur, *_linear_inverse(beur, 0.3, 0.2j)):
             assert sym.top.dtype == sym.col.dtype == complex
             assert sym.top.size + sym.col.size <= (n // 2 + 1) * n + n
 
@@ -326,6 +350,16 @@ class TestAntiderivative:
         with pytest.raises(ValueError, match="affine"):
             antiderivative_zbar(f)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, complex(0, math.inf)])
+    def test_rejects_non_finite_c(self, c):
+        # the affine part would be non-finite, and so would the field's norms
+        with pytest.raises(ValueError, match="c must be finite"):
+            antiderivative_zbar(wave(1, 0), c)
+
+    def test_accepts_large_finite_c(self):
+        F = antiderivative_zbar(wave(1, 0), -1e300 + 1e300j)
+        assert F.c == -1e300 + 1e300j
+
 
 class TestSpectralCoeffs:
     def test_zero_mode_is_mean(self):
@@ -375,6 +409,7 @@ class TestResample:
         for n in (32, 64):
             back = resample(resample(f, n), 16)
             assert np.allclose(back.values, f.values, rtol=0, atol=1e-14)
+        assert resample(f, 16) is f  # the same grid: an immutable field is its own resample
 
     @pytest.mark.parametrize("m, n", [(16, 32), (16, 64), (32, 16), (64, 16), (128, 32)])
     def test_pruned_transforms_match_full_transforms(self, m, n):

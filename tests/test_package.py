@@ -10,7 +10,7 @@ import pytest
 
 import beltrami
 from beltrami.cli import parse_map
-from beltrami.operators import _beurling_half
+from beltrami.operators import _beurling_half, _Half
 from _helpers import traced_peak
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -78,8 +78,8 @@ CENSUS_CALLS = {
 @pytest.mark.parametrize("call", CENSUS_CALLS)
 def test_a_fresh_grid_caches_only_the_beurling_half(call):
     # On a grid of its own, a solve caches one per-grid symbol, the beurling
-    # half, and keeps nothing else besides its answer; 1/dzbar's half is
-    # built per solve or per call and dropped.  antiderivative_zbar reads
+    # half, and keeps nothing else besides its answer; 1/dzbar is built
+    # block by block as it is applied.  antiderivative_zbar reads
     # no beurling symbol and caches nothing.  A first call on another grid
     # takes numpy's own first-use allocations.
     index = list(CENSUS_CALLS).index(call)
@@ -91,7 +91,7 @@ def test_a_fresh_grid_caches_only_the_beurling_half(call):
     cached = _beurling_half.cache_info().misses - misses
     assert cached == (call != "antiderivative_zbar")
     beur = _beurling_half(spec.n, spec.L)
-    assert beur.sign == 1.0 and _beurling_half.cache_info().misses - misses == 1
+    assert _beurling_half.cache_info().misses - misses == 1
     half = cached * (beur.top.nbytes + beur.col.nbytes)
     assert 0 <= kept - out.values.nbytes - half < out.values.nbytes / 8
 
@@ -117,12 +117,19 @@ def test_only_grid_locks_fresh_arrays():
     assert lockers == {"grid", "operators._beurling_half"}
 
 
-def test_grid_fields_built_in_three_places():
+def test_grid_fields_built_in_two_places():
     # every other fresh array reaches a GridField through grid._adopt;
-    # read_field copies outside input, and resample's same-grid return
-    # shares the adopted values of its input
-    assert _call_sites("GridField") == ["grid._adopt", "grid.read_field",
-                                        "operators.resample"]
+    # read_field copies outside input
+    assert _call_sites("GridField") == ["grid._adopt", "grid.read_field"]
+
+
+def test_only_the_step_multipliers_are_kept_on_half_the_spectrum():
+    # a _Half holds an even multiplier that the kernel's step reads: the
+    # beurling symbol and T^-1's two multipliers; every other symbol is
+    # built block by block as it is applied
+    assert _Half._fields == ("top", "col")
+    assert set(_call_sites("_Half")) == {"fixedpoint._linear_inverse",
+                                         "operators._beurling_half"}
 
 
 def test_perfbench_calls_bind():
