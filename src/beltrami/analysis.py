@@ -110,8 +110,8 @@ class RegularityReport:
     p_critical is the largest probed exponent whose mean |Df|^p stays
     stable under grid doubling (math.inf when every exponent is stable);
     tail_exponent and fit_r2 come from the independent distribution-tail
-    fit, used as a cross-check on p_critical.  p_critical and norms are
-    read from stable, p_grid and power_means.
+    fit, used as a cross-check on p_critical.  The verdicts (stable),
+    p_critical and norms are read from p_grid and power_means.
     """
 
     fit_r2: float
@@ -120,7 +120,24 @@ class RegularityReport:
     grid_levels: tuple[int, ...]
     p_grid: tuple[float, ...]
     power_means: tuple[tuple[float, ...], ...]   # [level][p]: mean |Df|^p
-    stable: tuple[bool, ...]
+
+    @property
+    def stable(self) -> tuple[bool, ...]:
+        """[p]: the Cauchy test on the level-to-level increments of mean
+        |Df|^p.  Increments growing by more than GROWTH_TOLERANCE per
+        doubling (geometric mean) read unstable; increments of at most
+        1e-12 times the column's largest mean, or a column below 1e-280 (a
+        zero gradient), read stable."""
+        stable = []
+        for col in np.array(self.power_means).T:
+            scale, diffs = float(col.max()), np.abs(np.diff(col))
+            # an identically-zero gradient, or increments at roundoff: stable
+            if scale < 1e-280 or np.all(diffs <= 1e-12 * scale):
+                stable.append(True)
+                continue
+            ratios = np.maximum(diffs[1:], 1e-300) / np.maximum(diffs[:-1], 1e-300)
+            stable.append(float(np.exp(np.mean(np.log(ratios)))) <= GROWTH_TOLERANCE)
+        return tuple(stable)
 
     @property
     def norms(self) -> tuple[tuple[float, ...], ...]:
@@ -130,19 +147,19 @@ class RegularityReport:
 
     @property
     def p_critical(self) -> float:
-        if all(self.stable):
+        stable = self.stable
+        if all(stable):
             return math.inf
-        first_bad = self.stable.index(False)
+        first_bad = stable.index(False)
         return self.p_grid[first_bad - 1] if first_bad > 0 else self.p_grid[0]
 
     def norm_rows(self):
         """(p, level, norm, power_mean, stable) rows for CSV emission."""
-        norms = self.norms
+        norms, stable = self.norms, self.stable
         rows = []
         for j, p in enumerate(self.p_grid):
             for i, n in enumerate(self.grid_levels):
-                rows.append((p, n, norms[i][j], self.power_means[i][j],
-                             self.stable[j]))
+                rows.append((p, n, norms[i][j], self.power_means[i][j], stable[j]))
         return rows
 
 
@@ -270,22 +287,6 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
     if pairs is not None and next(pairs, None) is not None:
         raise ValueError(misfit)
     tail_exponent, fit_r2 = _positive_tail_fit(positive.values())
-
-    stable = []
-    for j in range(len(p_grid)):
-        col = power_means[:, j]
-        scale = float(col.max())
-        if scale < 1e-280:
-            stable.append(True)  # identically-zero gradient: trivially stable
-            continue
-        diffs = np.abs(np.diff(col))
-        if np.all(diffs <= 1e-12 * scale):
-            stable.append(True)  # increments at roundoff: converged
-            continue
-        ratios = np.maximum(diffs[1:], 1e-300) / np.maximum(diffs[:-1], 1e-300)
-        growth = float(np.exp(np.mean(np.log(ratios))))
-        stable.append(growth <= GROWTH_TOLERANCE)
-
     return RegularityReport(
         fit_r2=fit_r2,
         tail_exponent=tail_exponent,
@@ -293,7 +294,6 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
         grid_levels=tuple(ns),
         p_grid=tuple(p_grid),
         power_means=tuple(tuple(r) for r in power_means),
-        stable=tuple(stable),
     )
 
 

@@ -144,7 +144,6 @@ def solve_autonomous(
     def rhs(_field, psi):  # A is pointwise: psi takes A(psi) + h one row block at a time
         for rows in _row_blocks(h.spec.n):
             np.add(Aeval(psi[rows]), hv[rows], out=psi[rows])
-        return psi
 
     scale = max(1.0, lp_norm(h, 2))
     if A.linf is None:

@@ -16,7 +16,8 @@ A bare autonomous token selects the gradient-only solvers; any zterm/wterm
 upgrades the map to the full solver, the only one that reads --damping.
 Every fixed-point solve reads --h and stops at
 ||f_zbar - H - h||_2 <= tol * max(1, ||h||_2).  An option that the chosen
-run does not read exits 1 unless it keeps its default.
+run does not read exits 1 unless it keeps its default; --seed (every
+command's) and coefficients --k (required there) are accepted anyway.
 
 Forcing grammar for --h:
     zero                            the zero field (default)
@@ -181,21 +182,25 @@ def parse_map(spec_str: str, L: float):
     return FullMap(eval=full_eval, k=base.k, name=spec_str)
 
 
-def _parse_h(h_arg: str, spec: GridSpec) -> GridField:
+def _parse_h(h_arg: str):
+    """--h as a map from a grid to its forcing: a file is read once, here."""
     if h_arg == "zero":
-        return trig_field(spec, [])
+        return lambda spec: trig_field(spec, [])
     if h_arg.startswith("trig:"):
         waves = []
         for part in h_arg[len("trig:"):].split("+"):
             re_s, im_s, k1, k2 = _floats(h_arg, part, 4)
             waves.append((*_wavenumbers(part, k1, k2), complex(re_s, im_s)))
-        return trig_field(spec, waves)
-    f = read_field(h_arg)
-    if f.spec.n != spec.n:
-        f = resample(f, spec.n)
-    if f.spec != spec:
-        raise _UsageError(f"--h file grid {f.spec} does not match requested {spec}")
-    return f
+        return lambda spec: trig_field(spec, waves)
+    source = read_field(h_arg)
+
+    def on(spec: GridSpec) -> GridField:
+        f = resample(source, spec.n)
+        if f.spec != spec:
+            raise _UsageError(f"--h file grid {f.spec} does not match requested {spec}")
+        return f
+
+    return on
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -320,7 +325,7 @@ def cmd_solve(args) -> int:
         _refuse_unread(args, "the fixed-point solver", "damping tol max_iter")
     else:
         _refuse_unread_by_map(args, mapping)
-    h = _parse_h(args.h, spec)
+    h = _parse_h(args.h)(spec)
 
     if args.solver == "changevar":
         # only an exactly linear map, k == |a|+|b|, is the equation changevar solves
@@ -351,9 +356,10 @@ def cmd_solve(args) -> int:
 
 
 def _solve_ladder(args, mapping, specs: list[GridSpec]):
+    forcing = _parse_h(args.h)
     fields = []
     for spec in specs:
-        f, rep = _solve_fixed_point(args, mapping, _parse_h(args.h, spec), spec)
+        f, rep = _solve_fixed_point(args, mapping, forcing(spec), spec)
         if not rep.converged:
             raise _UsageError(f"ladder solve at n={spec.n} did not converge "
                               f"within --max-iter {args.max_iter}")

@@ -246,7 +246,7 @@ def solve_cc_changevar(
     # The passes run in place.  A complex scalar times a fresh array stays an
     # expression: from 256 KiB numpy elides it into the array, and its operand
     # order (which rounds differently) is the one the results are pinned to.
-    U = np.fft.fft2(u.values)
+    U = np.fft.fft2(u.values, out=np.empty_like(u.values))
     U /= n * n
     if mu != 0 or nu != 0:
         nyq = np.sqrt(np.sum(np.abs(U[n // 2, :]) ** 2)

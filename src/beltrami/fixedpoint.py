@@ -21,27 +21,28 @@ the affine f = c*z: R is the spectrum of its right-hand side, one fft2
 before the loop.
 
 One step costs two transforms (ifft2 for psi, fft2 of the right-hand
-side).  The candidate f = c*z + d*conj(z) + P is handed to rhs as a
-zero-argument callable, field(), that returns (P, d) for one inverse
-transform, P in a fresh array that rhs owns: only a right-hand side that
-reads f (the fully nonlinear H(z, f, f_z)) pays that third transform.  The
-kernel deals only in spectra and sample arrays and builds no z; solve_full
-writes f's samples over P's, one row block at a time.  Only the beurling
-symbol, which every step reads, is cached per grid
-(operators._beurling_half); field() applies 1/dzbar as it builds it, a
-block at a time (operators._inverse_dzbar).  The returned field is the
-GridField of field() of the best iterate's spectrum, transformed in psi
-once every other work array is freed and copied into the best spectrum's
-own buffer, which the field adopts: no third n x n array.
+side).  rhs(field, psi) writes the right-hand side into psi, where it
+read f_z, and returns nothing.  The candidate f = c*z + d*conj(z) + P is
+handed to it as a zero-argument callable, field(), that returns (P, d)
+for one inverse transform, P in a fresh array that rhs owns: only a
+right-hand side that reads f (the fully nonlinear H(z, f, f_z)) pays that
+third transform.  The kernel deals only in spectra and sample arrays and
+builds no z; solve_full writes f's samples over P's, one row block at a
+time.  Only the beurling symbol, which every step reads, is cached per
+grid (operators._beurling_half); field() applies 1/dzbar as it builds P,
+a block at a time (operators._inverse_dzbar).  The answer is built after
+the loop as field() builds a candidate, from the best iterate's spectrum,
+but in psi once every other work array is freed, and then copied into
+the best spectrum's own buffer, which the field adopts: no third n x n
+array.
 
-Apart from rhs's own temporaries and field(), a step allocates no n x n
-array: it writes into work arrays that live for the whole solve.
+So apart from rhs's own temporaries and field(), a step allocates no
+n x n array: it writes into work arrays that live for the whole solve.
 
-    psi       R * beurling, transformed back in place, then rhs's result:
-              the solvers' right-hand sides write it there
-              (np.add(..., out=psi)), and any other result is copied in;
-              then E, transformed in place, whose residual norm is the sum
-              of squares of its float view (grid._sum_squares)
+    psi       R * beurling, transformed back in place, then the
+              right-hand side, which rhs writes over it; then E,
+              transformed in place, whose residual norm is the sum of
+              squares of its float view (grid._sum_squares)
     spectra   R + damping * M(E) is written into whichever of two buffers
               does not hold the best iterate's spectrum: beside R while R
               is the best, over R once it is not.  So a new best only
@@ -278,7 +279,7 @@ def _audit_declared_k(g: Callable[[np.ndarray], np.ndarray], k: float) -> None:
 
 
 def picard_solve(
-    rhs: Callable[[Callable[[], tuple[np.ndarray, complex]], np.ndarray], np.ndarray],
+    rhs: Callable[[Callable[[], tuple[np.ndarray, complex]], np.ndarray], None],
     spec: GridSpec,
     c_mean: complex,
     tol: float,
@@ -288,19 +289,18 @@ def picard_solve(
 ) -> tuple[GridField, SolveReport]:
     """Run the damped fixed-point iteration.
 
-    rhs(field, psi_values) must return the sampled right-hand side of the
-    equation f_zbar = rhs(f, f_z), where field() returns the current
-    candidate f = c_mean*z + d*conj(z) + P as (P, d): P its periodic
-    samples, in a fresh array that rhs owns and may overwrite, and d its
-    affine coefficient; the start's is zero samples and d = 0, f = c*z.
-    Calling field() costs one inverse transform and one n x n array, so a
-    right-hand side that ignores f should not call it; each step then runs
-    two transforms instead of three.  psi_values is
-    the kernel's work array, from n = 128 a view with padded rows: rhs may
-    read or overwrite it during the call but must not keep it, and it runs
-    under the solve's ufunc buffer size (see the module docstring).  A
-    result written into psi_values and returned costs nothing; any other
-    result, a view of psi_values included, is copied into it.
+    rhs(field, psi) must write the sampled right-hand side of the equation
+    f_zbar = rhs(f, f_z) into psi, which holds f_z's samples when it is
+    called, and return nothing: what it returns is not read.  field()
+    returns the current candidate f = c_mean*z + d*conj(z) + P as (P, d):
+    P its periodic samples, in a fresh array that rhs owns and may
+    overwrite, and d its affine coefficient; the start's is zero samples
+    and d = 0, f = c*z.  Calling field() costs one inverse transform and
+    one n x n array, so a right-hand side that ignores f should not call
+    it; each step then runs two transforms instead of three.  psi is the
+    kernel's work array, from n = 128 a view with padded rows: rhs must not
+    keep it, and it runs under the solve's ufunc buffer size (see the
+    module docstring).
 
     Each step is R <- R + damping * M(fft2(rhs) - R) on the candidate's
     spectrum R (see the module docstring), written into the one of two
@@ -345,19 +345,13 @@ def picard_solve(
         if damping != 1.0:
             raise ValueError("a preconditioned solve takes no damping")
 
-    def field(R: np.ndarray | None = None, work: np.ndarray | None = None):
+    def field(R: np.ndarray | None = None):
         """(P, d) of the candidate with spectrum R (None: f = c*z), P in a
-        fresh array.  Given work, P is transformed there and copied over R,
-        whose buffer it then is."""
+        fresh array."""
         if R is None:
             return np.zeros((n, n), dtype=complex), 0j
-        d = complex(R[0, 0]) / (n * n)
-        P = _inverse_dzbar(R, spec.L, out=work)
-        np.fft.ifftn(P, out=P)
-        if work is not None:
-            np.copyto(R, P)
-            P = R
-        return P, d
+        P = _inverse_dzbar(R, spec.L)
+        return np.fft.ifftn(P, out=P), complex(R[0, 0]) / (n * n)
 
     # psi's rows (module docstring) are padded from n = 128 only: padded at
     # n = 16 / 32 / 64, kabs:0.9 solves at c = 0 took 2.70 / 5.23 / 10.28 ms
@@ -365,17 +359,11 @@ def picard_solve(
     pad = 8 if n >= 128 else 0
     psi = np.empty((n, n + pad), dtype=complex)[:, :n]
 
-    def take_rhs(candidate: Callable[[], GridField]) -> np.ndarray:
-        """rhs(candidate, psi), taken into psi."""
-        r = rhs(candidate, psi)
-        if r is not psi:  # a fresh array, or a view of psi
-            np.copyto(psi, r)
-        return psi
-
     def from_start(out: np.ndarray) -> np.ndarray:
         """fft2 of the right-hand side at the affine start f = c*z, into out."""
         psi.fill(c_mean)
-        np.copyto(out, np.fft.fft2(take_rhs(field), out=psi))
+        rhs(field, psi)
+        np.copyto(out, np.fft.fft2(psi, out=psi))
         return out
 
     with _ufunc_buffer(min(n, np.getbufsize())):  # one row: see above
@@ -395,7 +383,7 @@ def picard_solve(
             _half_multiply(R, beur, out=psi)
             np.fft.ifftn(psi, out=psi)  # not ifft2, which ignores out=
             psi += c_mean
-            take_rhs(partial(field, R))
+            rhs(partial(field, R), psi)
             # psi takes E = fft2(rhs) - R; by Parseval ||rhs - r||_2 = ||E||_2 / n^2
             E = np.subtract(np.fft.fft2(psi, out=psi), R, out=psi)
             res = math.sqrt(_sum_squares(E)) / (n * n)
@@ -431,5 +419,7 @@ def picard_solve(
         # before best_R's buffer takes it, so that it is built below the
         # loop's peak
         spectra = R = R_next = E = inverse = None
-        P, d = field(best_R, psi)
-        return _adopt(spec, P, c_mean, d), SolveReport(history, converged, "; ".join(notes))
+        d = complex(best_R[0, 0]) / (n * n)
+        np.fft.ifftn(_inverse_dzbar(best_R, spec.L, out=psi), out=psi)
+        np.copyto(best_R, psi)
+        return _adopt(spec, best_R, c_mean, d), SolveReport(history, converged, "; ".join(notes))

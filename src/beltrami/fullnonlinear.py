@@ -267,7 +267,6 @@ def solve_full(
             out[...] = Heval(Z, f, out)
             if hv is not None:
                 out += hv[rows]
-        return psi
 
     scale = 1.0 if h is None else max(1.0, lp_norm(h, 2))
     linear = _chord(at_origin, c_mean, H.k) if damping == 1.0 else None

@@ -23,6 +23,9 @@ whole-grid expression.  The symbols are applied by calls with out=, which
 no temporary elision reorders, so their blocks need not be _row_blocks':
 a grid of one block (n <= 128) is cut into sixteenths (_symbol_blocks).
 Only changevar's sheared symbol, an expression, takes _row_blocks.
+
+Forward transforms write into a fresh array through out=: without it,
+numpy's fft2 allocates an array per axis pass and holds two at its peak.
 """
 
 from __future__ import annotations
@@ -167,7 +170,7 @@ def _first_derivatives(f: GridField) -> tuple[np.ndarray, np.ndarray]:
     copied.  Each block of the d/dz symbol is built in dz's rows, that of
     the d/dzbar symbol in the wavevector block (_symbol_blocks).
     """
-    F = np.fft.fft2(f.values)
+    F = np.fft.fft2(f.values, out=np.empty_like(f.values))
     dz = np.empty_like(F)
     for rows, KC in _wavevectors(f.spec.n, f.spec.L, _symbol_blocks(f.spec.n)):
         sym_dz = np.conjugate(KC, out=dz[rows])
@@ -201,7 +204,7 @@ def _second_derivatives(f: GridField, zbarzbar: bool = False) -> tuple[np.ndarra
     rows (_symbol_blocks): f_zz's rows first hold the d/dz symbol, and F's
     rows take f_z's spectrum and then f_zzbar's.
     """
-    F = np.fft.fft2(f.values)
+    F = np.fft.fft2(f.values, out=np.empty_like(f.values))
     Fzz = np.empty_like(F)
     spectra = [Fzz, F] + ([np.empty_like(F)] if zbarzbar else [])
     for rows, KC in _wavevectors(f.spec.n, f.spec.L, _symbol_blocks(f.spec.n)):
@@ -229,7 +232,7 @@ def beurling(phi: GridField) -> GridField:
     """
     if not phi.is_periodic():
         raise ValueError("beurling requires a field with zero affine part")
-    F = np.fft.fft2(phi.values)
+    F = np.fft.fft2(phi.values, out=np.empty_like(phi.values))
     beur = _beurling_half(phi.spec.n, phi.spec.L)
     return _adopt(phi.spec, np.fft.ifftn(_half_multiply(F, beur, out=F), out=F))
 
@@ -246,7 +249,7 @@ def antiderivative_zbar(phi: GridField, c: complex = 0.0) -> GridField:
         raise ValueError("antiderivative_zbar requires a field with zero affine part")
     if not np.isfinite(c):
         raise ValueError(f"c must be finite, got {c}")
-    F = np.fft.fft2(phi.values)
+    F = np.fft.fft2(phi.values, out=np.empty_like(phi.values))
     mean = complex(F[0, 0]) / (phi.spec.n ** 2)
     return _adopt(phi.spec, np.fft.ifftn(_inverse_dzbar(F, phi.spec.L, out=F), out=F), c, mean)
 
@@ -294,7 +297,8 @@ def resample(f: GridField, new_n: int) -> GridField:
         return f
     if new_n > m:
         half = m // 2
-        A = np.fft.fft2(f.values) / (m ** 2)
+        A = np.fft.fft2(f.values, out=np.empty_like(f.values))
+        A /= m ** 2
         keep = np.r_[0:half + 1, -half:0]  # the padded spectrum's nonzero rows
         rows = _resize_rows(_resize_rows(A, new_n)[keep].T, new_n).T * (new_n ** 2)
         vals = np.zeros((new_n, new_n), dtype=complex)
@@ -306,5 +310,6 @@ def resample(f: GridField, new_n: int) -> GridField:
         cols = np.fft.fft(f.values, axis=1)[:, np.r_[0:half, -half:0, half]]
         B = _resize_rows(np.fft.fft(cols, axis=0, out=cols) / (m ** 2), new_n)
         B[:, half] += B[:, new_n]
-        vals = np.fft.ifft2(B[:, :new_n] * (new_n ** 2))
+        vals = B[:, :new_n] * (new_n ** 2)
+        np.fft.ifftn(vals, out=vals)
     return _adopt(dst, vals, f.c, f.d)

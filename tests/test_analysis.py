@@ -344,6 +344,43 @@ class TestSobolevProbe:
         assert rep.p_critical == pytest.approx(p_critical, abs=1e-9)
 
 
+class TestStableVerdict:
+    """A report reads its verdicts from its power means: the Cauchy test on
+    the level-to-level increments of each exponent's column."""
+
+    @staticmethod
+    def report(*columns):
+        """A report over len(column) levels with one power-mean column per p."""
+        levels = len(columns[0])
+        return RegularityReport(fit_r2=1.0, tail_exponent=math.inf, distortion_max=1.0,
+                                grid_levels=tuple(16 << i for i in range(levels)),
+                                p_grid=tuple(1.0 + j for j in range(len(columns))),
+                                power_means=tuple(zip(*columns)))
+
+    @staticmethod
+    def growing(growth, first=1e-3, levels=4):
+        """1, 1 + first, ...: increments growing by growth per doubling."""
+        col = [1.0]
+        for i in range(levels - 1):
+            col.append(col[-1] + first * growth ** i)
+        return col
+
+    def test_growth_per_doubling(self):
+        assert 1.05 < GROWTH_TOLERANCE < 1.2
+        rep = self.report(self.growing(1.05), self.growing(1.2), self.growing(0.5))
+        assert rep.stable == (True, False, True)
+        assert rep.p_critical == 1.0
+        assert [row[-1] for row in rep.norm_rows()] == [True] * 4 + [False] * 4 + [True] * 4
+
+    def test_roundoff_increments_and_zero_scale_read_stable(self):
+        # increments doubling per level, but at most 1e-12 of the column's
+        # scale; and a column whose scale is below 1e-280
+        rep = self.report(self.growing(2.0, first=1e-13), [0.0] * 4,
+                          [0.0, 1e-300, 3e-300, 7e-300], self.growing(2.0, first=1e-11))
+        assert rep.stable == (True, True, True, False)
+        assert rep.p_critical == 3.0
+
+
 class TestSecondOrderProbe:
     def test_smooth_solution_stable_below_threshold(self):
         A = linear_map(0.5, 0.0)
@@ -415,21 +452,8 @@ def _sobolev_reference(fields, p_grid, pairs=None):
         power_means[i] /= m.size
     st = _pair_stats_reference(dz.values, dzb.values)
     tail_exponent, fit_r2 = _positive_tail_fit(_positive(m))
-    stable = []
-    for j in range(len(p_grid)):
-        col = power_means[:, j]
-        scale = float(col.max())
-        if scale < 1e-280:
-            stable.append(True)
-            continue
-        diffs = np.abs(np.diff(col))
-        if np.all(diffs <= 1e-12 * scale):
-            stable.append(True)
-            continue
-        ratios = np.maximum(diffs[1:], 1e-300) / np.maximum(diffs[:-1], 1e-300)
-        stable.append(float(np.exp(np.mean(np.log(ratios)))) <= GROWTH_TOLERANCE)
     return RegularityReport(fit_r2, tail_exponent, st.max, tuple(f.spec.n for f in fields),
-                            tuple(p_grid), tuple(tuple(r) for r in power_means), tuple(stable))
+                            tuple(p_grid), tuple(tuple(r) for r in power_means))
 
 
 def _extremal_ladder(K, base):

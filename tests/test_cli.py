@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import subprocess
@@ -84,8 +85,8 @@ class TestMapGrammar:
                 for k1, k2 in (("2.0", "-1.0"), ("2", "-1"))]
         assert np.array_equal(maps[0].eval(z, w, zeta), maps[1].eval(z, w, zeta))
         spec = GridSpec(16)
-        assert np.array_equal(cli._parse_h("trig:0.1,0,1.0,-2.0", spec).values,
-                              cli._parse_h("trig:0.1,0,1,-2", spec).values)
+        assert np.array_equal(cli._parse_h("trig:0.1,0,1.0,-2.0")(spec).values,
+                              cli._parse_h("trig:0.1,0,1,-2")(spec).values)
 
     def test_unknown_token_named_in_error(self, capsys):
         code = run(["solve", "--map", "bogus:1", "--grid", "16",
@@ -139,7 +140,7 @@ class TestSolveCommand:
         # a band-limited forcing written at n = 32 drives an n = 64 solve as
         # the same waves sampled at n = 64 do
         waves = "trig:0.1,0,1,0+0.05,-0.02,2,-1"
-        write_field(cli._parse_h(waves, GridSpec(32)), tmp_path / "h32.bfld")
+        write_field(cli._parse_h(waves)(GridSpec(32)), tmp_path / "h32.bfld")
         fields = []
         for name, h in (("file", str(tmp_path / "h32.bfld")), ("trig", waves)):
             out = tmp_path / name
@@ -347,6 +348,28 @@ class TestProbeCommand:
                     "--out", str(out)])
         assert code == 0
         assert "p_critical=inf" in capsys.readouterr().out
+
+    # sha256 of regularity.csv (first 16 hex digits) for the ladder below,
+    # pinned from the build that read the file once per level
+    FILE_LADDER_DIGEST = "4e08af8e4723f67b"
+
+    def test_forcing_file_read_once_per_ladder(self, monkeypatch, tmp_path):
+        # one read, resampled to every level: down to 16, as read at 32, up to 64
+        write_field(trig_field(GridSpec(32), [(1, 0, 0.05), (2, -1, 0.02 - 0.01j),
+                                              (0, 3, 0.01j)]), tmp_path / "h.bfld")
+        reads = []
+
+        def counted(path):
+            reads.append(path)
+            return read_field(path)
+
+        monkeypatch.setattr(cli, "read_field", counted)
+        out = tmp_path / "probe"
+        assert run(["probe", "--map", "kabs:0.3", "--grid", "16", "--levels", "3",
+                    "--h", str(tmp_path / "h.bfld"), "--mean", "1,0", "--out", str(out)]) == 0
+        assert len(reads) == 1
+        digest = hashlib.sha256((out / "regularity.csv").read_bytes()).hexdigest()
+        assert digest[:16] == self.FILE_LADDER_DIGEST
 
     @pytest.mark.parametrize("grid_args, option", [
         (["--p-step", "-1"], "--p-step"),

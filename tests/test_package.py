@@ -96,15 +96,17 @@ def test_a_fresh_grid_caches_only_the_beurling_half(call):
     assert 0 <= kept - out.values.nbytes - half < out.values.nbytes / 8
 
 
-def _call_sites(name):
-    """module.function of every call to name, as a function or a method, in src/."""
+def _call_sites(name, where=lambda call: True):
+    """module.function of every call to name, as a function or a method, in
+    src/, whose ast.Call node where() accepts."""
     sites = []
     for path in sorted(Path(beltrami.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and name in (
-                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)) \
+                    and where(node):
                 owner = [f.name for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
                 sites.append(".".join([path.stem] + owner))
     return sorted(sites)
@@ -130,6 +132,16 @@ def test_only_the_step_multipliers_are_kept_on_half_the_spectrum():
     assert _Half._fields == ("top", "col")
     assert set(_call_sites("_Half")) == {"fixedpoint._linear_inverse",
                                          "operators._beurling_half"}
+
+
+def test_transforms_write_into_out():
+    # numpy's fftn allocates a new array for each axis pass unless fft2 is
+    # given out=, and numpy 2.4's ifft2 ignores out=: every fft2 writes
+    # into an array of its caller's, in place in the kernel and fresh
+    # elsewhere, and every 2-D inverse is an ifftn
+    assert _call_sites("fft2", lambda call: all(k.arg != "out" for k in call.keywords)) == []
+    assert _call_sites("fft2")
+    assert _call_sites("ifft2") == []
 
 
 def test_perfbench_calls_bind():
