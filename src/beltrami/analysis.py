@@ -421,9 +421,10 @@ def directional_family_max_distortion(f: GridField) -> float:
     """Max samplewise distortion over cos(t)*fx + sin(t)*fy, 16 directions t.
 
     The angles t are spaced evenly over [0, pi).  Samples wherever the
-    member's gradient magnitude |v_z| + |v_zbar| exceeds the floor 1e-8;
-    returns 0.0 when every member is constant below the floor (the
-    constant branch of the dichotomy).  Degenerate samples surface as inf.
+    member's gradient magnitude |v_z| + |v_zbar| exceeds the floor 1e-8.
+    Returns 0.0 when every member is below the floor, else inf on a periodic
+    field: by Parseval a member's sum |v_z|^2 equals its sum |v_zbar|^2, so
+    each non-constant one reaches a degenerate sample, |v_z| <= |v_zbar|.
     The member cos(t)*fx + sin(t)*fy is e^{it} f_z + e^{-it} f_zbar, so its
     derivative pair comes from f's second derivatives (one transform).  The
     loop stops once the running max is inf, which no later member exceeds.

@@ -366,11 +366,15 @@ class TestStableVerdict:
         return col
 
     def test_growth_per_doubling(self):
+        # the last two columns sit just inside and just beyond the tolerance
         assert 1.05 < GROWTH_TOLERANCE < 1.2
-        rep = self.report(self.growing(1.05), self.growing(1.2), self.growing(0.5))
-        assert rep.stable == (True, False, True)
+        rep = self.report(self.growing(1.05), self.growing(1.2), self.growing(0.5),
+                          self.growing(GROWTH_TOLERANCE * (1 - 1e-6)),
+                          self.growing(GROWTH_TOLERANCE * (1 + 1e-6)))
+        assert rep.stable == (True, False, True, True, False)
         assert rep.p_critical == 1.0
-        assert [row[-1] for row in rep.norm_rows()] == [True] * 4 + [False] * 4 + [True] * 4
+        assert [row[-1] for row in rep.norm_rows()] == \
+            [True] * 4 + [False] * 4 + [True] * 8 + [False] * 4
 
     def test_roundoff_increments_and_zero_scale_read_stable(self):
         # increments doubling per level, but at most 1e-12 of the column's
@@ -810,10 +814,12 @@ class TestDirectionalFamily:
         else:
             assert 1.0 < got < math.inf
 
-    def test_smooth_family_has_finite_default_floor(self):
-        f = random_trig_field(SPEC, seed=77, amplitude=0.05, c=1.0)
-        worst = directional_family_max_distortion(f)
-        assert worst > 1.0
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_smooth_periodic_family_reads_inf(self, n):
+        # Parseval: every non-constant periodic member reaches a sample
+        # with |v_z| <= |v_zbar|, so no finite distortion is reported
+        f = random_trig_field(GridSpec(n), seed=77, amplitude=0.05, c=1.0)
+        assert directional_family_max_distortion(f) == math.inf
 
 
 def _family_reference(fzz, fzzb, fzbzb):

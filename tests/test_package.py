@@ -1,9 +1,14 @@
 """The package's public surface: every exported name resolves, the
-README's library quick start runs as written, and perfbench's calls bind."""
+README's library quick start runs as written, perfbench's calls bind, and a
+fresh import starts no thread and loads no test or reference module."""
 
 import ast
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +39,73 @@ def test_package_imports_are_exported():
         exported = importlib.import_module(f"beltrami.{node.module}").__all__
         stray = [a.name for a in node.names if a.name not in exported]
         assert not stray, f"beltrami imports {stray} from {node.module} outside its __all__"
+
+
+# A fresh interpreter's threads before and after `import beltrami.cli`,
+# whether os.environ came through it unchanged, OPENBLAS_NUM_THREADS after
+# it, and which of the modules beltrami must not load are loaded.
+STARTUP_PROBE = """
+import json, os, sys
+threads = lambda: len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+if sys.argv[1] == "numpy-first":
+    import numpy
+before, first = dict(os.environ), threads()
+import beltrami.cli
+print(json.dumps({"threads": [first, threads()], "environ_kept": dict(os.environ) == before,
+                  "variable": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "loaded": [m for m in ("scipy", "hypothesis", "pytest") if m in sys.modules]}))
+"""
+
+needs_task_dir = pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                                    reason="threads are counted in /proc/self/task")
+
+
+def fresh_import(openblas_threads=None, numpy_first=False):
+    """STARTUP_PROBE's reading in a fresh interpreter whose environment has
+    OPENBLAS_NUM_THREADS set to openblas_threads, or removed for None, and
+    none of the variables OpenBLAS falls back on."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    src = str(Path(beltrami.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE,
+                           "numpy-first" if numpy_first else "beltrami-first"],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+@needs_task_dir
+def test_import_starts_no_blas_pool_and_keeps_the_environment():
+    # numpy loads under OPENBLAS_NUM_THREADS=1, which is gone afterwards
+    got = fresh_import()
+    assert got["threads"] == [1, 1]
+    assert got["environ_kept"] and got["variable"] is None
+
+
+@needs_task_dir
+def test_callers_openblas_threads_win():
+    got = fresh_import("2")
+    assert got["environ_kept"] and got["variable"] == "2"
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert got["threads"][1] == 2
+
+
+@needs_task_dir
+def test_numpy_imported_first_is_left_alone():
+    got = fresh_import(numpy_first=True)
+    assert got["environ_kept"] and got["variable"] is None
+    assert got["threads"][0] == got["threads"][1]
+    if len(os.sched_getaffinity(0)) >= 2:
+        # numpy's own pool, one thread per CPU
+        assert got["threads"][0] > 1
+
+
+def test_cli_import_loads_no_scipy_or_test_modules():
+    # numpy is the only runtime dependency, and each module more is paid
+    # for by every beltrami process
+    assert fresh_import()["loaded"] == []
 
 
 def test_one_linear_part_type():
