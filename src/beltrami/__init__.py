@@ -86,4 +86,4 @@ from .synth import (
     trig_field,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

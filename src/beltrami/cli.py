@@ -22,7 +22,7 @@ command's) and coefficients --k (required there) are accepted anyway.
 Forcing grammar for --h:
     zero                            the zero field (default)
     trig:re,im,k1,k2[+re,im,k1,k2]  sum of complex waves
-    <path>                          a BFLD1 field file
+    <path>                          a BFLD2 field file
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .constant_coefficient import (
     verify_transform,
 )
 from .fullnonlinear import FullMap, solve_full
-from .grid import (_FMT, GridField, GridSpec, _lp_of_moduli, _write_row_blocks, read_field,
+from .grid import (_FMT, GridField, GridSpec, _lp_of_moduli, _row_blocks, read_field,
                    write_field)
 from .operators import derivative_pair, resample
 from .synth import radial_extremal_pair, trig_field
@@ -219,10 +219,17 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
+def _write_row_blocks(fh, line: str, n: int, cells) -> None:
+    """Write an n x n grid's n*n lines in row-major order, one ``line %
+    cells(rows)`` per row block (grid._row_blocks), where cells(rows) is every
+    cell of those rows' lines in order: the bytes do not depend on the blocking."""
+    for rows in _row_blocks(n):
+        fh.write((line * (n * (rows.stop - rows.start))) % tuple(cells(rows)))
+
+
 def _write_coefficients(path: Path, coeffs: CoefficientFields) -> None:
-    """coefficients.csv: one row per sample in row-major order, with the same
-    spelling as _write_csv, written over blocks of grid rows as BFLD1 fields
-    are (grid._write_row_blocks)."""
+    """coefficients.csv: one row per sample in row-major order, spelled as by
+    _write_csv and written a block of grid rows at a time (_write_row_blocks)."""
     n = coeffs.mu.spec.n
     mu, nu = coeffs.mu.values, coeffs.nu.values
 

@@ -14,7 +14,7 @@ has mean c, the conj(z)-derivative has mean d.
 from __future__ import annotations
 
 import math
-import warnings
+import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -31,8 +31,8 @@ __all__ = [
     "write_field",
 ]
 
-# Full-precision decimal format used by the BFLD1 file layer; 17 significant
-# digits round-trips any float64 exactly.
+# Full-precision decimal format of the BFLD2 header and the CSV outputs; 17
+# significant digits round-trips any float64 exactly.
 _FMT = "%.17g"
 
 
@@ -226,10 +226,10 @@ def _blocked_l2(pointwise, scratch: np.ndarray) -> float:
 
 # Samples per row block of every blocked pass over an n x n grid
 # (_row_blocks): wavevectors, the mirrored rows of a half-spectrum symbol,
-# both solvers' right-hand sides, radial fixture, moduli pass, text
-# writers.  A complex block is 256 KiB, so its arrays stay in L2 (the
-# radial fixture ran fastest at 2^14 of 2^13..2^16, n = 128..1024, on a
-# Xeon), and a writer's floats, cell tuple and string stay near 2 MB.
+# both solvers' right-hand sides, radial fixture, moduli pass, the
+# coefficients writer.  A complex block is 256 KiB, so its arrays stay in
+# L2 (the radial fixture ran fastest at 2^14 of 2^13..2^16, n = 128..1024,
+# on a Xeon), and the writer's floats, cell tuple and string stay near 2 MB.
 # 256 KiB is also numpy's threshold for eliding a temporary into a
 # product's result, which reorders its operands: a block elides where the
 # whole grid does (n <= 128 is one block), so blocked products round as
@@ -246,43 +246,40 @@ def _row_blocks(n: int):
         yield slice(s, min(s + rows, n))
 
 
-def _write_row_blocks(fh, line: str, n: int, cells) -> None:
-    """Write the n*n lines of an n x n grid's samples in row-major order, one
-    ``line % cells(rows)`` per row block (_row_blocks): cells(rows) returns,
-    for the grid rows in slice rows, every cell of every line in order.
-    Each line takes the same format as in one operation over the whole
-    grid, so the bytes do not depend on the blocking."""
-    for rows in _row_blocks(n):
-        fh.write((line * (n * (rows.stop - rows.start))) % tuple(cells(rows)))
+def _all_finite(values: np.ndarray, *affine) -> bool:
+    """Whether a contiguous complex array and the affine numbers are finite, with
+    no temporary of the array's size: a NaN or an infinity sets a min or max."""
+    x = values.reshape(-1).view(float)
+    return bool(np.isfinite([*affine, x.min(), x.max()]).all())
 
 
 def write_field(f: GridField, path) -> None:
-    """Write a field in the BFLD1 text format.
+    """Write a field as a BFLD2 file.
 
-    Line 1: ``BFLD1 <n> <n> <L> <c_re> <c_im> <d_re> <d_im>``; then n^2
-    lines ``<re> <im>`` in row-major order, 17 significant digits, written
-    over blocks of grid rows (_write_row_blocks).  A non-finite sample or
-    affine coefficient raises ValueError before the file is created, since
-    read_field refuses such a file.
+    Line 1 is ASCII: ``BFLD2 <n> <n> <L> <c_re> <c_im> <d_re> <d_im>``, 17
+    significant digits; then exactly n^2 samples as little-endian complex128
+    (``<c16``) in row-major order, the array's own buffer on a little-endian
+    host.  A non-finite sample or affine coefficient raises ValueError before
+    the file is created, since read_field refuses such a file.
     """
-    n = f.spec.n
-    if not (np.isfinite([f.c, f.d]).all() and np.isfinite(f.values).all()):
+    if not _all_finite(f.values, f.c, f.d):
         raise ValueError(f"cannot write non-finite values to {path!r}")
-    head = " ".join(
-        ["BFLD1", str(n), str(n)]
-        + [_FMT % x for x in (f.spec.L, f.c.real, f.c.imag, f.d.real, f.d.imag)]
-    )
-    with open(path, "w") as fh:
-        fh.write(head + "\n")
-        _write_row_blocks(fh, f"{_FMT} {_FMT}\n", n,
-                          lambda rows: f.values[rows].view(float).ravel().tolist())
+    nums = (f.spec.L, f.c.real, f.c.imag, f.d.real, f.d.imag)
+    head = f"BFLD2 {f.spec.n} {f.spec.n} " + " ".join(_FMT % x for x in nums)
+    with open(path, "wb") as fh:
+        fh.write(head.encode() + b"\n")
+        fh.write(f.values.astype("<c16", copy=False))
 
 
 def read_field(path) -> GridField:
-    """Read a BFLD1 file; inverse of write_field on the stored decimals."""
-    with open(path) as fh:
-        head = fh.readline().split()
-        if len(head) != 8 or head[0] != "BFLD1":
+    """Read a BFLD2 file, bit for bit: the header line, then exactly 16*n^2
+    bytes.  A BFLD1 (text) file is refused."""
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        head = line.split()
+        if head[:1] == [b"BFLD1"]:
+            raise ValueError(f"{path!r} is BFLD1 text, which is no longer read: re-run the solve")
+        if len(head) != 8 or head[0] != b"BFLD2":
             raise ValueError(f"malformed header in {path!r}")
         try:
             n1, n2 = int(head[1]), int(head[2])
@@ -292,16 +289,11 @@ def read_field(path) -> GridField:
         if n1 != n2:
             raise ValueError(f"malformed header in {path!r}: grid must be square")
         spec = GridSpec(n1, L)
-        try:
-            with warnings.catch_warnings():  # a header-only file is a count mismatch
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                        UserWarning)
-                samples = np.loadtxt(fh, dtype=float, ndmin=2, comments=None)
-        except ValueError as exc:
-            raise ValueError(f"malformed samples in {path!r}: {exc}") from None
-    if samples.shape != (n1 * n1, 2):
-        raise ValueError(f"sample-count mismatch in {path!r}: expected {n1 * n1} rows "
-                         f"of 2 numbers, got shape {samples.shape}")
-    if not (np.all(np.isfinite(samples)) and np.all(np.isfinite([cre, cim, dre, dim]))):
+        size = os.fstat(fh.fileno()).st_size - len(line)
+        if size != 16 * n1 * n1:
+            raise ValueError(f"sample-count mismatch in {path!r}: {size} bytes, not 16*{n1 * n1}")
+        # rows of n samples: one owning n x n array, which the field adopts
+        values = np.fromfile(fh, dtype=np.dtype(("<c16", n1)))
+    if not _all_finite(values, cre, cim, dre, dim):
         raise ValueError(f"non-finite values in {path!r}")
-    return GridField(spec, complex(cre, cim), complex(dre, dim), samples.view(complex))
+    return _adopt(spec, values, complex(cre, cim), complex(dre, dim))

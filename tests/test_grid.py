@@ -1,6 +1,5 @@
 import math
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -311,37 +310,58 @@ class TestFieldFiles:
 
     def test_identity_map_encoding(self, tmp_path):
         path = tmp_path / "id.bfld"
-        lines = ["BFLD1 16 16 6.283185307179586 1 0 0 0"] + ["0 0"] * 256
-        path.write_text("\n".join(lines) + "\n")
+        path.write_bytes(_IDENTITY_HEAD + bytes(16 * 256))
         f = read_field(path)
         assert f.c == 1.0 and f.d == 0.0 and f.spec.n == 16
         assert np.all(f.values == 0)
 
-    def test_sample_count_mismatch(self, tmp_path):
-        path = tmp_path / "short.bfld"
-        lines = ["BFLD1 16 16 6.283185307179586 1 0 0 0"] + ["0 0"] * 255
-        path.write_text("\n".join(lines) + "\n")
+    @pytest.mark.parametrize("payload", [bytes(16 * 255), bytes(16 * 257),
+                                         bytes(16 * 256 + 8), b""],
+                             ids=["one-short", "one-extra", "stray-8-bytes", "header-only"])
+    def test_sample_count_mismatch(self, payload, tmp_path):
+        # judged by the file's length: np.fromfile would drop a partial
+        # sample without a word, and pytest turns any warning into an error
+        path = tmp_path / "count.bfld"
+        path.write_bytes(_IDENTITY_HEAD + payload)
         with pytest.raises(ValueError, match="sample-count mismatch"):
             read_field(path)
 
-    def test_malformed_header(self, tmp_path):
+    def test_huge_header_count_is_refused_before_reading(self, tmp_path):
+        # 2^40 samples would need 16 TiB: the length check comes first
+        path = tmp_path / "huge.bfld"
+        path.write_bytes(b"BFLD2 1048576 1048576 1 0 0 0 0\n" + bytes(16 * 256))
+        with pytest.raises(ValueError, match="sample-count mismatch"):
+            read_field(path)
+
+    @pytest.mark.parametrize("head", [b"BFLD3 16 16 1 0 0 0 0\n", b"bfld2 16 16 1 0 0 0 0\n",
+                                      b"BFLD2 16 16 1 0 0 0\n", b"BFLD2 16 16 1 0 0 0 x\n",
+                                      b"BFLD2 16 32 1 0 0 0 0\n"],
+                             ids=["magic", "magic-case", "short", "not-a-number", "non-square"])
+    def test_malformed_header(self, head, tmp_path):
         path = tmp_path / "bad.bfld"
-        path.write_text("BFLD2 16 16 1 0 0 0 0\n")
+        path.write_bytes(head + bytes(16 * 256))
         with pytest.raises(ValueError, match="malformed header"):
             read_field(path)
 
-    def test_non_finite_values(self, tmp_path):
-        path = tmp_path / "nan.bfld"
-        lines = ["BFLD1 16 16 6.283185307179586 0 0 0 0"] + ["0 0"] * 255 + ["nan 0"]
+    def test_text_bfld1_file_is_refused_by_name(self, tmp_path):
+        path = tmp_path / "old.bfld"
+        lines = ["BFLD1 16 16 6.283185307179586 1 0 0 0"] + ["0 0"] * 256
         path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="BFLD1 text.*re-run the solve"):
+            read_field(path)
+
+    def test_non_finite_values(self, tmp_path):
+        vals = np.zeros(256, dtype="<c16")
+        vals[-1] = complex(math.nan, 0.0)
+        path = tmp_path / "nan.bfld"
+        path.write_bytes(_IDENTITY_HEAD + vals.tobytes())
         with pytest.raises(ValueError, match="non-finite"):
             read_field(path)
 
     @pytest.mark.parametrize("affine", ["nan 0 0 0", "0 0 0 -inf"])
     def test_non_finite_header(self, affine, tmp_path):
         path = tmp_path / "nan.bfld"
-        lines = [f"BFLD1 16 16 6.283185307179586 {affine}"] + ["0 0"] * 256
-        path.write_text("\n".join(lines) + "\n")
+        path.write_bytes(f"BFLD2 16 16 6.283185307179586 {affine}\n".encode() + bytes(16 * 256))
         with pytest.raises(ValueError, match="non-finite values in"):
             read_field(path)
 
@@ -349,26 +369,14 @@ class TestFieldFiles:
         vals = np.zeros((16, 16), dtype=complex)
         vals[0, 0] = complex(-0.0, 1e-308)
         vals[0, 1] = 1e308 + 0.1j
+        f = GridField(GridSpec(16, 1.0), 1.0, -0.5j, vals)
         path = tmp_path / "pin.bfld"
-        write_field(GridField(GridSpec(16, 1.0), 1.0, -0.5j, vals), path)
-        lines = path.read_text().split("\n")
-        assert lines[:4] == ["BFLD1 16 16 1 1 0 -0 -0.5", "-0 9.9999999999999991e-309",
-                             "1e+308 0.10000000000000001", "0 0"]
-        assert len(lines) == 256 + 2 and lines[-1] == ""
-
-    def test_matches_per_sample_reference(self, tmp_path):
-        # the per-sample loop BFLD1 was first written and read with
-        rng = np.random.default_rng(11)
-        vals = (rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))) \
-            * 10.0 ** rng.integers(-310, 308, size=(32, 32))
-        vals[1, 2] = complex(-0.0, 5e-324)
-        path = tmp_path / "ref.bfld"
-        write_field(GridField(GridSpec(32), 0.0, 0.0, vals), path)
-        rows = path.read_text().splitlines()[1:]
-        assert rows == ["%.17g %.17g" % (v.real, v.imag) for v in vals.reshape(-1)]
-        parsed = [complex(*(float(x) for x in row.split())) for row in rows]
-        assert np.array_equal(read_field(path).values.reshape(-1).view(float),
-                              np.array(parsed).view(float))
+        write_field(f, path)
+        head = b"BFLD2 16 16 1 1 0 -0 -0.5\n"
+        data = path.read_bytes()
+        assert data[:len(head)] == head
+        assert data[len(head):] == f.values.astype("<c16").tobytes()
+        assert len(data) == len(head) + 16 * 256
 
     @pytest.mark.parametrize("sample, c, d", [
         (complex(0.5, math.nan), 1.0, 0.0),
@@ -385,45 +393,40 @@ class TestFieldFiles:
             write_field(GridField(GridSpec(16), c, d, vals), path)
         assert not path.exists()
 
-    @staticmethod
-    def _write_rows(path, rows):
-        path.write_text("\n".join(["BFLD1 16 16 6.283185307179586 1 0 0 0"] + rows) + "\n")
+    def test_awkward_samples_are_the_payload(self, tmp_path):
+        # the whole float64 range, signed zeros and subnormals: the payload
+        # is the samples' bytes, and they read back bit for bit
+        f = _awkward_field(256, seed=3)
+        path = tmp_path / "f.bfld"
+        write_field(f, path)
+        assert path.read_bytes().endswith(f.values.astype("<c16").tobytes())
+        g = read_field(path)
+        assert g.spec == f.spec
+        assert np.array([g.c, g.d]).tobytes() == np.array([f.c, f.d]).tobytes()
+        assert g.values.tobytes() == f.values.tobytes()
 
-    def test_too_many_rows(self, tmp_path):
-        path = tmp_path / "long.bfld"
-        self._write_rows(path, ["0 0"] * 257)
-        with pytest.raises(ValueError, match="sample-count mismatch"):
-            read_field(path)
+    def test_read_adopts_what_it_reads(self, tmp_path):
+        # np.fromfile's array becomes the field's values: no second copy
+        n = 512
+        f = _awkward_field(n, seed=5)
+        path = tmp_path / "f.bfld"
+        write_field(f, path)
+        g, peak, kept = traced_peak(read_field, path)
+        assert g.values.flags.owndata and not g.values.flags.writeable
+        assert peak < 1.1 * f.values.nbytes
+        assert 0.99 * f.values.nbytes < kept < 1.01 * f.values.nbytes
 
-    def test_one_number_row(self, tmp_path):
-        path = tmp_path / "ragged.bfld"
-        self._write_rows(path, ["0 0"] * 100 + ["0"] + ["0 0"] * 155)
-        with pytest.raises(ValueError, match="malformed samples"):
-            read_field(path)
-
-    def test_comment_row_is_an_error(self, tmp_path):
-        path = tmp_path / "comment.bfld"
-        self._write_rows(path, ["# a note"] + ["0 0"] * 256)
-        with pytest.raises(ValueError, match="malformed samples"):
-            read_field(path)
-
-    def test_header_only_is_a_count_mismatch_without_warning(self, tmp_path):
-        path = tmp_path / "empty.bfld"
-        self._write_rows(path, [])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="sample-count mismatch"):
-                read_field(path)
+    def test_write_allocates_no_array(self, tmp_path):
+        # the buffer is written as it is, and the finite check takes no
+        # n x n temporary
+        n = 512
+        f = _awkward_field(n, seed=5)
+        _, peak, kept = traced_peak(write_field, f, tmp_path / "f.bfld")
+        assert peak < 0.05 * f.values.nbytes
+        assert kept < 0.01 * f.values.nbytes
 
 
-def _bfld_reference(f: GridField) -> bytes:
-    """BFLD1 bytes from the per-sample loop: the header, then one line per
-    sample, row-major."""
-    head = " ".join(["BFLD1", str(f.spec.n), str(f.spec.n)]
-                    + ["%.17g" % x for x in (f.spec.L, f.c.real, f.c.imag,
-                                             f.d.real, f.d.imag)])
-    rows = ["%.17g %.17g" % (v.real, v.imag) for v in f.values.reshape(-1)]
-    return ("\n".join([head] + rows) + "\n").encode()
+_IDENTITY_HEAD = b"BFLD2 16 16 6.283185307179586 1 0 0 0\n"
 
 
 def _awkward_field(n: int, seed: int) -> GridField:
@@ -435,31 +438,3 @@ def _awkward_field(n: int, seed: int) -> GridField:
     vals[-1, :3] = [complex(-0.0, 5e-324), complex(1e300, -0.0), complex(-2.5e-310, 1e300)]
     vals[-1, -1] = complex(-0.0, -0.0)
     return GridField(GridSpec(n, 3.5), complex(1 / 3, -0.0), complex(-0.0, 1e-300), vals)
-
-
-class TestBlockedFieldWriter:
-    @pytest.mark.parametrize("n", [64, 128])
-    def test_ragged_row_blocks_keep_the_reference_bytes(self, monkeypatch, n, tmp_path):
-        # 7 rows per block: the last block of 64 and 128 rows holds 1 and 2
-        monkeypatch.setattr(grid, "_BLOCK", 7 * n)
-        f = _awkward_field(n, seed=n)
-        write_field(f, tmp_path / "f.bfld")
-        assert (tmp_path / "f.bfld").read_bytes() == _bfld_reference(f)
-        g = read_field(tmp_path / "f.bfld")
-        assert g.values.tobytes() == f.values.tobytes()
-
-    def test_default_blocks_keep_the_reference_bytes(self, tmp_path):
-        f = _awkward_field(256, seed=3)
-        assert 256 * 256 > 2 * grid._BLOCK  # several blocks
-        write_field(f, tmp_path / "f.bfld")
-        assert (tmp_path / "f.bfld").read_bytes() == _bfld_reference(f)
-
-    def test_traced_peak_is_one_block(self, tmp_path):
-        # one %-operation over the whole file peaked at 9.04 complex arrays
-        n = 512
-        rng = np.random.default_rng(5)
-        f = GridField(GridSpec(n), 0.0, 0.0,
-                      rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        _, peak, kept = traced_peak(write_field, f, tmp_path / "f.bfld")
-        assert peak < 0.6 * f.values.nbytes
-        assert kept < 0.01 * f.values.nbytes

@@ -191,10 +191,10 @@ def test_only_grid_locks_fresh_arrays():
     assert lockers == {"grid", "operators._beurling_half"}
 
 
-def test_grid_fields_built_in_two_places():
-    # every other fresh array reaches a GridField through grid._adopt;
-    # read_field copies outside input
-    assert _call_sites("GridField") == ["grid._adopt", "grid.read_field"]
+def test_grid_fields_built_in_one_place():
+    # every fresh array, read_field's included, reaches a GridField through
+    # grid._adopt
+    assert _call_sites("GridField") == ["grid._adopt"]
 
 
 def test_only_the_step_multipliers_are_kept_on_half_the_spectrum():
