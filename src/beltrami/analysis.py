@@ -109,12 +109,12 @@ class RegularityReport:
 
     p_critical is the largest probed exponent whose mean |Df|^p stays
     stable under grid doubling (math.inf when every exponent is stable);
-    tail_exponent and fit_r2 come from the independent distribution-tail
-    fit, used as a cross-check on p_critical.  The verdicts (stable),
+    tail_exponent, Hill's tail index of the finest |Df|, cross-checks it:
+    2K/(K-1) for |Df| ~ r^((1-K)/K); on a smooth field, finite but no
+    exponent (30 to 280 on random_trig_fields).  The verdicts (stable),
     p_critical and norms are read from p_grid and power_means.
     """
 
-    fit_r2: float
     tail_exponent: float
     distortion_max: float
     grid_levels: tuple[int, ...]
@@ -138,6 +138,11 @@ class RegularityReport:
             ratios = np.maximum(diffs[1:], 1e-300) / np.maximum(diffs[:-1], 1e-300)
             stable.append(float(np.exp(np.mean(np.log(ratios)))) <= GROWTH_TOLERANCE)
         return tuple(stable)
+
+    @property
+    def tail_stderr(self) -> float:
+        """Hill's asymptotic standard error, tail_exponent / sqrt(m), bias aside."""
+        return self.tail_exponent / math.sqrt(_tail_count(self.grid_levels[-1]))
 
     @property
     def norms(self) -> tuple[tuple[float, ...], ...]:
@@ -173,34 +178,13 @@ GROWTH_TOLERANCE = 1.10
 # the row block the moduli are read in.
 _CHUNK = 4096
 
+# Hill's estimator reads the largest _TAIL_FRACTION of the finest level's
+# samples: m = _tail_count(n) of them.
+_TAIL_FRACTION = 0.005
 
-def _positive_tail_fit(s: np.ndarray):
-    """Power-law fit of the upper tail of the |Df| distribution.
 
-    Fits log measure{|Df| > lam} against log lam between the 99.5th and
-    99.995th percentiles of s, the positive finite samples, which it
-    reorders; returns (tail_exponent, r2) with tail_exponent = -slope (the
-    empirical critical exponent for power-law tails).
-    """
-    if s.size < 64:
-        return math.inf, 0.0
-    lo, hi = np.quantile(s, [0.995, 0.99995], overwrite_input=True)
-    if not (hi > lo * 1.0001):
-        return math.inf, 0.0  # no tail to fit (nearly constant field)
-    lam = np.exp(np.linspace(np.log(lo), np.log(hi), 24))
-    # lam is nondecreasing, so only samples above lam[0] can exceed any level
-    tail = np.sort(s[s > lam[0]])
-    frac = (tail.size - np.searchsorted(tail, lam, side="right")) / s.size
-    keep = frac > 0
-    if keep.sum() < 4:
-        return math.inf, 0.0
-    x, y = np.log(lam[keep]), np.log(frac[keep])
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    return float(-slope), r2
+def _tail_count(n: int) -> int:
+    return math.ceil(_TAIL_FRACTION * n * n)
 
 
 def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
@@ -229,9 +213,12 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
     0^p = 0) and divides by all n^2 samples: every exponent is evaluated
     together over chunks of 4096 of those logarithms, in sample order, the
     fewer than 4096 left at the end of a block carried into the next.  Only
-    the finest level keeps samples beyond a block: its positive finite |Df|
-    for the tail fit, compacted into one n^2 buffer; its largest finite
-    distortion is a running maximum (inf when no sample has one).  A term
+    the finest level keeps samples beyond a block: its finite log|Df| above
+    a running floor, which np.partition cuts back to the top m + 1 once past
+    2m + 1 (m = _tail_count(n)), for tail_exponent, Hill's estimator (Ann.
+    Statist. 3, 1975) m / sum(log x_i - log x_0) over the top m, x_0 the
+    (m+1)-th largest, summed in sorted order (inf with at most m samples or
+    a zero sum); its largest finite distortion is a running maximum.  A term
     differs from |Df|^p by at most about eps*(1 + p*|log|Df||) relative,
     and both overflow or underflow alike once p*|log|Df|| passes about 709
     (1.7e-13 relative); adding up the chunks adds at most about eps per
@@ -262,21 +249,25 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
         row += np.exp(np.multiply(p_col, logs, out=part), out=part).sum(axis=1)
 
     top = -math.inf  # the finest level's largest finite distortion
+    tail = _tail_count(ns[-1])
+    kept, floor = np.empty(0), -math.inf  # the finest level's finite log|Df| > floor
     for i, (row, f) in enumerate(zip(power_means, fields)):
         pair = derivative_pair(f) if pairs is None else next(pairs, None)
         if pair is None or any(g.spec != f.spec for g in pair):
             raise ValueError(misfit)
         fz, fzb = (g.values for g in pair)
         finest = i == len(fields) - 1
-        if finest:
-            positive = _Compacted(fz.size)
         carry = np.empty(0)  # the logarithms short of a whole chunk
         for a, b, m in _moduli_blocks(fz, fzb):
             logs = m[m != 0]  # a zero adds 0^p = 0; a NaN still reaches the sum
+            np.log(logs, out=logs)
             if finest:
                 top = float(_finite_distortion(a, b, m).max(initial=top))
-                positive.add(logs[np.isfinite(logs)])  # nonzero |Df| >= 0 is positive
-            logs = np.concatenate((carry, np.log(logs, out=logs)))
+                kept = np.concatenate((kept, logs[(logs > floor) & (logs < math.inf)]))
+                if kept.size > 2 * tail + 1:
+                    kept = np.partition(kept, -tail - 1)[-tail - 1:]
+                    floor = kept[0]
+            logs = np.concatenate((carry, logs))
             whole = logs.size - logs.size % _CHUNK
             for s in range(0, whole, _CHUNK):
                 add_chunk(row, logs[s:s + _CHUNK])
@@ -286,10 +277,10 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
         row /= fz.size
     if pairs is not None and next(pairs, None) is not None:
         raise ValueError(misfit)
-    tail_exponent, fit_r2 = _positive_tail_fit(positive.values())
+    x = np.sort(kept)[-tail - 1:]  # the top tail + 1, ascending
+    total = float(np.sum(x[1:] - x[0])) if kept.size > tail else 0.0
     return RegularityReport(
-        fit_r2=fit_r2,
-        tail_exponent=tail_exponent,
+        tail_exponent=tail / total if total > 0 else math.inf,
         distortion_max=top if top > -math.inf else math.inf,
         grid_levels=tuple(ns),
         p_grid=tuple(p_grid),

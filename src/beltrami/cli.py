@@ -412,11 +412,11 @@ def cmd_probe(args) -> int:
         report = sobolev_probe(fields, p_grid, pairs=pairs)
 
     rows = list(report.norm_rows())
-    rows.append(("summary", report.p_critical, report.fit_r2,
+    rows.append(("summary", report.p_critical, report.tail_stderr,
                  report.tail_exponent, report.distortion_max))
     _finish(args, {"regularity.csv": (["p", "level", "norm", "power_mean", "stable"], rows)},
-            {"p_critical": report.p_critical, "fit_r2": report.fit_r2})
-    print(f"p_critical={_FMT % report.p_critical} fit_r2={_FMT % report.fit_r2}")
+            {"p_critical": report.p_critical, "tail_stderr": report.tail_stderr})
+    print(f"p_critical={_FMT % report.p_critical} tail_stderr={_FMT % report.tail_stderr}")
     return 0
 
 

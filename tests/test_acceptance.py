@@ -299,7 +299,7 @@ def test_criterion_07_probe_calibration():
     assert report(7, ok,
                   f"p_critical={rep.p_critical:.2f} in [3.6, 4.4] (oracle "
                   f"2K/(K-1)=4), tail exponent {rep.tail_exponent:.3f} "
-                  f"(r2={rep.fit_r2:.3f}), {elapsed:.1f}s (<120s)")
+                  f"(stderr {rep.tail_stderr:.3f}), {elapsed:.1f}s (<120s)")
 
 
 def _chain_items(f, fields_ladder, A, k):

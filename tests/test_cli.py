@@ -309,6 +309,26 @@ class TestProbeCommand:
         assert 3.6 <= p_c <= 4.4
         assert (out / "regularity.csv").exists()
 
+    def test_summary_row_layout(self, tmp_path, capsys):
+        # summary, p_critical, tail_stderr, tail_exponent, distortion_max:
+        # the benchmark's cli probe check reads cells 1 and 3 by position
+        # and gates |tail_exponent / 4 - 1| <= 0.01 (Hill reads 3.9865)
+        out = tmp_path / "probe"
+        assert run(["probe", "--extremal", "2", "--grid", "128", "--levels", "3",
+                    "--out", str(out)]) == 0
+        lines = (out / "regularity.csv").read_text().splitlines()
+        summary = lines[-1].split(",")
+        assert len(summary) == 5 and summary[0] == "summary"
+        _, stderr, tail, _ = map(float, summary[1:])
+        # p_critical and distortion_max, pinned to the bit
+        assert summary[1] == "4.200000000000002" and summary[4] == "11477.140512229234"
+        assert abs(tail / 4 - 1) <= 0.01 and tail == pytest.approx(3.9865, abs=1e-4)
+        assert stderr == tail / math.sqrt(math.ceil(0.005 * 512 ** 2))
+        assert all(len(line.split(",")) == 5 for line in lines[:-1])
+        assert json.loads((out / "manifest.json").read_text())["result"]["tail_stderr"] == stderr
+        assert capsys.readouterr().out.strip().splitlines()[-1] == \
+            f"p_critical={summary[1]} tail_stderr={summary[2]}"
+
     def test_smooth_identity_reports_inf(self, tmp_path, capsys):
         fields = []
         for n in (32, 64, 128):
@@ -347,8 +367,10 @@ class TestProbeCommand:
         assert "p_critical=inf" in capsys.readouterr().out
 
     # sha256 of regularity.csv (first 16 hex digits) for the ladder below,
-    # pinned from the build that read the file once per level
-    FILE_LADDER_DIGEST = "4e08af8e4723f67b"
+    # pinned from the build that read the file once per level; the summary
+    # row re-pinned for Hill's tail_exponent and tail_stderr, every row
+    # above it unchanged
+    FILE_LADDER_DIGEST = "40478ddb030dccdb"
 
     def test_forcing_file_read_once_per_ladder(self, monkeypatch, tmp_path):
         # one read, resampled to every level: down to 16, as read at 32, up to 64
