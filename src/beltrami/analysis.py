@@ -38,10 +38,18 @@ DEGENERACY_GAP = 1e-12
 
 def _distortion_values(fz: np.ndarray, fzb: np.ndarray) -> np.ndarray:
     """Samplewise distortion (|f_z|+|f_zbar|)/(|f_z|-|f_zbar|), inf where
-    the orientation degenerates."""
+    the orientation degenerates or a modulus is not finite."""
     a, b = np.abs(fz), np.abs(fzb)
-    lo = a - b
-    return np.divide(a + b, lo, out=np.full(a.shape, np.inf), where=lo > DEGENERACY_GAP)
+    return _distortion(a, b, a + b)
+
+
+def _distortion(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """_distortion_values from the moduli a, b and their sum m; overwrites a.
+    A sum that is not finite is left out before inf - inf or inf / inf
+    forms, so neither warns."""
+    kept = m < math.inf
+    lo = np.subtract(a, b, out=a, where=kept)
+    return np.divide(m, lo, out=np.full(a.shape, np.inf), where=kept & (lo > DEGENERACY_GAP))
 
 
 def _moduli_blocks(fz: np.ndarray, fzb: np.ndarray):
@@ -51,15 +59,6 @@ def _moduli_blocks(fz: np.ndarray, fzb: np.ndarray):
     for rows in _row_blocks(fz.shape[0]):
         a, b = np.abs(fz[rows]), np.abs(fzb[rows])
         yield a, b, a + b
-
-
-def _finite_distortion(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The finite values of _distortion_values over one block, in row order,
-    from its moduli a, b and their sum m; overwrites a and b."""
-    lo = np.subtract(a, b, out=a)
-    b.fill(np.inf)
-    K = np.divide(m, lo, out=b, where=lo > DEGENERACY_GAP)
-    return K[np.isfinite(K)]
 
 
 class _Compacted:
@@ -89,7 +88,8 @@ def _pair_stats(fz: np.ndarray, fzb: np.ndarray) -> DistortionStats:
     which the quantiles then partition in place."""
     finite = _Compacted(fz.size)
     for a, b, m in _moduli_blocks(fz, fzb):
-        finite.add(_finite_distortion(a, b, m))
+        K = _distortion(a, b, m)
+        finite.add(K[np.isfinite(K)])
     finite = finite.values()
     if finite.size == 0:
         return DistortionStats(math.inf, (math.inf,) * 3, 1.0)
@@ -262,7 +262,8 @@ def sobolev_probe(fields, p_grid, pairs=None) -> RegularityReport:
             logs = m[m != 0]  # a zero adds 0^p = 0; a NaN still reaches the sum
             np.log(logs, out=logs)
             if finest:
-                top = float(_finite_distortion(a, b, m).max(initial=top))
+                K = _distortion(a, b, m)
+                top = float(K.max(initial=top, where=K < math.inf))
                 kept = np.concatenate((kept, logs[(logs > floor) & (logs < math.inf)]))
                 if kept.size > 2 * tail + 1:
                     kept = np.partition(kept, -tail - 1)[-tail - 1:]

@@ -228,7 +228,7 @@ def _blocked_l2(pointwise, scratch: np.ndarray) -> float:
 # (_row_blocks): wavevectors, the mirrored rows of a half-spectrum symbol,
 # both solvers' right-hand sides, radial fixture, moduli pass, the
 # coefficients writer.  A complex block is 256 KiB, so its arrays stay in
-# L2 (the radial fixture ran fastest at 2^14 of 2^13..2^16, n = 128..1024,
+# L2 (the radial fixture builds about as fast at 2^13..2^16, n = 128..1024,
 # on a Xeon), and the writer's floats, cell tuple and string stay near 2 MB.
 # 256 KiB is also numpy's threshold for eliding a temporary into a
 # product's result, which reorders its operands: a block elides where the

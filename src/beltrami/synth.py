@@ -90,14 +90,17 @@ def _window(r: np.ndarray, r0: float, r1: float):
 
 
 def _radial_parts(spec: GridSpec, K: float):
-    """Fresh samples of (g, g_z, g_zb), built over row blocks
-    (_row_blocks) with the operations of one pass over the grid (see
-    radial_extremal_pair): no n x n temporary is made."""
+    """Fresh samples of (g, g_z, g_zb), g = w(r)*Z*s with Z = z - z0,
+    r = |Z|, s = r^(2*beta) and w the window, from the closed form
+    g_z = s*((1 + beta)*w + c), g_zb = (Z^2/r^2)*s*(beta*w + c), c = r*w'(r)/2.
+    Real products, real-by-complex products and one complex square over
+    row blocks (_row_blocks): the bytes do not depend on the blocking, and
+    no n x n temporary is made."""
     if not 1 < K < math.inf:
         raise ValueError(f"distortion parameter must be finite and exceed 1, got {K}")
     L, n = spec.L, spec.n
     z0 = L * (_CENTER_FRAC[0] + 1j * _CENTER_FRAC[1])
-    beta = (1.0 - K) / (2.0 * K)          # f0 = Z * |Z|^(2*beta), exponent 1/K - 1
+    beta = (1.0 - K) / (2.0 * K)          # exponent 2*beta = 1/K - 1
     parts = tuple(np.empty((n, n), dtype=complex) for _ in range(3))
     for rows in _row_blocks(n):
         g, g_z, g_zb = (a[rows] for a in parts)
@@ -106,34 +109,24 @@ def _radial_parts(spec: GridSpec, K: float):
         # the centre sits a third of a spacing off the lattice in x and y,
         # so r >= h/3 and nothing below divides by zero
         r = np.abs(Z)
-        rb = r ** (2.0 * beta)            # diverges at the (off-lattice) center
-        f0 = Z * rb
-        np.multiply(1.0 + beta, rb, out=g_z)   # f0_z, windowed in place below
-        np.divide(Z, np.conj(Z), out=g_zb)
-        g_zb *= beta
-        g_zb *= rb                        # f0_zb, windowed in place below
         # wide transition band keeps the window's own gradient small, so the
         # distribution tail stays a clean power law from the center alone
         w, dw = _window(r, 0.15 * L, 0.45 * L)
-        two_r = np.multiply(r, 2.0, out=r)  # r is not read again
-        # g_z = w*f0_z + dw*conj(Z)/(2r)*f0 and g_zb = w*f0_zb + dw*Z/(2r)*f0,
-        # built in place in that operation order; g's block holds each
-        # pass's term, then g = w*f0
-        for g_d, z_part in ((g_z, np.conj(Z, out=g)), (g_zb, Z)):
-            np.multiply(z_part, dw, out=g)
-            g /= two_r
-            g *= f0
-            g_d *= w
-            g_d += g
-        np.multiply(w, f0, out=g)
+        c = r * dw / 2.0
+        s = r ** (2.0 * beta)             # diverges at the (off-lattice) center
+        np.multiply(Z, w * s, out=g)
+        g_z[...] = s * ((1.0 + beta) * w + c)
+        np.multiply(Z, Z, out=g_zb)
+        g_zb *= s * (beta * w + c) / (r * r)
     return parts
 
 
 def radial_extremal_field(spec: GridSpec, K: float) -> GridField:
     """Windowed radial map z*|z|^(1/K-1) around an off-lattice center.
 
-    Constant distortion K inside the window; its gradient lies in L^p
-    exactly for p < 2K/(K-1), which calibrates the integrability probe.
+    Its gradient lies in L^p exactly for p < 2K/(K-1), which calibrates
+    the integrability probe.  Its distortion is K where the window is flat,
+    r < 0.15*L; the largest lies on the window's band 0.15*L < r < 0.45*L.
     The window makes the samples exactly periodic.
     """
     return _adopt(spec, _radial_parts(spec, K)[0])
@@ -142,10 +135,11 @@ def radial_extremal_field(spec: GridSpec, K: float) -> GridField:
 def radial_extremal_pair(spec: GridSpec, K: float) -> tuple[GridField, GridField, GridField]:
     """The windowed radial map plus its analytically sampled derivative pair.
 
-    Returns (field, dz, dzbar).  Analytic sampling avoids polluting the
-    probe calibration with ringing from spectral differentiation of a
-    point-singular field.  The samples are built over blocks of rows into
-    the arrays the fields adopt, each with the operations of one pass over
-    the grid, so the bytes do not depend on the blocking.
+    Returns (field, dz, dzbar); dz is real.  The distortion is K only
+    where the window is flat, r < 0.15*L (see radial_extremal_field).
+    Analytic sampling avoids polluting the probe calibration with ringing
+    from spectral differentiation of a point-singular field.  The samples
+    are built over blocks of rows into the arrays the fields adopt, and
+    their bytes do not depend on the blocking.
     """
     return tuple(_adopt(spec, a) for a in _radial_parts(spec, K))

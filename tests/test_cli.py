@@ -321,7 +321,7 @@ class TestProbeCommand:
         assert len(summary) == 5 and summary[0] == "summary"
         _, stderr, tail, _ = map(float, summary[1:])
         # p_critical and distortion_max, pinned to the bit
-        assert summary[1] == "4.200000000000002" and summary[4] == "11477.140512229234"
+        assert summary[1] == "4.200000000000002" and summary[4] == "11477.140512246648"
         assert abs(tail / 4 - 1) <= 0.01 and tail == pytest.approx(3.9865, abs=1e-4)
         assert stderr == tail / math.sqrt(math.ceil(0.005 * 512 ** 2))
         assert all(len(line.split(",")) == 5 for line in lines[:-1])

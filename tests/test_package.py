@@ -247,3 +247,30 @@ def test_perfbench_calls_bind():
     assert {"solve_full", "solve_autonomous", "solve_cc_neumann", "residual", "FullStructure",
             "fit_bound_constants", "check_conditions", "recover_coefficients",
             "second_order_probe", "parse_map"} <= set(bound)
+
+
+def test_tracer_reads_parameters_by_their_names():
+    # perfbench's tracer reads call arguments by name (a["tol"],
+    # _bound(...)["path"]), so a renamed parameter would surface only in a
+    # traced run: each name it reads is a parameter of the function it
+    # annotates, its helpers' reads included (the file is read, not run)
+    tree = ast.parse((README.parent / "perfbench" / "tracer.py").read_text())
+    helpers = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    annotators = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                      and [ast.unparse(t) for t in node.targets] == ["ANNOTATORS"])
+    read = set()
+    for key, value in zip(annotators.keys, annotators.values):
+        layer, name = key.value.split(".")
+        params = inspect.signature(getattr(importlib.import_module(f"beltrami.{layer}"),
+                                           name)).parameters
+        called = [helpers[node.func.id] for node in ast.walk(value)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in helpers]
+        for part in (value, *called):
+            for node in ast.walk(part):
+                if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant) \
+                        and isinstance(node.slice.value, str):
+                    assert node.slice.value in params, f"tracer reads {key.value}'s " \
+                        f"{node.slice.value!r}, not among {list(params)}"
+                    read.add(node.slice.value)
+    assert read == {"spec", "p", "A", "H", "tol", "path", "sample_points"}
